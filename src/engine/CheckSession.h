@@ -42,7 +42,7 @@ namespace detail {
 
 /// An abort action whose f_abort history the accepting-leaf predicate must
 /// synthesize. Shared between the batch (CheckSession::runSlinUnder) and
-/// incremental (IncrementalSlinSession::runUnder) slin obligation
+/// incremental (IncrementalSlinSession::prepareRun) slin obligation
 /// providers so the Definition 26/28 plumbing cannot drift between them.
 struct PendingAbort {
   std::size_t TraceIndex = 0;

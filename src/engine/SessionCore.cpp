@@ -1,0 +1,1121 @@
+//===- engine/SessionCore.cpp ---------------------------------------------==//
+//
+// Part of the slin project.
+//
+//===----------------------------------------------------------------------===//
+//
+// Soundness notes for the retention rules implemented here.
+//
+// *Monotonicity of failure.* A transposition entry records "from this
+// (committed set, used multiset, ADT state), the remaining obligations
+// cannot all be committed". Extending the trace adds obligations whose
+// availability snapshots cover strictly later indices and leaves every
+// existing obligation's snapshot, predecessors, and output untouched. If
+// the extended problem were completable from the same search state, then
+// deleting the new obligations' commit appends from that completion yields
+// a completion of the original problem from the same state: used counts
+// only shrink, every kept filler was available at all then-uncommitted
+// original obligations, and no original obligation ever must-follow a new
+// one (the new response's invocation lies after every original response).
+// Hence failure is preserved by extension and every retained entry stays a
+// sound prune — the basis for both the epoch salt (one growing trace) and
+// the sealed probe salt (many traces over one prefix).
+//
+// *Absorption.* The same deletion argument gives: an extension of a
+// non-linearizable trace is non-linearizable (No is final), and an
+// appended invocation changes no obligation at all (the cached verdict
+// stands as-is). The slin session marks the deltas for which this fails
+// (CacheStale) and moves the epoch for them.
+//
+// *Pollution.* A budget-exhausted run returns through ancestors whose
+// other children were never explored, yet those ancestors insert memo
+// entries on the way out. Such entries are sound within the aborted run
+// (the whole run answers Unknown) but not for a later run under the same
+// salt, so any budget-limited result moves the epoch at once.
+//
+// *Restriction.* The first WindowLimit obligations of an overflowed window
+// form an exact restriction under every interpretation: deleting the
+// out-of-window completions' commits from any full witness leaves a
+// witness for the prefix (their responses lie after every in-window
+// response, so nothing in-window must-follow them, and availability
+// snapshots are functions of the prefix alone). So a capped sub-chain's
+// aligned prefix is a sound retired prefix, and a capped sub-No with
+// nothing retired is conclusive for the whole stream.
+//
+//===----------------------------------------------------------------------===//
+
+#include "engine/SessionCore.h"
+
+#include <algorithm>
+
+using namespace slin;
+
+namespace {
+
+/// One verdict's budget, split between what already ran and what follows:
+/// given what was spent since \p Start, either reports exhaustion (nothing
+/// more may run) or yields the remaining limits.
+struct BudgetSplit {
+  bool Exhausted = false;
+  const char *Reason = nullptr; ///< Set when Exhausted.
+  ChainLimits Rest;
+};
+
+BudgetSplit splitBudget(std::uint64_t Spent,
+                        std::chrono::steady_clock::time_point Start,
+                        const LinCheckOptions &L) {
+  BudgetSplit S;
+  std::uint64_t ElapsedMs = 0;
+  if (L.TimeBudgetMillis)
+    ElapsedMs = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - Start)
+            .count());
+  if (Spent >= L.NodeBudget ||
+      (L.TimeBudgetMillis && ElapsedMs >= L.TimeBudgetMillis)) {
+    S.Exhausted = true;
+    S.Reason = Spent >= L.NodeBudget ? "node budget exhausted"
+                                     : "time budget exhausted";
+    return S;
+  }
+  // The strict >= guards above keep both remainders >= 1, so a bounded
+  // budget can never collapse to 0 ("unlimited").
+  S.Rest.NodeBudget = L.NodeBudget - Spent;
+  S.Rest.TimeBudgetMillis = L.TimeBudgetMillis ? L.TimeBudgetMillis - ElapsedMs
+                                               : 0;
+  return S;
+}
+
+ChainResult budgetUnknown(const char *Reason, std::uint64_t Nodes) {
+  ChainResult R;
+  R.Outcome = Verdict::Unknown;
+  R.BudgetLimited = true;
+  R.Reason = Reason;
+  R.Stats.Nodes = Nodes;
+  return R;
+}
+
+using Rows = std::vector<std::pair<std::size_t, std::size_t>>;
+
+std::size_t rowBytes(const Rows &V) {
+  return V.capacity() * sizeof(std::pair<std::size_t, std::size_t>);
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// LiveWindow
+//===----------------------------------------------------------------------===//
+
+void LiveWindow::compact(std::size_t RowStride) {
+  // Source rows always lie at or after their destination, so the forward
+  // moves are overlap-safe.
+  auto Front = [&](auto &V) {
+    std::move(V.begin() + static_cast<std::ptrdiff_t>(Base),
+              V.begin() + static_cast<std::ptrdiff_t>(Base + N), V.begin());
+  };
+  Front(Slots);
+  Front(Invokes);
+  Front(Clients);
+  Front(Metas);
+  if (RowStride)
+    for (std::size_t Q = 0; Q != N; ++Q)
+      std::copy(AvailStore.begin() +
+                    static_cast<std::ptrdiff_t>((Base + Q) * RowStride),
+                AvailStore.begin() +
+                    static_cast<std::ptrdiff_t>((Base + Q + 1) * RowStride),
+                AvailStore.begin() + static_cast<std::ptrdiff_t>(Q * RowStride));
+  Base = 0;
+}
+
+void LiveWindow::ensureStride(std::size_t AlphabetSize) {
+  if (Stride >= AlphabetSize)
+    return;
+  std::size_t NewStride = Stride ? Stride : 64;
+  while (NewStride < AlphabetSize)
+    NewStride *= 2;
+  // Re-lay the live rows out at the wider stride, compacting to the front.
+  // Rare: the alphabet grows past a power of two at most O(log |I|) times.
+  std::vector<std::int32_t> NewStore(Slots.size() * NewStride, 0);
+  for (std::size_t Q = 0; Q != N; ++Q)
+    std::copy(AvailStore.begin() +
+                  static_cast<std::ptrdiff_t>((Base + Q) * Stride),
+              AvailStore.begin() +
+                  static_cast<std::ptrdiff_t>((Base + Q + 1) * Stride),
+              NewStore.begin() + static_cast<std::ptrdiff_t>(Q * NewStride));
+  AvailStore = std::move(NewStore);
+  if (Base != 0)
+    compact(/*RowStride=*/0); // The rows moved already.
+  Stride = NewStride;
+}
+
+void LiveWindow::pushResponse(std::size_t Tag, InputId In, const Output &Out,
+                              std::size_t InvokeIdx, std::uint64_t MustFollow,
+                              ClientId Client, std::uint32_t Meta,
+                              const std::vector<std::int32_t> &Invoked) {
+  ensureStride(Invoked.size());
+  if (Base + N == Slots.size()) {
+    if (Base != 0) {
+      // Reuse the front vacated by retirement: a steady-state append after
+      // a fold slides rows forward within existing storage — no heap
+      // traffic on the event path.
+      compact(Stride);
+    } else {
+      std::size_t NewCap = std::max<std::size_t>(128, Slots.size() * 2);
+      Slots.resize(NewCap);
+      Invokes.resize(NewCap);
+      Clients.resize(NewCap);
+      Metas.resize(NewCap);
+      AvailStore.resize(NewCap * Stride, 0);
+    }
+  }
+  std::size_t Row = Base + N;
+  CommitObligation &C = Slots[Row];
+  C.Tag = Tag;
+  C.In = In;
+  C.Out = Out;
+  C.MustFollow = MustFollow;
+  C.Available = nullptr; // Published by finalize() before every run.
+  Invokes[Row] = InvokeIdx;
+  Clients[Row] = Client;
+  Metas[Row] = Meta;
+  // Zero-extending the row to the stride at write time realizes the lazy
+  // zero-extension contract: an input first interned after this response
+  // cannot have been invoked before it.
+  std::int32_t *Dst = AvailStore.data() + Row * Stride;
+  std::copy(Invoked.begin(), Invoked.end(), Dst);
+  std::fill(Dst + Invoked.size(), Dst + Stride, 0);
+  ++N;
+}
+
+bool LiveWindow::creditInvoke(const OrderRelation &Order, ClientId Invoker,
+                              InputId In) {
+  if (N == 0)
+    return false;
+  // A first-seen input forces the same stride regrow a pushResponse would;
+  // steady streams hit existing cells only.
+  ensureStride(static_cast<std::size_t>(In) + 1);
+  bool Any = false;
+  for (std::size_t Q = 0; Q != N; ++Q) {
+    if (!Order.creditsLaterInvoke(Clients[Base + Q], Metas[Base + Q],
+                                  Invoker))
+      continue;
+    ++AvailStore[(Base + Q) * Stride + In];
+    Any = true;
+  }
+  return Any;
+}
+
+std::size_t LiveWindow::lowerBoundTag(std::size_t T) const {
+  std::size_t Lo = 0, Hi = N;
+  while (Lo != Hi) {
+    std::size_t Mid = Lo + (Hi - Lo) / 2;
+    if (Slots[Base + Mid].Tag < T)
+      Lo = Mid + 1;
+    else
+      Hi = Mid;
+  }
+  return Lo;
+}
+
+const CommitObligation *LiveWindow::finalize(InputId AlphabetSize) {
+  ensureStride(AlphabetSize);
+  for (std::size_t Q = 0; Q != N; ++Q)
+    Slots[Base + Q].Available = AvailStore.data() + (Base + Q) * Stride;
+  return Slots.data() + Base;
+}
+
+void RetainedChain::clear() {
+  Master.clear();
+  Commits.clear();
+  Replay.invalidate();
+  RetiredLen = RetiredRows = 0;
+  RetiredMaster.clear();
+  RetiredCommits.clear();
+  RetiredBoundary.invalidate();
+  InitDense.clear();
+  InitUpTo = 0;
+}
+
+std::size_t RetainedChain::memoryBytes() const {
+  return (Master.capacity() + RetiredMaster.capacity()) * sizeof(InputId) +
+         rowBytes(Commits) + rowBytes(RetiredCommits) +
+         (Replay.Used.capacity() + RetiredBoundary.Used.capacity() +
+          InitDense.capacity()) *
+             sizeof(std::int32_t);
+}
+
+//===----------------------------------------------------------------------===//
+// Ingest
+//===----------------------------------------------------------------------===//
+
+WindowedSession::WindowedSession(const Adt &Type,
+                                 const IncrementalOptions &Opts,
+                                 const PhaseSignature *Sig)
+    : Type(Type), Opts(Opts), Order(Opts.Order),
+      Memo(Opts.TranspositionCapacity),
+      Builder(Sig ? TraceBuilder(*Sig) : TraceBuilder()) {
+  if (!Opts.RetainTrace)
+    Builder.setRetainView(false);
+}
+
+WellFormedness WindowedSession::doom(std::string Reason) {
+  Doomed = true;
+  DoomReason = std::move(Reason);
+  return WellFormedness::fail(DoomReason);
+}
+
+std::size_t &WindowedSession::openSlot(ClientId Client) {
+  if (Client >= OpenStart.size())
+    OpenStart.resize(Client + 1, SIZE_MAX);
+  return OpenStart[Client];
+}
+
+void WindowedSession::noteInvoke(const Action &A, std::size_t I, InputId In) {
+  if (In >= Invoked.size())
+    Invoked.resize(In + 1, 0);
+  ++Invoked[In];
+  openSlot(A.Client) = I;
+  // Under Strict an appended invocation changes no obligation: every
+  // availability snapshot covers indices before it. A weaker relation may
+  // instead credit the new input to live responses it leaves unordered
+  // past this invocation (OrderRelation::creditsLaterInvoke): the problem
+  // only *relaxes*, so a cached Yes and the retained chains stand, but a
+  // cached No — and every retained memo failure — may have depended on the
+  // tighter rows and must go.
+  if (!Order.isStrict() && Obligations.creditInvoke(Order, A.Client, In)) {
+    if (HaveResult && Cached == Verdict::No)
+      HaveResult = false;
+    ++Epoch;
+    HaveProbeSalt = false;
+  }
+}
+
+void WindowedSession::noteResponse(const Action &A, std::size_t I,
+                                   InputId In) {
+  // The operation closes; the open table must be exact — it is what
+  // retirement derives its quiescent cut from.
+  std::size_t &Open = openSlot(A.Client);
+  const std::size_t InvokeIdx = Open;
+  Open = SIZE_MAX;
+  if (Obligations.size() == WindowLimit)
+    retireQuiescentPrefix(); // The cheap cached-chain fold, search-free.
+  // Happens-before over the live window, window-relative bits. In an
+  // overflow excursion the mask is not representable; it is rebuilt when
+  // the drain brings the window back under the limit, and capped runs
+  // derive fresh masks meanwhile.
+  std::uint64_t MustFollow = 0;
+  if (Obligations.size() < WindowLimit)
+    MustFollow = Order.pushMask(Obligations, InvokeIdx, A.Client);
+  // The availability row snapshots Invoked: elems(inputs(t, I)),
+  // Definition 9.
+  Obligations.pushResponse(I, In, A.Out, InvokeIdx, MustFollow, A.Client,
+                           A.Meta, Invoked);
+  ++NewResponses;
+  if (Obligations.size() > Stats.LiveWindowHighWater)
+    Stats.LiveWindowHighWater = Obligations.size();
+  if (overflowed() && !OverflowNoted) {
+    OverflowNoted = true; // One overflow excursion, counted once.
+    ++Stats.WindowOverflows;
+  }
+}
+
+std::size_t WindowedSession::openCut() const {
+  // The quiescent cut: every response before E — the earliest currently
+  // open operation (trace end when none is open) — precedes every open and
+  // every future invocation, so real-time order forces those commits
+  // before everything still live. No instant of zero concurrency is
+  // required; a pipelined stream retires continuously.
+  std::size_t E = Builder.size();
+  for (std::size_t Idx : OpenStart)
+    E = std::min(E, Idx);
+  return E;
+}
+
+//===----------------------------------------------------------------------===//
+// Retirement
+//===----------------------------------------------------------------------===//
+
+std::uint64_t WindowedSession::foldMask(const Rows &Commits,
+                                        std::size_t LiveLen,
+                                        std::size_t RetiredLen,
+                                        std::size_t Limit,
+                                        std::size_t E) const {
+  // Bit k-1 is set iff the chain's first k rows commit *exactly* the first
+  // k window obligations, all responded before E, at in-bounds lengths.
+  // The chain may commit concurrent operations out of response order, so
+  // only a prefix aligned on both axes — commit-length order and response
+  // (tag) order — can fold: rows' tags are distinct window tags, so
+  // rows[0..k) == window[0..k) iff their running max tag equals
+  // window[k-1]'s.
+  static_assert(IncrementalWindowLimit <= 64,
+                "fold masks are 64-bit over window positions");
+  Limit = std::min({Limit, Commits.size(), Obligations.size()});
+  std::uint64_t Mask = 0;
+  std::size_t MaxTag = 0;
+  for (std::size_t Q = 1; Q <= Limit; ++Q) {
+    MaxTag = std::max(MaxTag, Commits[Q - 1].first);
+    if (MaxTag >= E)
+      break; // The running max only grows; later prefixes cannot qualify.
+    std::size_t L = Commits[Q - 1].second;
+    if (L < RetiredLen || L - RetiredLen > LiveLen)
+      break; // Defensive: a malformed row must never pin a prefix.
+    if (MaxTag == Obligations.tag(Q - 1))
+      Mask |= 1ull << (Q - 1);
+  }
+  return Mask;
+}
+
+void WindowedSession::foldChain(RetainedChain &C,
+                                const std::vector<InputId> &Ids,
+                                const Rows &Commits, std::size_t K) {
+  const std::size_t L = Commits[K - 1].second; // Absolute length at the cut.
+  if (!C.RetiredBoundary.Valid) {
+    FrontierState &B = C.RetiredBoundary;
+    B.State = Type.makeState();
+    B.Used.assign(Interner.size(), 0);
+    B.UsedHash = B.SeqHash = 0;
+    B.HasSeqHash = false;
+    B.Len = 0;
+    B.Valid = true;
+  }
+  // The boundary replay state always advances — it is what keeps searches
+  // behind the retired prefix sound; the ids and rows are optional.
+  advanceFrontierState(C.RetiredBoundary, Interner, Ids.data(),
+                       L - C.RetiredLen);
+  if (Opts.RetainRetiredWitness) {
+    C.RetiredMaster.insert(C.RetiredMaster.end(), Ids.begin(),
+                           Ids.begin() + static_cast<std::ptrdiff_t>(
+                                             L - C.RetiredLen));
+    C.RetiredCommits.insert(C.RetiredCommits.end(), Commits.begin(),
+                            Commits.begin() + static_cast<std::ptrdiff_t>(K));
+  }
+  C.RetiredLen = L;
+  C.RetiredRows += K;
+}
+
+void WindowedSession::foldWindow(std::size_t K) {
+  Obligations.eraseFront(K);
+  WindowBase += K;
+  Stats.RetiredObligations += K;
+  // Memo keys embed window-relative committed masks; the shift renumbers
+  // every bit, so every retained entry — a sealed prefix included — is
+  // salted out. Retirement is amortized-rare, so the lost reuse is a
+  // bounded cost, not a steady-state one.
+  ++Epoch;
+  HaveProbeSalt = false;
+  HaveBoundedYes = false;
+}
+
+void WindowedSession::retireQuiescentPrefix() {
+  // The search-free retirement path: fold the cached Yes chains' common
+  // committed prefix out of the live window. Every member must hold a chain
+  // covering it (each linearizes the retired region its own way, but the
+  // *set* of retired responses must be uniform). Aborts rule retirement
+  // out: Abort Order caps every commit's availability by every abort's
+  // budget, so a frozen prefix could not be re-capped.
+  if (!Opts.Resume || PinnedByAborts || !HaveResult || Cached != Verdict::Yes)
+    return;
+  // Cheap O(clients) early-out before the family walk: a pinned cut can
+  // never fold anything, and it is exactly the case where this runs on
+  // every append while the window stays full.
+  const std::size_t E = openCut();
+  if (Obligations.empty() || Obligations.tag(0) >= E)
+    return;
+  // The relation's retirement gate: only a window prefix every slot of
+  // which is ordered before all open and future operations may fold (the
+  // whole window under Strict; a weak relation stops at, e.g., an
+  // unflushed TSO response).
+  std::size_t Limit = Order.retirablePrefix(Obligations, Obligations.size());
+  // Responses since the last verdict are in no chain yet. A fold must not
+  // strand one of them concurrent with a folded obligation: the pinned
+  // prefix might then admit no completion (the WindowRetired Unknown)
+  // where the full search finds one. So fold only obligations that
+  // responded before every uncovered one was invoked — with a verdict per
+  // append nothing is uncovered and this is no limit at all.
+  std::size_t FirstUncovered = SIZE_MAX;
+  for (std::size_t Q =
+           Obligations.size() - std::min(NewResponses, Obligations.size());
+       Q != Obligations.size(); ++Q)
+    FirstUncovered = std::min(FirstUncovered, Obligations.invokeIdx(Q));
+  Limit = std::min(Limit, Obligations.lowerBoundTag(FirstUncovered));
+  const std::size_t Members = members();
+  if (Limit == 0 || Members == 0)
+    return; // An empty family must not retire what nothing re-validates.
+  auto MaskOf = [&](const RetainedChain &C) -> std::uint64_t {
+    if (C.RetiredRows != WindowBase)
+      return 0; // Stale retirement depth: cannot participate.
+    return foldMask(C.Commits, C.Master.size(), C.RetiredLen, Limit, E);
+  };
+  // Validate the whole family before mutating anything.
+  std::uint64_t Common = ~0ull;
+  for (std::size_t I = 0; I != Members && Common; ++I) {
+    const RetainedChain *C = chain(I);
+    Common &= C ? MaskOf(*C) : 0;
+  }
+  if (!Common)
+    return;
+  const std::size_t K = 64 - static_cast<std::size_t>(__builtin_clzll(Common));
+  // Fold every capable retained chain (members and recurring stale ones
+  // alike); chains that cannot fold at K would reference dropped responses
+  // and are discarded — losing one costs re-search, never soundness.
+  for (std::size_t J = retained(); J-- > 0;) {
+    RetainedChain &C = retainedAt(J);
+    if (!(MaskOf(C) & (1ull << (K - 1)))) {
+      dropRetained(J);
+      continue;
+    }
+    const std::size_t Take = C.Commits[K - 1].second - C.RetiredLen;
+    foldChain(C, C.Master, C.Commits, K);
+    // The chain stays valid beyond the fold: trim its retired part.
+    C.Master.erase(C.Master.begin(),
+                   C.Master.begin() + static_cast<std::ptrdiff_t>(Take));
+    C.Commits.erase(C.Commits.begin(),
+                    C.Commits.begin() + static_cast<std::ptrdiff_t>(K));
+  }
+  foldWindow(K);
+  // Surviving masks move to the shrunk window's bit positions (the
+  // dropped low bits are enforced by the retired prefix).
+  Obligations.shiftMasks(K);
+}
+
+void WindowedSession::cacheNo(ChainResult &Sub) {
+  shapeNo(Sub);
+  HaveResult = true;
+  Cached = Verdict::No;
+  CachedReason = Sub.Reason;
+}
+
+WindowedSession::DrainOutcome
+WindowedSession::drainOverflow(const LinCheckOptions &L, std::uint64_t &Spent,
+                               Clock::time_point Start) {
+  // Overflow recovery: a straggler overlapped more completions than the
+  // engine's exact search carries. Retire by *searching* capped sub-problems
+  // (see *Restriction*), one per member, and fold each member's share at
+  // the largest prefix every member's sub-chain aligns on. All sub-searches
+  // share the one verdict's budgets. Families larger than the window limit
+  // are not drained (the chain table must hold one fold target each).
+  DrainOutcome Out;
+  const std::size_t Members = members();
+  if (Members == 0 || Members > WindowLimit)
+    return Out;
+  DrainRound.resize(Members);
+  bool Folded = false;
+  bool Stop = false;
+  while (overflowed() && !Stop) {
+    const std::size_t E = openCut();
+    if (Obligations.tag(0) >= E)
+      break; // Pinned by an open straggler; O(clients) and no search.
+    const std::size_t Limit = Order.retirablePrefix(Obligations, WindowLimit);
+    if (Limit == 0)
+      break;
+    std::uint64_t Common = ~0ull;
+    for (std::size_t I = 0; I != Members && !Stop; ++I) {
+      BudgetSplit Split = splitBudget(Spent, Start, L);
+      if (Split.Exhausted) {
+        Out.BudgetStopped = true;
+        Out.BudgetReason = Split.Reason;
+        ++Epoch; // Polluted: re-salt before the next search.
+        Stop = true;
+        break;
+      }
+      RetainedChain *C = chain(I);
+      if (WindowBase != 0 && (!C || C->RetiredRows != WindowBase)) {
+        // No chain at the retirement depth: this member cannot validate
+        // the retired responses, so nothing further can retire either.
+        Out.RetiredNo = true;
+        ++Stats.WindowRetiredUnknowns;
+        Stop = true;
+        break;
+      }
+      ChainResult R = runMember(I, C, /*FromFrontier=*/false, WindowLimit,
+                                Split.Rest);
+      Spent += R.Stats.Nodes;
+      if (R.Outcome == Verdict::Unknown) {
+        if (R.BudgetLimited) {
+          Out.BudgetStopped = true;
+          Out.BudgetReason = std::move(R.Reason); // The engine's wording.
+          ++Epoch;
+        }
+        Stop = true;
+      } else if (R.Outcome == Verdict::No) {
+        // One member's sub-No kills the ∀ over the family.
+        if (WindowBase == 0) {
+          Out.ConclusiveNo = true;
+          cacheNo(R);
+        } else {
+          Out.RetiredNo = true;
+          ++Stats.WindowRetiredUnknowns;
+        }
+        Stop = true;
+      } else {
+        Common &= foldMask(R.Commits, R.MasterIds.size(),
+                           C ? C->RetiredLen : 0, Limit, E);
+        // No common foldable prefix this round: the structural Unknown
+        // stands.
+        Stop = Common == 0;
+        DrainRound[I] = std::move(R);
+      }
+    }
+    if (Stop)
+      break;
+    const std::size_t K =
+        64 - static_cast<std::size_t>(__builtin_clzll(Common));
+    for (std::size_t I = 0; I != Members; ++I) {
+      // Members without a chain yet (nothing was retired, so their capped
+      // run started fresh) are admitted now: the fold target must exist.
+      RetainedChain *C = chain(I);
+      if (!C)
+        C = &admit(I, RetainedChain());
+      if (C->RetiredRows != WindowBase)
+        continue; // Already folded under a duplicate member.
+      foldChain(*C, DrainRound[I].MasterIds, DrainRound[I].Commits, K);
+      // The capped chain's remainder covers the restriction, not the whole
+      // window; the next full root search behind the boundary rebuilds it.
+      C->Master.clear();
+      C->Commits.clear();
+      C->Replay.invalidate();
+    }
+    // Chains that fell behind the new retirement depth could never fold or
+    // resume again.
+    for (std::size_t J = retained(); J-- > 0;)
+      if (retainedAt(J).RetiredRows != WindowBase + K)
+        dropRetained(J);
+    foldWindow(K);
+    Folded = true;
+  }
+  if (Folded) {
+    Order.rebuildMasks(Obligations);
+    // The cached Yes predates the folds. (A cached No survives — it is
+    // absorbing regardless of windowing.)
+    if (HaveResult && Cached == Verdict::Yes)
+      HaveResult = false;
+  }
+  if (!overflowed())
+    OverflowNoted = false; // The excursion ended; count the next one anew.
+  return Out;
+}
+
+bool WindowedSession::boundedFallback(const LinCheckOptions &L,
+                                      std::uint64_t &Spent,
+                                      Clock::time_point Start,
+                                      LinCheckResult &R) {
+  // Pinned excursion: nothing can retire, but the first WindowLimit
+  // obligations still form an exact restriction under every member. A
+  // family-wide sub-Yes with the out-of-window tail within the bound is
+  // BoundedYes(tail); a member's sub-No with nothing retired is conclusive
+  // for the whole stream; one behind a retired prefix is the WindowRetired
+  // Unknown. Returns false when the fallback does not apply.
+  const std::size_t Tail = Obligations.size() - WindowLimit;
+  if (!Opts.Resume || PinnedByAborts || Opts.InterferenceBound == 0 ||
+      Tail > Opts.InterferenceBound)
+    return false;
+  const std::size_t Members = members();
+  if (Members == 0)
+    return false;
+  const std::size_t FrontTag = Obligations.tag(0);
+  if (HaveBoundedYes &&
+      (BoundedWindowBase != WindowBase || BoundedFrontTag != FrontTag))
+    HaveBoundedYes = false; // A different excursion; re-search.
+  for (std::size_t I = 0; !HaveBoundedYes && I != Members; ++I) {
+    BudgetSplit Split = splitBudget(Spent, Start, L);
+    if (Split.Exhausted) {
+      ++Epoch;
+      R.Reason = Split.Reason;
+      R.BudgetLimited = true;
+      return true;
+    }
+    RetainedChain *C = chain(I);
+    if (WindowBase != 0 && (!C || C->RetiredRows != WindowBase)) {
+      ++Stats.WindowRetiredUnknowns;
+      R.Reason = WindowRetiredReason;
+      return true;
+    }
+    ChainResult Sub =
+        runMember(I, C, /*FromFrontier=*/false, WindowLimit, Split.Rest);
+    Spent += Sub.Stats.Nodes;
+    if (Sub.Outcome == Verdict::Unknown) {
+      if (!Sub.BudgetLimited)
+        return false; // Structural sub-Unknown: the flat reason stands.
+      ++Epoch;
+      R.Reason = std::move(Sub.Reason);
+      R.BudgetLimited = true;
+      return true;
+    }
+    if (Sub.Outcome == Verdict::No) {
+      if (WindowBase == 0) {
+        cacheNo(Sub);
+        R.Outcome = Verdict::No;
+        R.Reason = CachedReason;
+      } else {
+        ++Stats.WindowRetiredUnknowns;
+        R.Reason = WindowRetiredReason;
+      }
+      return true;
+    }
+    // A member's sub-Yes; its chain covers a restriction, not the window,
+    // so it is discarded. The grade stays valid while the excursion
+    // persists: nothing folds while pinned, and new completions only
+    // append past the first 64.
+    if (I + 1 == Members) {
+      HaveBoundedYes = true;
+      BoundedWindowBase = WindowBase;
+      BoundedFrontTag = FrontTag;
+    }
+  }
+  R.Outcome = Verdict::Unknown;
+  R.Grade = VerdictGrade::BoundedYes;
+  R.Interference = Tail;
+  R.Reason = WindowBoundedReason;
+  ++Stats.BoundedYesVerdicts;
+  return true;
+}
+
+//===----------------------------------------------------------------------===//
+// Searching
+//===----------------------------------------------------------------------===//
+
+ChainResult WindowedSession::runMember(std::size_t I, RetainedChain *C,
+                                       bool FromFrontier, std::size_t NumOb,
+                                       const ChainLimits &L) {
+  Scratch.reset();
+  MemberRun M;
+  prepareRun(I, NumOb, M);
+  ChainProblemView V;
+  V.Type = &Type;
+  V.AlphabetSize = Interner.size();
+  V.Commits = Obligations.finalize(V.AlphabetSize);
+  V.NumCommits = NumOb;
+  const bool Capped = NumOb < Obligations.size();
+  if (Capped) {
+    // Fresh masks over the capped sub-window: the stored ones are deferred
+    // during an excursion.
+    CappedScratch.assign(V.Commits, V.Commits + NumOb);
+    for (std::size_t Q = 0; Q != NumOb; ++Q)
+      CappedScratch[Q].MustFollow = Order.maskOver(Obligations, Q);
+    V.Commits = CappedScratch.data();
+  }
+  V.AvailOverride = M.AvailOverride;
+  V.AcceptLeaf = M.AcceptLeaf;
+  V.SequenceSensitive = M.SequenceSensitive;
+  V.ForceCloneStates = !Opts.UseUndoStates;
+  V.ProbeSalt = ProbeSalt;
+  V.HaveProbeSalt = HaveProbeSalt;
+  // Once the session has retired, every run rides behind the member's
+  // retired prefix as the engine's virtual seed: it is never
+  // re-materialized or re-replayed.
+  const bool Behind = C && WindowBase != 0;
+  if (Behind) {
+    V.SeedBase = C->RetiredLen;
+    if (Opts.RetainRetiredWitness) {
+      V.RetiredPrefix = C->RetiredMaster.data();
+      V.RetiredPrefixLen = C->RetiredMaster.size();
+    }
+  }
+  SeedCommitsScratch.clear();
+  if (FromFrontier)
+    for (const auto &[Tag, Len] : C->Commits) {
+      // Tags resolve by binary search (trace order). One that fails to
+      // resolve would pre-commit the wrong obligation; search from the
+      // root instead (defense in depth — reset() drops every chain).
+      std::size_t Idx = Obligations.lowerBoundTag(Tag);
+      if (Idx == NumOb || Obligations.tag(Idx) != Tag) {
+        FromFrontier = false;
+        break;
+      }
+      SeedCommitsScratch.push_back({Idx, Len});
+    }
+  FrontierState Boundary;
+  if (FromFrontier) {
+    // Resume at the retained accepting leaf: the chain is the seed, its
+    // rows are pre-committed, and the engine adopts the retained replay
+    // state, so only the new obligations need placing.
+    V.Seed = C->Master.data();
+    V.SeedLen = C->Master.size();
+    V.SeedCommits = SeedCommitsScratch.data();
+    V.NumSeedCommits = SeedCommitsScratch.size();
+    V.Retained = &C->Replay;
+  } else {
+    // From the root: behind the retired prefix the run adopts a clone of
+    // the boundary state (on Yes it becomes the chain's replay state, on
+    // failure the boundary survives untouched); capped runs capture into a
+    // scratch state that doubles as the MasterIds request.
+    if (Behind)
+      Boundary = C->RetiredBoundary.snapshot();
+    else {
+      V.Seed = M.Seed;
+      V.SeedLen = M.SeedLen;
+    }
+    V.Retained = Behind || Capped ? &Boundary : C ? &C->Replay : nullptr;
+  }
+  ChainSearch Engine(Interner, Memo, Scratch);
+  ChainResult R = Engine.run(V, L, memberSalt(I));
+  Stats.Search.accumulate(R.Stats);
+  if (R.Outcome == Verdict::Yes && C && !Capped) {
+    // The accepting chain becomes the member's next frontier.
+    if (!FromFrontier && Behind)
+      C->Replay = std::move(Boundary);
+    C->Master = std::move(R.MasterIds);
+    C->Commits = R.Commits;
+  }
+  return R;
+}
+
+bool WindowedSession::fastStep(const LinCheckOptions &L, LinCheckResult &R) {
+  // The steady-state shape: a cached Yes, exactly one new obligation, and
+  // per-member chains the engine would adopt verbatim. Each member's
+  // resumed run then degenerates to one node — adopt, probe the memo,
+  // check the new obligation's deficit (shared window row plus the
+  // member's init overlay) and endpoint, apply one input, reach the
+  // all-committed leaf. This inlines that node per member over the SoA
+  // window with bit-identical verdicts, stats and retained state, touching
+  // no heap. Any miss for any member undoes the applied inputs and returns
+  // false with the session untouched (beyond memo prefetches).
+  if (!Opts.Resume || !Opts.UseUndoStates || L.WantWitness ||
+      L.NodeBudget < 1 || PinnedByAborts || NewNonResponse ||
+      NewResponses != 1 || !HaveResult || Cached != Verdict::Yes)
+    return false;
+  const std::size_t N = Obligations.size();
+  if (N == 0 || N > 64)
+    return false;
+  const std::size_t Members = members();
+  if (Members == 0)
+    return false;
+  // The uncommitted obligation is necessarily the newest: every chain
+  // holds the previous window's commits, and the window grew by one.
+  const std::size_t Q = N - 1;
+  const std::uint64_t FullMask = N == 64 ? ~0ull : (1ull << N) - 1;
+  const std::uint64_t Committed = FullMask & ~(1ull << Q);
+  if (Obligations.mustFollow(Q) & ~Committed)
+    return false; // Defensive; a prefix mask can never trip this.
+
+  Scratch.reset();
+  const InputId In = Obligations.in(Q);
+  const InputId A = Interner.size();
+  const std::int32_t *Row = Obligations.availRow(Q);
+  FastUndoScratch.clear();
+  auto Rollback = [&] {
+    for (auto &[C, U] : FastUndoScratch)
+      C->Replay.State->undoInput(U);
+    return false;
+  };
+  for (std::size_t I = 0; I != Members; ++I) {
+    RetainedChain *C = chain(I);
+    if (!C || (WindowBase != 0 && C->RetiredRows != WindowBase) ||
+        C->Commits.size() + 1 != N)
+      return Rollback();
+    // Mirror the engine's frontier-adoption conditions exactly.
+    FrontierState &F = C->Replay;
+    if (!F.Valid || !F.State || !F.State->supportsUndo() ||
+        F.Len != C->RetiredLen + C->Master.size() || F.Len == 0 ||
+        F.Used.size() > A || F.Used.size() > Obligations.stride())
+      return Rollback();
+    // The member's init overlay, snapshotted by its last full run; a chain
+    // that has not seen every init action falls back to the full sweep.
+    const std::int32_t *Init = C->InitDense.data();
+    const std::size_t InitLen = NumInits ? C->InitDense.size() : 0;
+    if (NumInits && C->InitUpTo != NumInits)
+      return Rollback();
+
+    const std::uint64_t Digest = F.State->digest();
+    auto KeyFor = [&](std::uint64_t S) {
+      return hashCombine(
+          hashCombine(hashCombine(detail::mix64(S), Committed), Digest),
+          F.UsedHash);
+    };
+    const std::uint64_t Key = KeyFor(memberSalt(I));
+    const std::uint64_t ProbeKey = HaveProbeSalt ? KeyFor(ProbeSalt) : 0;
+    Memo.prefetch(Key);
+    if (HaveProbeSalt)
+      Memo.prefetch(ProbeKey);
+
+    // Branchless deficit scan over the newest obligation's availability
+    // (the engine computes Deficit[Q] on adoption; committed obligations'
+    // deficits are moot). Ids beyond the frontier's dense range are unused.
+    const std::int32_t *Used = F.Used.data();
+    const std::size_t UsedLen = F.Used.size();
+    bool Over = false;
+    if (InitLen == 0)
+      for (std::size_t Id = 0; Id != UsedLen; ++Id)
+        Over |= Used[Id] > Row[Id];
+    else
+      for (std::size_t Id = 0; Id != UsedLen; ++Id)
+        Over |= Used[Id] > Row[Id] + (Id < InitLen ? Init[Id] : 0);
+    // Endpoint check: committing Q consumes one more of its input.
+    const std::int32_t UsedIn = In < UsedLen ? Used[In] : 0;
+    const std::int32_t InitIn = In < InitLen ? Init[In] : 0;
+    // Memo probe, short-circuit order as in the engine: a hit means the
+    // engine would fail this subtree and fall back to the root search — let
+    // it run the whole thing for identical accounting.
+    if (Over || UsedIn + 1 > Row[In] + InitIn || Memo.contains(Key) ||
+        (HaveProbeSalt && Memo.contains(ProbeKey)))
+      return Rollback();
+    UndoToken U;
+    if (F.State->applyInput(Interner.input(In), U, Scratch) !=
+        Obligations.out(Q)) {
+      F.State->undoInput(U);
+      return Rollback();
+    }
+    FastUndoScratch.push_back({C, U});
+  }
+
+  // Every member committed: a guaranteed Yes. Advance each chain in place
+  // exactly as the engine's leaf capture would.
+  for (auto &[C, U] : FastUndoScratch) {
+    (void)U;
+    FrontierState &F = C->Replay;
+    if (F.Used.size() < A)
+      F.Used.resize(A, 0); // Amortized: only when the alphabet grew.
+    const std::int32_t Count = F.Used[In]++;
+    if (Count > 0)
+      F.UsedHash ^= detail::pairMix(In, Count);
+    F.UsedHash ^= detail::pairMix(In, Count + 1);
+    F.HasSeqHash = false;
+    F.SeqHash = 0;
+    ChainStats S;
+    S.Nodes = 1;
+    S.CommitMoves = 1;
+    S.LeafChecks = 1;
+    S.SeedStepsSkipped = F.Len;
+    Stats.Search.accumulate(S);
+    ++Stats.FrontierResumes;
+    ++F.Len;
+    C->Master.push_back(In);
+    C->Commits.push_back({Obligations.tag(Q), F.Len});
+  }
+  ++Stats.FastPathVerdicts;
+  R.Outcome = Verdict::Yes;
+  R.NodesExplored = FastUndoScratch.size();
+  return true;
+}
+
+//===----------------------------------------------------------------------===//
+// The verdict ladder
+//===----------------------------------------------------------------------===//
+
+void WindowedSession::seal(LinCheckResult &R) {
+  Stats.record(R.Outcome);
+  // gradeFor(Outcome) everywhere except the bounded fallback, which graded
+  // its Unknown itself.
+  if (R.Grade != VerdictGrade::BoundedYes)
+    R.Grade = gradeFor(R.Outcome);
+  NewResponses = 0;
+  NewNonResponse = false;
+  CacheStale = false;
+}
+
+void WindowedSession::decide(const LinCheckOptions &Limits,
+                             LinCheckResult &R) {
+  LastPath = VerdictPath::Absorbed;
+  auto Absorb = [&](Verdict V) {
+    return Opts.Resume && HaveResult && !CacheStale && Cached == V;
+  };
+  if (Absorb(Verdict::No)) {
+    R.Outcome = Verdict::No; // No is final under monotone extension.
+    R.Reason = CachedReason;
+    return seal(R);
+  }
+  std::uint64_t Spent = 0;
+  LinCheckOptions Avail = Limits; // What the search rungs may still spend.
+  if (overflowed()) {
+    // Overflow excursion: drain what the cut allows (a no-op O(clients)
+    // check while a straggler pins it); whatever still exceeds the limit
+    // is graded by the bounded fallback or reported structurally. Drain,
+    // fallback and the searches below share the verdict's budgets.
+    const auto Start = Clock::now();
+    DrainOutcome D;
+    if (Opts.Resume && !PinnedByAborts)
+      D = drainOverflow(Limits, Spent, Start);
+    R.NodesExplored = Spent;
+    if (D.ConclusiveNo) {
+      R.Outcome = Verdict::No;
+      R.Reason = CachedReason;
+      return seal(R);
+    }
+    if (overflowed()) {
+      R.Outcome = Verdict::Unknown;
+      if (D.BudgetStopped) {
+        // Retryable exhaustion, not the structural state.
+        R.Reason = std::move(D.BudgetReason);
+        R.BudgetLimited = true;
+      } else if (D.RetiredNo) {
+        R.Reason = WindowRetiredReason;
+      } else if (!boundedFallback(Limits, Spent, Start, R)) {
+        R.Reason =
+            PinnedByAborts ? WindowAbortPinnedReason : WindowOverflowReason;
+      }
+      R.NodesExplored = Spent;
+      return seal(R);
+    }
+    BudgetSplit Split = splitBudget(Spent, Start, Limits);
+    if (Split.Exhausted) {
+      ++Epoch;
+      R.Outcome = Verdict::Unknown;
+      R.Reason = Split.Reason;
+      R.BudgetLimited = true;
+      return seal(R);
+    }
+    Avail.NodeBudget = Split.Rest.NodeBudget;
+    Avail.TimeBudgetMillis = Split.Rest.TimeBudgetMillis;
+  }
+  if (RetiredStale) {
+    // A delta capped the frozen retired region (an abort after
+    // retirement): nothing sound can be concluded short of re-checking it,
+    // and it is gone.
+    ++Stats.WindowRetiredUnknowns;
+    R.Outcome = Verdict::Unknown;
+    R.Reason = WindowRetiredReason;
+    return seal(R);
+  }
+  if (Absorb(Verdict::Yes) && NewResponses == 0 && !NewNonResponse) {
+    // Nothing but invocations since the Yes: same obligations, same
+    // witnesses (the sessions materialize them on request).
+    R.Outcome = Verdict::Yes;
+    return seal(R);
+  }
+  if (!Opts.Resume)
+    ++Epoch; // Reference mode: nothing is reused across verdicts.
+  if (fastStep(Avail, R)) {
+    LastPath = VerdictPath::Fast;
+    return seal(R);
+  }
+
+  // Per member: resume at its retained accepting leaf when it has one —
+  // a conclusive No there only rules out that subtree, so a root search
+  // follows on what the resumed run left — else search from the root.
+  LastPath = VerdictPath::Searched;
+  R.Outcome = Verdict::Yes;
+  R.NodesExplored = Spent;
+  bool Polluted = false;
+  const std::size_t Members = members();
+  for (std::size_t I = 0; I != Members; ++I) {
+    // Only chains that captured something are admitted (slin: a stream of
+    // never-recurring interpretations must not flood the table); a miss
+    // runs against a scratch chain.
+    RetainedChain Fresh;
+    RetainedChain *C = Opts.Resume ? chain(I) : nullptr;
+    const bool IsFresh = Opts.Resume && !C;
+    if (IsFresh)
+      C = &Fresh;
+    ChainResult Run;
+    if (WindowBase != 0 && (!C || IsFresh || C->RetiredRows != WindowBase)) {
+      // A member without a chain at the retirement depth cannot validate
+      // the retired obligations (they left the window).
+      ++Stats.WindowRetiredUnknowns;
+      Run.Outcome = Verdict::Unknown;
+      Run.Reason = WindowRetiredReason;
+    } else if (C && !C->Master.empty()) {
+      ++Stats.FrontierResumes;
+      const auto Start = Clock::now();
+      Run = runMember(I, C, /*FromFrontier=*/true, Obligations.size(),
+                      {Avail.NodeBudget, Avail.TimeBudgetMillis});
+      if (Run.Outcome == Verdict::No) {
+        const std::uint64_t Resumed = Run.Stats.Nodes;
+        BudgetSplit Split = splitBudget(Resumed, Start, Avail);
+        if (Split.Exhausted) {
+          Run = budgetUnknown(Split.Reason, Resumed);
+        } else {
+          Run = runMember(I, C, /*FromFrontier=*/false, Obligations.size(),
+                          Split.Rest);
+          Run.Stats.Nodes += Resumed;
+        }
+      }
+    } else {
+      Run = runMember(I, C, /*FromFrontier=*/false, Obligations.size(),
+                      {Avail.NodeBudget, Avail.TimeBudgetMillis});
+    }
+    if (Run.Outcome == Verdict::No)
+      shapeNo(Run);
+    if (Run.Outcome == Verdict::No && WindowBase != 0) {
+      // Complete over completions of the member's pinned retired chain
+      // only: a different linearization of the retired region might have
+      // worked, so a conclusive No is not sound here.
+      ++Stats.WindowRetiredUnknowns;
+      Run.Outcome = Verdict::Unknown;
+      Run.Reason = WindowRetiredReason;
+      Run.BudgetLimited = false;
+    }
+    R.NodesExplored += Run.Stats.Nodes;
+    Polluted |= Run.BudgetLimited;
+    if (Run.Outcome == Verdict::Yes)
+      memberYes(I, Run, C, R);
+    if (IsFresh && !Fresh.Master.empty())
+      admit(I, std::move(Fresh));
+    if (Run.Outcome != Verdict::Yes) {
+      R.Outcome = Run.Outcome;
+      R.Reason = std::move(Run.Reason);
+      R.BudgetLimited = Run.BudgetLimited;
+      break;
+    }
+  }
+  if (Polluted)
+    ++Epoch;
+  HaveResult = R.Outcome != Verdict::Unknown;
+  Cached = R.Outcome;
+  if (R.Outcome == Verdict::No)
+    CachedReason = R.Reason;
+  return seal(R);
+}
+
+//===----------------------------------------------------------------------===//
+// Witnesses, reset, footprint
+//===----------------------------------------------------------------------===//
+
+void WindowedSession::completeWitness(const RetainedChain &C, History &Master,
+                                      Rows &Commits) const {
+  // Without witness retention the retired ids/rows were never stored; the
+  // witness stays in its live-window (post-retirement) form.
+  if (WindowBase == 0 || !Opts.RetainRetiredWitness)
+    return;
+  History Full;
+  Full.reserve(C.RetiredMaster.size() + Master.size());
+  for (InputId Id : C.RetiredMaster)
+    Full.push_back(Interner.input(Id));
+  Full.insert(Full.end(), Master.begin(), Master.end());
+  Master = std::move(Full);
+  Commits.insert(Commits.begin(), C.RetiredCommits.begin(),
+                 C.RetiredCommits.end());
+}
+
+History WindowedSession::chainHistory(const RetainedChain &C) const {
+  History H;
+  H.reserve(C.Master.size());
+  for (InputId Id : C.Master)
+    H.push_back(Interner.input(Id));
+  return H;
+}
+
+void WindowedSession::resetCore() {
+  Builder.clear();
+  Obligations.clear();
+  std::fill(Invoked.begin(), Invoked.end(), 0);
+  OpenStart.clear();
+  Doomed = false;
+  DoomReason.clear();
+  WindowBase = 0;
+  OverflowNoted = false;
+  HaveBoundedYes = false;
+  ++Epoch;
+  HaveProbeSalt = false;
+  HaveResult = false;
+  NewResponses = 0;
+  NewNonResponse = false;
+  CacheStale = false;
+  PinnedByAborts = false;
+  RetiredStale = false;
+  NumInits = 0;
+  Scratch.reset();
+}
+
+std::size_t WindowedSession::coreBytes() const {
+  return Memo.memoryBytes() + Scratch.reservedBytes() +
+         Interner.memoryBytes() + Obligations.memoryBytes() +
+         Invoked.capacity() * sizeof(std::int32_t) +
+         OpenStart.capacity() * sizeof(std::size_t) +
+         rowBytes(SeedCommitsScratch) +
+         CappedScratch.capacity() * sizeof(CommitObligation) +
+         DrainRound.capacity() * sizeof(ChainResult) +
+         FastUndoScratch.capacity() *
+             sizeof(std::pair<RetainedChain *, UndoToken>) +
+         Builder.trace().capacity() * sizeof(Action);
+}

@@ -1,0 +1,485 @@
+//===- engine/SessionCore.h - The windowed session core ---------*- C++ -*-==//
+//
+// Part of the slin project.
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The window lifecycle both resumable sessions (engine/Incremental.h)
+/// share, written once. Definitions 5 and 19 reduce to the same commit-chain
+/// search, and plain linearizability is the speculative problem with one
+/// interpretation, no init overlay and no aborts — so the core runs over an
+/// *interpretation family* of retained chains and IncrementalLinSession is
+/// simply its family of one. The core owns:
+///
+///   * the live obligation window (LiveWindow) and the response push:
+///     retire-if-full, happens-before mask, overflow noting;
+///   * the quiescent cut and the fold at the largest response-aligned
+///     prefix common to every member's chain (retireQuiescentPrefix);
+///   * overflow recovery (drainOverflow) and the graded pinned-excursion
+///     fallback (boundedFallback);
+///   * the one-new-obligation fast step, which decides the steady-state
+///     verdict in-session with the checks the engine's one commit move
+///     would make, bit-identical in verdicts, node counts and retained
+///     state;
+///   * the budget-split verdict ladder: absorbed No, overflow, absorbed
+///     Yes, fast step, per-member resume with a root-search fallback, and
+///     the WindowRetired shaping of a No behind a retired prefix;
+///   * reset and the footprint of all of the above.
+///
+/// A session supplies the family through a handful of hooks: how many
+/// members, where member I's chain lives, its memo salt, what a run adds on
+/// top of the shared window (availability overlays, a seed, a leaf
+/// predicate), and how a No and a member's Yes are reported.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef SLIN_ENGINE_SESSIONCORE_H
+#define SLIN_ENGINE_SESSIONCORE_H
+
+#include "engine/CheckSession.h"
+#include "engine/OrderRelation.h"
+#include "trace/TraceBuilder.h"
+
+#include <chrono>
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
+
+namespace slin {
+
+/// Stable reason string for the structural Unknown a windowed session
+/// reports once its live obligation window overflowed with no retirable
+/// quiescent prefix. Recorded at append time (SessionStats::WindowOverflows)
+/// and returned by every subsequent verdict without a search.
+inline constexpr char WindowOverflowReason[] =
+    "live obligation window exceeded 64 with no retirable quiescent prefix; "
+    "exact search not attempted";
+
+/// Stable reason string for the Unknown a windowed session reports when the
+/// live-window search concluded No but obligations were already retired: a
+/// conclusive No would require backtracking into the retired prefix, whose
+/// linearization is pinned. (Yes verdicts are unaffected — they carry a
+/// replayable witness of retired prefix ++ live chain.)
+inline constexpr char WindowRetiredReason[] =
+    "WindowRetired: no completion extends the retired prefix; a conclusive "
+    "No would require backtracking into retired obligations";
+
+/// Stable reason string for the graded Unknown (VerdictGrade::BoundedYes) a
+/// windowed session reports while a straggler pins the cut past the 64-slot
+/// window: the exact first-64 sub-problem linearized, and the out-of-window
+/// interference stayed within IncrementalOptions::InterferenceBound. See
+/// the Grade/Interference fields of LinCheckResult and SlinVerdict.
+inline constexpr char WindowBoundedReason[] =
+    "BoundedYes: straggler pins the cut past the 64-slot window; the first "
+    "64 live obligations linearized and only bounded out-of-window "
+    "interference remains unchecked";
+
+/// Stable reason string for the structured Unknown a slin session reports
+/// when the live window overflowed on an abort-carrying stream: aborts rule
+/// out both retirement (Abort Order caps every commit's availability by
+/// every abort's budget, so no prefix can be frozen) and the graded bounded
+/// fallback (the first-64 restriction is not sound once abort budgets span
+/// the window). Distinct from the flat WindowOverflowReason so monitors can
+/// tell "straggler pins the cut" from "aborts pin the whole window".
+inline constexpr char WindowAbortPinnedReason[] =
+    "AbortPinned: live obligation window exceeded 64 on an abort-carrying "
+    "stream; abort budgets pin every slot, so neither retirement nor the "
+    "bounded first-64 fallback applies";
+
+/// The engine's exact search carries at most this many commit obligations
+/// per run (a 64-bit committed mask); both sessions keep their live window
+/// at or under it via retirement.
+inline constexpr std::size_t IncrementalWindowLimit = 64;
+
+/// Tuning knobs for the incremental sessions.
+struct IncrementalOptions {
+  /// Capacity of the session's transposition table.
+  std::size_t TranspositionCapacity = 1u << 20;
+  /// Drive the search through the mutate/undo protocol when available.
+  bool UseUndoStates = true;
+  /// Resume searches from the retained success frontier and retained memo.
+  /// Off forces a freshly salted full root search per verdict — same
+  /// verdicts, no reuse; exists for differential testing and as the
+  /// reference point the resumable path is benchmarked against.
+  bool Resume = true;
+  /// Materialize the trace view (TraceBuilder retention). Off makes ingest
+  /// O(1)-space and allocation-free for unbounded outcome-only monitors;
+  /// trace() then returns an empty view (size() still counts), and
+  /// markPrefix/rewindToMark remain usable (they snapshot ingest state,
+  /// not the view). The slin session builds its interpretation family from
+  /// the retained init actions alone
+  /// (InitRelation::interpretationsFromInits), so it honors this too.
+  bool RetainTrace = true;
+  /// Keep the materialized retired prefix (dense ids + commit rows) for
+  /// witness completion and the engine's replay fallback. Off makes the
+  /// retired prefix a pure counter — required for a zero-allocation
+  /// unbounded monitor (the prefix otherwise grows without bound) — at the
+  /// cost of witnesses (and, lin, frontierHistory()) omitting the retired
+  /// region and of the replay fallback degrading to a sound Unknown when
+  /// the retained boundary state cannot be adopted (non-undo ADTs, or
+  /// UseUndoStates off). Applies to every member's retired chain.
+  bool RetainRetiredWitness = true;
+  /// Graded-fallback bound for pinned overflow excursions: while a
+  /// straggler pins the cut past the 64-slot window, a verdict searches
+  /// the exact first-64 sub-problem (a sound restriction of the full
+  /// problem) and reports Grade == VerdictGrade::BoundedYes when it
+  /// linearizes with at most this many out-of-window completions left
+  /// unchecked (the verdict's Interference). 0 disables the fallback —
+  /// every pinned verdict is then the flat WindowOverflowReason Unknown.
+  std::size_t InterferenceBound = 16;
+  /// The happens-before relation every MustFollow mask and retirement cut
+  /// is derived under (engine/OrderRelation.h). Strict is the paper's
+  /// real-time order and is bit-identical to the pre-parameterized
+  /// sessions; TsoHb weakens cross-client order to flushed responses.
+  OrderRelationKind Order = OrderRelationKind::Strict;
+};
+
+/// The live obligation window as a structure of arrays: engine-ready
+/// CommitObligation slots (tag, input id, expected output, MustFollow
+/// mask word), a parallel invoke-index array (for mask rebuilds), and one
+/// flat availability store of power-of-two-stride rows. Maintained
+/// incrementally — append writes one slot and one row, retirement slides
+/// a base index, fold shifts the mask words — so every run hands the
+/// engine a view over this persistent storage instead of materializing a
+/// fresh problem. Rows are zero-extended to the stride at write time,
+/// which realizes the lazy zero-extension contract (an input first
+/// interned after a response cannot have been invoked before it); when
+/// the alphabet outgrows the stride, ensureStride() relays the live rows
+/// out once at the next power of two. Trivially copyable (mark/rewind
+/// deep-copies it wholesale); the slots' Available pointers are only
+/// published by finalize() immediately before an engine run, so copies
+/// never carry live internal pointers. The window is common to every
+/// family member: per-interpretation availability differences ride on
+/// ChainProblemView::AvailOverride overlay rows.
+class LiveWindow {
+public:
+  std::size_t size() const { return N; }
+  bool empty() const { return N == 0; }
+  std::size_t tag(std::size_t Q) const { return Slots[Base + Q].Tag; }
+  InputId in(std::size_t Q) const { return Slots[Base + Q].In; }
+  const Output &out(std::size_t Q) const { return Slots[Base + Q].Out; }
+  std::uint64_t mustFollow(std::size_t Q) const {
+    return Slots[Base + Q].MustFollow;
+  }
+  std::size_t invokeIdx(std::size_t Q) const { return Invokes[Base + Q]; }
+  ClientId client(std::size_t Q) const { return Clients[Base + Q]; }
+  std::uint32_t meta(std::size_t Q) const { return Metas[Base + Q]; }
+  const std::int32_t *availRow(std::size_t Q) const {
+    return AvailStore.data() + (Base + Q) * Stride;
+  }
+  std::size_t stride() const { return Stride; }
+
+  /// Appends one obligation: slot fields, the order-relation site data
+  /// (\p Client, \p Meta — consulted by OrderRelation mask rebuilds and
+  /// retirement gates), plus an availability row snapshotting \p Invoked
+  /// (zero-extended to the stride). Grows or compacts storage only when
+  /// the high end is reached — steady-state appends after retirement reuse
+  /// the vacated front, allocation-free.
+  void pushResponse(std::size_t Tag, InputId In, const Output &Out,
+                    std::size_t InvokeIdx, std::uint64_t MustFollow,
+                    ClientId Client, std::uint32_t Meta,
+                    const std::vector<std::int32_t> &Invoked);
+
+  /// Credits one later invocation of \p In by \p Invoker to every live row
+  /// the relation leaves unordered w.r.t. it (see
+  /// OrderRelation::creditsLaterInvoke). Returns whether any row grew —
+  /// the caller's signal that cached No verdicts and retained memo
+  /// failures are stale. A no-op (and never called) under Strict; writes
+  /// into existing rows, so the event path stays allocation-free except
+  /// for the rare stride regrow a first-seen input forces.
+  bool creditInvoke(const OrderRelation &Order, ClientId Invoker, InputId In);
+
+  /// Retires the first \p K live obligations (slides the base; storage
+  /// is reused by later appends).
+  void eraseFront(std::size_t K) {
+    Base += K;
+    N -= K;
+    if (N == 0)
+      Base = 0;
+  }
+
+  /// Shifts every live MustFollow mask right by \p K (window-relative
+  /// bit positions after retiring K obligations).
+  void shiftMasks(std::size_t K) {
+    for (std::size_t Q = 0; Q != N; ++Q)
+      Slots[Base + Q].MustFollow >>= K;
+  }
+
+  void setMustFollow(std::size_t Q, std::uint64_t M) {
+    Slots[Base + Q].MustFollow = M;
+  }
+
+  void clear() {
+    Base = 0;
+    N = 0;
+  }
+
+  /// First live index whose tag is >= \p T (tags are strictly increasing
+  /// in trace order).
+  std::size_t lowerBoundTag(std::size_t T) const;
+
+  /// Bytes reserved by the window's persistent storage (slots, invoke
+  /// indices, availability rows).
+  std::size_t memoryBytes() const {
+    return Slots.capacity() * sizeof(CommitObligation) +
+           Invokes.capacity() * sizeof(std::size_t) +
+           Clients.capacity() * sizeof(ClientId) +
+           Metas.capacity() * sizeof(std::uint32_t) +
+           AvailStore.capacity() * sizeof(std::int32_t);
+  }
+
+  /// Publishes the Available pointers (re-laying the rows out first if
+  /// the alphabet outgrew the stride) and returns the live slot range —
+  /// the engine-ready CommitObligation array for a ChainProblemView.
+  const CommitObligation *finalize(InputId AlphabetSize);
+
+private:
+  /// Ensures Stride >= AlphabetSize (power of two, min 64), re-laying
+  /// live rows out and compacting to the front when it grows.
+  void ensureStride(std::size_t AlphabetSize);
+  /// Moves the live rows of every parallel array to the front.
+  void compact(std::size_t RowStride);
+
+  std::vector<CommitObligation> Slots;
+  std::vector<std::size_t> Invokes; ///< Parallel: invocation trace index.
+  std::vector<ClientId> Clients;    ///< Parallel: invoking client.
+  std::vector<std::uint32_t> Metas; ///< Parallel: response Action::Meta.
+  std::vector<std::int32_t> AvailStore; ///< Row-major, Stride per row.
+  std::size_t Stride = 0;
+  std::size_t Base = 0; ///< First live row.
+  std::size_t N = 0;    ///< Live rows.
+};
+
+/// One family member's retained success chain: the witness chain in dense
+/// ids plus the engine's replay cache at its accepting leaf, and — once the
+/// session retires — the member's share of the retired prefix (each member
+/// linearizes the retired region its own way, so retired ids, commit rows
+/// and the boundary replay state are per member; commit lengths are
+/// absolute). RetiredLen/RetiredRows are counters, so the materialized
+/// RetiredMaster/RetiredCommits are optional
+/// (IncrementalOptions::RetainRetiredWitness): every structural use —
+/// SeedBase, frontier lengths, fold alignment — reads the counters.
+struct RetainedChain {
+  std::vector<InputId> Master; ///< Live part of the chain (post-retired).
+  std::vector<std::pair<std::size_t, std::size_t>> Commits; ///< (Tag, Len)
+  /// Replay state at Master's end: adopted by a resumed run (zero seed
+  /// replay) and refreshed at every accepting leaf.
+  FrontierState Replay;
+  std::size_t RetiredLen = 0;  ///< Length of the retired chain.
+  std::size_t RetiredRows = 0; ///< Responses folded into it.
+  std::vector<InputId> RetiredMaster;
+  std::vector<std::pair<std::size_t, std::size_t>> RetiredCommits;
+  /// Replay state exactly at the retired chain's end, advanced as segments
+  /// fold (each retired input is applied once, ever): a root search behind
+  /// the retired prefix adopts a clone of it instead of replaying.
+  FrontierState RetiredBoundary;
+  /// The member's dense init-availability overlay (slin, Definition 26),
+  /// valid while InitUpTo equals the session's init-action count: the fast
+  /// step adds it to the shared window row instead of re-sweeping inits.
+  std::vector<std::int32_t> InitDense;
+  std::size_t InitUpTo = 0;
+  std::uint64_t LastTouch = 0; ///< LRU stamp (slin's frontier table).
+
+  /// Forgets the chain, keeping vector capacity.
+  void clear();
+  std::size_t memoryBytes() const;
+};
+
+/// The windowed session core (see the file comment). The two sessions
+/// derive from it (final) and implement the family hooks; they are owned
+/// and deleted as themselves, never through this base.
+class WindowedSession {
+public:
+  const Adt &adt() const { return Type; }
+
+  /// The materialized view of everything ingested (empty when
+  /// IncrementalOptions::RetainTrace is off; size() still counts).
+  const Trace &trace() const { return Builder.trace(); }
+  std::size_t size() const { return Builder.size(); }
+
+  /// True once an event was rejected: the stream describes a trace that is
+  /// not (speculatively) linearizable, the view is frozen, and every
+  /// verdict is No. Cleared by reset().
+  bool doomed() const { return Doomed; }
+
+  const SessionStats &stats() const { return Stats; }
+
+  /// The session's scratch arena (exposed for the allocation-audit tests:
+  /// a steady-state run must leave highWaterBytes()/reservedBytes() flat —
+  /// every event reuses the warmed blocks, none grows them).
+  const Arena &scratchArena() const { return Scratch; }
+
+  /// Number of obligations folded into the retired prefix so far.
+  std::size_t retiredObligations() const { return WindowBase; }
+
+  /// Current live obligation window size (completed-but-unretired
+  /// operations); bounded by 64 outside overflow excursions.
+  std::size_t liveWindow() const { return Obligations.size(); }
+
+  /// True while the live window exceeds the engine's exact-search bound
+  /// (an *overflow excursion*: a straggling operation overlapped more than
+  /// 64 completions). Counted once per excursion in
+  /// SessionStats::WindowOverflows; verdicts during it drain what the cut
+  /// allows, grade the pinned remainder (BoundedYes) or report the
+  /// structural Unknown, and definitive verdicts resume once it closes.
+  bool overflowed() const {
+    return Obligations.size() > IncrementalWindowLimit;
+  }
+
+protected:
+  static constexpr std::size_t WindowLimit = IncrementalWindowLimit;
+
+  /// What one member's run adds on top of the shared window.
+  struct MemberRun {
+    const std::int32_t *const *AvailOverride = nullptr;
+    const InputId *Seed = nullptr; ///< Used for runs from the root only.
+    std::size_t SeedLen = 0;
+    const std::function<bool(const History &, std::size_t)> *AcceptLeaf =
+        nullptr;
+    bool SequenceSensitive = false;
+  };
+
+  /// Which rung of the verdict ladder answered the last Yes: the cache,
+  /// the fast step, or the engine (which left the witnesses behind).
+  enum class VerdictPath : std::uint8_t { Absorbed, Fast, Searched };
+
+  WindowedSession(const Adt &Type, const IncrementalOptions &Opts,
+                  const PhaseSignature *Sig);
+
+  // Family hooks.
+  virtual std::size_t members() = 0;
+  /// Member I's retained chain, or null when it holds none.
+  virtual RetainedChain *chain(std::size_t I) = 0;
+  /// Stores a chain captured for member I (which holds none yet).
+  virtual RetainedChain &admit(std::size_t I, RetainedChain &&C) = 0;
+  /// Every retained chain, members or not (retirement folds them all).
+  virtual std::size_t retained() const = 0;
+  virtual RetainedChain &retainedAt(std::size_t J) = 0;
+  virtual void dropRetained(std::size_t J) = 0;
+  virtual std::uint64_t memberSalt(std::size_t I) const = 0;
+  /// Fills \p M for a run of member I over the first \p NumOb obligations;
+  /// runs right after the scratch arena is reset and may intern inputs.
+  virtual void prepareRun(std::size_t I, std::size_t NumOb, MemberRun &M) {
+    (void)I, (void)NumOb, (void)M;
+  }
+  /// Names a conclusive engine No (or downgrades it to Unknown).
+  virtual void shapeNo(ChainResult &R) const = 0;
+  /// Member I's full run linearized; \p C is its chain (null without
+  /// resumption), already advanced to the accepting leaf.
+  virtual void memberYes(std::size_t I, ChainResult &R, RetainedChain *C,
+                         LinCheckResult &Out) = 0;
+
+  // Ingest.
+  WellFormedness doom(std::string Reason);
+  std::size_t &openSlot(ClientId Client);
+  /// An invocation of \p In at trace index \p I: running counts, the open
+  /// table, and the relation's availability credit.
+  void noteInvoke(const Action &A, std::size_t I, InputId In);
+  /// A response at \p I: closes the operation and pushes its obligation.
+  void noteResponse(const Action &A, std::size_t I, InputId In);
+
+  /// The verdict ladder, into a fresh \p R; seals the result.
+  void decide(const LinCheckOptions &Limits, LinCheckResult &R);
+  /// Records \p R in the stats, seals its grade and clears the deltas.
+  void seal(LinCheckResult &R);
+
+  /// Prepends \p C's materialized retired prefix to a live-window witness.
+  void completeWitness(const RetainedChain &C, History &Master,
+                       std::vector<std::pair<std::size_t, std::size_t>>
+                           &Commits) const;
+  History chainHistory(const RetainedChain &C) const;
+  void resetCore();
+  std::size_t coreBytes() const;
+
+  const Adt &Type;
+  IncrementalOptions Opts;
+  /// The happens-before relation (Opts.Order): every mask this session
+  /// derives and every retirement cut it takes goes through it.
+  OrderRelation Order;
+  InputInterner Interner;
+  Arena Scratch;
+  TranspositionTable Memo;
+  SessionStats Stats;
+  TraceBuilder Builder;
+  /// The live window, in response (trace) order; MustFollow masks are
+  /// window-relative (bit q = obligation q).
+  LiveWindow Obligations;
+  std::vector<std::int32_t> Invoked;   ///< Running invoked counts by id.
+  std::vector<std::size_t> OpenStart;  ///< Per client: open operation index.
+  bool Doomed = false;
+  std::string DoomReason;
+
+  std::size_t WindowBase = 0; ///< Obligations retired so far.
+  /// The current overflow excursion was counted in Stats.WindowOverflows.
+  bool OverflowNoted = false;
+  /// Cached pinned-excursion family sub-Yes (boundedFallback): valid while
+  /// the window base and front obligation are unchanged — nothing folds
+  /// during a pinned excursion. Cleared by folds, reset, rewind and a
+  /// changed family.
+  bool HaveBoundedYes = false;
+  std::size_t BoundedWindowBase = 0;
+  std::size_t BoundedFrontTag = 0;
+
+  /// Moves whenever retained memo entries could be unsound (folds renumber
+  /// masks, budget-limited runs, relaxations, reset); folded into every
+  /// member salt.
+  std::uint64_t Epoch = 0;
+  /// A second, probe-only memo salt (lin's sealed shared prefix).
+  std::uint64_t ProbeSalt = 0;
+  bool HaveProbeSalt = false;
+
+  bool HaveResult = false;
+  Verdict Cached = Verdict::No;
+  std::string CachedReason;
+  std::size_t NewResponses = 0; ///< Responses since the last verdict.
+  bool NewNonResponse = false;  ///< An init or abort since the last verdict.
+  /// Non-monotone deltas since the last verdict: no absorption.
+  bool CacheStale = false;
+  /// Aborts pin every slot: no retirement, drain, bounded fallback or fast
+  /// step.
+  bool PinnedByAborts = false;
+  /// A delta invalidated the retired prefix: every verdict is the
+  /// WindowRetired Unknown.
+  bool RetiredStale = false;
+  std::size_t NumInits = 0; ///< Init actions ingested (slin).
+  VerdictPath LastPath = VerdictPath::Absorbed;
+
+private:
+  using Clock = std::chrono::steady_clock;
+  struct DrainOutcome {
+    bool ConclusiveNo = false; ///< A sub-No with nothing retired (cached).
+    bool RetiredNo = false;    ///< A sub-No behind a retired prefix.
+    bool BudgetStopped = false;
+    std::string BudgetReason;
+  };
+
+  std::size_t openCut() const;
+  std::uint64_t foldMask(const std::vector<std::pair<std::size_t, std::size_t>>
+                             &Rows,
+                         std::size_t LiveLen, std::size_t RetiredLen,
+                         std::size_t Limit, std::size_t E) const;
+  void foldChain(RetainedChain &C, const std::vector<InputId> &Ids,
+                 const std::vector<std::pair<std::size_t, std::size_t>> &Rows,
+                 std::size_t K);
+  void foldWindow(std::size_t K);
+  void retireQuiescentPrefix();
+  DrainOutcome drainOverflow(const LinCheckOptions &L, std::uint64_t &Spent,
+                             Clock::time_point Start);
+  bool boundedFallback(const LinCheckOptions &L, std::uint64_t &Spent,
+                       Clock::time_point Start, LinCheckResult &R);
+  void cacheNo(ChainResult &Sub);
+  bool fastStep(const LinCheckOptions &L, LinCheckResult &R);
+  ChainResult runMember(std::size_t I, RetainedChain *C, bool FromFrontier,
+                        std::size_t NumOb, const ChainLimits &L);
+
+  std::vector<std::pair<std::size_t, std::size_t>> SeedCommitsScratch;
+  std::vector<CommitObligation> CappedScratch;
+  std::vector<ChainResult> DrainRound;
+  std::vector<std::pair<RetainedChain *, UndoToken>> FastUndoScratch;
+};
+
+} // namespace slin
+
+#endif // SLIN_ENGINE_SESSIONCORE_H

@@ -186,15 +186,12 @@ void MonitorService::applyToShard(Shard &S, const Action &A) {
     if (!W.Ok)
       S.Doomed = true; // The session is doomed too; verdicts say why.
   }
-  // The session verdict runs per append, unconditionally: an outcome-only
-  // shard (no retained trace, no retired witness) stays sound past
-  // retirement only while every verdict is served off the retained
-  // frontier, and the fast path covers exactly one new obligation — skip
-  // a verdict and the next one must re-enter the engine, which refuses a
-  // retired seed it cannot replay ("retired seed prefix unavailable for
-  // replay") and the shard degrades to a permanent Unknown. The verdict
-  // is O(1) steady-state, so the per-append cadence is the cheap leg;
-  // BatchWindow batches the *publication* into the composed tracker.
+  // The session verdict runs per append. Skipping some would be safe — a
+  // sparser cadence gives the same verdicts (see "Verdict cadence" in
+  // docs/service.md) — but the session's fast step covers exactly one new
+  // obligation, so a verdict after two appends re-enters the engine while
+  // the per-append one stays O(1). BatchWindow batches the *publication*
+  // into the composed tracker.
   takeVerdict(S);
   if (S.SinceVerdict >= Config.BatchWindow)
     publishShard(S);

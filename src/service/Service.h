@@ -75,10 +75,10 @@ struct ServiceConfig {
   /// verdict into the composed tracker after every N session appends (1 =
   /// per-event composed verdicts; larger batches amortize the publication
   /// and reason bookkeeping; flush() forces the partial batch out). The
-  /// session verdict itself always runs per append — an outcome-only
-  /// shard must stay on the fast path past retirement (Service.cpp,
-  /// applyToShard) — so batching never changes which verdicts are
-  /// computed, only when they become visible in the composition.
+  /// session verdict itself always runs per append — that keeps it on the
+  /// session's one-obligation fast step (Service.cpp, applyToShard) — so
+  /// batching never changes which verdicts are computed, only when they
+  /// become visible in the composition.
   std::size_t BatchWindow = 1;
   /// Transposition capacity per shard (vs 2^20 for a lone session).
   std::size_t TranspositionCapacity = 1u << 12;
@@ -205,7 +205,7 @@ private:
   /// the session verdict, and publishes if the batch came due.
   void applyToShard(Shard &S, const Action &A);
   /// Takes \p S's session verdict into the shard's standing verdict. Runs
-  /// per append (the outcome-only fast path demands that cadence — see
+  /// per append (the cheap cadence for the session's fast step — see
   /// applyToShard); publication is what BatchWindow batches.
   void takeVerdict(Shard &S);
   /// Folds \p S's standing verdict into the composed tracker.

@@ -48,6 +48,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <sstream>
 
@@ -430,74 +431,66 @@ TEST(TraceFuzzTest, WindowedLinFuzz_Universal) {
 }
 
 //===----------------------------------------------------------------------===//
-// Data-oriented hot path: the SoA LiveWindow + in-session fast path must be
-// observationally identical to the reference buildProblem() path. Every
-// lin fuzz family streams through two sessions differing only in
-// IncrementalOptions::DataOriented; verdicts, reasons, node counts, and
-// witness shapes must match bit-for-bit at every prefix — both with
-// witness materialization (pure view-vs-copy differential) and without it
-// (the tryFastResume emulation differential), on short mixed traces and on
-// >64-obligation retiring streams alike.
+// Fast step vs engine: the in-session one-new-obligation fast step must be
+// observationally identical to the engine's resumed run it replaces. The
+// fast step declines witness requests, so streaming every trace through a
+// witness-free session (fast step on) and a witness-carrying one (every
+// resumed verdict enters the engine) locks the two together: verdicts,
+// reasons, node counts and budget flags must match at every prefix, on
+// short mixed traces and on >64-obligation retiring streams alike — and the
+// witness-free side must actually take the fast path, or the differential
+// is vacuous.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Per-prefix differential between the SoA view path (DataOriented on,
-/// the default) and the reference materializing path (off).
-void fuzzDataOrientedTrace(const LinFixture &Fx, const Trace &T,
-                           bool WantWitness) {
-  IncrementalLinSession Soa(Fx.Type);
-  IncrementalOptions RefOpts;
-  RefOpts.DataOriented = false;
-  IncrementalLinSession Ref(Fx.Type, RefOpts);
-  LinCheckOptions Limits;
-  Limits.WantWitness = WantWitness;
-
+/// Per-prefix fast-step-vs-engine differential for one lin trace.
+void fuzzFastStepTrace(IncrementalLinSession &Fast,
+                       IncrementalLinSession &Engine, const Trace &T) {
+  LinCheckOptions Free;
+  Free.WantWitness = false;
   std::size_t Prefix = 0;
   for (const Action &A : T) {
-    Soa.append(A);
-    Ref.append(A);
+    Fast.append(A);
+    Engine.append(A);
     ++Prefix;
-    LinCheckResult S = Soa.verdict(Limits);
-    LinCheckResult R = Ref.verdict(Limits);
-    ASSERT_EQ(S.Outcome, R.Outcome)
-        << Fx.Type.name() << ": SoA path verdict diverged from the "
-        << "reference path at prefix " << Prefix
-        << " (WantWitness=" << WantWitness << "):\n"
+    LinCheckResult F = Fast.verdict(Free);
+    LinCheckResult E = Engine.verdict();
+    ASSERT_EQ(F.Outcome, E.Outcome)
+        << Fast.adt().name() << ": fast-step verdict diverged from the "
+        << "engine at prefix " << Prefix << ":\n"
         << formatTrace(T);
-    ASSERT_EQ(S.NodesExplored, R.NodesExplored)
-        << Fx.Type.name() << ": SoA path node count diverged at prefix "
-        << Prefix << " (WantWitness=" << WantWitness << ", outcome "
-        << int(S.Outcome) << "):\n"
+    ASSERT_EQ(F.NodesExplored, E.NodesExplored)
+        << Fast.adt().name() << ": fast-step node count diverged at prefix "
+        << Prefix << " (outcome " << int(F.Outcome) << "):\n"
         << formatTrace(T);
-    ASSERT_EQ(S.Reason, R.Reason);
-    ASSERT_EQ(S.BudgetLimited, R.BudgetLimited);
-    if (WantWitness && S.Outcome == Verdict::Yes) {
-      ASSERT_EQ(S.Witness.Master.size(), R.Witness.Master.size());
-      ASSERT_EQ(S.Witness.Commits, R.Witness.Commits)
-          << Fx.Type.name() << ": witness commit map diverged at prefix "
-          << Prefix;
-    }
+    ASSERT_EQ(F.Reason, E.Reason);
+    ASSERT_EQ(F.BudgetLimited, E.BudgetLimited);
   }
+  ASSERT_EQ(Engine.stats().FastPathVerdicts, 0u)
+      << "a witness request must keep every verdict on the engine path";
 }
 
-void runDataOrientedFuzz(const LinFixture &Fx, std::uint64_t FamilyTag,
-                         unsigned MaxConc) {
+void runFastStepFuzz(const LinFixture &Fx, std::uint64_t FamilyTag,
+                     unsigned MaxConc) {
   // Short mixed families (linearizable / mutated / arbitrary / corrupted).
   unsigned N = traceBudget(160);
+  std::uint64_t FastSteps = 0;
   for (unsigned I = 0; I != N; ++I) {
     std::uint64_t TraceSeed =
         hashCombine(hashCombine(baseSeed(), FamilyTag), I);
     SCOPED_TRACE(seedNote(TraceSeed, I));
     Rng R(TraceSeed);
-    Trace T = drawLinTrace(Fx, I, R);
-    fuzzDataOrientedTrace(Fx, T, /*WantWitness=*/I % 2 == 0);
+    IncrementalLinSession Fast(Fx.Type), Engine(Fx.Type);
+    fuzzFastStepTrace(Fast, Engine, drawLinTrace(Fx, I, R));
     if (::testing::Test::HasFatalFailure())
       return;
+    FastSteps += Fast.stats().FastPathVerdicts;
   }
-  // Retiring streams: >64 obligations exercise fold/retire and the
-  // steady-state fast path in the SoA session. Witness-free runs must
-  // actually hit the fast path — otherwise this differential is vacuous.
+  EXPECT_GT(FastSteps, 0u)
+      << Fx.Type.name() << ": short family never took the fast path";
+  // Retiring streams: >64 obligations exercise fold/retire under the fast
+  // step.
   unsigned Long = std::max(2u, traceBudget(160) / 40);
   for (unsigned I = 0; I != Long; ++I) {
     std::uint64_t TraceSeed =
@@ -505,68 +498,299 @@ void runDataOrientedFuzz(const LinFixture &Fx, std::uint64_t FamilyTag,
     SCOPED_TRACE(seedNote(TraceSeed, I));
     Rng R(TraceSeed);
     unsigned Ops = 70 + static_cast<unsigned>(R.next() % 30);
-    Trace T = quiescingTrace(Fx, Ops, MaxConc, R);
-    bool WantWitness = I % 2 == 1;
-    IncrementalLinSession Probe(Fx.Type);
-    fuzzDataOrientedTrace(Fx, T, WantWitness);
-    if (!WantWitness) {
-      // Re-stream through one SoA session to observe the fast-path
-      // counter (the differential's sessions are scoped to the helper).
-      LinCheckOptions Limits;
-      Limits.WantWitness = false;
-      for (const Action &A : T) {
-        Probe.append(A);
-        Probe.verdict(Limits);
-      }
-      EXPECT_GT(Probe.stats().FastPathVerdicts, 0u)
-          << Fx.Type.name()
-          << ": witness-free retiring stream never took the fast path";
-    }
+    IncrementalLinSession Fast(Fx.Type), Engine(Fx.Type);
+    fuzzFastStepTrace(Fast, Engine, quiescingTrace(Fx, Ops, MaxConc, R));
     if (::testing::Test::HasFatalFailure())
       return;
+    EXPECT_GT(Fast.stats().FastPathVerdicts, 0u)
+        << Fx.Type.name() << ": retiring stream never took the fast path";
+    EXPECT_GT(Fast.retiredObligations(), 0u);
   }
 }
 
 } // namespace
 
-TEST(TraceFuzzTest, DataOrientedDifferential_Register) {
+TEST(TraceFuzzTest, FastStepDifferential_Register) {
   RegisterAdt Reg;
-  runDataOrientedFuzz({Reg,
-                       {reg::read(), reg::write(1), reg::write(2)},
-                       {Output{1}, Output{2}, Output{NoValue}}},
-                      0x61, /*MaxConc=*/4);
+  runFastStepFuzz({Reg,
+                   {reg::read(), reg::write(1), reg::write(2)},
+                   {Output{1}, Output{2}, Output{NoValue}}},
+                  0x61, /*MaxConc=*/4);
 }
 
-TEST(TraceFuzzTest, DataOrientedDifferential_Queue) {
+TEST(TraceFuzzTest, FastStepDifferential_Queue) {
   QueueAdt Q;
-  runDataOrientedFuzz({Q,
-                       {queue::enq(1), queue::enq(2), queue::deq()},
-                       {Output{1}, Output{2}, Output{NoValue}}},
-                      0x62, /*MaxConc=*/1);
+  runFastStepFuzz({Q,
+                   {queue::enq(1), queue::enq(2), queue::deq()},
+                   {Output{1}, Output{2}, Output{NoValue}}},
+                  0x62, /*MaxConc=*/1);
 }
 
-TEST(TraceFuzzTest, DataOrientedDifferential_KvStore) {
+TEST(TraceFuzzTest, FastStepDifferential_KvStore) {
   KvStoreAdt Kv;
-  runDataOrientedFuzz({Kv,
-                       {kv::put(1, 10), kv::put(1, 20), kv::get(1), kv::del(1)},
-                       {Output{10}, Output{20}, Output{NoValue}}},
-                      0x63, /*MaxConc=*/4);
+  runFastStepFuzz({Kv,
+                   {kv::put(1, 10), kv::put(1, 20), kv::get(1), kv::del(1)},
+                   {Output{10}, Output{20}, Output{NoValue}}},
+                  0x63, /*MaxConc=*/4);
 }
 
-TEST(TraceFuzzTest, DataOrientedDifferential_Consensus) {
+TEST(TraceFuzzTest, FastStepDifferential_Consensus) {
   ConsensusAdt Cons;
-  runDataOrientedFuzz({Cons,
-                       {cons::propose(1), cons::propose(2), cons::propose(3)},
-                       {cons::decide(1), cons::decide(2), cons::decide(3)}},
-                      0x64, /*MaxConc=*/4);
+  runFastStepFuzz({Cons,
+                   {cons::propose(1), cons::propose(2), cons::propose(3)},
+                   {cons::decide(1), cons::decide(2), cons::decide(3)}},
+                  0x64, /*MaxConc=*/4);
 }
 
-TEST(TraceFuzzTest, DataOrientedDifferential_Universal) {
+TEST(TraceFuzzTest, FastStepDifferential_Universal) {
   UniversalAdt Uni;
-  runDataOrientedFuzz({Uni,
-                       {Input{1, 0, 1, 0}, Input{2, 0, 2, 0}},
-                       {Output{0}, Output{1}}},
-                      0x65, /*MaxConc=*/1);
+  runFastStepFuzz({Uni,
+                   {Input{1, 0, 1, 0}, Input{2, 0, 2, 0}},
+                   {Output{0}, Output{1}}},
+                  0x65, /*MaxConc=*/1);
+}
+
+//===----------------------------------------------------------------------===//
+// Lin is the family of one: on init-free, abort-free, valid-input
+// single-phase traces the slin session over the universal relation (one
+// empty interpretation, no init overlay, no aborts) and the lin session run
+// the same core over one chain, so every prefix must agree on the outcome,
+// the nodes spent, and the fast steps taken. Reason strings differ by
+// design ("no linearization" vs "no speculative linearization").
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+void expectFamilyOfOne(IncrementalLinSession &Lin,
+                       IncrementalSlinSession &Slin, const Trace &T,
+                       bool WantWitness) {
+  LinCheckOptions LO;
+  LO.WantWitness = WantWitness;
+  SlinCheckOptions SO;
+  SO.WantWitness = WantWitness;
+  std::size_t Prefix = 0;
+  for (const Action &A : T) {
+    Lin.append(A);
+    Slin.append(A);
+    ++Prefix;
+    LinCheckResult L = Lin.verdict(LO);
+    SlinVerdict S = Slin.verdict(SO);
+    ASSERT_EQ(L.Outcome, S.Outcome)
+        << Lin.adt().name() << ": lin and its one-member slin family "
+        << "disagree at prefix " << Prefix << " (WantWitness="
+        << WantWitness << "):\n"
+        << formatTrace(T);
+    ASSERT_EQ(L.NodesExplored, S.NodesExplored)
+        << Lin.adt().name() << ": node counts diverged at prefix " << Prefix
+        << " (outcome " << int(L.Outcome) << ", WantWitness=" << WantWitness
+        << "):\n"
+        << formatTrace(T);
+    ASSERT_EQ(Lin.stats().FastPathVerdicts, Slin.stats().FastPathVerdicts)
+        << Lin.adt().name() << ": fast steps diverged at prefix " << Prefix;
+  }
+}
+
+void runFamilyOfOne(const LinFixture &Fx, std::uint64_t FamilyTag) {
+  PhaseSignature Sig(1, 2);
+  UniversalInitRelation Rel;
+  unsigned N = traceBudget(160);
+  for (unsigned I = 0; I != N; ++I) {
+    if (I % 4 == 3)
+      continue; // The corrupted draws are ill-formed, not in the family.
+    std::uint64_t TraceSeed =
+        hashCombine(hashCombine(baseSeed(), FamilyTag), I);
+    SCOPED_TRACE(seedNote(TraceSeed, I));
+    Rng R(TraceSeed);
+    Trace T = drawLinTrace(Fx, I, R);
+    for (bool WantWitness : {false, true}) {
+      IncrementalLinSession Lin(Fx.Type);
+      IncrementalSlinSession Slin(Fx.Type, Sig, Rel);
+      expectFamilyOfOne(Lin, Slin, T, WantWitness);
+      if (::testing::Test::HasFatalFailure())
+        return;
+    }
+  }
+}
+
+} // namespace
+
+TEST(TraceFuzzTest, FamilyOfOne_Consensus) {
+  ConsensusAdt Cons;
+  runFamilyOfOne({Cons,
+                  {cons::propose(1), cons::propose(2), cons::propose(3)},
+                  {cons::decide(1), cons::decide(2), cons::decide(3)}},
+                 0x81);
+}
+
+TEST(TraceFuzzTest, FamilyOfOne_Queue) {
+  QueueAdt Q;
+  runFamilyOfOne({Q,
+                  {queue::enq(1), queue::enq(2), queue::deq()},
+                  {Output{1}, Output{2}, Output{NoValue}}},
+                 0x82);
+}
+
+TEST(TraceFuzzTest, FamilyOfOne_Register) {
+  RegisterAdt Reg;
+  runFamilyOfOne({Reg,
+                  {reg::read(), reg::write(1), reg::write(2)},
+                  {Output{1}, Output{2}, Output{NoValue}}},
+                 0x83);
+}
+
+TEST(TraceFuzzTest, FamilyOfOne_KvStore) {
+  KvStoreAdt Kv;
+  runFamilyOfOne({Kv,
+                  {kv::put(1, 10), kv::put(1, 20), kv::get(1), kv::del(1)},
+                  {Output{10}, Output{20}, Output{NoValue}}},
+                 0x84);
+}
+
+TEST(TraceFuzzTest, FamilyOfOne_Universal) {
+  UniversalAdt Uni;
+  runFamilyOfOne({Uni,
+                  {Input{1, 0, 1, 0}, Input{2, 0, 2, 0}, Input{3, 0, 3, 0}},
+                  {Output{0}, Output{1}}},
+                 0x85);
+}
+
+TEST(TraceFuzzTest, FamilyOfOne_RetiringRegisterStream) {
+  // Past the 64-obligation window: both sessions must retire through the
+  // same folds and keep taking the same fast steps.
+  RegisterAdt Reg;
+  LinFixture Fx{Reg,
+                {reg::read(), reg::write(1), reg::write(2)},
+                {Output{1}, Output{2}, Output{NoValue}}};
+  PhaseSignature Sig(1, 2);
+  UniversalInitRelation Rel;
+  Rng R(hashCombine(baseSeed(), 0x86));
+  Trace T = quiescingTrace(Fx, 200, /*MaxConc=*/4, R);
+  for (bool WantWitness : {false, true}) {
+    IncrementalLinSession Lin(Reg);
+    IncrementalSlinSession Slin(Reg, Sig, Rel);
+    expectFamilyOfOne(Lin, Slin, T, WantWitness);
+    if (::testing::Test::HasFatalFailure())
+      return;
+    EXPECT_GT(Lin.retiredObligations(), 0u);
+    EXPECT_EQ(Lin.retiredObligations(), Slin.retiredObligations());
+    if (!WantWitness)
+      EXPECT_GT(Lin.stats().FastPathVerdicts, 0u);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Verdict cadence: an outcome-only session (no trace view, no retired
+// witness — the service's shard configuration) may skip verdicts. On
+// retiring register streams (4 clients, one write per round, responses in
+// order or shuffled within the round), a session asked every k appends must
+// answer each cadence point exactly as a session asked after every append,
+// a clean stream must never go Unknown, and retirement must keep up (at
+// least 90% of the operations retire).
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// \p Rounds rounds of 4 concurrent operations — client r % 4 writes r + 1,
+/// the others read — with outputs from the invocation order and responses
+/// shuffled within the round when \p Shuffle is set.
+Trace cadenceStream(unsigned Rounds, bool Shuffle, Rng &R) {
+  RegisterAdt Reg;
+  std::unique_ptr<AdtState> S = Reg.makeState();
+  Trace T;
+  for (unsigned Round = 0; Round != Rounds; ++Round) {
+    std::vector<Action> Responses;
+    for (ClientId C = 0; C != 4; ++C) {
+      Input In = C == Round % 4 ? reg::write(Round + 1) : reg::read();
+      T.push_back(makeInvoke(C, 1, In));
+      Responses.push_back(makeRespond(C, 1, In, S->apply(In)));
+    }
+    if (Shuffle)
+      for (std::size_t I = Responses.size(); I > 1; --I)
+        std::swap(Responses[I - 1], Responses[R.next() % I]);
+    T.insert(T.end(), Responses.begin(), Responses.end());
+  }
+  return T;
+}
+
+/// Streams \p T through one session asked after every append and one per
+/// cadence k = 1..8, comparing at every cadence point.
+template <typename Session, typename Options>
+void expectCadenceInvariant(
+    const std::function<std::unique_ptr<Session>()> &Make, const Options &O,
+    const Trace &T, unsigned Operations) {
+  std::unique_ptr<Session> Every = Make();
+  std::vector<std::unique_ptr<Session>> Cadenced;
+  for (unsigned K = 1; K <= 8; ++K)
+    Cadenced.push_back(Make());
+  for (std::size_t I = 0; I != T.size(); ++I) {
+    Every->append(T[I]);
+    auto Reference = Every->verdict(O);
+    ASSERT_NE(Reference.Outcome, Verdict::Unknown)
+        << "clean stream went Unknown at event " << I << " ("
+        << Reference.Reason << ")";
+    for (unsigned K = 1; K <= 8; ++K) {
+      Session &S = *Cadenced[K - 1];
+      S.append(T[I]);
+      if ((I + 1) % K != 0)
+        continue;
+      auto V = S.verdict(O);
+      ASSERT_EQ(V.Outcome, Reference.Outcome)
+          << "cadence " << K << " diverged at event " << I << " ("
+          << V.Reason << ")";
+      ASSERT_EQ(V.Grade, Reference.Grade) << "cadence " << K;
+    }
+  }
+  for (unsigned K = 1; K <= 8; ++K)
+    EXPECT_GE(Cadenced[K - 1]->retiredObligations() * 10, Operations * 9u)
+        << "cadence " << K << " retired only "
+        << Cadenced[K - 1]->retiredObligations() << " of " << Operations;
+}
+
+IncrementalOptions outcomeOnly() {
+  IncrementalOptions Opts;
+  Opts.RetainTrace = false;
+  Opts.RetainRetiredWitness = false;
+  return Opts;
+}
+
+} // namespace
+
+TEST(TraceFuzzTest, VerdictCadence_OutcomeOnlyLin) {
+  RegisterAdt Reg;
+  LinCheckOptions O;
+  O.WantWitness = false;
+  for (bool Shuffle : {false, true}) {
+    SCOPED_TRACE(Shuffle ? "shuffled responses" : "in-order responses");
+    Rng R(hashCombine(baseSeed(), 0x91 + Shuffle));
+    Trace T = cadenceStream(400, Shuffle, R);
+    expectCadenceInvariant<IncrementalLinSession>(
+        [&] { return std::make_unique<IncrementalLinSession>(Reg, outcomeOnly()); },
+        O, T, 1600);
+    if (::testing::Test::HasFatalFailure())
+      return;
+  }
+}
+
+TEST(TraceFuzzTest, VerdictCadence_OutcomeOnlySlin) {
+  RegisterAdt Reg;
+  PhaseSignature Sig(1, 2);
+  UniversalInitRelation Rel;
+  SlinCheckOptions O;
+  O.WantWitness = false;
+  O.Search.WantWitness = false;
+  for (bool Shuffle : {false, true}) {
+    SCOPED_TRACE(Shuffle ? "shuffled responses" : "in-order responses");
+    Rng R(hashCombine(baseSeed(), 0x93 + Shuffle));
+    Trace T = cadenceStream(400, Shuffle, R);
+    expectCadenceInvariant<IncrementalSlinSession>(
+        [&] {
+          return std::make_unique<IncrementalSlinSession>(Reg, Sig, Rel,
+                                                          outcomeOnly());
+        },
+        O, T, 1600);
+    if (::testing::Test::HasFatalFailure())
+      return;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -831,52 +1055,44 @@ TEST(TraceFuzzTest, WindowedSlinFuzz_StragglerOverflowDrain) {
 }
 
 //===----------------------------------------------------------------------===//
-// Slin data-oriented hot path: the shared SoA window + per-interpretation
-// overlay rows + family fast path (DataOriented on, the default) must be
-// observationally identical to the reference owning-problem path (off) —
-// verdicts, exactness, reasons, node counts, and full per-interpretation
-// witnesses, at every prefix, across both relations and both Definition 28
-// readings. Long abort-free streams additionally pin that the slin fast
-// path actually fires (FastPathVerdicts advances) — otherwise the
-// differential would be vacuous on the steady state it exists to protect.
+// Slin fast step vs engine: the family-wide fast step (shared SoA window
+// plus per-interpretation init overlays) against the engine, as for lin,
+// across both relations and both Definition 28 readings — verdicts,
+// exactness, reasons, grades, node counts at every prefix. Mixed mode also
+// asks the fast session for witnesses every eighth verdict, which drives
+// the deferred witness refresh: a witness-carrying absorption after fast
+// steps must rebuild exactly the witnesses the engine session carried all
+// along. Long abort-free streams additionally pin that the slin fast step
+// actually fires.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// How the per-prefix verdicts of the slin differential ask for witnesses.
-enum class WitnessMode { Always, Never, Mixed };
+/// How the fast session of the slin differential asks for witnesses.
+enum class WitnessMode { Never, Mixed };
 
-/// Per-prefix differential between the slin SoA/fast-path session and the
-/// reference materializing path. Mixed mode alternates witness-free and
-/// witness-carrying verdicts in one session, which drives the fast path's
-/// deferred witness refresh: a witness-carrying absorption after fast-path
-/// verdicts must rebuild exactly the witnesses the reference path carried
-/// all along.
-void fuzzSlinDataOrientedTrace(const Adt &Type, const PhaseSignature &Sig,
-                               const InitRelation &Rel, const Trace &T,
-                               SlinCheckOptions O, WitnessMode Mode) {
-  IncrementalSlinSession Soa(Type, Sig, Rel);
-  IncrementalOptions RefOpts;
-  RefOpts.DataOriented = false;
-  IncrementalSlinSession Ref(Type, Sig, Rel, RefOpts);
+void fuzzSlinFastStepTrace(IncrementalSlinSession &Fast,
+                           IncrementalSlinSession &Engine, const Trace &T,
+                           SlinCheckOptions O, WitnessMode Mode) {
+  SlinCheckOptions WithWitness = O;
+  WithWitness.WantWitness = true;
   std::size_t Prefix = 0;
   for (const Action &A : T) {
-    Soa.append(A);
-    Ref.append(A);
+    Fast.append(A);
+    Engine.append(A);
     ++Prefix;
-    O.WantWitness = Mode == WitnessMode::Always ||
-                    (Mode == WitnessMode::Mixed && Prefix % 8 == 0);
-    SlinVerdict S = Soa.verdict(O);
-    SlinVerdict R = Ref.verdict(O);
+    O.WantWitness = Mode == WitnessMode::Mixed && Prefix % 8 == 0;
+    SlinVerdict S = Fast.verdict(O);
+    SlinVerdict R = Engine.verdict(WithWitness);
     ASSERT_EQ(S.Outcome, R.Outcome)
-        << "slin SoA verdict diverged from the reference path at prefix "
+        << "slin fast-step verdict diverged from the engine at prefix "
         << Prefix << " (atEnd=" << O.AbortValidityAtEnd
         << ", wantWitness=" << O.WantWitness << "):\n"
         << formatTrace(T);
     ASSERT_EQ(S.Exact, R.Exact)
         << "slin exactness diverged at prefix " << Prefix;
     ASSERT_EQ(S.NodesExplored, R.NodesExplored)
-        << "slin SoA node count diverged at prefix " << Prefix
+        << "slin fast-step node count diverged at prefix " << Prefix
         << " (outcome " << int(S.Outcome) << "):\n"
         << formatTrace(T);
     ASSERT_EQ(S.Reason, R.Reason)
@@ -886,6 +1102,8 @@ void fuzzSlinDataOrientedTrace(const Adt &Type, const PhaseSignature &Sig,
     ASSERT_EQ(S.Interference, R.Interference)
         << "slin bounded-interference count diverged at prefix " << Prefix;
     ASSERT_EQ(S.BudgetLimited, R.BudgetLimited);
+    if (!O.WantWitness)
+      continue;
     ASSERT_EQ(S.Witnesses.size(), R.Witnesses.size())
         << "witness count diverged at prefix " << Prefix;
     for (std::size_t W = 0; W != S.Witnesses.size(); ++W) {
@@ -901,11 +1119,13 @@ void fuzzSlinDataOrientedTrace(const Adt &Type, const PhaseSignature &Sig,
           << "witness abort assignment diverged at prefix " << Prefix;
     }
   }
+  ASSERT_EQ(Engine.stats().FastPathVerdicts, 0u)
+      << "a witness request must keep every verdict on the engine path";
 }
 
 } // namespace
 
-TEST(TraceFuzzTest, SlinDataOrientedDifferential_UniversalRelation) {
+TEST(TraceFuzzTest, SlinFastStepDifferential_UniversalRelation) {
   ConsensusAdt Cons;
   unsigned N = traceBudget(200);
   for (unsigned I = 0; I != N; ++I) {
@@ -918,18 +1138,18 @@ TEST(TraceFuzzTest, SlinDataOrientedDifferential_UniversalRelation) {
     Trace T = drawSlinWalk(Sig, Rel, R);
     SlinCheckOptions O;
     O.AbortValidityAtEnd = (I / 2) % 2 == 1; // Both readings over the run.
-    fuzzSlinDataOrientedTrace(Cons, Sig, Rel, T, O,
-                              static_cast<WitnessMode>(I % 3));
+    IncrementalSlinSession Fast(Cons, Sig, Rel), Engine(Cons, Sig, Rel);
+    fuzzSlinFastStepTrace(Fast, Engine, T, O,
+                          static_cast<WitnessMode>(I % 2));
     if (::testing::Test::HasFatalFailure())
       return;
   }
 }
 
-TEST(TraceFuzzTest, SlinDataOrientedDifferential_ConsensusRelation) {
+TEST(TraceFuzzTest, SlinFastStepDifferential_ConsensusRelation) {
   // Walk traces re-targeted at the consensus relation (switch values
   // remapped into small proposals), as in SlinFuzz_ConsensusRelation:
-  // mixed-verdict phase traces with aborts and recoveries, on/off
-  // identical at every prefix under both readings.
+  // mixed-verdict phase traces with aborts and recoveries.
   ConsensusAdt Cons;
   ConsensusInitRelation ConsRel;
   unsigned N = traceBudget(160);
@@ -946,18 +1166,20 @@ TEST(TraceFuzzTest, SlinDataOrientedDifferential_ConsensusRelation) {
         Act.Sv.Val = 1 + (Act.Sv.Val & 1);
     SlinCheckOptions O;
     O.AbortValidityAtEnd = I % 2 == 1;
-    fuzzSlinDataOrientedTrace(Cons, Sig, ConsRel, T, O,
-                              static_cast<WitnessMode>(I % 3));
+    IncrementalSlinSession Fast(Cons, Sig, ConsRel),
+        Engine(Cons, Sig, ConsRel);
+    fuzzSlinFastStepTrace(Fast, Engine, T, O,
+                          static_cast<WitnessMode>((I / 2) % 2));
     if (::testing::Test::HasFatalFailure())
       return;
   }
 }
 
-TEST(TraceFuzzTest, SlinDataOrientedDifferential_SteadyStreams) {
+TEST(TraceFuzzTest, SlinFastStepDifferential_SteadyStreams) {
   // Long abort-free switch-free consensus streams past the retirement
-  // threshold: the singleton-interpretation steady state. The on/off
-  // differential must hold through continuous retirement, and the SoA
-  // session must serve witness-free steady verdicts from the fast path.
+  // threshold: the singleton-interpretation steady state. The differential
+  // must hold through continuous retirement, and the fast session must
+  // serve witness-free steady verdicts from the fast step.
   ConsensusAdt Cons;
   PhaseSignature Sig(1, 2);
   ConsensusInitRelation Rel;
@@ -978,31 +1200,22 @@ TEST(TraceFuzzTest, SlinDataOrientedDifferential_SteadyStreams) {
     }
     SlinCheckOptions O;
     O.AbortValidityAtEnd = I % 2 == 1;
-    WitnessMode Mode = I % 2 ? WitnessMode::Mixed : WitnessMode::Never;
-    fuzzSlinDataOrientedTrace(Cons, Sig, Rel, T, O, Mode);
+    IncrementalSlinSession Fast(Cons, Sig, Rel), Engine(Cons, Sig, Rel);
+    fuzzSlinFastStepTrace(Fast, Engine, T, O,
+                          I % 2 ? WitnessMode::Mixed : WitnessMode::Never);
     if (::testing::Test::HasFatalFailure())
       return;
-    // Re-stream through one SoA session to observe the fast-path counter
-    // (the differential's sessions are scoped to the helper).
-    IncrementalSlinSession Probe(Cons, Sig, Rel);
-    SlinCheckOptions Free = O;
-    Free.WantWitness = false;
-    for (const Action &A : T) {
-      Probe.append(A);
-      Probe.verdict(Free);
-    }
-    EXPECT_GT(Probe.stats().FastPathVerdicts, 0u)
-        << "witness-free abort-free slin stream never took the fast path";
-    EXPECT_GT(Probe.retiredObligations(), 0u);
+    EXPECT_GT(Fast.stats().FastPathVerdicts, 0u)
+        << "witness-free abort-free slin stream never took the fast step";
+    EXPECT_GT(Fast.retiredObligations(), 0u);
   }
 }
 
-TEST(TraceFuzzTest, SlinDataOrientedDifferential_InitFamilySteadyStreams) {
+TEST(TraceFuzzTest, SlinFastStepDifferential_InitFamilySteadyStreams) {
   // The multi-interpretation steady state: a non-first phase opened by an
   // init switch, so the consensus relation's family has three members
-  // (canonical + two fresh-extended) and every fast-path verdict sweeps
-  // three retained frontiers. On/off identical throughout; the fast path
-  // must fire across the whole family.
+  // (canonical + two fresh-extended) and every fast step sweeps three
+  // retained chains. The fast step must fire across the whole family.
   ConsensusAdt Cons;
   PhaseSignature Sig(2, 3);
   ConsensusInitRelation Rel;
@@ -1023,7 +1236,7 @@ TEST(TraceFuzzTest, SlinDataOrientedDifferential_InitFamilySteadyStreams) {
     for (unsigned K = 0; K != Ops; ++K) {
       // Proposal values stay <= the switch value: a larger value would
       // raise the relation's fresh-value bound, recompute the family, and
-      // re-key the retained frontiers — correct, but not the steady state
+      // re-key the retained chains — correct, but not the steady state
       // this family exists to pin.
       Input In = cons::propose(
           1 + static_cast<std::int64_t>(R.next() % static_cast<unsigned>(V)));
@@ -1033,20 +1246,14 @@ TEST(TraceFuzzTest, SlinDataOrientedDifferential_InitFamilySteadyStreams) {
     }
     SlinCheckOptions O;
     O.AbortValidityAtEnd = I % 2 == 1;
-    WitnessMode Mode = I % 2 ? WitnessMode::Mixed : WitnessMode::Never;
-    fuzzSlinDataOrientedTrace(Cons, Sig, Rel, T, O, Mode);
+    IncrementalSlinSession Fast(Cons, Sig, Rel), Engine(Cons, Sig, Rel);
+    fuzzSlinFastStepTrace(Fast, Engine, T, O,
+                          I % 2 ? WitnessMode::Mixed : WitnessMode::Never);
     if (::testing::Test::HasFatalFailure())
       return;
-    IncrementalSlinSession Probe(Cons, Sig, Rel);
-    SlinCheckOptions Free = O;
-    Free.WantWitness = false;
-    for (const Action &A : T) {
-      Probe.append(A);
-      Probe.verdict(Free);
-    }
-    EXPECT_GT(Probe.stats().FastPathVerdicts, 0u)
-        << "init-family slin stream never took the fast path";
-    EXPECT_GT(Probe.retiredObligations(), 0u);
+    EXPECT_GT(Fast.stats().FastPathVerdicts, 0u)
+        << "init-family slin stream never took the fast step";
+    EXPECT_GT(Fast.retiredObligations(), 0u);
   }
 }
 

@@ -8,9 +8,9 @@
 // throughput of the sharded multi-object monitoring service
 // (src/service/Service.h) on one thread. Every row streams the service
 // wire format (object id + the hardened TraceIo line format) through the
-// full pipeline: zero-copy parse, demux into per-shard SPSC rings, session
-// append with client remap, batched shard verdicts, composed whole-system
-// verdict.
+// full pipeline inside ingestText: zero-copy parse, demux by flat object
+// index, session append with client remap, batched shard verdicts,
+// composed whole-system verdict.
 //
 //   * Service_Aggregate: the headline rows. N independent register objects
 //     run fully-quiescing rounds of 4 concurrent operations each — the
@@ -18,11 +18,11 @@
 //     every shard retires continuously — interleaved round-robin across
 //     objects into one genuinely multiplexed stream. The stream text for
 //     each iteration is rendered untimed; the timed region is
-//     ingestText + poll over one full round-block (8 x N events), with
+//     ingestText over one full round-block (8 x N events), with
 //     per-event composed verdicts (BatchWindow 1). Reports
 //     events_per_sec (the acceptance figure: >= 1M aggregate on the
 //     1-core bench box), per-shard memory (avg/max bytes), and the
-//     pipeline's structural counters (ring_overflows must be 0).
+//     sessions' window counters.
 //
 //   * Service_Aggregate_Slin: the same aggregate shape with every shard an
 //     IncrementalSlinSession (whole object as the sole phase under the
@@ -217,15 +217,13 @@ void primeService(MonitorService &Service, WireStreamGen &Gen,
   for (unsigned I = 0; I != Rounds; ++I) {
     Buf.clear();
     Gen.appendBlock(Buf);
-    bool Ok = Service.ingestText(Buf);
-    Service.poll();
-    if (!Ok)
+    if (!Service.ingestText(Buf))
       std::abort(); // The generator renders only well-formed lines.
   }
 }
 
 /// The shared aggregate-throughput loop: per iteration, render one
-/// round-block untimed, then time ingestText + poll over it. Publishes
+/// round-block untimed, then time ingestText over it. Publishes
 /// the acceptance counters.
 void runAggregate(benchmark::State &State, MonitorService &Service,
                   WireStreamGen &Gen, unsigned WarmRounds) {
@@ -241,7 +239,6 @@ void runAggregate(benchmark::State &State, MonitorService &Service,
     std::size_t Block = Gen.appendBlock(Buf);
     Timer.start();
     bool Ok = Service.ingestText(Buf);
-    Service.poll();
     Timer.stop(State);
     benchmark::DoNotOptimize(Ok);
     Events += Block;
@@ -249,7 +246,6 @@ void runAggregate(benchmark::State &State, MonitorService &Service,
   Timer.report(State);
 
   SessionStats Sessions = Service.aggregateSessionStats();
-  const ServiceStats &S = Service.stats();
   double E = static_cast<double>(Events ? Events : 1);
   State.counters["events_per_sec"] = benchmark::Counter(
       static_cast<double>(Gen.eventsPerBlock()),
@@ -260,10 +256,6 @@ void runAggregate(benchmark::State &State, MonitorService &Service,
       Service.composedVerdict() == Verdict::Yes ? 1.0 : 0.0);
   State.counters["fast_path_per_event"] = benchmark::Counter(
       static_cast<double>(Sessions.FastPathVerdicts - FastPath0) / E);
-  State.counters["ring_overflows"] =
-      benchmark::Counter(static_cast<double>(S.RingOverflows));
-  State.counters["backpressure_stalls"] =
-      benchmark::Counter(static_cast<double>(S.BackpressureStalls));
   State.counters["live_window_high_water"] =
       benchmark::Counter(static_cast<double>(Sessions.LiveWindowHighWater));
   State.counters["window_overflows"] =
@@ -334,7 +326,6 @@ static void BM_E9_Service_BatchWindow(benchmark::State &State) {
     std::size_t Block = Gen.appendBlock(Buf);
     Timer.start();
     bool Ok = Service.ingestText(Buf);
-    Service.poll();
     Timer.stop(State);
     benchmark::DoNotOptimize(Ok);
     Events += Block;
@@ -364,7 +355,7 @@ static void BM_E9_Service_PerEvent(benchmark::State &State) {
   std::size_t Objects = static_cast<std::size_t>(State.range(0));
   // Single client per object: every response is a quiescent cut, so the
   // steady state is the pure fast path — the floor of the service's
-  // per-event cost, measured per operation (two wire lines + poll).
+  // per-event cost, measured per operation (two wire lines).
   WireStreamGen Gen(Objects, 1, 0xE9C);
   MonitorService Service(Reg);
   std::string Buf;
@@ -381,7 +372,6 @@ static void BM_E9_Service_PerEvent(benchmark::State &State) {
     Cursor = (Cursor + 1) % Objects;
     Timer.start();
     bool Ok = Service.ingestText(Buf);
-    Service.poll();
     Latency.add(Timer.stop(State) / 2); // Two events per region.
     benchmark::DoNotOptimize(Ok);
     Events += 2;
@@ -423,7 +413,6 @@ static void BM_E9_Service_OverflowRecovery(benchmark::State &State) {
     appendServiceLine(Buf, 0, makeRespond(1, 1, In, S->apply(In)));
     if (!Service.ingestText(Buf))
       std::abort();
-    Service.poll();
   }
 
   constexpr std::size_t CycleEvents = 2 + 2 * 70;
@@ -444,7 +433,6 @@ static void BM_E9_Service_OverflowRecovery(benchmark::State &State) {
     appendServiceLine(Buf, 0, makeRespond(0, 1, Pinned, S->apply(Pinned)));
     Timer.start();
     bool Ok = Service.ingestText(Buf);
-    Service.poll();
     Timer.stop(State);
     benchmark::DoNotOptimize(Ok);
     RecoveredYes += Service.composedVerdict() == Verdict::Yes &&

@@ -16,12 +16,12 @@
 //
 // The defaults run 1024 objects x 10 clients = 10240 simulated clients,
 // 128 operations per object (~260k wire events). Every event is parsed
-// from its wire line (zero-copy), routed through the shard's SPSC ring,
-// appended, and answered; the composed verdict is current after each
-// event. Past warm-up the whole service path is allocation-free
-// (allocs_per_event below counts operator-new calls inside the gauged
-// ingest+poll region; CI asserts it stays 0) and every shard's live
-// window stays bounded by retirement.
+// from its wire line (zero-copy), appended straight into its shard's
+// session, and answered; the composed verdict is current as soon as
+// ingestText returns. Past warm-up the whole service path is
+// allocation-free (allocs_per_event below counts operator-new calls
+// inside the gauged ingest region; CI asserts it stays 0) and every
+// shard's live window stays bounded by retirement.
 //
 // --violate corrupts one response of object 0 (an output no KV execution
 // produces), demonstrating fault localization: that shard's session turns
@@ -39,7 +39,7 @@
 // Usage:
 //   service_monitor [--slin] [--violate | --straggler]
 //                   [--order <strict|tso>] [objects <n>] [clients <n>]
-//                   [ops <n>] [seed <n>] [batch <n>] [ring <n>]
+//                   [ops <n>] [seed <n>] [batch <n>]
 //
 // Emits one JSON summary line. Exit status 1 if the final composed
 // verdict is not Yes (0 with --violate, where No is the expected answer;
@@ -67,7 +67,6 @@ int main(int Argc, char **Argv) {
   unsigned Ops = 512;    // Per object.
   std::uint64_t Seed = 7;
   std::size_t Batch = 1;
-  std::size_t Ring = 256;
   bool SlinMode = false;
   bool Violate = false;
   bool Straggler = false;
@@ -103,8 +102,6 @@ int main(int Argc, char **Argv) {
       Seed = static_cast<std::uint64_t>(std::atoll(Argv[I + 1]));
     else if (!std::strcmp(Argv[I], "batch"))
       Batch = static_cast<std::size_t>(std::atoll(Argv[I + 1]));
-    else if (!std::strcmp(Argv[I], "ring"))
-      Ring = static_cast<std::size_t>(std::atoll(Argv[I + 1]));
     else if (!std::strcmp(Argv[I], "--order")) {
       if (!parseOrderRelation(Argv[I + 1], Order))
         I = -2;
@@ -116,12 +113,12 @@ int main(int Argc, char **Argv) {
   }
   if (I < 0 || Objects < 1 || Objects > (1u << 16) || Clients < 1 ||
       Clients > 63 || Ops < 1 || Ops > (1u << 16) || Batch < 1 ||
-      Ring < 2 || (Ring & (Ring - 1)) != 0 || (Violate && Straggler)) {
+      (Violate && Straggler)) {
     std::fprintf(stderr,
                  "usage: %s [--slin] [--violate | --straggler] "
                  "[--order <strict|tso>] "
                  "[objects <n<=65536>] [clients <n<=63>] [ops <n<=65536>] "
-                 "[seed <n>] [batch <n>] [ring <pow2>]\n",
+                 "[seed <n>] [batch <n>]\n",
                  Argv[0]);
     return 2;
   }
@@ -149,7 +146,6 @@ int main(int Argc, char **Argv) {
   ServiceConfig Config;
   Config.Mode = SlinMode ? ServiceMode::Slin : ServiceMode::Lin;
   Config.BatchWindow = Batch;
-  Config.RingCapacity = Ring;
   // Every shard session derives MustFollow under this relation. The SMR
   // harness marks its responses flushed (post-consensus visibility), so
   // --order tso must reproduce the strict verdicts and steady-state
@@ -206,7 +202,6 @@ int main(int Argc, char **Argv) {
     auto Start = std::chrono::steady_clock::now();
     if (!Service.ingestText(Buf))
       Ok = false;
-    Service.poll();
     ServiceSeconds += std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - Start)
                           .count();
@@ -237,7 +232,6 @@ int main(int Argc, char **Argv) {
       appendServiceLine(Buf, Obj, A);
       if (!Service.ingestText(Buf))
         Ok = false;
-      Service.poll();
     };
     Input Pinned = kv::put(1, 7);
     Feed(makeInvoke(Pinner, 1, Pinned));
@@ -282,8 +276,7 @@ int main(int Argc, char **Argv) {
       "\"bounded_yes_verdicts\":%llu,\"bounded_shards\":%zu,"
       "\"straggler_degraded\":%d,\"straggler_recovered\":%d,"
       "\"bounded_shards_peak\":%zu,"
-      "\"shard_verdicts\":%llu,\"backpressure_stalls\":%llu,"
-      "\"ring_overflows\":%llu,\"parse_errors\":%llu,"
+      "\"shard_verdicts\":%llu,\"parse_errors\":%llu,"
       "\"fast_path_verdicts\":%llu,\"retired_obligations\":%llu,"
       "\"live_window_high_water\":%llu,\"window_overflows\":%llu,"
       "\"steady_events\":%zu,\"allocs_per_event\":%.6f,"
@@ -299,8 +292,6 @@ int main(int Argc, char **Argv) {
       Service.tracker().boundedShards(), StragglerDegraded ? 1 : 0,
       StragglerRecovered ? 1 : 0, BoundedShardsPeak,
       static_cast<unsigned long long>(S.ShardVerdicts),
-      static_cast<unsigned long long>(S.BackpressureStalls),
-      static_cast<unsigned long long>(S.RingOverflows),
       static_cast<unsigned long long>(S.ParseErrors),
       static_cast<unsigned long long>(Sessions.FastPathVerdicts),
       static_cast<unsigned long long>(Sessions.RetiredObligations),

@@ -16,7 +16,7 @@ using detail::pairMix;
 
 namespace {
 
-/// One depth-first search run over a ChainProblem.
+/// One depth-first search run over a ChainProblemView.
 class Runner {
 public:
   Runner(const ChainProblemView &P, const ChainLimits &Limits,
@@ -396,7 +396,7 @@ private:
   bool HaveProbeSalt;
 
   std::uint64_t FullMask = 0;
-  std::size_t Base = 0; ///< ChainProblem::SeedBase (retired master inputs).
+  std::size_t Base = 0; ///< ChainProblemView::SeedBase (retired master inputs).
   bool UseUndo = false;
   /// Dense master ids are maintained only for callers that retain the
   /// chain (P.Retained set — resumable sessions); batch searches skip the
@@ -439,34 +439,6 @@ void slin::advanceFrontierState(FrontierState &F, const InputInterner &Interner,
       F.SeqHash = hashCombine(F.SeqHash, hashValue(In));
     ++F.Len;
   }
-}
-
-ChainResult ChainSearch::run(const ChainProblem &Problem,
-                             const ChainLimits &Limits, std::uint64_t Salt) {
-  // The owning form is a convenience wrapper: flatten it to a view and run
-  // the one search implementation, so batch and hot-path entries cannot
-  // diverge in verdicts or node counts.
-  ChainProblemView V;
-  V.Type = Problem.Type;
-  V.AlphabetSize = Problem.AlphabetSize;
-  V.Commits = Problem.Commits.data();
-  V.NumCommits = Problem.Commits.size();
-  V.Seed = Problem.Seed.data();
-  V.SeedLen = Problem.Seed.size();
-  V.SeedBase = Problem.SeedBase;
-  V.RetiredPrefix = Problem.RetiredPrefix ? Problem.RetiredPrefix->data()
-                                          : nullptr;
-  V.RetiredPrefixLen = Problem.RetiredPrefix ? Problem.RetiredPrefix->size()
-                                             : 0;
-  V.SeedCommits = Problem.SeedCommits.data();
-  V.NumSeedCommits = Problem.SeedCommits.size();
-  V.SequenceSensitive = Problem.SequenceSensitive;
-  V.ForceCloneStates = Problem.ForceCloneStates;
-  V.AcceptLeaf = Problem.AcceptLeaf ? &Problem.AcceptLeaf : nullptr;
-  V.Retained = Problem.Retained;
-  V.ProbeSalt = Problem.ProbeSalt;
-  V.HaveProbeSalt = Problem.HaveProbeSalt;
-  return run(V, Limits, Salt);
 }
 
 ChainResult ChainSearch::run(const ChainProblemView &Problem,

@@ -15,7 +15,7 @@
 /// engine — plain lin derives availability from inputs invoked before each
 /// response; slin seeds the master with the init LCP, caps availability by
 /// vi(m, t, f_init, i) and every abort's budget, and synthesizes f_abort at
-/// each leaf — so the engine is parameterized by a ChainProblem:
+/// each leaf — so the engine is parameterized by a ChainProblemView:
 ///
 ///   * CommitObligations (input, expected output, availability counts,
 ///     real-time-order predecessor mask),
@@ -31,7 +31,7 @@
 /// DFS threads a single replay state down the search path, reverting each
 /// move with an O(1) UndoToken instead of cloning the state at every child
 /// node; clone-per-child remains the fallback (and is selectable with
-/// ChainProblem::ForceCloneStates for differential testing).
+/// ChainProblemView::ForceCloneStates for differential testing).
 ///
 /// Deciding linearizability is NP-complete, so the search is bounded by a
 /// node budget and an optional deadline; exhaustion yields Verdict::Unknown
@@ -222,8 +222,16 @@ void advanceFrontierState(FrontierState &F, const InputInterner &Interner,
                           const InputId *Ids, std::size_t N);
 
 /// A chain-search instance: what to commit, what the master starts with,
-/// and what must hold at a leaf.
-struct ChainProblem {
+/// and what must hold at a leaf. The view is non-owning — raw
+/// pointer/length pairs over caller-retained storage — so handing the
+/// engine a problem never allocates: the batch checkers fill one over
+/// local vectors, and a resumable session maintains its live obligation
+/// window as persistent parallel arrays (SoA) and hands the engine a view
+/// over them each event.
+///
+/// Lifetimes: every pointed-to range (Commits, their Available rows, Seed,
+/// RetiredPrefix, SeedCommits, AcceptLeaf) must outlive the run() call.
+struct ChainProblemView {
   const Adt *Type = nullptr;
   /// Exclusive upper bound of the InputIds this problem mentions; all
   /// Available arrays have this length.
@@ -232,11 +240,22 @@ struct ChainProblem {
   /// the seed checkers' exploration order). At most 64 for exact search —
   /// windowed sessions keep this the *live* obligation window and retire
   /// committed quiescent prefixes behind SeedBase.
-  std::vector<CommitObligation> Commits;
-  /// Pre-applied master prefix (the slin init LCP, or a resumable
-  /// session's retained witness chain); it consumes availability and is
-  /// part of every commit history.
-  std::vector<InputId> Seed;
+  const CommitObligation *Commits = nullptr;
+  std::size_t NumCommits = 0;
+  /// Optional per-obligation availability override: when non-null, an array
+  /// of NumCommits row pointers (AlphabetSize entries each) used in place of
+  /// Commits[R].Available. This is how a slin session shares one SoA window
+  /// across its whole interpretation family — the shared Commits rows carry
+  /// tags/inputs/outputs/masks while each interpretation overlays only its
+  /// own availability rows (the one ingredient Definition 26 makes
+  /// interpretation-dependent), instead of materializing a full per-
+  /// interpretation obligation array per verdict.
+  const std::int32_t *const *AvailOverride = nullptr;
+  /// Pre-applied master prefix in dense ids (the slin init LCP, or a
+  /// resumable session's retained witness chain); it consumes availability
+  /// and is part of every commit history.
+  const InputId *Seed = nullptr;
+  std::size_t SeedLen = 0;
   /// Number of *retired* master inputs that virtually precede Seed. The
   /// full master is retired-prefix ++ Seed ++ search appends, but the
   /// engine never materializes the retired part: the adopted Retained
@@ -247,7 +266,7 @@ struct ChainProblem {
   /// ChainResult::Master/MasterIds carry only the live part (the caller
   /// that retired the prefix owns it and prepends it when materializing a
   /// witness). Requires either an adoptable Retained state of length
-  /// SeedBase + Seed.size() or RetiredPrefix for the replay fallback; the
+  /// SeedBase + SeedLen or RetiredPrefix for the replay fallback; the
   /// AcceptLeaf predicate (if any) must not inspect the retired region of
   /// the master (it only sees the live part).
   std::size_t SeedBase = 0;
@@ -256,15 +275,17 @@ struct ChainProblem {
   /// materializing it into the master) and to fold sequence hashes for
   /// states captured before the problem became sequence-sensitive. Must
   /// have exactly SeedBase elements whenever SeedBase != 0.
-  const std::vector<InputId> *RetiredPrefix = nullptr;
+  const InputId *RetiredPrefix = nullptr;
+  std::size_t RetiredPrefixLen = 0;
   /// Obligations already committed *within* the (virtual ++ materialized)
   /// seed, as (obligation index, absolute master length at the commit
   /// point) in chain order. The search starts with these marked committed
   /// — this is how a resumable session resumes from its retained success
   /// frontier instead of re-deriving the old witness: the root of the run
   /// is the old leaf, and backtracking above it is the fallback full
-  /// search's job. Every listed length must be <= SeedBase + Seed.size().
-  std::vector<std::pair<std::size_t, std::size_t>> SeedCommits;
+  /// search's job. Every listed length must be <= SeedBase + SeedLen.
+  const std::pair<std::size_t, std::size_t> *SeedCommits = nullptr;
+  std::size_t NumSeedCommits = 0;
   /// Include the master's sequence hash in memo keys. Required whenever the
   /// leaf predicate depends on the master's order (abort synthesis does);
   /// plain multiset + ADT-digest keys suffice otherwise.
@@ -275,15 +296,18 @@ struct ChainProblem {
   bool ForceCloneStates = false;
   /// Called when every obligation is committed, with the candidate master
   /// and the longest commit-prefix length; returning false rejects the
-  /// leaf and the search continues. Null accepts every leaf.
-  std::function<bool(const History &Master, std::size_t MaxCommitLen)>
-      AcceptLeaf;
+  /// leaf and the search continues. Borrowed: null (or pointing at an
+  /// empty std::function) accepts every leaf. A pointer rather than a
+  /// copy: the view itself must never allocate.
+  const std::function<bool(const History &Master, std::size_t MaxCommitLen)>
+      *AcceptLeaf = nullptr;
   /// Optional retained replay state for Seed, owned by the caller (in-out).
-  /// When it is valid, matches Seed's length, and the run is undo-capable,
-  /// the engine starts from it — zero seed replay — and refreshes it to the
-  /// new accepting leaf on Yes. A fresh (or mismatched) run still captures
-  /// the leaf into it on Yes, which is how a resumable session's frontier
-  /// state gets created in the first place. Null disables retention.
+  /// When it is valid, matches the seed's length, and the run is
+  /// undo-capable, the engine starts from it — zero seed replay — and
+  /// refreshes it to the new accepting leaf on Yes. A fresh (or mismatched)
+  /// run still captures the leaf into it on Yes, which is how a resumable
+  /// session's frontier state gets created in the first place. Null
+  /// disables retention.
   FrontierState *Retained = nullptr;
   /// A second salt *probed* (never inserted under) on memo lookups.
   /// Incremental sessions use it to keep entries sealed under a shared
@@ -297,61 +321,9 @@ struct ChainProblem {
   bool HaveProbeSalt = false;
 };
 
-/// A non-owning view of a chain-search instance: the same fields as
-/// ChainProblem, flattened to raw pointer/length pairs over caller-retained
-/// storage. This is the data-oriented hot-path entry: a resumable session
-/// maintains its live obligation window as persistent parallel arrays
-/// (SoA) and hands the engine a view over them each event, instead of
-/// materializing a fresh ChainProblem (vector copies of commits, seed,
-/// and seed-commit rows) per verdict. ChainSearch::run(const ChainProblem&)
-/// wraps the owning form in a view and delegates, so both entries execute
-/// the identical search — verdicts and node counts cannot drift.
-///
-/// Lifetimes: every pointed-to range (Commits, their Available rows, Seed,
-/// RetiredPrefix, SeedCommits, AcceptLeaf) must outlive the run() call.
-struct ChainProblemView {
-  const Adt *Type = nullptr;
-  InputId AlphabetSize = 0;
-  /// Obligations in move-attempt order; at most 64. Available rows must
-  /// have AlphabetSize entries each.
-  const CommitObligation *Commits = nullptr;
-  std::size_t NumCommits = 0;
-  /// Optional per-obligation availability override: when non-null, an array
-  /// of NumCommits row pointers (AlphabetSize entries each) used in place of
-  /// Commits[R].Available. This is how a slin session shares one SoA window
-  /// across its whole interpretation family — the shared Commits rows carry
-  /// tags/inputs/outputs/masks while each interpretation overlays only its
-  /// own availability rows (the one ingredient Definition 26 makes
-  /// interpretation-dependent), instead of materializing a full per-
-  /// interpretation ChainProblem per verdict.
-  const std::int32_t *const *AvailOverride = nullptr;
-  /// Pre-applied master prefix (dense ids).
-  const InputId *Seed = nullptr;
-  std::size_t SeedLen = 0;
-  /// Retired master inputs virtually preceding Seed (ChainProblem::SeedBase).
-  std::size_t SeedBase = 0;
-  /// Dense ids of the retired prefix; must have exactly SeedBase elements
-  /// whenever SeedBase != 0 (replay fallback + late sequence-hash folds).
-  const InputId *RetiredPrefix = nullptr;
-  std::size_t RetiredPrefixLen = 0;
-  /// (obligation index, absolute master length) pairs committed in the seed.
-  const std::pair<std::size_t, std::size_t> *SeedCommits = nullptr;
-  std::size_t NumSeedCommits = 0;
-  bool SequenceSensitive = false;
-  bool ForceCloneStates = false;
-  /// Borrowed leaf predicate; null (or pointing at an empty std::function)
-  /// accepts every leaf. A pointer rather than a copy: the view itself must
-  /// never allocate.
-  const std::function<bool(const History &Master, std::size_t MaxCommitLen)>
-      *AcceptLeaf = nullptr;
-  FrontierState *Retained = nullptr;
-  std::uint64_t ProbeSalt = 0;
-  bool HaveProbeSalt = false;
-};
-
 /// Outcome of one search run. On Yes, Master/Commits describe the witness
 /// chain: Commits maps each obligation's Tag to its commit history's length
-/// (a prefix of Master). Under ChainProblem::SeedBase, Master holds only
+/// (a prefix of Master). Under ChainProblemView::SeedBase, Master holds only
 /// the live (post-retirement) part while commit lengths stay absolute.
 struct ChainResult {
   Verdict Outcome = Verdict::No;
@@ -363,7 +335,7 @@ struct ChainResult {
   History Master;
   /// Master in dense ids (parallel to Master). Resumable sessions retain
   /// this as the next run's seed without re-interning the witness.
-  /// Populated only when ChainProblem::Retained was set — batch searches
+  /// Populated only when ChainProblemView::Retained was set — batch searches
   /// skip the per-node id bookkeeping.
   std::vector<InputId> MasterIds;
   std::vector<std::pair<std::size_t, std::size_t>> Commits;
@@ -382,12 +354,7 @@ public:
               Arena &Scratch)
       : Interner(Interner), Memo(Memo), Scratch(Scratch) {}
 
-  ChainResult run(const ChainProblem &Problem, const ChainLimits &Limits,
-                  std::uint64_t Salt = 0);
-
-  /// Runs the identical search over a non-owning problem view (the
-  /// allocation-free steady-state entry). The owning overload above wraps
-  /// its problem in a view and calls this.
+  /// Runs one search over \p Problem.
   ChainResult run(const ChainProblemView &Problem, const ChainLimits &Limits,
                   std::uint64_t Salt = 0);
 

@@ -49,7 +49,7 @@ detail::makeAbortSynthesisLeaf(
     FoundAborts.clear();
     if (Aborts.empty())
       return true; // Nothing to synthesize — and the master must not be
-                   // touched: under ChainProblem::SeedBase (abort-free by
+                   // touched: under ChainProblemView::SeedBase (abort-free by
                    // construction) it holds the live window only, while
                    // commit lengths stay absolute.
     History LongestCommit(Master.begin(), Master.begin() + MaxCommitLen);
@@ -163,12 +163,10 @@ LinCheckResult CheckSession::runLin(const Trace &T,
   // inputs invoked so far, and each response snapshots it as its
   // availability (elems(inputs(t, i)), Definition 9) — replacing the seed
   // checker's per-response O(trace) multiset rebuild.
-  ChainProblem Problem;
-  Problem.Type = &Type;
-  Problem.AlphabetSize = A;
+  std::vector<CommitObligation> Commits;
   std::int32_t *Running = Scratch.allocZeroed<std::int32_t>(A);
   std::vector<std::size_t> OpenInvoke(64, SIZE_MAX);
-  std::vector<OrderSite> Sites; // Parallel to Problem.Commits.
+  std::vector<OrderSite> Sites; // Parallel to Commits.
   const OrderRelation Rel(Opts.Order);
   std::vector<std::int32_t *> Rows; // Mutable view of the commits' rows.
   for (std::size_t I = 0, E = T.size(); I != E; ++I) {
@@ -196,7 +194,7 @@ LinCheckResult CheckSession::runLin(const Trace &T,
     Ob.In = Interner.intern(Act.In);
     Ob.Out = Act.Out;
     Ob.Available = Avail;
-    Problem.Commits.push_back(Ob);
+    Commits.push_back(Ob);
     Sites.push_back({OpenInvoke[Act.Client], Act.Client, Act.Meta});
     Rows.push_back(Avail);
   }
@@ -205,11 +203,15 @@ LinCheckResult CheckSession::runLin(const Trace &T,
   // condition Lemma 4 needs to reorder a trace while preserving
   // non-overlapping operations). Under the default Strict relation this is
   // exactly real-time order; the relation layer owns the derivation.
-  Rel.deriveMasks(Problem.Commits.data(), Problem.Commits.size(),
-                  Sites.data());
+  Rel.deriveMasks(Commits.data(), Commits.size(), Sites.data());
 
-  ChainLimits Limits{Opts.NodeBudget, Opts.TimeBudgetMillis};
+  ChainProblemView Problem;
+  Problem.Type = &Type;
+  Problem.AlphabetSize = A;
+  Problem.Commits = Commits.data();
+  Problem.NumCommits = Commits.size();
   Problem.ForceCloneStates = ForceCloneStates;
+  ChainLimits Limits{Opts.NodeBudget, Opts.TimeBudgetMillis};
   ChainSearch Engine(Interner, Memo, Scratch);
   ChainResult R = Engine.run(Problem, Limits, ++RunSerial);
   Stats.Search.accumulate(R.Stats);
@@ -281,11 +283,10 @@ SlinCheckResult CheckSession::runSlinUnder(const Trace &T,
   History Lcp = longestCommonPrefix(InitHistories);
   bool HaveInits = !InitHistories.empty();
 
+  std::vector<CommitObligation> Commits;
   std::vector<Multiset<Input>> CommitAvail;
-  std::vector<OrderSite> Sites; // Parallel to Problem.Commits.
+  std::vector<OrderSite> Sites; // Parallel to Commits.
   std::vector<detail::PendingAbort> Aborts;
-  ChainProblem Problem;
-  Problem.Type = &Type;
 
   std::vector<std::size_t> OpenStart(64, SIZE_MAX);
   const OrderRelation Ord(Opts.Search.Order);
@@ -313,7 +314,7 @@ SlinCheckResult CheckSession::runSlinUnder(const Trace &T,
       Ob.Tag = I;
       Ob.In = Interner.intern(Act.In);
       Ob.Out = Act.Out;
-      Problem.Commits.push_back(Ob);
+      Commits.push_back(Ob);
       // Commit availability is vi(m, t, f_init, i) (Definition 26).
       CommitAvail.push_back(validInputs(T, Sig, Finit, I));
       Sites.push_back({OpenStart[Act.Client], Act.Client, Act.Meta});
@@ -326,30 +327,38 @@ SlinCheckResult CheckSession::runSlinUnder(const Trace &T,
   }
   // Happens-before among commits (as in the plain provider), through the
   // same relation-layer choke point.
-  Ord.deriveMasks(Problem.Commits.data(), Problem.Commits.size(),
-                  Sites.data());
+  Ord.deriveMasks(Commits.data(), Commits.size(), Sites.data());
   detail::capByAbortBudgets(CommitAvail, Aborts);
-  Problem.AlphabetSize = Interner.size();
+  const InputId A = Interner.size();
   for (std::size_t R = 0; R != CommitAvail.size(); ++R)
-    Problem.Commits[R].Available = denseCounts(CommitAvail[R]);
+    Commits[R].Available = denseCounts(CommitAvail[R]);
 
   // Seed the master with the init LCP (the strict-prefix obligation of
   // Init Order); its availability for each commit is checked at commit
   // time through the engine's deficit counters.
+  std::vector<InputId> Seed;
   if (HaveInits)
     for (const Input &In : Lcp)
-      Problem.Seed.push_back(Interner.intern(In));
+      Seed.push_back(Interner.intern(In));
 
   // At a leaf every response is committed; synthesize f_abort per abort
   // action. Abort histories extend the master *sequence*, so the memo key
   // must distinguish orderings whenever aborts are present.
   std::vector<std::pair<std::size_t, History>> FoundAborts;
-  Problem.SequenceSensitive = !Aborts.empty();
-  Problem.AcceptLeaf =
+  const std::function<bool(const History &, std::size_t)> AcceptLeaf =
       detail::makeAbortSynthesisLeaf(Rel, Aborts, Lcp, FoundAborts);
 
-  ChainLimits Limits{Opts.Search.NodeBudget, Opts.Search.TimeBudgetMillis};
+  ChainProblemView Problem;
+  Problem.Type = &Type;
+  Problem.AlphabetSize = A;
+  Problem.Commits = Commits.data();
+  Problem.NumCommits = Commits.size();
+  Problem.Seed = Seed.data();
+  Problem.SeedLen = Seed.size();
+  Problem.SequenceSensitive = !Aborts.empty();
+  Problem.AcceptLeaf = &AcceptLeaf;
   Problem.ForceCloneStates = ForceCloneStates;
+  ChainLimits Limits{Opts.Search.NodeBudget, Opts.Search.TimeBudgetMillis};
   ChainSearch Engine(Interner, Memo, Scratch);
   ChainResult R = Engine.run(Problem, Limits, ++RunSerial);
   Stats.Search.accumulate(R.Stats);

@@ -12,7 +12,7 @@
 /// between traces), and the transposition table (kept warm across traces
 /// via per-run key salting). The session is also where the checkers'
 /// obligation providers live: checkLin and checkSlinUnder translate a trace
-/// into a ChainProblem — commit obligations, seed prefix, leaf predicate —
+/// into a ChainProblemView — commit obligations, seed prefix, leaf predicate —
 /// and hand it to the shared ChainSearch engine.
 ///
 /// The free functions checkLinearizable / checkSlinUnder / checkSlin are

@@ -39,7 +39,7 @@
 ///     full and a response arrives, the core folds every member chain's
 ///     committed prefix up to the latest quiescent cut into a per-member
 ///     retired prefix and drops it from the window. Searches then run
-///     behind the engine's ChainProblem::SeedBase, so a steady-state
+///     behind the engine's ChainProblemView::SeedBase, so a steady-state
 ///     verdict is O(window) however long the trace grows. Yes still carries
 ///     a replayable witness (retired prefix ++ live chain); a live-window
 ///     No only rules out completions of the pinned retired chain and is

@@ -12,16 +12,16 @@ using namespace slin;
 
 namespace {
 const std::string EmptyReason;
+constexpr std::uint32_t NoShard = ~0u;
 } // namespace
 
-/// One object's slice of the service: its ingest ring, its incremental
-/// session over the object's projection, the global->local client remap,
-/// and the batched-publication cursor. Exactly one of Lin/Slin is set,
-/// per the service mode.
+/// One object's slice of the service: its incremental session over the
+/// object's projection, the global->local client remap, and the
+/// batched-publication cursor. Exactly one of Lin/Slin is set, per the
+/// service mode.
 struct MonitorService::Shard {
   ObjectId Object = 0;
   std::uint32_t Index = 0; ///< Dense index; the tracker's shard id.
-  SpscRing<Action> Ring;
   std::unique_ptr<IncrementalLinSession> Lin;
   std::unique_ptr<IncrementalSlinSession> Slin;
   /// Local client id -> global wire id, first-seen order. Lookup is a
@@ -30,15 +30,13 @@ struct MonitorService::Shard {
   std::vector<std::uint32_t> Clients;
   std::uint64_t Events = 0;       ///< Appended into the session.
   std::size_t SinceVerdict = 0;   ///< Appends since the last publication.
-  bool InDirty = false;
   bool Doomed = false;            ///< Session rejected an event (final No).
   Verdict Last = Verdict::Yes;
   VerdictGrade LastGrade = VerdictGrade::Yes;
   bool HasVerdict = false;
   std::string LastReason;
 
-  Shard(ObjectId Obj, std::uint32_t Idx, std::size_t RingCapacity)
-      : Object(Obj), Index(Idx), Ring(RingCapacity) {}
+  Shard(ObjectId Obj, std::uint32_t Idx) : Object(Obj), Index(Idx) {}
 
   std::uint32_t localClient(std::uint32_t Global) {
     for (std::uint32_t L = 0; L != Clients.size(); ++L)
@@ -49,9 +47,8 @@ struct MonitorService::Shard {
   }
 
   std::size_t memoryBytes() const {
-    std::size_t Bytes = Ring.memoryBytes() +
-                        Clients.capacity() * sizeof(std::uint32_t) +
-                        sizeof(Shard);
+    std::size_t Bytes =
+        Clients.capacity() * sizeof(std::uint32_t) + sizeof(Shard);
     if (Lin)
       Bytes += Lin->memoryFootprintBytes();
     if (Slin)
@@ -88,27 +85,28 @@ MonitorService::MonitorService(const Adt &Type, const PhaseSignature &Sig,
 
 MonitorService::~MonitorService() = default;
 
-MonitorService::Shard *MonitorService::shardFor(ObjectId Object) {
-  auto It = ShardIndex.find(Object);
-  if (It != ShardIndex.end())
-    return Shards[It->second].get();
-  if (Shards.size() >= Config.MaxShards)
-    return nullptr;
-  auto Idx = static_cast<std::uint32_t>(Shards.size());
-  auto S = std::make_unique<Shard>(Object, Idx, Config.RingCapacity);
-  if (Config.Mode == ServiceMode::Lin)
-    S->Lin = std::make_unique<IncrementalLinSession>(Type, ShardOptions);
-  else
-    S->Slin = std::make_unique<IncrementalSlinSession>(Type, *Sig, *Rel,
-                                                       ShardOptions);
-  Shards.push_back(std::move(S));
-  ShardIndex.emplace(Object, Idx);
-  return Shards.back().get();
+MonitorService::Shard &MonitorService::shardFor(ObjectId Object) {
+  if (Object >= ShardSlot.size())
+    ShardSlot.resize(Object + 1, NoShard);
+  std::uint32_t &Slot = ShardSlot[Object];
+  if (Slot == NoShard) {
+    auto S = std::make_unique<Shard>(
+        Object, static_cast<std::uint32_t>(Shards.size()));
+    if (Config.Mode == ServiceMode::Lin)
+      S->Lin = std::make_unique<IncrementalLinSession>(Type, ShardOptions);
+    else
+      S->Slin = std::make_unique<IncrementalSlinSession>(Type, *Sig, *Rel,
+                                                         ShardOptions);
+    Shards.push_back(std::move(S));
+    Slot = Shards.back()->Index;
+  }
+  return *Shards[Slot];
 }
 
 const MonitorService::Shard *MonitorService::findShard(ObjectId Object) const {
-  auto It = ShardIndex.find(Object);
-  return It == ShardIndex.end() ? nullptr : Shards[It->second].get();
+  if (Object >= ShardSlot.size() || ShardSlot[Object] == NoShard)
+    return nullptr;
+  return Shards[ShardSlot[Object]].get();
 }
 
 bool MonitorService::ingestLine(std::string_view Line) {
@@ -144,38 +142,17 @@ bool MonitorService::ingestText(std::string_view Text) {
 }
 
 void MonitorService::ingest(ObjectId Object, const Action &A) {
-  assert(Object < MaxObjectId && "caller must bound object ids");
-  Shard *S = shardFor(Object);
-  if (!S) {
+  // The id sizes the flat shard index, so a caller-supplied id past the
+  // wire's own bound is dropped, not indexed.
+  if (Object >= MaxObjectId) {
     ++Stats.Rejected;
     return;
   }
-  if (!S->Ring.push(A)) {
-    // Backpressure, not loss: drain the shard inline and retry. The retry
-    // cannot fail on this thread (the drain just emptied the ring), but if
-    // the contract is ever broken the loss is counted, never silent.
-    ++Stats.BackpressureStalls;
-    drainShard(*S);
-    if (!S->Ring.push(A)) {
-      ++Stats.RingOverflows;
-      return;
-    }
-  }
   ++Stats.Events;
-  if (!S->InDirty) {
-    S->InDirty = true;
-    Dirty.push_back(S->Index);
-  }
-}
-
-void MonitorService::drainShard(Shard &S) {
-  Action A;
-  while (S.Ring.pop(A))
-    applyToShard(S, A);
+  applyToShard(shardFor(Object), A);
 }
 
 void MonitorService::applyToShard(Shard &S, const Action &A) {
-  ++Stats.Applied;
   ++S.Events;
   ++S.SinceVerdict;
   if (!S.Doomed) {
@@ -233,17 +210,7 @@ void MonitorService::publishShard(Shard &S) {
                                                   : S.LastReason);
 }
 
-void MonitorService::poll() {
-  for (std::uint32_t Idx : Dirty) {
-    Shard &S = *Shards[Idx];
-    S.InDirty = false;
-    drainShard(S);
-  }
-  Dirty.clear();
-}
-
 void MonitorService::flush() {
-  poll();
   for (auto &S : Shards)
     if (S->SinceVerdict != 0 || !S->HasVerdict)
       publishShard(*S);

@@ -15,22 +15,21 @@
 /// from the shard verdicts alone (slin/Composition.h,
 /// ComposedVerdictTracker).
 ///
-/// The pipeline, per event:
+/// The pipeline, per event, all inside ingest():
 ///
 ///   wire line --parseServiceLine--> (object, action)     [zero-copy]
-///            --demux--> shard SPSC ring                  [fixed capacity]
-///            --drain--> session append + verdict         [O(1) steady]
+///            --demux--> shard slot, flat index by id     [O(1)]
+///            --apply--> session append + verdict         [O(1) steady]
 ///            --batch--> publication every BatchWindow    [O(1)]
 ///            --compose--> whole-system verdict           [O(1) steady]
 ///
-/// Ingest contract: rings never drop. A full ring is backpressure — the
-/// producer drains that shard inline and retries (BackpressureStalls
-/// counts the stalls; RingOverflows counts lost events and is structurally
-/// zero, which CI asserts). After each shard's warm-up, the whole pipeline
+/// No queue sits between the stages: when ingest() returns, the event is
+/// in its shard's session, the shard verdict is taken, and it is published
+/// if its batch came due. After each shard's warm-up, the whole pipeline
 /// is allocation-free in the steady state: the parse is in-place over the
-/// view, the ring is preallocated, the sessions' fast paths reuse warmed
-/// storage (shards run RetainTrace/RetainRetiredWitness off — outcome-only
-/// monitors), and the tracker's update is a no-op while verdicts stand.
+/// view, the sessions' fast paths reuse warmed storage (shards run
+/// RetainTrace/RetainRetiredWitness off — outcome-only monitors), and the
+/// tracker's update is a no-op while verdicts stand.
 ///
 /// Client ids on the wire are global; each shard remaps them to dense
 /// local ids in first-seen order. Every per-client structure downstream is
@@ -46,7 +45,6 @@
 #define SLIN_SERVICE_SERVICE_H
 
 #include "engine/Incremental.h"
-#include "service/SpscRing.h"
 #include "service/Wire.h"
 #include "slin/Composition.h"
 #include "slin/SlinChecker.h"
@@ -54,7 +52,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace slin {
@@ -69,8 +66,6 @@ enum class ServiceMode : std::uint8_t {
 /// the single-session defaults (a thousand shards multiply every byte).
 struct ServiceConfig {
   ServiceMode Mode = ServiceMode::Lin;
-  /// Events each shard's ingest ring holds; power of two.
-  std::size_t RingCapacity = 256;
   /// Shard verdict *publication* cadence: fold the shard's standing
   /// verdict into the composed tracker after every N session appends (1 =
   /// per-event composed verdicts; larger batches amortize the publication
@@ -82,9 +77,6 @@ struct ServiceConfig {
   std::size_t BatchWindow = 1;
   /// Transposition capacity per shard (vs 2^20 for a lone session).
   std::size_t TranspositionCapacity = 1u << 12;
-  /// Cap on distinct objects; an event for a fresh object past the cap is
-  /// rejected (counted, never silently dropped).
-  std::size_t MaxShards = MaxObjectId;
   /// Node budget per shard verdict.
   std::uint64_t NodeBudget = 1u << 22;
   /// Out-of-window interference a pinned shard may leave unchecked and
@@ -102,18 +94,18 @@ struct ServiceConfig {
 
 /// Monotonic service counters.
 struct ServiceStats {
-  std::uint64_t Events = 0;            ///< Accepted into shard rings.
-  std::uint64_t Applied = 0;           ///< Appended into shard sessions.
+  std::uint64_t Events = 0;            ///< Appended into shard sessions.
   std::uint64_t ParseErrors = 0;       ///< Malformed wire lines.
-  std::uint64_t Rejected = 0;          ///< Fresh object past MaxShards.
-  std::uint64_t BackpressureStalls = 0;///< Full ring forced an inline drain.
-  std::uint64_t RingOverflows = 0;     ///< Events lost; structurally zero.
+  /// ingest() calls with an object id >= MaxObjectId, dropped (the wire
+  /// parser reports such lines as ParseErrors instead).
+  std::uint64_t Rejected = 0;
+  std::uint64_t BackpressureStalls = 0;///< Always zero: there is no queue.
+  std::uint64_t RingOverflows = 0;     ///< Always zero: there is no queue.
   std::uint64_t ShardVerdicts = 0;     ///< Per-shard verdicts published.
 };
 
-/// The sharded multi-object monitor. Single-threaded today (ingest and
-/// drain interleave on one thread); the ring keeps the SPSC contract so
-/// shards can move onto worker threads without an ingest redesign.
+/// The sharded multi-object monitor. Every call does its work on the
+/// caller's thread before returning.
 class MonitorService {
 public:
   /// A Lin-mode service: every shard checks plain linearizability of its
@@ -128,9 +120,9 @@ public:
 
   ~MonitorService();
 
-  /// Parses one wire line and routes it. Returns false only on a
-  /// malformed line (diagnostic in lastError()); blank/comment lines and
-  /// rejected-but-well-formed events (object cap) return true.
+  /// Parses one wire line and ingests it. Returns false only on a
+  /// malformed line (diagnostic in lastError()); blank/comment lines
+  /// return true.
   bool ingestLine(std::string_view Line);
 
   /// Ingests a whole buffer of wire lines. Stops at the first malformed
@@ -138,19 +130,20 @@ public:
   /// lastError().
   bool ingestText(std::string_view Text);
 
-  /// Routes one already-parsed event. \p Object must be < MaxObjectId.
+  /// Appends one already-parsed event to its object's shard session, takes
+  /// the shard verdict, and publishes it when the batch comes due. An
+  /// \p Object >= MaxObjectId is counted in Stats.Rejected and dropped.
   void ingest(ObjectId Object, const Action &A);
 
-  /// Drains every shard ring touched since the last poll and publishes
-  /// the shard verdicts that came due (BatchWindow). The composed verdict
-  /// is current as of the drained events afterwards.
-  void poll();
+  /// A no-op: ingest() leaves nothing pending. Kept for the benchmark
+  /// harness, which still calls it after every event.
+  void poll() {}
 
-  /// poll(), then forces a verdict out of every shard holding appends
-  /// that had not reached a batch boundary.
+  /// Forces a verdict out of every shard holding appends that had not
+  /// reached a batch boundary.
   void flush();
 
-  /// The composed whole-system verdict over everything drained so far
+  /// The composed whole-system verdict over everything ingested so far
   /// (any shard No => No; else any shard Unknown => Unknown; else Yes).
   Verdict composedVerdict() const { return Tracker.verdict(); }
 
@@ -188,7 +181,7 @@ public:
   SessionStats aggregateSessionStats() const;
 
   /// Estimated resident bytes summed over every shard (session footprint +
-  /// ring + remap table); the per-shard maximum; see
+  /// remap table); the per-shard maximum; see
   /// IncrementalLinSession::memoryFootprintBytes for the contract.
   std::size_t memoryFootprintBytes() const;
   std::size_t maxShardMemoryBytes() const;
@@ -196,11 +189,9 @@ public:
 private:
   struct Shard;
 
-  /// Returns the shard for \p Object, creating it on first sight; null
-  /// when the object cap is reached (caller counts the rejection).
-  Shard *shardFor(ObjectId Object);
-  /// Empties \p S's ring into its session, publishing at batch boundaries.
-  void drainShard(Shard &S);
+  /// Returns the shard for \p Object (< MaxObjectId), creating it on first
+  /// sight.
+  Shard &shardFor(ObjectId Object);
   /// Appends one event to \p S's session (remapping the client id), takes
   /// the session verdict, and publishes if the batch came due.
   void applyToShard(Shard &S, const Action &A);
@@ -219,8 +210,9 @@ private:
   IncrementalOptions ShardOptions;
 
   std::vector<std::unique_ptr<Shard>> Shards;
-  std::unordered_map<ObjectId, std::uint32_t> ShardIndex;
-  std::vector<std::uint32_t> Dirty; ///< Shards with undrained rings.
+  /// Object id -> index into Shards, NoShard for ids not seen yet; grows
+  /// to the highest id seen.
+  std::vector<std::uint32_t> ShardSlot;
 
   ComposedVerdictTracker Tracker;
   ServiceStats Stats;

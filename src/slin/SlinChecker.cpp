@@ -6,7 +6,7 @@
 //
 // The Definition 19 decision procedure is now a thin entry point over the
 // shared chain-search engine: engine/CheckSession.cpp translates the trace
-// and interpretation into a ChainProblem (init-LCP seed, vi-capped commit
+// and interpretation into a ChainProblemView (init-LCP seed, vi-capped commit
 // obligations, per-leaf f_abort synthesis) and engine/ChainSearch.cpp
 // performs the memoized commit-by-commit search both checkers share. Batch
 // workloads should hold a CheckSession directly.

@@ -21,8 +21,9 @@
 //     Unknown turns it Unknown, and a No on another shard overrides it;
 //   * BatchWindow batches publication only: any window yields the same
 //     standing verdicts after flush() as per-event publication;
-//   * a full ring is backpressure, not loss (stalls counted, overflows
-//     structurally zero, every event applied);
+//   * ingest() is the whole pipeline: the composed verdict is current
+//     after every call, poll() or not, and an out-of-range object id is
+//     counted and dropped, never indexed;
 //   * the steady-state service path is allocation-free end to end (this
 //     binary interposes operator new — support/AllocGauge.h);
 //   * ComposedVerdictTracker unit coverage (absorption, culprit and
@@ -196,7 +197,6 @@ TEST(Service, DifferentialAgainstBatchChecker) {
     Buf.clear();
     Stream.appendRound(Buf);
     ASSERT_TRUE(Service.ingestText(Buf)) << Service.lastError();
-    Service.poll();
   }
   Service.flush();
 
@@ -215,8 +215,6 @@ TEST(Service, DifferentialAgainstBatchChecker) {
   EXPECT_EQ(Service.composedVerdict(), Verdict::Yes); // The streams are
                                                       // correct by
                                                       // construction.
-  EXPECT_EQ(Service.stats().Applied, Service.stats().Events);
-  EXPECT_EQ(Service.stats().RingOverflows, 0u);
 }
 
 TEST(Service, RetiresOnLongStreams) {
@@ -232,7 +230,6 @@ TEST(Service, RetiresOnLongStreams) {
     Buf.clear();
     Stream.appendRound(Buf);
     ASSERT_TRUE(Service.ingestText(Buf)) << Service.lastError();
-    Service.poll();
   }
   Service.flush();
   EXPECT_EQ(Service.composedVerdict(), Verdict::Yes);
@@ -240,7 +237,6 @@ TEST(Service, RetiresOnLongStreams) {
   EXPECT_GT(Sessions.RetiredObligations, 0u);
   EXPECT_LE(Sessions.LiveWindowHighWater, 64u);
   EXPECT_EQ(Sessions.WindowOverflows, 0u);
-  EXPECT_EQ(Service.stats().Applied, Service.stats().Events);
 }
 
 TEST(Service, SlinModeAgreesWithLin) {
@@ -261,8 +257,6 @@ TEST(Service, SlinModeAgreesWithLin) {
     Stream.appendRound(Buf);
     ASSERT_TRUE(LinService.ingestText(Buf));
     ASSERT_TRUE(SlinService.ingestText(Buf));
-    LinService.poll();
-    SlinService.poll();
   }
   LinService.flush();
   SlinService.flush();
@@ -289,7 +283,6 @@ TEST(Service, ShardNoPropagatesAndAbsorbs) {
     Buf.clear();
     Stream.appendRound(Buf);
     ASSERT_TRUE(Service.ingestText(Buf));
-    Service.poll();
   }
   ASSERT_EQ(Service.composedVerdict(), Verdict::Yes);
 
@@ -300,7 +293,6 @@ TEST(Service, ShardNoPropagatesAndAbsorbs) {
   BadResp.Out.Val = 424242;
   Service.ingest(2, BadInv);
   Service.ingest(2, BadResp);
-  Service.poll();
 
   EXPECT_EQ(Service.composedVerdict(), Verdict::No);
   EXPECT_EQ(Service.culpritObject(), 2u);
@@ -317,7 +309,6 @@ TEST(Service, ShardNoPropagatesAndAbsorbs) {
     Buf.clear();
     Stream.appendRound(Buf);
     ASSERT_TRUE(Service.ingestText(Buf));
-    Service.poll();
   }
   EXPECT_EQ(Service.composedVerdict(), Verdict::No);
   EXPECT_EQ(Service.culpritObject(), 2u);
@@ -338,7 +329,6 @@ TEST(Service, ShardUnknownPropagatesAndNoOverrides) {
     Service.ingest(1, makeInvoke(1, 1, In));
     Service.ingest(1, makeRespond(1, 1, In, Model->apply(In)));
   }
-  Service.poll();
   EXPECT_EQ(Service.shardVerdict(1), Verdict::Unknown);
   EXPECT_EQ(Service.composedVerdict(), Verdict::Unknown);
   EXPECT_EQ(Service.culpritObject(), 1u);
@@ -351,7 +341,6 @@ TEST(Service, ShardUnknownPropagatesAndNoOverrides) {
   Action Bad = makeRespond(0, 1, In, Output{});
   Bad.Out.Val = 424242;
   Service.ingest(0, Bad);
-  Service.poll();
   EXPECT_EQ(Service.composedVerdict(), Verdict::No);
   EXPECT_EQ(Service.culpritObject(), 0u);
 }
@@ -374,8 +363,6 @@ TEST(Service, BatchWindowPublishesSameVerdicts) {
     Stream.appendRound(Buf);
     ASSERT_TRUE(PerEvent.ingestText(Buf));
     ASSERT_TRUE(Windowed.ingestText(Buf));
-    PerEvent.poll();
-    Windowed.poll();
   }
   // Batching changes when verdicts are published, never which verdicts
   // are computed: publications are ~8x rarer, the standing verdicts after
@@ -397,28 +384,67 @@ TEST(Service, BatchWindowPublishesSameVerdicts) {
 }
 
 //===----------------------------------------------------------------------===//
-// Ring backpressure.
+// Direct ingest: nothing is left pending between calls.
 //===----------------------------------------------------------------------===//
 
-TEST(Service, FullRingIsBackpressureNotLoss) {
+TEST(Service, IngestIsCurrentWithoutPoll) {
+  // ingest() is the whole pipeline, so a service that is never polled
+  // answers exactly as one polled after every buffer, at every point.
   RegisterAdt Reg;
-  ServiceConfig Config;
-  Config.RingCapacity = 4; // Absurdly small: every round overflows it.
-  MonitorService Service(Reg, Config);
-
-  MultiObjectStream Stream(2, 2, 0x595);
+  MonitorService Polled(Reg);
+  MonitorService Unpolled(Reg);
+  MultiObjectStream Stream(3, 2, 0x595);
   std::string Buf;
   for (unsigned Round = 0; Round != 20; ++Round) {
     Buf.clear();
     Stream.appendRound(Buf);
-    // No poll: the producer alone must absorb the pressure.
-    ASSERT_TRUE(Service.ingestText(Buf));
+    ASSERT_TRUE(Polled.ingestText(Buf));
+    Polled.poll();
+    ASSERT_TRUE(Unpolled.ingestText(Buf));
+    EXPECT_EQ(Unpolled.composedVerdict(), Polled.composedVerdict());
+    EXPECT_EQ(Unpolled.composedGrade(), Polled.composedGrade());
+    EXPECT_EQ(Polled.stats().ShardVerdicts, Polled.stats().Events);
+    EXPECT_EQ(Unpolled.stats().ShardVerdicts, Unpolled.stats().Events);
+    SessionStats P = Polled.aggregateSessionStats();
+    SessionStats U = Unpolled.aggregateSessionStats();
+    EXPECT_EQ(U.Checks, P.Checks);
+    EXPECT_EQ(U.Yes, P.Yes);
+    EXPECT_EQ(U.No, P.No);
+    EXPECT_EQ(U.Unknown, P.Unknown);
+    EXPECT_EQ(U.Search.Nodes, P.Search.Nodes);
   }
+  ASSERT_EQ(Unpolled.composedVerdict(), Verdict::Yes);
+
+  // One corrupted response on object 1 turns the composition No at once.
+  Input In = reg::read();
+  Unpolled.ingest(1, makeInvoke(900, 1, In));
+  Action Bad = makeRespond(900, 1, In, Output{});
+  Bad.Out.Val = 424242;
+  Unpolled.ingest(1, Bad);
+  EXPECT_EQ(Unpolled.composedVerdict(), Verdict::No);
+  EXPECT_EQ(Unpolled.culpritObject(), 1u);
+}
+
+TEST(Service, OutOfRangeObjectIdIsCountedNotIndexed) {
+  // The object id sizes the flat shard index, so ingest() bounds a
+  // caller-supplied id itself: counted, dropped, never a shard.
+  RegisterAdt Reg;
+  MonitorService Service(Reg);
+  MultiObjectStream Stream(2, 2, 0x599);
+  std::string Buf;
+  Stream.appendRound(Buf);
+  ASSERT_TRUE(Service.ingestText(Buf));
+  const std::size_t Shards = Service.shardCount();
+  const std::uint64_t Events = Service.stats().Events;
+
+  Action Inv = makeInvoke(0, 1, reg::read());
+  Service.ingest(MaxObjectId, Inv);
+  Service.ingest(~0u, Inv);
+  EXPECT_EQ(Service.stats().Rejected, 2u);
+  EXPECT_EQ(Service.stats().Events, Events);
+  EXPECT_EQ(Service.shardCount(), Shards);
+  EXPECT_EQ(Service.shardEvents(MaxObjectId), 0u);
   Service.flush();
-  EXPECT_GT(Service.stats().BackpressureStalls, 0u);
-  EXPECT_EQ(Service.stats().RingOverflows, 0u);
-  EXPECT_EQ(Service.stats().Applied, Service.stats().Events);
-  EXPECT_EQ(Service.stats().Events, 2u * 2 * 2 * 20);
   EXPECT_EQ(Service.composedVerdict(), Verdict::Yes);
 }
 
@@ -438,11 +464,10 @@ TEST(Service, SteadyStateServicePathIsAllocationFree) {
     Buf.clear();
     Stream.appendRound(Buf);
     ASSERT_TRUE(Service.ingestText(Buf));
-    Service.poll();
   }
   ASSERT_EQ(Service.composedVerdict(), Verdict::Yes);
 
-  // Steady state: the whole service path — parse, demux, ring, append,
+  // Steady state: the whole service path — parse, demux, append,
   // verdict, publication, composition — touches the heap zero times. The
   // gauge brackets exactly the service calls; the harness's own stream
   // rendering (which grows projection vectors) stays outside.
@@ -452,7 +477,6 @@ TEST(Service, SteadyStateServicePathIsAllocationFree) {
     Stream.appendRound(Buf);
     std::uint64_t Allocs0 = AllocGauge::count();
     ASSERT_TRUE(Service.ingestText(Buf));
-    Service.poll();
     Allocs += AllocGauge::count() - Allocs0;
   }
   if (AllocGauge::active())
@@ -613,7 +637,6 @@ TEST(Service, StragglerShardDegradesToBoundedYesAndRecovers) {
     Buf.clear();
     Stream.appendRound(Buf);
     ASSERT_TRUE(Service.ingestText(Buf));
-    Service.poll();
   }
   ASSERT_EQ(Service.composedVerdict(), Verdict::Yes);
   ASSERT_EQ(Service.composedGrade(), VerdictGrade::Yes);
@@ -630,7 +653,6 @@ TEST(Service, StragglerShardDegradesToBoundedYesAndRecovers) {
     Service.ingest(9, makeInvoke(901, 1, In));
     Service.ingest(9, makeRespond(901, 1, In, Model->apply(In)));
   }
-  Service.poll();
   EXPECT_EQ(Service.composedVerdict(), Verdict::Unknown);
   EXPECT_EQ(Service.composedGrade(), VerdictGrade::BoundedYes);
   EXPECT_EQ(Service.culpritObject(), 9u);
@@ -646,7 +668,6 @@ TEST(Service, StragglerShardDegradesToBoundedYesAndRecovers) {
   // shard verdict recovers to a definitive Yes, and the recovery un-pins
   // the composed verdict — grade and culprit included.
   Service.ingest(9, makeRespond(900, 1, reg::write(9), Model->apply(reg::write(9))));
-  Service.poll();
   EXPECT_EQ(Service.shardVerdict(9), Verdict::Yes);
   EXPECT_EQ(Service.shardGrade(9), VerdictGrade::Yes);
   EXPECT_EQ(Service.composedVerdict(), Verdict::Yes);
@@ -662,7 +683,6 @@ TEST(Service, StragglerShardDegradesToBoundedYesAndRecovers) {
     Buf.clear();
     Stream.appendRound(Buf);
     ASSERT_TRUE(Service.ingestText(Buf));
-    Service.poll();
   }
   EXPECT_EQ(Service.composedVerdict(), Verdict::Yes);
   EXPECT_EQ(Service.composedGrade(), VerdictGrade::Yes);
@@ -680,7 +700,6 @@ TEST(Service, InterferenceBoundZeroRestoresFlatUnknowns) {
     Service.ingest(0, makeInvoke(1, 1, In));
     Service.ingest(0, makeRespond(1, 1, In, Model->apply(In)));
   }
-  Service.poll();
   EXPECT_EQ(Service.composedVerdict(), Verdict::Unknown);
   EXPECT_EQ(Service.composedGrade(), VerdictGrade::Unknown)
       << "a disabled fallback must not grade the pinned shard";

@@ -131,7 +131,6 @@ static void BM_E4_CorpusDriver_Consensus(benchmark::State &State) {
   auto Family = consensusFamily(static_cast<unsigned>(State.range(0)), 200);
   CorpusOptions Opts;
   Opts.Threads = static_cast<unsigned>(State.range(1));
-  Opts.RetryBudgetLimitedFresh = true;
   CorpusDriver Driver(Cons, Opts);
   std::uint64_t Yes = 0;
   for (auto _ : State) {

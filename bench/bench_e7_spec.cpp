@@ -108,7 +108,6 @@ static void BM_E7_SlinCorpusDriver(benchmark::State &State) {
   PhaseSignature Sig(2, 3);
   CorpusOptions Opts;
   Opts.Threads = static_cast<unsigned>(State.range(1));
-  Opts.RetryBudgetLimitedFresh = true;
   CorpusDriver Driver(Cons, Opts);
   std::uint64_t Accepted = 0;
   for (auto _ : State) {

@@ -673,18 +673,27 @@ static void BM_E8_PrefixCorpus(benchmark::State &State) {
   auto Corpus = prefixClosedCorpus(8, 48);
   CorpusOptions Opts;
   Opts.Threads = 1;
-  Opts.RetryBudgetLimitedFresh = true;
   Opts.SharePrefixes = State.range(0) != 0;
   CorpusDriver Driver(Reg, Opts);
-  std::uint64_t Yes = 0;
+  std::uint64_t Yes = 0, Nodes = 0, Checks = 0;
   for (auto _ : State) {
     CorpusReport R = Driver.checkLin(Corpus);
     benchmark::DoNotOptimize(R.Results.data());
     Yes += R.Yes;
+    Nodes += R.Aggregate.Search.Nodes;
+    Checks += R.Aggregate.Checks;
   }
   State.SetItemsProcessed(State.iterations() * Corpus.size());
-  State.counters["yes_per_iter"] = benchmark::Counter(
-      static_cast<double>(Yes) / static_cast<double>(State.iterations()));
+  const double Iters = static_cast<double>(State.iterations());
+  const double Traces = Iters * static_cast<double>(Corpus.size());
+  State.counters["yes_per_iter"] =
+      benchmark::Counter(static_cast<double>(Yes) / Iters);
+  // Deterministic: every iteration runs fresh driver sessions. One check
+  // per trace; the node count is what the shared drain's reuse saves.
+  State.counters["nodes_per_trace"] =
+      benchmark::Counter(static_cast<double>(Nodes) / Traces);
+  State.counters["checks_per_trace"] =
+      benchmark::Counter(static_cast<double>(Checks) / Traces);
 }
 BENCHMARK(BM_E8_PrefixCorpus)->Arg(0)->Arg(1)->UseRealTime();
 

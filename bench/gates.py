@@ -21,8 +21,9 @@ import sys
 # Group -> (committed artifact, which rows of a bench run belong to it,
 # which committed rows must reappear).
 GROUPS = {
-    "e8": ("BENCH_e8.json", lambda r: "nodes_per_check" in r,
-           r"SteadyState|IncrementalSlin|AppendOne_Incremental"),
+    "e8": ("BENCH_e8.json",
+           lambda r: "nodes_per_check" in r or "PrefixCorpus" in r["name"],
+           r"SteadyState|IncrementalSlin|AppendOne_Incremental|PrefixCorpus"),
     "e9-aggregate": ("BENCH_e9.json",
                      lambda r: r["name"].startswith("BM_E9_Service_Aggregate"),
                      r"."),
@@ -63,6 +64,12 @@ GATES = [
     # served without entering the DFS.
     ("e8", r"SteadyState_MonitorSlin", "fast_path_per_check", "eq", 1.0,
      None),
+    # The corpus driver's SharePrefixes lever over a prefix-closed corpus:
+    # one verdict per trace (no extra priming checks), every trace Yes, and
+    # the shared drain's node count within +10% — the reuse it exists for.
+    ("e8", r"PrefixCorpus", "checks_per_trace", "eq", 1.0, None),
+    ("e8", r"PrefixCorpus", "yes_per_iter", "eq", 192.0, None),
+    ("e8", r"PrefixCorpus/1", "nodes_per_trace", "grow", 0.10, None),
     # Composed verdict Yes on every block, and aggregate throughput at
     # >= 90% of the artifact or the 1M events/s floor — a service falling
     # off the per-shard fast path loses an order of magnitude and blows

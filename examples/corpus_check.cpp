@@ -159,13 +159,12 @@ int main(int Argc, char **Argv) {
 
   CorpusOptions Drive;
   Drive.Threads = Threads;
-  // Sorts each shard by prefix and threads one resumable session through
-  // each prefix group (engine/Incremental.h). Verdicts are unchanged;
-  // corpora with shared prefixes get cross-trace memo/frontier reuse.
+  // Checks the corpus in sorted order through one resumable session per
+  // worker (engine/Incremental.h): a trace extending the previous one
+  // streams only its delta. Verdicts are unchanged; the driver's one-shot
+  // retry of budget-limited Unknowns keeps verdict counts identical across
+  // --threads values either way.
   Drive.SharePrefixes = SharePrefixes;
-  // One-shot retry of budget-limited Unknowns keeps verdict counts
-  // identical across --threads values.
-  Drive.RetryBudgetLimitedFresh = true;
 
   Rng R(Seed);
   auto Start = std::chrono::steady_clock::now();

@@ -23,8 +23,7 @@ public:
          const InputInterner &Interner, TranspositionTable &Memo,
          Arena &Scratch, std::uint64_t Salt)
       : P(P), Limits(Limits), Interner(Interner), Memo(Memo),
-        Scratch(Scratch), Salt(Salt), ProbeSalt(mix64(P.ProbeSalt)),
-        HaveProbeSalt(P.HaveProbeSalt) {}
+        Scratch(Scratch), Salt(Salt) {}
 
   ChainResult run() {
     ChainResult Result;
@@ -272,15 +271,12 @@ private:
       return false;
     }
     std::uint64_t Digest = State.digest();
-    auto KeyFor = [&](std::uint64_t S) {
-      std::uint64_t K =
-          hashCombine(hashCombine(hashCombine(S, Committed), Digest),
-                      UsedHash);
-      return P.SequenceSensitive ? hashCombine(K, SeqHashes.back()) : K;
-    };
-    std::uint64_t Key = KeyFor(Salt);
-    if (Memo.contains(Key) ||
-        (HaveProbeSalt && Memo.contains(KeyFor(ProbeSalt)))) {
+    std::uint64_t Key =
+        hashCombine(hashCombine(hashCombine(Salt, Committed), Digest),
+                    UsedHash);
+    if (P.SequenceSensitive)
+      Key = hashCombine(Key, SeqHashes.back());
+    if (Memo.contains(Key)) {
       ++Stats.MemoHits;
       return false;
     }
@@ -392,8 +388,6 @@ private:
   TranspositionTable &Memo;
   Arena &Scratch;
   std::uint64_t Salt;
-  std::uint64_t ProbeSalt;
-  bool HaveProbeSalt;
 
   std::uint64_t FullMask = 0;
   std::size_t Base = 0; ///< ChainProblemView::SeedBase (retired master inputs).

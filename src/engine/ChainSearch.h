@@ -197,7 +197,8 @@ struct FrontierState {
     Valid = false;
   }
 
-  /// Deep copy (clones the ADT state); used by mark/rewind snapshots.
+  /// Deep copy (clones the ADT state); a root search behind a retired
+  /// prefix adopts a clone of the retired boundary.
   FrontierState snapshot() const {
     FrontierState F;
     F.State = State ? State->clone() : nullptr;
@@ -309,16 +310,6 @@ struct ChainProblemView {
   /// session's frontier state gets created in the first place. Null
   /// disables retention.
   FrontierState *Retained = nullptr;
-  /// A second salt *probed* (never inserted under) on memo lookups.
-  /// Incremental sessions use it to keep entries sealed under a shared
-  /// prefix's lineage visible after the per-trace lineage salt moves on:
-  /// sealed entries record subtrees that failed against a prefix's
-  /// obligation set, and a failure against a prefix remains a failure
-  /// against every extension (committing the extension's extra obligations
-  /// only interleaves more-constrained appends), so a hit is always a
-  /// sound prune.
-  std::uint64_t ProbeSalt = 0;
-  bool HaveProbeSalt = false;
 };
 
 /// Outcome of one search run. On Yes, Master/Commits describe the witness

@@ -27,54 +27,16 @@ std::size_t lcpLen(const Trace &A, const Trace &B) {
   return L;
 }
 
-} // namespace
-
-CorpusDriver::CorpusDriver(const Adt &Type, const CorpusOptions &Opts)
-    : Type(Type), Opts(Opts) {}
-
-void CorpusDriver::finalizeReport(
-    CorpusReport &Report,
-    const std::function<CorpusTraceResult(CheckSession &, std::size_t)>
-        &CheckOne) {
-  // Deterministic repair pass: a warm (or resumable) session's
-  // budget-limited Unknowns depend on what it checked before, so re-check
-  // exactly those traces with one-shot semantics. One retry session is
-  // reused across the pass — reset() restores fresh-session verdicts and
-  // node counts while keeping the warm arena blocks, instead of paying a
-  // full session construction per retried trace.
-  if (Opts.RetryBudgetLimitedFresh) {
-    CheckSession Retry(Type, Opts.Session);
-    bool Used = false;
-    for (std::size_t I = 0; I != Report.Results.size(); ++I) {
-      CorpusTraceResult &R = Report.Results[I];
-      if (R.Outcome != Verdict::Unknown || !R.BudgetLimited)
-        continue;
-      if (Used)
-        Retry.reset();
-      R = CheckOne(Retry, I);
-      Used = true;
-      ++Report.Retried;
-    }
-    if (Used)
-      Report.Aggregate.accumulate(Retry.stats());
-  }
-
-  for (const CorpusTraceResult &R : Report.Results) {
-    if (R.Outcome == Verdict::Yes)
-      ++Report.Yes;
-    else if (R.Outcome == Verdict::No)
-      ++Report.No;
-    else {
-      ++Report.Unknown;
-      Report.BudgetLimited += R.BudgetLimited;
-    }
-  }
-}
-
-CorpusReport CorpusDriver::run(
-    std::size_t NumTraces,
-    const std::function<CorpusTraceResult(CheckSession &, std::size_t)>
-        &CheckOne) {
+/// The one drain loop. Workers claim fixed-size chunks of [0, NumTraces)
+/// off a shared cursor; each owns one session built by \p Make and hands
+/// it every chunk it claims — \p CheckChunk(Session, Begin, End, Results)
+/// fills the chunk's rows — then merges the session's stats into the
+/// report. \p CheckOne(CheckSession &, Index) checks one trace for the
+/// repair pass.
+template <typename MakeSession, typename CheckChunk, typename CheckOneFn>
+CorpusReport drain(const Adt &Type, const CorpusOptions &Opts,
+                   std::size_t NumTraces, const MakeSession &Make,
+                   const CheckChunk &Check, const CheckOneFn &CheckOne) {
   CorpusReport Report;
   Report.Results.resize(NumTraces);
 
@@ -92,15 +54,14 @@ CorpusReport CorpusDriver::run(
   std::atomic<std::size_t> Cursor{0};
   std::mutex AggregateMutex;
   auto Worker = [&] {
-    CheckSession Session(Type, Opts.Session);
+    auto Session = Make();
     for (;;) {
       std::size_t Begin =
           Cursor.fetch_add(Chunk, std::memory_order_relaxed);
       if (Begin >= NumTraces)
         break;
-      std::size_t End = std::min(NumTraces, Begin + Chunk);
-      for (std::size_t I = Begin; I != End; ++I)
-        Report.Results[I] = CheckOne(Session, I);
+      Check(Session, Begin, std::min(NumTraces, Begin + Chunk),
+            Report.Results);
     }
     std::lock_guard<std::mutex> Lock(AggregateMutex);
     Report.Aggregate.accumulate(Session.stats());
@@ -117,141 +78,117 @@ CorpusReport CorpusDriver::run(
       T.join();
   }
 
-  finalizeReport(Report, CheckOne);
+  // Deterministic repair pass: a warm (or resumable) session's
+  // budget-limited Unknowns depend on what it checked before, so re-check
+  // exactly those traces with one-shot semantics. One retry session is
+  // reused across the pass — reset() restores fresh-session verdicts and
+  // node counts while keeping the warm arena blocks, instead of paying a
+  // full session construction per retried trace. This makes the result
+  // vector independent of thread count and scheduling.
+  CheckSession Retry(Type, Opts.Session);
+  for (std::size_t I = 0; I != NumTraces; ++I) {
+    CorpusTraceResult &R = Report.Results[I];
+    if (R.Outcome != Verdict::Unknown || !R.BudgetLimited)
+      continue;
+    if (Report.Retried++)
+      Retry.reset();
+    R = CheckOne(Retry, I);
+  }
+  if (Report.Retried)
+    Report.Aggregate.accumulate(Retry.stats());
+
+  for (const CorpusTraceResult &R : Report.Results) {
+    if (R.Outcome == Verdict::Yes)
+      ++Report.Yes;
+    else if (R.Outcome == Verdict::No)
+      ++Report.No;
+    else {
+      ++Report.Unknown;
+      Report.BudgetLimited += R.BudgetLimited;
+    }
+  }
   return Report;
 }
 
-CorpusReport CorpusDriver::runLinShared(const std::vector<Trace> &Corpus,
-                                        const LinCheckOptions &Check) {
-  std::size_t NumTraces = Corpus.size();
-  CorpusReport Report;
-  Report.Results.resize(NumTraces);
+/// The plain drain: one warm CheckSession per worker, \p CheckOne per
+/// trace.
+template <typename CheckOneFn>
+CorpusReport drainEach(const Adt &Type, const CorpusOptions &Opts,
+                       std::size_t NumTraces, const CheckOneFn &CheckOne) {
+  return drain(
+      Type, Opts, NumTraces, [&] { return CheckSession(Type, Opts.Session); },
+      [&](CheckSession &Session, std::size_t Begin, std::size_t End,
+          std::vector<CorpusTraceResult> &Results) {
+        for (std::size_t I = Begin; I != End; ++I)
+          Results[I] = CheckOne(Session, I);
+      },
+      CheckOne);
+}
 
-  // Sort positions by trace so traces sharing prefixes become neighbors;
-  // stable so equal traces keep corpus order (full determinism).
-  std::vector<std::size_t> Perm(NumTraces);
+} // namespace
+
+CorpusDriver::CorpusDriver(const Adt &Type, const CorpusOptions &Opts)
+    : Type(Type), Opts(Opts) {}
+
+CorpusReport CorpusDriver::checkLin(const std::vector<Trace> &Corpus,
+                                    const LinCheckOptions &Check) {
+  auto CheckOne = [&](CheckSession &Session,
+                      std::size_t I) -> CorpusTraceResult {
+    LinCheckResult R = Session.checkLin(Corpus[I], Check);
+    return {R.Outcome, R.BudgetLimited, R.NodesExplored};
+  };
+  if (!Opts.SharePrefixes)
+    return drainEach(Type, Opts, Corpus.size(), CheckOne);
+
+  // Sort positions by trace so every trace follows its prefixes; stable so
+  // equal traces keep corpus order (full determinism).
+  std::vector<std::size_t> Perm(Corpus.size());
   std::iota(Perm.begin(), Perm.end(), 0);
   std::stable_sort(Perm.begin(), Perm.end(),
                    [&](std::size_t A, std::size_t B) {
                      return Corpus[A] < Corpus[B];
                    });
 
-  unsigned Threads =
-      Opts.Threads ? Opts.Threads : std::thread::hardware_concurrency();
-  if (Threads == 0)
-    Threads = 1;
-  std::size_t Chunk = Opts.ChunkSize ? Opts.ChunkSize : 1;
-  std::size_t Claims = (NumTraces + Chunk - 1) / Chunk;
-  if (Threads > Claims)
-    Threads = static_cast<unsigned>(Claims ? Claims : 1);
-  Report.ThreadsUsed = Threads;
-
   IncrementalOptions IncOpts;
   IncOpts.TranspositionCapacity = Opts.Session.TranspositionCapacity;
   IncOpts.UseUndoStates = Opts.Session.UseUndoStates;
 
-  std::atomic<std::size_t> Cursor{0};
-  std::mutex AggregateMutex;
-  auto Worker = [&] {
-    IncrementalLinSession Inc(Type, IncOpts);
-    // Streams T's events from the session's current position; stops at the
-    // first rejected event (the session is then doomed and answers No, as
-    // the batch checker would on the full trace).
-    auto StreamRest = [&](const Trace &T, std::size_t UpTo) {
-      for (std::size_t I = Inc.size(); I < UpTo; ++I)
-        if (!Inc.append(T[I]))
-          break;
-    };
-    for (;;) {
-      std::size_t Begin =
-          Cursor.fetch_add(Chunk, std::memory_order_relaxed);
-      if (Begin >= NumTraces)
-        break;
-      std::size_t End = std::min(NumTraces, Begin + Chunk);
-      // Chunks land on arbitrary workers, so prefix groups are tracked
-      // within a chunk: start each chunk from a clean session.
-      Inc.reset();
-      for (std::size_t K = Begin; K != End; ++K) {
-        const Trace &T = Corpus[Perm[K]];
-        // Position the session on the longest reusable prefix of T:
-        // stream on (T extends the view), rewind to the sealed group
-        // prefix, or give up and start a fresh lineage.
-        std::size_t L = lcpLen(Inc.trace(), T);
-        if (!Inc.doomed() && L == Inc.size()) {
-          // The view is a prefix of T; stream the delta below.
-        } else if (Inc.hasMark() && L >= Inc.markLength()) {
-          Inc.rewindToMark();
-        } else {
-          Inc.reset();
+  return drain(
+      Type, Opts, Corpus.size(),
+      [&] { return IncrementalLinSession(Type, IncOpts); },
+      [&](IncrementalLinSession &Inc, std::size_t Begin, std::size_t End,
+          std::vector<CorpusTraceResult> &Results) {
+        // Chunks land on arbitrary workers: start each from a clean
+        // session, so no verdict depends on what a worker checked before.
+        Inc.reset();
+        for (std::size_t K = Begin; K != End; ++K) {
+          const Trace &T = Corpus[Perm[K]];
+          // Stream only the delta when T extends the view. A doomed view
+          // never does: the rejected event is not in it, so a trace that
+          // shares only the accepted events must not inherit the doom.
+          if (Inc.doomed() || lcpLen(Inc.trace(), T) != Inc.size())
+            Inc.reset();
+          // Stops at the first rejected event; the session is then doomed
+          // and answers No, as the batch checker would on the full trace.
+          for (std::size_t I = Inc.size(); I != T.size(); ++I)
+            if (!Inc.append(T[I]))
+              break;
+          LinCheckResult R = Inc.verdict(Check);
+          Results[Perm[K]] = {R.Outcome, R.BudgetLimited, R.NodesExplored};
         }
-        // If the next trace of this chunk shares a usable prefix of T,
-        // check the group's common prefix once, seal it, and let every
-        // member resume from its frontier and memo.
-        if (K + 1 != End) {
-          std::size_t LNext = lcpLen(T, Corpus[Perm[K + 1]]);
-          bool AlreadyMarked =
-              Inc.hasMark() && Inc.markLength() == LNext &&
-              Inc.size() >= LNext;
-          if (!AlreadyMarked && LNext >= Opts.MinSharedPrefix &&
-              LNext >= Inc.size() && LNext < T.size()) {
-            StreamRest(T, LNext);
-            // Only a fully accepted prefix may be sealed: a doomed view is
-            // missing the rejected event, so siblings sharing just the
-            // accepted events must not inherit the doom (markPrefix also
-            // refuses on its own).
-            if (!Inc.doomed() && Inc.size() == LNext) {
-              Inc.verdict(Check); // Prime the seal + shared frontier.
-              Inc.markPrefix();
-            }
-          }
-        }
-        StreamRest(T, T.size());
-        LinCheckResult R = Inc.verdict(Check);
-        Report.Results[Perm[K]] = {R.Outcome, R.BudgetLimited,
-                                   R.NodesExplored};
-      }
-    }
-    std::lock_guard<std::mutex> Lock(AggregateMutex);
-    Report.Aggregate.accumulate(Inc.stats());
-  };
-
-  if (Threads == 1) {
-    Worker();
-  } else {
-    std::vector<std::thread> Pool;
-    Pool.reserve(Threads);
-    for (unsigned T = 0; T != Threads; ++T)
-      Pool.emplace_back(Worker);
-    for (std::thread &T : Pool)
-      T.join();
-  }
-
-  finalizeReport(Report,
-                 [&](CheckSession &Session, std::size_t I) -> CorpusTraceResult {
-                   LinCheckResult R = Session.checkLin(Corpus[I], Check);
-                   return {R.Outcome, R.BudgetLimited, R.NodesExplored};
-                 });
-  return Report;
-}
-
-CorpusReport CorpusDriver::checkLin(const std::vector<Trace> &Corpus,
-                                    const LinCheckOptions &Check) {
-  if (Opts.SharePrefixes)
-    return runLinShared(Corpus, Check);
-  return run(Corpus.size(),
-             [&](CheckSession &Session, std::size_t I) -> CorpusTraceResult {
-               LinCheckResult R = Session.checkLin(Corpus[I], Check);
-               return {R.Outcome, R.BudgetLimited, R.NodesExplored};
-             });
+      },
+      CheckOne);
 }
 
 CorpusReport CorpusDriver::checkSlin(const std::vector<Trace> &Corpus,
                                      const PhaseSignature &Sig,
                                      const InitRelation &Rel,
                                      const SlinCheckOptions &Check) {
-  return run(Corpus.size(),
-             [&](CheckSession &Session, std::size_t I) -> CorpusTraceResult {
-               SlinVerdict V = Session.checkSlin(Corpus[I], Sig, Rel, Check);
-               return {V.Outcome, V.BudgetLimited, V.NodesExplored};
-             });
+  return drainEach(Type, Opts, Corpus.size(),
+                   [&](CheckSession &Session,
+                       std::size_t I) -> CorpusTraceResult {
+                     SlinVerdict V =
+                         Session.checkSlin(Corpus[I], Sig, Rel, Check);
+                     return {V.Outcome, V.BudgetLimited, V.NodesExplored};
+                   });
 }

@@ -20,10 +20,9 @@
 /// conclusive-vs-Unknown. Which traces end up budget-limited Unknown does
 /// depend on scheduling: a warm session's exploration order depends on
 /// which traces that thread checked before (see docs/engine.md). Every
-/// per-trace result therefore carries BudgetLimited, and with
-/// RetryBudgetLimitedFresh the driver re-checks exactly those traces
-/// one-shot (a fresh single-use session per trace) after the parallel
-/// drain, pinning each to its one-shot verdict. Residual
+/// per-trace result therefore carries BudgetLimited, and after the
+/// parallel drain the driver re-checks exactly those traces one-shot (with
+/// fresh-session semantics), pinning each to its one-shot verdict. Residual
 /// schedule-dependence is then confined to budget-edge traces a warm
 /// session decides but a fresh one cannot — unreachable with default
 /// budgets on corpora like the shipped ones, whose traces sit orders of
@@ -42,7 +41,6 @@
 #include "engine/CheckSession.h"
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace slin {
@@ -55,24 +53,16 @@ struct CorpusOptions {
   /// Traces claimed per steal. Larger chunks amortize the shared-cursor
   /// contention; smaller chunks balance uneven per-trace costs.
   std::size_t ChunkSize = 8;
-  /// After the parallel drain, re-check every budget-limited Unknown with
-  /// one-shot semantics: a single retry session is reused (reset between
-  /// traces, so its warm arena blocks survive) and produces verdicts and
-  /// node counts bit-identical to a fresh session per trace. Makes the
-  /// result vector independent of thread count and scheduling.
-  bool RetryBudgetLimitedFresh = false;
-  /// Lin corpora only: sort each shard by trace prefix and thread one
-  /// *resumable* session (engine/Incremental.h) through each prefix
-  /// group — consecutive traces that extend the session's view stream
-  /// only their delta, and a group's common prefix is checked once,
-  /// sealed, and shared (retained memo + retained success frontier) by
-  /// every member. Closes the cross-trace memo-sharing gap for corpora
-  /// with common prefixes (monitoring logs, prefix-closed families).
-  /// Conclusive verdicts are unchanged; which traces exhaust a budget can
-  /// shift, as with any warm session (the retry pass repairs that).
+  /// Lin corpora only: check the corpus in sorted order and thread one
+  /// *resumable* session (engine/Incremental.h) through each chunk. A
+  /// trace that extends the session's view streams only its delta and
+  /// resumes from the retained memo and success frontier; any other trace
+  /// resets the session. One verdict per trace, as without sharing.
+  /// Pays off for prefix-closed corpora (monitoring logs cut at every
+  /// length). Conclusive verdicts are unchanged; which traces exhaust a
+  /// budget can shift, as with any warm session (the retry pass repairs
+  /// that).
   bool SharePrefixes = false;
-  /// Shortest common prefix (in events) worth sealing for reuse.
-  std::size_t MinSharedPrefix = 4;
   /// Tuning for each worker's session.
   SessionOptions Session;
 };
@@ -92,10 +82,10 @@ struct CorpusReport {
   std::uint64_t Yes = 0, No = 0, Unknown = 0;
   /// Unknowns that were budget-limited after any retry pass.
   std::uint64_t BudgetLimited = 0;
-  /// Traces re-checked one-shot by RetryBudgetLimitedFresh.
+  /// Budget-limited Unknowns the drain left, re-checked one-shot.
   std::uint64_t Retried = 0;
   unsigned ThreadsUsed = 1;
-  /// Summed over every worker session (and every retry session).
+  /// Summed over every worker session and the retry session.
   SessionStats Aggregate;
 };
 
@@ -115,25 +105,6 @@ public:
                          const SlinCheckOptions &Check = {});
 
 private:
-  /// Shared drain loop: \p CheckOne checks corpus trace \p Index through
-  /// the given session and returns its row of the report.
-  CorpusReport
-  run(std::size_t NumTraces,
-      const std::function<CorpusTraceResult(CheckSession &, std::size_t)>
-          &CheckOne);
-
-  /// The SharePrefixes drain for lin corpora: workers steal chunks of the
-  /// prefix-sorted permutation and thread one resumable session through
-  /// each chunk's prefix groups.
-  CorpusReport runLinShared(const std::vector<Trace> &Corpus,
-                            const LinCheckOptions &Check);
-
-  /// Retry pass + verdict counting shared by both drains.
-  void finalizeReport(
-      CorpusReport &Report,
-      const std::function<CorpusTraceResult(CheckSession &, std::size_t)>
-          &CheckOne);
-
   const Adt &Type;
   CorpusOptions Opts;
 };

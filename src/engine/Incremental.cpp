@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 //
 // The two families the windowed session core (engine/SessionCore.cpp) runs
-// over. What is left here is only what differs: lin's invalid-input doom,
-// mark/rewind with the sealed-prefix probe salt, and frontierHistory; slin's
-// interpretation-family cache, per-interpretation init overlays, aborts with
-// the abort-synthesis leaf, epoch rules for non-monotone deltas, and the
-// LRU table of per-interpretation chains.
+// over. What is left here is only what differs: lin's invalid-input doom
+// and frontierHistory; slin's interpretation-family cache,
+// per-interpretation init overlays, aborts with the abort-synthesis leaf,
+// epoch rules for non-monotone deltas, and the LRU table of
+// per-interpretation chains.
 //
 //===----------------------------------------------------------------------===//
 
@@ -105,7 +105,6 @@ LinCheckResult IncrementalLinSession::verdict(const LinCheckOptions &Limits) {
 void IncrementalLinSession::reset() {
   resetCore();
   Chain.clear();
-  Mark.reset();
 }
 
 std::size_t IncrementalLinSession::memoryFootprintBytes() const {
@@ -120,87 +119,6 @@ History IncrementalLinSession::frontierHistory() const {
   for (InputId Id : Chain.Master)
     H.push_back(Interner.input(Id));
   return H;
-}
-
-RetainedChain IncrementalLinSession::snapshotChain(const RetainedChain &C) {
-  RetainedChain S;
-  S.Master = C.Master;
-  S.Commits = C.Commits;
-  S.Replay = C.Replay.snapshot();
-  S.RetiredLen = C.RetiredLen;
-  S.RetiredRows = C.RetiredRows;
-  S.RetiredBoundary = C.RetiredBoundary.snapshot();
-  return S;
-}
-
-void IncrementalLinSession::markPrefix() {
-  if (Doomed)
-    return;
-  MarkState M;
-  M.Len = Builder.size();
-  M.Ingest = Builder.snapshot();
-  M.Window = Obligations; // Deep copy: retirement mutates the window.
-  M.Invoked = Invoked;
-  M.OpenStart = OpenStart;
-  M.HaveResult = HaveResult;
-  M.Cached = Cached;
-  M.CachedReason = CachedReason;
-  M.NewResponses = NewResponses;
-  M.WindowBase = WindowBase;
-  M.OverflowNoted = OverflowNoted;
-  M.Chain = snapshotChain(Chain);
-  M.RetiredCommitsLen = Chain.RetiredCommits.size();
-  // Seal this epoch's entries: everything recorded so far failed against
-  // (a prefix of) the marked prefix's obligations, hence prunes soundly in
-  // every extension. (A budget-limited run already moved the epoch, so the
-  // sealed one is never polluted.)
-  ProbeSalt = memberSalt(0);
-  HaveProbeSalt = true;
-  M.ProbeSalt = ProbeSalt;
-  M.HaveProbeSalt = HaveProbeSalt;
-  Mark = std::move(M);
-  ++Epoch;
-}
-
-void IncrementalLinSession::rewindToMark() {
-  if (!Mark)
-    return;
-  const MarkState &M = *Mark;
-  Builder.restore(M.Ingest);
-  Obligations = M.Window;
-  Invoked = M.Invoked;
-  OpenStart = M.OpenStart;
-  Doomed = false; // Marks are only ever taken on clean sessions.
-  DoomReason.clear();
-  HaveResult = M.HaveResult;
-  Cached = M.Cached;
-  CachedReason = M.CachedReason;
-  NewResponses = M.NewResponses;
-  NewNonResponse = false;
-  WindowBase = M.WindowBase;
-  OverflowNoted = M.OverflowNoted;
-  // A fresh deep copy per rewind: the mark must survive any number of
-  // member checks advancing the chain. The retired ids and rows are
-  // append-only across folds, so truncation restores them.
-  RetainedChain Restored = snapshotChain(M.Chain);
-  Restored.RetiredMaster = std::move(Chain.RetiredMaster);
-  Restored.RetiredCommits = std::move(Chain.RetiredCommits);
-  if (Opts.RetainRetiredWitness) {
-    Restored.RetiredMaster.resize(M.Chain.RetiredLen);
-    Restored.RetiredCommits.resize(M.RetiredCommitsLen);
-  }
-  Chain = std::move(Restored);
-  // The bounded-fallback cache may describe a post-mark suffix whose
-  // rewound sibling diverges at the same indices; dropping it only costs
-  // one re-search.
-  HaveBoundedYes = false;
-  // Restore the mark-time seal: a retirement after the mark disabled the
-  // probe (renumbered masks), but the rewound window matches it again.
-  ProbeSalt = M.ProbeSalt;
-  HaveProbeSalt = M.HaveProbeSalt;
-  // Entries recorded after the mark describe another member's suffix
-  // obligations; salt them out. The sealed prefix salt stays probe-able.
-  ++Epoch;
 }
 
 //===----------------------------------------------------------------------===//

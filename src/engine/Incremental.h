@@ -51,10 +51,9 @@
 ///
 ///   * **Epoch-salted memo entries.** Transposition entries are recorded
 ///     under a salt that moves on whenever they could be unsound: reset, a
-///     rewind past suffix-contaminated entries, a budget-limited run, a
-///     fold (mask bits renumber), a relation credit, and for slin any
-///     non-monotone delta (a new init action, or a new invocation under the
-///     relaxed abort reading).
+///     budget-limited run, a fold (mask bits renumber), a relation credit,
+///     and for slin any non-monotone delta (a new init action, or a new
+///     invocation under the relaxed abort reading).
 ///
 /// Verdicts are preserved exactly: conclusive answers equal the batch
 /// checkers' on the materialized trace; only which traces exhaust a
@@ -70,8 +69,6 @@
 #define SLIN_ENGINE_INCREMENTAL_H
 
 #include "engine/SessionCore.h"
-
-#include <optional>
 
 namespace slin {
 
@@ -93,29 +90,13 @@ public:
   /// The verdict for the trace ingested so far. Identical conclusive
   /// answers to checkLinearizable(trace(), adt()); NodesExplored counts
   /// only the nodes this call spent (0 for the O(1) absorption paths).
+  /// Opts.Order is ignored; the relation is IncrementalOptions::Order.
   LinCheckResult verdict(const LinCheckOptions &Opts = {});
 
   /// Starts a new, unrelated trace: clears the view, obligations, cached
-  /// result, chain and mark; moves the memo epoch on; keeps the warm
-  /// interner, arena blocks, and table.
+  /// result and chain; moves the memo epoch on; keeps the warm interner,
+  /// arena blocks, and table.
   void reset();
-
-  /// Declares the current view a shared prefix: snapshots the ingest state
-  /// and seals this epoch's memo entries — they stay probe-able (via the
-  /// engine's second salt) for every trace extending the prefix. Call
-  /// after a verdict at the prefix to prime the seal and the shared chain.
-  /// Replaces any previous mark. No-op on a doomed session: the rejected
-  /// event belongs to the stream but not to the view, so the view is not a
-  /// prefix siblings could share.
-  void markPrefix();
-
-  bool hasMark() const { return Mark.has_value(); }
-  std::size_t markLength() const { return Mark ? Mark->Len : 0; }
-
-  /// Rewinds to the marked prefix (view, obligations, cached result,
-  /// chain and replay state) under a fresh epoch; the sealed prefix
-  /// entries remain visible. The mark stays set for further rewinds.
-  void rewindToMark();
 
   /// Estimated bytes this session holds across its long-lived structures
   /// (memo table, scratch arena, interner, live window, dense per-client
@@ -135,29 +116,6 @@ public:
   History frontierHistory() const;
 
 private:
-  /// Everything a mark must restore. Retirement mutates the window and the
-  /// chain in place, so both are deep-copied; the retired ids and rows are
-  /// append-only across folds, so only their lengths are kept.
-  struct MarkState {
-    std::size_t Len = 0;
-    TraceBuilder::Snapshot Ingest;
-    LiveWindow Window;
-    std::vector<std::int32_t> Invoked;
-    std::vector<std::size_t> OpenStart;
-    bool HaveResult = false;
-    Verdict Cached = Verdict::No;
-    std::string CachedReason;
-    std::size_t NewResponses = 0;
-    std::size_t WindowBase = 0;
-    bool OverflowNoted = false;
-    RetainedChain Chain; ///< Without RetiredMaster/RetiredCommits.
-    std::size_t RetiredCommitsLen = 0;
-    /// Retirement disables the sealed-prefix probe (its entries' masks are
-    /// renumbered away); a rewind restores the mark-time seal.
-    std::uint64_t ProbeSalt = 0;
-    bool HaveProbeSalt = false;
-  };
-
   std::size_t members() override { return 1; }
   RetainedChain *chain(std::size_t) override { return &Chain; }
   RetainedChain &admit(std::size_t, RetainedChain &&C) override {
@@ -170,11 +128,8 @@ private:
   void shapeNo(ChainResult &R) const override;
   void memberYes(std::size_t I, ChainResult &R, RetainedChain *C,
                  LinCheckResult &Out) override;
-  /// Copies the chain parts a mark keeps (deep replay-state snapshots).
-  static RetainedChain snapshotChain(const RetainedChain &C);
 
   RetainedChain Chain;
-  std::optional<MarkState> Mark;
 };
 
 /// Streaming (m, n)-speculative-linearizability checking (Definition 19)
@@ -205,6 +160,8 @@ public:
 
   /// The verdict for the trace ingested so far; identical conclusive
   /// answers to checkSlin(trace(), ...) over the same relation.
+  /// Opts.Search.Order is ignored (the relation is IncrementalOptions::
+  /// Order), and Opts.WantWitness overrides Opts.Search.WantWitness.
   SlinVerdict verdict(const SlinCheckOptions &Opts = {});
 
   /// Starts a new, unrelated trace (keeps warm storage; salts out memo and

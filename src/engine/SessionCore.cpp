@@ -18,8 +18,8 @@
 // original obligations, and no original obligation ever must-follow a new
 // one (the new response's invocation lies after every original response).
 // Hence failure is preserved by extension and every retained entry stays a
-// sound prune — the basis for both the epoch salt (one growing trace) and
-// the sealed probe salt (many traces over one prefix).
+// sound prune — the basis for the epoch salt: one growing trace keeps its
+// entries across verdicts.
 //
 // *Absorption.* The same deletion argument gives: an extension of a
 // non-linearizable trace is non-linearizable (No is final), and an
@@ -287,7 +287,6 @@ void WindowedSession::noteInvoke(const Action &A, std::size_t I, InputId In) {
     if (HaveResult && Cached == Verdict::No)
       HaveResult = false;
     ++Epoch;
-    HaveProbeSalt = false;
   }
 }
 
@@ -399,11 +398,10 @@ void WindowedSession::foldWindow(std::size_t K) {
   WindowBase += K;
   Stats.RetiredObligations += K;
   // Memo keys embed window-relative committed masks; the shift renumbers
-  // every bit, so every retained entry — a sealed prefix included — is
-  // salted out. Retirement is amortized-rare, so the lost reuse is a
-  // bounded cost, not a steady-state one.
+  // every bit, so every retained entry is salted out. Retirement is
+  // amortized-rare, so the lost reuse is a bounded cost, not a steady-state
+  // one.
   ++Epoch;
-  HaveProbeSalt = false;
   HaveBoundedYes = false;
 }
 
@@ -699,8 +697,6 @@ ChainResult WindowedSession::runMember(std::size_t I, RetainedChain *C,
   V.AcceptLeaf = M.AcceptLeaf;
   V.SequenceSensitive = M.SequenceSensitive;
   V.ForceCloneStates = !Opts.UseUndoStates;
-  V.ProbeSalt = ProbeSalt;
-  V.HaveProbeSalt = HaveProbeSalt;
   // Once the session has retired, every run rides behind the member's
   // retired prefix as the engine's virtual seed: it is never
   // re-materialized or re-replayed.
@@ -817,17 +813,11 @@ bool WindowedSession::fastStep(const LinCheckOptions &L, LinCheckResult &R) {
     if (NumInits && C->InitUpTo != NumInits)
       return Rollback();
 
-    const std::uint64_t Digest = F.State->digest();
-    auto KeyFor = [&](std::uint64_t S) {
-      return hashCombine(
-          hashCombine(hashCombine(detail::mix64(S), Committed), Digest),
-          F.UsedHash);
-    };
-    const std::uint64_t Key = KeyFor(memberSalt(I));
-    const std::uint64_t ProbeKey = HaveProbeSalt ? KeyFor(ProbeSalt) : 0;
+    const std::uint64_t Key = hashCombine(
+        hashCombine(hashCombine(detail::mix64(memberSalt(I)), Committed),
+                    F.State->digest()),
+        F.UsedHash);
     Memo.prefetch(Key);
-    if (HaveProbeSalt)
-      Memo.prefetch(ProbeKey);
 
     // Branchless deficit scan over the newest obligation's availability
     // (the engine computes Deficit[Q] on adoption; committed obligations'
@@ -847,8 +837,7 @@ bool WindowedSession::fastStep(const LinCheckOptions &L, LinCheckResult &R) {
     // Memo probe, short-circuit order as in the engine: a hit means the
     // engine would fail this subtree and fall back to the root search — let
     // it run the whole thing for identical accounting.
-    if (Over || UsedIn + 1 > Row[In] + InitIn || Memo.contains(Key) ||
-        (HaveProbeSalt && Memo.contains(ProbeKey)))
+    if (Over || UsedIn + 1 > Row[In] + InitIn || Memo.contains(Key))
       return Rollback();
     UndoToken U;
     if (F.State->applyInput(Interner.input(In), U, Scratch) !=
@@ -1096,7 +1085,6 @@ void WindowedSession::resetCore() {
   OverflowNoted = false;
   HaveBoundedYes = false;
   ++Epoch;
-  HaveProbeSalt = false;
   HaveResult = false;
   NewResponses = 0;
   NewNonResponse = false;

@@ -106,11 +106,10 @@ struct IncrementalOptions {
   bool Resume = true;
   /// Materialize the trace view (TraceBuilder retention). Off makes ingest
   /// O(1)-space and allocation-free for unbounded outcome-only monitors;
-  /// trace() then returns an empty view (size() still counts), and
-  /// markPrefix/rewindToMark remain usable (they snapshot ingest state,
-  /// not the view). The slin session builds its interpretation family from
-  /// the retained init actions alone
-  /// (InitRelation::interpretationsFromInits), so it honors this too.
+  /// trace() then returns an empty view (size() still counts). The slin
+  /// session builds its interpretation family from the retained init
+  /// actions alone (InitRelation::interpretationsFromInits), so it honors
+  /// this too.
   bool RetainTrace = true;
   /// Keep the materialized retired prefix (dense ids + commit rows) for
   /// witness completion and the engine's replay fallback. Off makes the
@@ -147,10 +146,9 @@ struct IncrementalOptions {
 /// which realizes the lazy zero-extension contract (an input first
 /// interned after a response cannot have been invoked before it); when
 /// the alphabet outgrows the stride, ensureStride() relays the live rows
-/// out once at the next power of two. Trivially copyable (mark/rewind
-/// deep-copies it wholesale); the slots' Available pointers are only
-/// published by finalize() immediately before an engine run, so copies
-/// never carry live internal pointers. The window is common to every
+/// out once at the next power of two. The slots' Available pointers are
+/// only published by finalize() immediately before an engine run. The
+/// window is common to every
 /// family member: per-interpretation availability differences ride on
 /// ChainProblemView::AvailOverride overlay rows.
 class LiveWindow {
@@ -416,8 +414,8 @@ protected:
   bool OverflowNoted = false;
   /// Cached pinned-excursion family sub-Yes (boundedFallback): valid while
   /// the window base and front obligation are unchanged — nothing folds
-  /// during a pinned excursion. Cleared by folds, reset, rewind and a
-  /// changed family.
+  /// during a pinned excursion. Cleared by folds, reset and a changed
+  /// family.
   bool HaveBoundedYes = false;
   std::size_t BoundedWindowBase = 0;
   std::size_t BoundedFrontTag = 0;
@@ -426,9 +424,6 @@ protected:
   /// masks, budget-limited runs, relaxations, reset); folded into every
   /// member salt.
   std::uint64_t Epoch = 0;
-  /// A second, probe-only memo salt (lin's sealed shared prefix).
-  std::uint64_t ProbeSalt = 0;
-  bool HaveProbeSalt = false;
 
   bool HaveResult = false;
   Verdict Cached = Verdict::No;

@@ -51,9 +51,8 @@ public:
   bool contains(std::uint64_t Key);
 
   /// Hints \p Key's home slot into cache. The steady-state fast path
-  /// issues this for both its lookup keys (lineage + sealed-prefix probe)
-  /// before the work that must precede the probes, so the probe window is
-  /// resident by the time contains() runs.
+  /// issues this for its lookup key before the work that must precede the
+  /// probe, so the probe window is resident by the time contains() runs.
   void prefetch(std::uint64_t Key) const {
 #if defined(__GNUC__) || defined(__clang__)
     __builtin_prefetch(Slots.data() + homeSlot(Key));

@@ -84,7 +84,10 @@ struct LinCheckOptions {
   /// real-time order and is bit-identical to the pre-parameterized
   /// checker; TsoHb weakens cross-client order to flushed responses
   /// (Action::Meta bit ActionMetaFlushed), deciding classical
-  /// linearizability on TSO per Smith/Winter/Colvin.
+  /// linearizability on TSO per Smith/Winter/Colvin. The incremental
+  /// sessions' verdict() ignores this field: a session derives its masks
+  /// as events arrive, so its relation is fixed at construction by
+  /// IncrementalOptions::Order.
   OrderRelationKind Order = OrderRelationKind::Strict;
 };
 

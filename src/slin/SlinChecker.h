@@ -79,6 +79,8 @@ struct SlinCheckOptions {
   /// only Outcome/NodesExplored can turn this off; the incremental session
   /// then skips the O(trace) witness copy on its absorbed-verdict fast
   /// path (batch checkers always materialize).
+  /// IncrementalSlinSession::verdict() overwrites Search.WantWitness with
+  /// this flag.
   bool WantWitness = true;
 };
 

@@ -116,26 +116,3 @@ WellFormedness TraceBuilder::append(const Action &A) {
   ++Count;
   return W;
 }
-
-TraceBuilder::Snapshot TraceBuilder::snapshot() const {
-  Snapshot S;
-  S.Len = Count;
-  S.States.reserve(Clients.size());
-  S.Pending.reserve(Clients.size());
-  for (const ClientSlot &C : Clients) {
-    S.States.push_back(static_cast<std::uint8_t>(C.State));
-    S.Pending.push_back(C.PendingIn);
-  }
-  return S;
-}
-
-void TraceBuilder::restore(const Snapshot &S) {
-  if (RetainView)
-    View.resize(S.Len);
-  Count = S.Len;
-  Clients.resize(S.States.size());
-  for (std::size_t I = 0; I != Clients.size(); ++I) {
-    Clients[I].State = static_cast<ClientState>(S.States[I]);
-    Clients[I].PendingIn = S.Pending[I];
-  }
-}

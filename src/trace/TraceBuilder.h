@@ -21,10 +21,6 @@
 /// every point — the property the incremental check sessions
 /// (engine/Incremental.h) rely on to emit a verdict after every event.
 ///
-/// snapshot()/restore() capture the ingest state (length plus per-client
-/// automata) in O(#clients), which the corpus driver uses to rewind a
-/// resumable session to the shared prefix of a sorted trace group.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef SLIN_TRACE_TRACEBUILDER_H
@@ -79,20 +75,6 @@ public:
     Clients.clear();
     Count = 0;
   }
-
-  /// The ingest state at one point: view length plus per-client automata.
-  /// Opaque; only meaningful to the builder that produced it.
-  struct Snapshot {
-    std::size_t Len = 0;
-    std::vector<std::uint8_t> States;
-    std::vector<Input> Pending;
-  };
-
-  Snapshot snapshot() const;
-
-  /// Rewinds to \p S, which must come from this builder with no clear() in
-  /// between; actions accepted after the snapshot are dropped.
-  void restore(const Snapshot &S);
 
 private:
   /// Per-client sequential-client automaton (Definition 34; the plain

@@ -179,7 +179,6 @@ TEST(CorpusDriverTest, ThreadCountsAgreeTraceByTrace) {
 
   CorpusOptions Serial;
   Serial.Threads = 1;
-  Serial.RetryBudgetLimitedFresh = true;
   CorpusReport Base = CorpusDriver(Cons, Serial).checkLin(Corpus);
   ASSERT_EQ(Base.Results.size(), Corpus.size());
   EXPECT_EQ(Base.ThreadsUsed, 1u);
@@ -200,53 +199,93 @@ TEST(CorpusDriverTest, ThreadCountsAgreeTraceByTrace) {
   }
 }
 
+namespace {
+
+/// Siblings over one 4-event consensus prefix: W is linearizable, V splits
+/// the decision (No), and X/Y share an ill-formed fifth event (No).
+std::vector<Trace> siblingConsensusCorpus() {
+  Trace P4;
+  P4.push_back(makeInvoke(0, 1, cons::propose(1)));
+  P4.push_back(makeRespond(0, 1, cons::propose(1), cons::decide(1)));
+  P4.push_back(makeInvoke(1, 1, cons::propose(2)));
+  P4.push_back(makeInvoke(2, 1, cons::propose(3)));
+  Action Doomer = makeInvoke(1, 1, cons::propose(2)); // Client 1 pending.
+
+  Trace W = P4;
+  W.push_back(makeRespond(1, 1, cons::propose(2), cons::decide(1)));
+  Trace V = P4;
+  V.push_back(makeRespond(1, 1, cons::propose(2), cons::decide(2)));
+  Trace X = P4;
+  X.push_back(Doomer);
+  X.push_back(makeInvoke(3, 1, cons::propose(1)));
+  Trace Y = P4;
+  Y.push_back(Doomer);
+  Y.push_back(makeInvoke(3, 1, cons::propose(2)));
+  return {W, X, Y, V};
+}
+
+} // namespace
+
 TEST(CorpusDriverTest, AggregateCountsEveryCheck) {
+  // One verdict per trace, whatever the drain: sharing a prefix must not
+  // add checks of its own.
   ConsensusAdt Cons;
-  std::vector<Trace> Corpus = mixedConsensusCorpus(20);
-  CorpusOptions O;
-  O.Threads = 2;
-  CorpusReport R = CorpusDriver(Cons, O).checkLin(Corpus);
-  EXPECT_EQ(R.Aggregate.Checks, Corpus.size());
-  EXPECT_EQ(R.Yes + R.No + R.Unknown, Corpus.size());
-  EXPECT_GT(R.Aggregate.Search.Nodes, 0u);
+  for (bool SharePrefixes : {false, true}) {
+    for (const std::vector<Trace> &Corpus :
+         {mixedConsensusCorpus(20), siblingConsensusCorpus()}) {
+      CorpusOptions O;
+      O.Threads = 2;
+      O.SharePrefixes = SharePrefixes;
+      CorpusReport R = CorpusDriver(Cons, O).checkLin(Corpus);
+      EXPECT_EQ(R.Aggregate.Checks, Corpus.size())
+          << "SharePrefixes " << SharePrefixes << ", " << Corpus.size()
+          << " traces";
+      EXPECT_EQ(R.Yes + R.No + R.Unknown, Corpus.size());
+      EXPECT_GT(R.Aggregate.Search.Nodes, 0u);
+    }
+  }
 }
 
 TEST(CorpusDriverTest, BudgetLimitedIsReportedAndRetryRunsOneShot) {
   ConsensusAdt Cons;
   std::vector<Trace> Corpus = mixedConsensusCorpus(10);
 
+  // One thread checks the corpus in order through one warm session, so
+  // the drain's rows before the repair pass are reproducible by hand.
   LinCheckOptions Tight;
   Tight.NodeBudget = 1; // Everything non-trivial exhausts instantly.
-  CorpusOptions NoRetry;
-  NoRetry.Threads = 1; // Deterministic trace->session assignment.
-  CorpusReport Starved = CorpusDriver(Cons, NoRetry).checkLin(Corpus, Tight);
-  EXPECT_GT(Starved.Unknown, 0u);
-  EXPECT_EQ(Starved.BudgetLimited, Starved.Unknown);
-  for (const CorpusTraceResult &R : Starved.Results)
-    if (R.Outcome == Verdict::Unknown)
-      EXPECT_TRUE(R.BudgetLimited);
+  CheckSession Warm(Cons);
+  std::vector<LinCheckResult> Drained;
+  std::uint64_t Starved = 0;
+  for (const Trace &T : Corpus) {
+    Drained.push_back(Warm.checkLin(T, Tight));
+    if (Drained.back().Outcome == Verdict::Unknown) {
+      EXPECT_TRUE(Drained.back().BudgetLimited);
+      ++Starved;
+    }
+  }
 
-  // With retry enabled under the same tight budget, the repair pass must
-  // actually run — once per budget-limited trace — and every result must
-  // land on its one-shot verdict (fresh-session semantics) at the right
-  // corpus position.
-  CorpusOptions Retry = NoRetry;
-  Retry.RetryBudgetLimitedFresh = true;
-  CorpusReport Repaired = CorpusDriver(Cons, Retry).checkLin(Corpus, Tight);
-  EXPECT_EQ(Repaired.Retried, Starved.BudgetLimited);
+  // The repair pass runs once per budget-limited trace, and every retried
+  // row lands on its one-shot verdict (fresh-session semantics) at the
+  // right corpus position; the others keep the drain's verdict.
+  CorpusOptions O;
+  O.Threads = 1;
+  CorpusReport Repaired = CorpusDriver(Cons, O).checkLin(Corpus, Tight);
   EXPECT_GT(Repaired.Retried, 0u);
+  EXPECT_EQ(Repaired.Retried, Starved);
   ASSERT_EQ(Repaired.Results.size(), Corpus.size());
   for (std::size_t I = 0; I != Corpus.size(); ++I) {
-    if (Starved.Results[I].Outcome != Verdict::Unknown)
-      continue;
-    LinCheckResult OneShot = checkLinearizable(Corpus[I], Cons, Tight);
-    EXPECT_EQ(Repaired.Results[I].Outcome, OneShot.Outcome) << "trace " << I;
-    EXPECT_EQ(Repaired.Results[I].BudgetLimited, OneShot.BudgetLimited);
+    LinCheckResult Want = Drained[I];
+    if (Want.Outcome == Verdict::Unknown)
+      Want = checkLinearizable(Corpus[I], Cons, Tight);
+    EXPECT_EQ(Repaired.Results[I].Outcome, Want.Outcome) << "trace " << I;
+    EXPECT_EQ(Repaired.Results[I].BudgetLimited, Want.BudgetLimited)
+        << "trace " << I;
   }
 
   // And with the default budget nothing is budget-limited, so the retry
   // pass has nothing to do.
-  CorpusReport Roomy = CorpusDriver(Cons, Retry).checkLin(Corpus);
+  CorpusReport Roomy = CorpusDriver(Cons, O).checkLin(Corpus);
   EXPECT_EQ(Roomy.Unknown, 0u);
   EXPECT_EQ(Roomy.BudgetLimited, 0u);
   EXPECT_EQ(Roomy.Retried, 0u);
@@ -254,7 +293,7 @@ TEST(CorpusDriverTest, BudgetLimitedIsReportedAndRetryRunsOneShot) {
 
 //===----------------------------------------------------------------------===//
 // Resumable sessions: append-order invariance, frontier reuse, absorption,
-// mark/rewind, and pollution recovery.
+// and pollution recovery.
 //===----------------------------------------------------------------------===//
 
 TEST(IncrementalSessionTest, CheckingScheduleDoesNotPerturbTheSearch) {
@@ -348,50 +387,6 @@ TEST(IncrementalSessionTest, InvokeAppendsAndNoAreAbsorbed) {
   R = Inc.verdict();
   EXPECT_EQ(R.Outcome, Verdict::No);
   EXPECT_EQ(R.NodesExplored, 0u);
-}
-
-TEST(IncrementalSessionTest, MarkRewindMembersMatchOneShot) {
-  // A sealed shared prefix: members of the group (prefix + divergent
-  // suffixes) are checked by rewinding and appending; their verdicts must
-  // match one-shot checks of the full member traces.
-  ConsensusAdt Cons;
-  Trace Prefix;
-  Prefix.push_back(makeInvoke(0, 1, cons::propose(1)));
-  Prefix.push_back(makeInvoke(1, 1, cons::propose(2)));
-  Prefix.push_back(makeRespond(0, 1, cons::propose(1), cons::decide(1)));
-
-  // Suffix A: consistent second decision (linearizable).
-  Trace SufYes;
-  SufYes.push_back(makeRespond(1, 1, cons::propose(2), cons::decide(1)));
-  // Suffix B: split decision (not linearizable).
-  Trace SufNo;
-  SufNo.push_back(makeRespond(1, 1, cons::propose(2), cons::decide(2)));
-  // Suffix C: more work on top of A.
-  Trace SufLong = SufYes;
-  SufLong.push_back(makeInvoke(2, 1, cons::propose(3)));
-  SufLong.push_back(makeRespond(2, 1, cons::propose(3), cons::decide(1)));
-
-  IncrementalLinSession Inc(Cons);
-  for (const Action &A : Prefix)
-    ASSERT_TRUE(Inc.append(A));
-  ASSERT_EQ(Inc.verdict().Outcome, Verdict::Yes); // Prime the seal.
-  Inc.markPrefix();
-  ASSERT_TRUE(Inc.hasMark());
-  EXPECT_EQ(Inc.markLength(), Prefix.size());
-
-  for (const Trace *Suffix : {&SufYes, &SufNo, &SufLong, &SufYes}) {
-    Inc.rewindToMark();
-    ASSERT_EQ(Inc.size(), Prefix.size());
-    Trace Member = Prefix;
-    for (const Action &A : *Suffix) {
-      Inc.append(A);
-      Member.push_back(A);
-    }
-    LinCheckResult Streamed = Inc.verdict();
-    LinCheckResult OneShot = checkLinearizable(Member, Cons);
-    ASSERT_EQ(Streamed.Outcome, OneShot.Outcome)
-        << "member with suffix of " << Suffix->size() << " events";
-  }
 }
 
 TEST(IncrementalSessionTest, BudgetExhaustionRecoversCleanly) {
@@ -524,7 +519,6 @@ TEST(CorpusDriverTest, SharePrefixesPreservesVerdicts) {
 
   CorpusOptions Plain;
   Plain.Threads = 1;
-  Plain.RetryBudgetLimitedFresh = true;
   CorpusReport Base = CorpusDriver(Cons, Plain).checkLin(Corpus);
 
   for (unsigned Threads : {1u, 3u}) {
@@ -540,34 +534,23 @@ TEST(CorpusDriverTest, SharePrefixesPreservesVerdicts) {
     EXPECT_EQ(Rep.Yes, Base.Yes);
     EXPECT_EQ(Rep.No, Base.No);
     EXPECT_EQ(Rep.Unknown, Base.Unknown);
+    // What sharing is for: each prefix-closed trace streams only its
+    // delta, so the one-thread shared drain searches fewer nodes.
+    if (Threads == 1)
+      EXPECT_LT(Rep.Aggregate.Search.Nodes, Base.Aggregate.Search.Nodes);
   }
 }
 
 TEST(CorpusDriverTest, SharePrefixesDoomedPrefixDoesNotPoisonSiblings) {
-  // Regression: an ill-formed event rejected while streaming a group's
-  // shared prefix must not be sealed into the mark — a sibling trace that
-  // shares only the *accepted* events would rewind into the doomed state
-  // and wrongly report No. Corpus: X and Y share an ill-formed event at
-  // index 4 (both genuinely No); W shares only the 4 valid events and is
-  // linearizable.
+  // A doomed view is reset, never extended: it lacks the rejected event,
+  // so a sibling sharing only the *accepted* events would otherwise
+  // inherit the doom and wrongly report No. X and Y share an ill-formed
+  // event at index 4 (both genuinely No) and sort first (an invocation
+  // orders before a response), so W — which shares only the 4 valid
+  // events and is linearizable — follows a doomed view that is a prefix of
+  // it. V splits the decision (No).
   ConsensusAdt Cons;
-  Trace P4;
-  P4.push_back(makeInvoke(0, 1, cons::propose(1)));
-  P4.push_back(makeRespond(0, 1, cons::propose(1), cons::decide(1)));
-  P4.push_back(makeInvoke(1, 1, cons::propose(2)));
-  P4.push_back(makeInvoke(2, 1, cons::propose(3)));
-  Action Doomer = makeInvoke(1, 1, cons::propose(2)); // Client 1 pending.
-
-  Trace X = P4;
-  X.push_back(Doomer);
-  X.push_back(makeInvoke(3, 1, cons::propose(1)));
-  Trace Y = P4;
-  Y.push_back(Doomer);
-  Y.push_back(makeInvoke(3, 1, cons::propose(2)));
-  Trace W = P4;
-  W.push_back(makeRespond(1, 1, cons::propose(2), cons::decide(1)));
-
-  std::vector<Trace> Corpus = {W, X, Y};
+  std::vector<Trace> Corpus = siblingConsensusCorpus();
   CorpusOptions Plain;
   Plain.Threads = 1;
   CorpusReport Base = CorpusDriver(Cons, Plain).checkLin(Corpus);
@@ -580,6 +563,7 @@ TEST(CorpusDriverTest, SharePrefixesDoomedPrefixDoesNotPoisonSiblings) {
   EXPECT_EQ(Base.Results[0].Outcome, Verdict::Yes);
   EXPECT_EQ(Base.Results[1].Outcome, Verdict::No);
   EXPECT_EQ(Base.Results[2].Outcome, Verdict::No);
+  EXPECT_EQ(Base.Results[3].Outcome, Verdict::No);
 }
 
 TEST(CorpusDriverTest, SlinCorpusRunsThroughTheDriver) {
@@ -735,47 +719,6 @@ TEST(IncrementalSessionTest, SlinBudgetPollutionSaltsOutRetainedFrontiers) {
   }
 }
 
-TEST(IncrementalSessionTest, MarkRewindRestoresRetainedReplayState) {
-  // The retained-state lifecycle across mark/rewind: members advance the
-  // frontier past the mark; each rewind must restore the mark-time replay
-  // state so member verdicts keep matching one-shot checks AND keep doing
-  // zero seed replay once resumed.
-  ConsensusAdt Cons;
-  Trace Prefix;
-  Prefix.push_back(makeInvoke(0, 1, cons::propose(1)));
-  Prefix.push_back(makeRespond(0, 1, cons::propose(1), cons::decide(1)));
-  Prefix.push_back(makeInvoke(1, 1, cons::propose(2)));
-
-  IncrementalLinSession Inc(Cons);
-  for (const Action &A : Prefix)
-    ASSERT_TRUE(Inc.append(A));
-  ASSERT_EQ(Inc.verdict().Outcome, Verdict::Yes);
-  ASSERT_TRUE(Inc.frontierState().Valid);
-  Inc.markPrefix();
-
-  for (int Member = 0; Member != 3; ++Member) {
-    Inc.rewindToMark();
-    ASSERT_TRUE(Inc.frontierState().Valid)
-        << "rewind dropped the retained replay state";
-    ASSERT_EQ(Inc.frontierState().Len, Inc.frontierHistory().size());
-    Trace MemberTrace = Prefix;
-    Action R1 = makeRespond(1, 1, cons::propose(2), cons::decide(1));
-    Action I2 = makeInvoke(2, 1, cons::propose(3));
-    Action R2 = makeRespond(2, 1, cons::propose(3),
-                            cons::decide(Member == 1 ? 3 : 1));
-    for (const Action &A : {R1, I2, R2}) {
-      Inc.append(A);
-      MemberTrace.push_back(A);
-    }
-    std::uint64_t ReplayedBefore = Inc.stats().Search.SeedStepsReplayed;
-    LinCheckResult Streamed = Inc.verdict();
-    LinCheckResult OneShot = checkLinearizable(MemberTrace, Cons);
-    ASSERT_EQ(Streamed.Outcome, OneShot.Outcome) << "member " << Member;
-    EXPECT_EQ(Inc.stats().Search.SeedStepsReplayed, ReplayedBefore)
-        << "member " << Member << " replayed the marked prefix";
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Obligation retirement: the live window, the quiescent-cut fold, the
 // structural overflow, and the WindowRetired soundness contract.
@@ -926,39 +869,6 @@ TEST(IncrementalSessionTest, NoPastRetirementDegradesToWindowRetired) {
   Doomy.append(Dup); // No matching open invocation: ill-formed.
   EXPECT_TRUE(Doomy.doomed());
   EXPECT_EQ(Doomy.verdict(Opts).Outcome, Verdict::No);
-}
-
-TEST(IncrementalSessionTest, MarkRewindRestoresPreRetirementWindow) {
-  // SharePrefixes interplay: a mark taken before retirement must rewind
-  // the whole window state back — retired count, window contents, and
-  // exact (batch-equal) verdicts for a different suffix.
-  RegisterAdt Reg;
-  IncrementalLinSession Inc(Reg);
-  LinCheckOptions Opts;
-  Opts.WantWitness = false;
-  std::unique_ptr<AdtState> Model = Reg.makeState();
-  streamSequentialRegisterOps(Inc, 10, Opts, /*VerdictPerEvent=*/true,
-                              Model.get());
-  Inc.markPrefix();
-  ASSERT_EQ(Inc.retiredObligations(), 0u);
-  std::size_t MarkLen = Inc.size();
-
-  streamSequentialRegisterOps(Inc, 90, Opts, /*VerdictPerEvent=*/true,
-                              Model.get());
-  ASSERT_GT(Inc.retiredObligations(), 0u);
-
-  Inc.rewindToMark();
-  EXPECT_EQ(Inc.retiredObligations(), 0u);
-  EXPECT_EQ(Inc.size(), MarkLen);
-  EXPECT_EQ(Inc.liveWindow(), 10u);
-  // A contradicting response must now be an exact No again (nothing is
-  // retired in the rewound window).
-  ASSERT_TRUE(Inc.append(makeInvoke(9, 1, reg::read())));
-  ASSERT_TRUE(Inc.append(makeRespond(9, 1, reg::read(), Output{77})));
-  LinCheckResult R = Inc.verdict(Opts);
-  Trace Prefix = Inc.trace();
-  EXPECT_EQ(R.Outcome, Verdict::No);
-  EXPECT_EQ(checkLinearizable(Prefix, Reg).Outcome, Verdict::No);
 }
 
 TEST(IncrementalSessionTest, CyclingInterpretationsKeepTheHotFrontier) {

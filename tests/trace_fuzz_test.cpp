@@ -28,9 +28,9 @@
 // SLIN_FUZZ_TRACES=<n> to scale the budget, e.g. in sanitizer CI).
 //
 // The file also hosts the retained-replay-state property test: after any
-// interleaving of append/verdict/markPrefix/rewindToMark/reset, the cached
-// AdtState at the frontier must be bit-equivalent (clone + canonical
-// serialization) to a fresh replay of the retained master.
+// interleaving of append/verdict/reset, the cached AdtState at the
+// frontier must be bit-equivalent (clone + canonical serialization) to a
+// fresh replay of the retained master.
 //
 //===----------------------------------------------------------------------===//
 
@@ -1259,7 +1259,7 @@ TEST(TraceFuzzTest, SlinFastStepDifferential_InitFamilySteadyStreams) {
 
 //===----------------------------------------------------------------------===//
 // Retained replay state: bit-equivalence with a fresh seed replay under
-// arbitrary append / rewindToMark / reset interleavings.
+// arbitrary append / verdict / reset interleavings.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -1298,10 +1298,9 @@ void expectFrontierMatchesReplay(const Adt &Type,
 } // namespace
 
 TEST(TraceFuzzTest, RetainedReplayStateMatchesFreshReplay) {
-  // Drive random interleavings of append / verdict / markPrefix /
-  // rewindToMark / reset against every ADT; after every verdict the cached
-  // frontier state (when present) must be bit-equivalent to a fresh seed
-  // replay of the retained master.
+  // Drive random interleavings of append / verdict / reset against every
+  // ADT; after every verdict the cached frontier state (when present) must
+  // be bit-equivalent to a fresh seed replay of the retained master.
   ConsensusAdt Cons;
   QueueAdt Q;
   RegisterAdt Reg;
@@ -1344,7 +1343,7 @@ TEST(TraceFuzzTest, RetainedReplayStateMatchesFreshReplay) {
       IncrementalLinSession Inc(Fx.Type);
       std::size_t Next = 0;
       for (unsigned Step = 0; Step != 48; ++Step) {
-        switch (R.next() % 8) {
+        switch (R.next() % 7) {
         case 0:
         case 1:
         case 2:
@@ -1359,17 +1358,6 @@ TEST(TraceFuzzTest, RetainedReplayStateMatchesFreshReplay) {
         case 4:
         case 5: // Verdict; afterwards the frontier must match a replay.
           Inc.verdict();
-          expectFrontierMatchesReplay(Fx.Type, Inc);
-          break;
-        case 6:
-          if (Inc.hasMark() && R.next() % 2) {
-            Inc.rewindToMark();
-            // The view rewound with the frontier; keep feeding from the
-            // mark's position in the trace.
-            Next = Inc.size();
-          } else {
-            Inc.markPrefix();
-          }
           expectFrontierMatchesReplay(Fx.Type, Inc);
           break;
         default:

@@ -76,11 +76,17 @@ public:
   virtual void undoInput(const UndoToken &U);
 
   /// True when applyInput/undoInput implement an O(1) mutate/undo cycle.
-  /// Searches fall back to clone-per-child when false (the default).
+  /// Searches fall back to clone-per-child when false (the default), with
+  /// the same verdicts and node counts. A resumable session then cannot
+  /// keep a replay state at its chains' ends: it has no fast step and
+  /// replays every seed. Behind a retired prefix it replays the retired
+  /// prefix too, so an outcome-only session (IncrementalOptions::
+  /// RetainRetiredWitness off) answers Unknown from its first fold until
+  /// reset(); see that option. Every in-tree ADT implements undo.
   virtual bool supportsUndo() const;
 
-  /// Deep-copies the state. Used by branching searches that cannot (or are
-  /// asked not to) use the undo protocol.
+  /// Deep-copies the state. Used by branching searches over states that
+  /// cannot use the undo protocol.
   virtual std::unique_ptr<AdtState> clone() const = 0;
 
   /// A fingerprint of the *logical* state: two states with equal digests

@@ -44,8 +44,7 @@ public:
     // this: its post-drain root searches carry a valid boundary clone and
     // nothing replayable.
     FrontierState *F = P.Retained;
-    bool Adopted = F && F->Valid && F->State && !P.ForceCloneStates &&
-                   F->State->supportsUndo() &&
+    bool Adopted = F && F->Valid && F->State && F->State->supportsUndo() &&
                    F->Len == Base + P.SeedLen && F->Len != 0 &&
                    F->Used.size() <= A;
     bool NeedPrefixIds =
@@ -87,7 +86,7 @@ public:
     TrackIds = F != nullptr;
     std::unique_ptr<AdtState> State =
         Adopted ? std::move(F->State) : P.Type->makeState();
-    UseUndo = State->supportsUndo() && !P.ForceCloneStates;
+    UseUndo = State->supportsUndo();
 
     // Obligations the seed already commits (a resumable session's retained
     // witness chain): mark them committed and replay their witness rows, so
@@ -284,8 +283,8 @@ private:
     // Move 1: commit an outstanding response by appending its input. With
     // an undo-capable state the move mutates State in place and reverts on
     // the way back; otherwise each child runs on a clone (the fallback for
-    // ADTs without undo and for differential testing). Move order, stats,
-    // and pruning are identical in both modes.
+    // ADTs without undo). Move order, stats, and pruning are identical in
+    // both modes.
     for (std::size_t R = 0, E = P.NumCommits; R != E; ++R) {
       if (Committed & (1ull << R))
         continue;

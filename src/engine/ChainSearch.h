@@ -30,8 +30,7 @@
 /// the ADT speaks the mutate/undo protocol (AdtState::supportsUndo) the
 /// DFS threads a single replay state down the search path, reverting each
 /// move with an O(1) UndoToken instead of cloning the state at every child
-/// node; clone-per-child remains the fallback (and is selectable with
-/// ChainProblemView::ForceCloneStates for differential testing).
+/// node; clone-per-child remains the fallback for states without undo.
 ///
 /// Deciding linearizability is NP-complete, so the search is bounded by a
 /// node budget and an optional deadline; exhaustion yields Verdict::Unknown
@@ -176,8 +175,9 @@ struct CommitObligation {
 /// into it (the undo protocol leaves the threaded state exactly there).
 /// On a failed or exhausted run the strict LIFO undo discipline has
 /// restored the adopted state to the frontier, so it is handed back
-/// unchanged. Only undo-capable states can be adopted or captured;
-/// clone-mode runs leave the struct untouched and replay the seed.
+/// unchanged. Only undo-capable states can be adopted or captured: a run
+/// over a state without undo leaves the struct untouched and replays the
+/// seed.
 struct FrontierState {
   std::unique_ptr<AdtState> State; ///< Positioned after the seed prefix.
   std::vector<std::int32_t> Used;  ///< Used counts by InputId at the frontier.
@@ -272,10 +272,11 @@ struct ChainProblemView {
   /// the master (it only sees the live part).
   std::size_t SeedBase = 0;
   /// Dense ids of the retired prefix, used only when the Retained state
-  /// cannot be adopted (clone-mode/mismatched runs replay it without
-  /// materializing it into the master) and to fold sequence hashes for
-  /// states captured before the problem became sequence-sensitive. Must
-  /// have exactly SeedBase elements whenever SeedBase != 0.
+  /// cannot be adopted (runs over a state without undo, or a mismatched
+  /// one, replay it without materializing it into the master) and to fold
+  /// sequence hashes for states captured before the problem became
+  /// sequence-sensitive. Must have exactly SeedBase elements whenever
+  /// SeedBase != 0.
   const InputId *RetiredPrefix = nullptr;
   std::size_t RetiredPrefixLen = 0;
   /// Obligations already committed *within* the (virtual ++ materialized)
@@ -291,10 +292,6 @@ struct ChainProblemView {
   /// leaf predicate depends on the master's order (abort synthesis does);
   /// plain multiset + ADT-digest keys suffice otherwise.
   bool SequenceSensitive = false;
-  /// Clone the ADT state at every child even when the state supports the
-  /// mutate/undo protocol. Exists for undo-vs-clone differential testing;
-  /// verdicts and node counts are identical either way.
-  bool ForceCloneStates = false;
   /// Called when every obligation is committed, with the candidate master
   /// and the longest commit-prefix length; returning false rejects the
   /// leaf and the search continues. Borrowed: null (or pointing at an

@@ -88,8 +88,7 @@ SlinCheckResult detail::shapeSlinResult(
 }
 
 CheckSession::CheckSession(const Adt &Type, const SessionOptions &Opts)
-    : Type(Type), Memo(Opts.TranspositionCapacity),
-      ForceCloneStates(!Opts.UseUndoStates) {}
+    : Type(Type), Memo(Opts.TranspositionCapacity) {}
 
 void CheckSession::reset() {
   Interner.clear();
@@ -210,7 +209,6 @@ LinCheckResult CheckSession::runLin(const Trace &T,
   Problem.AlphabetSize = A;
   Problem.Commits = Commits.data();
   Problem.NumCommits = Commits.size();
-  Problem.ForceCloneStates = ForceCloneStates;
   ChainLimits Limits{Opts.NodeBudget, Opts.TimeBudgetMillis};
   ChainSearch Engine(Interner, Memo, Scratch);
   ChainResult R = Engine.run(Problem, Limits, ++RunSerial);
@@ -357,7 +355,6 @@ SlinCheckResult CheckSession::runSlinUnder(const Trace &T,
   Problem.SeedLen = Seed.size();
   Problem.SequenceSensitive = !Aborts.empty();
   Problem.AcceptLeaf = &AcceptLeaf;
-  Problem.ForceCloneStates = ForceCloneStates;
   ChainLimits Limits{Opts.Search.NodeBudget, Opts.Search.TimeBudgetMillis};
   ChainSearch Engine(Interner, Memo, Scratch);
   ChainResult R = Engine.run(Problem, Limits, ++RunSerial);

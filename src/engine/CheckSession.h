@@ -83,11 +83,6 @@ struct SessionOptions {
   /// Capacity (entries, rounded up to a power of two) of the shared
   /// transposition table.
   std::size_t TranspositionCapacity = 1u << 20;
-  /// Drive the search through the ADT's mutate/undo protocol when the
-  /// state supports it (one state threaded down the DFS path) instead of
-  /// cloning at every child node. Off exists for undo-vs-clone
-  /// differential testing; verdicts and node counts are identical.
-  bool UseUndoStates = true;
 };
 
 /// Counters aggregated over every check a session ran.
@@ -100,12 +95,12 @@ struct SessionStats {
   /// success frontier (engine/Incremental.h) rather than a full root
   /// search. Batch sessions never bump this.
   std::uint64_t FrontierResumes = 0;
-  /// Verdicts the data-oriented steady-state fast path served in-session —
-  /// one new obligation absorbed onto the retained frontier with branchless
-  /// mask/count checks, never materializing a problem or entering the
-  /// engine's DFS. A subset of FrontierResumes; bookkeeping (node counts,
-  /// frontier updates, memo stats) is bit-identical to the engine run it
-  /// replaces. Batch sessions never bump this.
+  /// Verdicts the steady-state fast step served in-session — one new
+  /// obligation committed onto every member's retained chain with
+  /// branchless mask/count checks over the live window, without entering
+  /// the engine's DFS. A subset of FrontierResumes; bookkeeping (node
+  /// counts, frontier updates, memo stats) is bit-identical to the engine
+  /// run it replaces. Batch sessions never bump this.
   std::uint64_t FastPathVerdicts = 0;
   /// Obligations a windowed session folded into its retired prefix at
   /// quiescent cuts (engine/Incremental.h); what keeps the live window —
@@ -231,7 +226,6 @@ private:
   TranspositionTable Memo;
   SessionStats Stats;
   std::uint64_t RunSerial = 0;
-  bool ForceCloneStates = false;
 };
 
 } // namespace slin

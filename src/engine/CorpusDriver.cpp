@@ -151,7 +151,6 @@ CorpusReport CorpusDriver::checkLin(const std::vector<Trace> &Corpus,
 
   IncrementalOptions IncOpts;
   IncOpts.TranspositionCapacity = Opts.Session.TranspositionCapacity;
-  IncOpts.UseUndoStates = Opts.Session.UseUndoStates;
 
   return drain(
       Type, Opts, Corpus.size(),

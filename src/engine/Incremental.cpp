@@ -6,10 +6,9 @@
 //
 // The two families the windowed session core (engine/SessionCore.cpp) runs
 // over. What is left here is only what differs: lin's invalid-input doom
-// and frontierHistory; slin's interpretation-family cache,
-// per-interpretation init overlays, aborts with the abort-synthesis leaf,
-// epoch rules for non-monotone deltas, and the LRU table of
-// per-interpretation chains.
+// and frontierHistory; slin's interpretation-family cache (whose hashes key
+// the core's chain table), per-interpretation init overlays, aborts with
+// the abort-synthesis leaf, and epoch rules for non-monotone deltas.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,9 +21,6 @@
 using namespace slin;
 
 namespace {
-
-constexpr std::uint64_t LinSaltDomain = 0x1A2B3C4D5E6F7081ull;
-constexpr std::uint64_t SlinSaltDomain = 0x51A9B8C7D6E5F403ull;
 
 std::uint64_t interpretationHash(const InitInterpretation &Finit) {
   std::uint64_t H = 0xF1417ull;
@@ -45,16 +41,12 @@ IncrementalLinSession::IncrementalLinSession(const Adt &Type,
                                              const IncrementalOptions &Opts)
     : WindowedSession(Type, Opts, /*Sig=*/nullptr) {}
 
-std::uint64_t IncrementalLinSession::memberSalt(std::size_t) const {
-  return hashCombine(LinSaltDomain, Epoch);
-}
-
 void IncrementalLinSession::shapeNo(ChainResult &R) const {
   R.Reason = "no linearization function exists";
 }
 
 void IncrementalLinSession::memberYes(std::size_t, ChainResult &R,
-                                      RetainedChain *, LinCheckResult &Out) {
+                                      RetainedChain &, LinCheckResult &Out) {
   Out.Witness.Master = std::move(R.Master);
   Out.Witness.Commits = std::move(R.Commits);
 }
@@ -92,31 +84,36 @@ LinCheckResult IncrementalLinSession::verdict(const LinCheckOptions &Limits) {
       R.Witness = LinWitness();
     return R;
   }
+  // A Yes with nothing ever committed leaves no chain (and an empty
+  // witness).
+  const RetainedChain *C = findChain(0);
+  if (!C)
+    return R;
   // An absorbed Yes hands back the retained chain (the engine's witness of
   // the last search); searched ones carry the engine's own.
   if (LastPath != VerdictPath::Searched) {
-    R.Witness.Master = chainHistory(Chain);
-    R.Witness.Commits = Chain.Commits;
+    R.Witness.Master = chainHistory(*C);
+    R.Witness.Commits = C->Commits;
   }
-  completeWitness(Chain, R.Witness.Master, R.Witness.Commits);
+  completeWitness(*C, R.Witness.Master, R.Witness.Commits);
   return R;
 }
 
-void IncrementalLinSession::reset() {
-  resetCore();
-  Chain.clear();
-}
-
-std::size_t IncrementalLinSession::memoryFootprintBytes() const {
-  return coreBytes() + Chain.memoryBytes();
+const FrontierState &IncrementalLinSession::frontierState() const {
+  static const FrontierState None;
+  const RetainedChain *C = findChain(0);
+  return C ? C->Replay : None;
 }
 
 History IncrementalLinSession::frontierHistory() const {
   History H;
-  H.reserve(Chain.RetiredMaster.size() + Chain.Master.size());
-  for (InputId Id : Chain.RetiredMaster)
+  const RetainedChain *C = findChain(0);
+  if (!C)
+    return H;
+  H.reserve(C->RetiredMaster.size() + C->Master.size());
+  for (InputId Id : C->RetiredMaster)
     H.push_back(Interner.input(Id));
-  for (InputId Id : Chain.Master)
+  for (InputId Id : C->Master)
     H.push_back(Interner.input(Id));
   return H;
 }
@@ -215,50 +212,6 @@ void IncrementalSlinSession::refreshFamily() {
 std::size_t IncrementalSlinSession::members() {
   refreshFamily();
   return CachedFamily.Assignments.size();
-}
-
-RetainedChain *IncrementalSlinSession::findChain(std::uint64_t Hash) {
-  for (auto &[Key, C] : Frontiers)
-    if (Key == Hash)
-      return &C;
-  return nullptr;
-}
-
-RetainedChain *IncrementalSlinSession::chain(std::size_t I) {
-  RetainedChain *C = findChain(CachedInterpHashes[I]);
-  if (C)
-    C->LastTouch = ++TouchCounter;
-  return C;
-}
-
-RetainedChain &IncrementalSlinSession::admit(std::size_t I,
-                                             RetainedChain &&C) {
-  C.LastTouch = ++TouchCounter;
-  if (Frontiers.size() < 64) {
-    Frontiers.emplace_back(CachedInterpHashes[I], std::move(C));
-    return Frontiers.back().second;
-  }
-  // At the bound, recycle the least-recently-touched entry: cycling
-  // one-shot interpretations (e.g. the consensus relation's extended
-  // extremes over a growing trace) cannot thrash the hot steady-state
-  // chain, which every verdict touches.
-  auto Victim = std::min_element(
-      Frontiers.begin(), Frontiers.end(), [](const auto &X, const auto &Y) {
-        return X.second.LastTouch < Y.second.LastTouch;
-      });
-  Victim->first = CachedInterpHashes[I];
-  Victim->second = std::move(C);
-  return Victim->second;
-}
-
-void IncrementalSlinSession::dropRetained(std::size_t J) {
-  std::swap(Frontiers[J], Frontiers.back());
-  Frontiers.pop_back();
-}
-
-std::uint64_t IncrementalSlinSession::memberSalt(std::size_t I) const {
-  return hashCombine(hashCombine(SlinSaltDomain, Epoch),
-                     CachedInterpHashes[I]);
 }
 
 void IncrementalSlinSession::shapeNo(ChainResult &R) const {
@@ -401,16 +354,13 @@ void IncrementalSlinSession::prepareRun(std::size_t I, std::size_t NumOb,
 }
 
 void IncrementalSlinSession::memberYes(std::size_t I, ChainResult &R,
-                                       RetainedChain *C, LinCheckResult &) {
-  if (C) {
-    // The dense init overlay the fast step re-applies without re-sweeping.
-    if (AnyInit)
-      C->InitDense.assign(RunningInitScratch.begin(),
-                          RunningInitScratch.end());
-    else
-      C->InitDense.clear();
-    C->InitUpTo = InitActions.size();
-  }
+                                       RetainedChain &C, LinCheckResult &) {
+  // The dense init overlay the fast step re-applies without re-sweeping.
+  if (AnyInit)
+    C.InitDense.assign(RunningInitScratch.begin(), RunningInitScratch.end());
+  else
+    C.InitDense.clear();
+  C.InitUpTo = InitActions.size();
   SlinWitness W;
   W.Master = std::move(R.Master);
   W.Commits = std::move(R.Commits);
@@ -497,19 +447,13 @@ void IncrementalSlinSession::refreshCachedWitnesses() {
 }
 
 std::size_t IncrementalSlinSession::memoryFootprintBytes() const {
-  std::size_t Bytes =
-      coreBytes() +
-      Frontiers.capacity() * sizeof(std::pair<std::uint64_t, RetainedChain>) +
-      Aborts.capacity() * sizeof(AbortRec) +
-      InitActions.capacity() * sizeof(std::pair<std::size_t, Action>) +
-      SeedScratch.capacity() * sizeof(InputId) +
-      OverlayPtrs.capacity() * sizeof(const std::int32_t *) +
-      (RunningInitScratch.capacity() + ContribScratch.capacity()) *
-          sizeof(std::int32_t) +
-      CachedInterpHashes.capacity() * sizeof(std::uint64_t);
-  for (const auto &[Hash, C] : Frontiers)
-    Bytes += C.memoryBytes();
-  return Bytes;
+  return coreBytes() + Aborts.capacity() * sizeof(AbortRec) +
+         InitActions.capacity() * sizeof(std::pair<std::size_t, Action>) +
+         SeedScratch.capacity() * sizeof(InputId) +
+         OverlayPtrs.capacity() * sizeof(const std::int32_t *) +
+         (RunningInitScratch.capacity() + ContribScratch.capacity()) *
+             sizeof(std::int32_t) +
+         CachedInterpHashes.capacity() * sizeof(std::uint64_t);
 }
 
 void IncrementalSlinSession::reset() {
@@ -526,7 +470,4 @@ void IncrementalSlinSession::reset() {
   CachedWitnessesStale = false;
   SawInvokeSinceVerdict = false;
   AnyVerdict = false;
-  // Chains of an unrelated trace are meaningless (their commit tags index
-  // the old trace): discard, don't just invalidate.
-  Frontiers.clear();
 }

@@ -73,8 +73,8 @@
 namespace slin {
 
 /// Streaming, resumable plain-linearizability checking (Definition 5) of
-/// one growing trace against one ADT: the core's family of one, with its
-/// single chain held inline.
+/// one growing trace against one ADT: the core's family of one, whose
+/// member has key 0.
 class IncrementalLinSession final : public WindowedSession {
 public:
   explicit IncrementalLinSession(const Adt &Type,
@@ -96,20 +96,20 @@ public:
   /// Starts a new, unrelated trace: clears the view, obligations, cached
   /// result and chain; moves the memo epoch on; keeps the warm interner,
   /// arena blocks, and table.
-  void reset();
+  void reset() { resetCore(); }
 
   /// Estimated bytes this session holds across its long-lived structures
   /// (memo table, scratch arena, interner, live window, dense per-client
-  /// tables, the retained chain). The dominant terms of a shard's
+  /// tables, the chain table). The dominant terms of a shard's
   /// footprint in the monitoring service — an accounting estimate
   /// (FrontierState ADT states and string reasons are excluded), not an
   /// allocator audit; the AllocGauge machinery covers exactness.
-  std::size_t memoryFootprintBytes() const;
+  std::size_t memoryFootprintBytes() const { return coreBytes(); }
 
   /// The engine-retained replay state at the chain's end (exposed for the
   /// retained-replay property tests and diagnostics). When Valid, it is
   /// the state reached by replaying frontierHistory() from scratch.
-  const FrontierState &frontierState() const { return Chain.Replay; }
+  const FrontierState &frontierState() const;
 
   /// Materialized inputs of the retained chain — retired prefix ++ live
   /// chain. With RetainRetiredWitness off only the live chain is returned.
@@ -117,19 +117,10 @@ public:
 
 private:
   std::size_t members() override { return 1; }
-  RetainedChain *chain(std::size_t) override { return &Chain; }
-  RetainedChain &admit(std::size_t, RetainedChain &&C) override {
-    return Chain = std::move(C);
-  }
-  std::size_t retained() const override { return 1; }
-  RetainedChain &retainedAt(std::size_t) override { return Chain; }
-  void dropRetained(std::size_t) override { Chain.clear(); }
-  std::uint64_t memberSalt(std::size_t) const override;
+  std::uint64_t memberKey(std::size_t) const override { return 0; }
   void shapeNo(ChainResult &R) const override;
-  void memberYes(std::size_t I, ChainResult &R, RetainedChain *C,
+  void memberYes(std::size_t I, ChainResult &R, RetainedChain &C,
                  LinCheckResult &Out) override;
-
-  RetainedChain Chain;
 };
 
 /// Streaming (m, n)-speculative-linearizability checking (Definition 19)
@@ -141,7 +132,7 @@ private:
 /// classifySlinDelta / slinDeltasNonMonotone).
 ///
 /// Each interpretation's retained chain is keyed by interpretation hash in
-/// a small LRU table. Non-monotone deltas move the memo epoch but only
+/// the core's chain table. Non-monotone deltas move the memo epoch but only
 /// invalidate — never discard — the chains: a recurring interpretation
 /// hash implies identical init contributions, the pre-cap availability
 /// snapshots of old responses are append-stable, and every abort
@@ -170,7 +161,7 @@ public:
 
   /// Number of interpretations currently holding a retained chain
   /// (diagnostics/tests).
-  std::size_t retainedFrontiers() const { return Frontiers.size(); }
+  std::size_t retainedFrontiers() const { return Chains.size(); }
 
   /// Estimated bytes held across the session's long-lived structures,
   /// including every retained per-interpretation chain (see
@@ -186,17 +177,12 @@ private:
   };
 
   std::size_t members() override;
-  RetainedChain *chain(std::size_t I) override;
-  RetainedChain &admit(std::size_t I, RetainedChain &&C) override;
-  std::size_t retained() const override { return Frontiers.size(); }
-  RetainedChain &retainedAt(std::size_t J) override {
-    return Frontiers[J].second;
+  std::uint64_t memberKey(std::size_t I) const override {
+    return CachedInterpHashes[I];
   }
-  void dropRetained(std::size_t J) override;
-  std::uint64_t memberSalt(std::size_t I) const override;
   void prepareRun(std::size_t I, std::size_t NumOb, MemberRun &M) override;
   void shapeNo(ChainResult &R) const override;
-  void memberYes(std::size_t I, ChainResult &R, RetainedChain *C,
+  void memberYes(std::size_t I, ChainResult &R, RetainedChain &C,
                  LinCheckResult &Out) override;
 
   /// Rebuilds the cached interpretation family (assignments, hashes,
@@ -204,8 +190,6 @@ private:
   /// it; no-op — and allocation-free — while the family is append-stable
   /// (InitRelation::interpretationsStableUnderAppend), the steady state.
   void refreshFamily();
-  /// The table entry holding \p Hash's chain, or null.
-  RetainedChain *findChain(std::uint64_t Hash);
   /// Rebuilds CachedWitnesses from the retained chains (each chain's live
   /// part is exactly the witness the engine would have materialized) after
   /// fast steps let them go stale.
@@ -256,13 +240,6 @@ private:
   std::vector<detail::PendingAbort> Budgeted;
   std::vector<std::pair<std::size_t, History>> FoundAborts;
   std::function<bool(const History &, std::size_t)> Leaf;
-
-  std::uint64_t TouchCounter = 0; ///< LRU clock for chain eviction.
-  /// Per-interpretation chains keyed by interpretation hash. Only chains
-  /// that captured something are admitted; at the size bound the
-  /// least-recently-touched entry is recycled — chain loss costs
-  /// re-search, never soundness.
-  std::vector<std::pair<std::uint64_t, RetainedChain>> Frontiers;
 };
 
 } // namespace slin

@@ -97,6 +97,12 @@ ChainResult budgetUnknown(const char *Reason, std::uint64_t Nodes) {
 
 using Rows = std::vector<std::pair<std::size_t, std::size_t>>;
 
+/// Folded with the epoch and the member key into every member's memo salt.
+constexpr std::uint64_t SaltDomain = 0x51A9B8C7D6E5F403ull;
+
+/// Bound on the chain table (one entry per recurring member key).
+constexpr std::size_t ChainTableLimit = 64;
+
 std::size_t rowBytes(const Rows &V) {
   return V.capacity() * sizeof(std::pair<std::size_t, std::size_t>);
 }
@@ -225,18 +231,6 @@ const CommitObligation *LiveWindow::finalize(InputId AlphabetSize) {
   return Slots.data() + Base;
 }
 
-void RetainedChain::clear() {
-  Master.clear();
-  Commits.clear();
-  Replay.invalidate();
-  RetiredLen = RetiredRows = 0;
-  RetiredMaster.clear();
-  RetiredCommits.clear();
-  RetiredBoundary.invalidate();
-  InitDense.clear();
-  InitUpTo = 0;
-}
-
 std::size_t RetainedChain::memoryBytes() const {
   return (Master.capacity() + RetiredMaster.capacity()) * sizeof(InputId) +
          rowBytes(Commits) + rowBytes(RetiredCommits) +
@@ -332,6 +326,52 @@ std::size_t WindowedSession::openCut() const {
 }
 
 //===----------------------------------------------------------------------===//
+// The chain table
+//===----------------------------------------------------------------------===//
+
+const RetainedChain *WindowedSession::findChain(std::uint64_t Key) const {
+  for (const auto &[K, C] : Chains)
+    if (K == Key)
+      return &C;
+  return nullptr;
+}
+
+RetainedChain *WindowedSession::chain(std::size_t I) {
+  auto *C = const_cast<RetainedChain *>(findChain(memberKey(I)));
+  if (C)
+    C->LastTouch = ++TouchCounter;
+  return C;
+}
+
+RetainedChain &WindowedSession::admit(std::size_t I, RetainedChain &&C) {
+  C.LastTouch = ++TouchCounter;
+  if (Chains.size() < ChainTableLimit) {
+    Chains.emplace_back(memberKey(I), std::move(C));
+    return Chains.back().second;
+  }
+  // At the bound, recycle the least-recently-touched entry: cycling
+  // one-shot members (e.g. the consensus relation's extended extremes over
+  // a growing trace) cannot thrash the hot steady-state chain, which every
+  // verdict touches.
+  auto Victim = std::min_element(
+      Chains.begin(), Chains.end(), [](const auto &X, const auto &Y) {
+        return X.second.LastTouch < Y.second.LastTouch;
+      });
+  Victim->first = memberKey(I);
+  Victim->second = std::move(C);
+  return Victim->second;
+}
+
+void WindowedSession::dropChain(std::size_t J) {
+  std::swap(Chains[J], Chains.back());
+  Chains.pop_back();
+}
+
+std::uint64_t WindowedSession::memberSalt(std::size_t I) const {
+  return hashCombine(hashCombine(SaltDomain, Epoch), memberKey(I));
+}
+
+//===----------------------------------------------------------------------===//
 // Retirement
 //===----------------------------------------------------------------------===//
 
@@ -412,7 +452,7 @@ void WindowedSession::retireQuiescentPrefix() {
   // *set* of retired responses must be uniform). Aborts rule retirement
   // out: Abort Order caps every commit's availability by every abort's
   // budget, so a frozen prefix could not be re-capped.
-  if (!Opts.Resume || PinnedByAborts || !HaveResult || Cached != Verdict::Yes)
+  if (PinnedByAborts || !HaveResult || Cached != Verdict::Yes)
     return;
   // Cheap O(clients) early-out before the family walk: a pinned cut can
   // never fold anything, and it is exactly the case where this runs on
@@ -457,10 +497,10 @@ void WindowedSession::retireQuiescentPrefix() {
   // Fold every capable retained chain (members and recurring stale ones
   // alike); chains that cannot fold at K would reference dropped responses
   // and are discarded — losing one costs re-search, never soundness.
-  for (std::size_t J = retained(); J-- > 0;) {
-    RetainedChain &C = retainedAt(J);
+  for (std::size_t J = Chains.size(); J-- > 0;) {
+    RetainedChain &C = Chains[J].second;
     if (!(MaskOf(C) & (1ull << (K - 1)))) {
-      dropRetained(J);
+      dropChain(J);
       continue;
     }
     const std::size_t Take = C.Commits[K - 1].second - C.RetiredLen;
@@ -495,7 +535,7 @@ WindowedSession::drainOverflow(const LinCheckOptions &L, std::uint64_t &Spent,
   // are not drained (the chain table must hold one fold target each).
   DrainOutcome Out;
   const std::size_t Members = members();
-  if (Members == 0 || Members > WindowLimit)
+  if (Members == 0 || Members > ChainTableLimit)
     return Out;
   DrainRound.resize(Members);
   bool Folded = false;
@@ -576,9 +616,9 @@ WindowedSession::drainOverflow(const LinCheckOptions &L, std::uint64_t &Spent,
     }
     // Chains that fell behind the new retirement depth could never fold or
     // resume again.
-    for (std::size_t J = retained(); J-- > 0;)
-      if (retainedAt(J).RetiredRows != WindowBase + K)
-        dropRetained(J);
+    for (std::size_t J = Chains.size(); J-- > 0;)
+      if (Chains[J].second.RetiredRows != WindowBase + K)
+        dropChain(J);
     foldWindow(K);
     Folded = true;
   }
@@ -605,7 +645,7 @@ bool WindowedSession::boundedFallback(const LinCheckOptions &L,
   // for the whole stream; one behind a retired prefix is the WindowRetired
   // Unknown. Returns false when the fallback does not apply.
   const std::size_t Tail = Obligations.size() - WindowLimit;
-  if (!Opts.Resume || PinnedByAborts || Opts.InterferenceBound == 0 ||
+  if (PinnedByAborts || Opts.InterferenceBound == 0 ||
       Tail > Opts.InterferenceBound)
     return false;
   const std::size_t Members = members();
@@ -696,7 +736,6 @@ ChainResult WindowedSession::runMember(std::size_t I, RetainedChain *C,
   V.AvailOverride = M.AvailOverride;
   V.AcceptLeaf = M.AcceptLeaf;
   V.SequenceSensitive = M.SequenceSensitive;
-  V.ForceCloneStates = !Opts.UseUndoStates;
   // Once the session has retired, every run rides behind the member's
   // retired prefix as the engine's virtual seed: it is never
   // re-materialized or re-replayed.
@@ -767,8 +806,7 @@ bool WindowedSession::fastStep(const LinCheckOptions &L, LinCheckResult &R) {
   // window with bit-identical verdicts, stats and retained state, touching
   // no heap. Any miss for any member undoes the applied inputs and returns
   // false with the session untouched (beyond memo prefetches).
-  if (!Opts.Resume || !Opts.UseUndoStates || L.WantWitness ||
-      L.NodeBudget < 1 || PinnedByAborts || NewNonResponse ||
+  if (L.WantWitness || L.NodeBudget < 1 || PinnedByAborts || NewNonResponse ||
       NewResponses != 1 || !HaveResult || Cached != Verdict::Yes)
     return false;
   const std::size_t N = Obligations.size();
@@ -896,10 +934,7 @@ void WindowedSession::seal(LinCheckResult &R) {
 void WindowedSession::decide(const LinCheckOptions &Limits,
                              LinCheckResult &R) {
   LastPath = VerdictPath::Absorbed;
-  auto Absorb = [&](Verdict V) {
-    return Opts.Resume && HaveResult && !CacheStale && Cached == V;
-  };
-  if (Absorb(Verdict::No)) {
+  if (HaveResult && !CacheStale && Cached == Verdict::No) {
     R.Outcome = Verdict::No; // No is final under monotone extension.
     R.Reason = CachedReason;
     return seal(R);
@@ -913,7 +948,7 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
     // fallback and the searches below share the verdict's budgets.
     const auto Start = Clock::now();
     DrainOutcome D;
-    if (Opts.Resume && !PinnedByAborts)
+    if (!PinnedByAborts)
       D = drainOverflow(Limits, Spent, Start);
     R.NodesExplored = Spent;
     if (D.ConclusiveNo) {
@@ -956,14 +991,13 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
     R.Reason = WindowRetiredReason;
     return seal(R);
   }
-  if (Absorb(Verdict::Yes) && NewResponses == 0 && !NewNonResponse) {
+  if (HaveResult && !CacheStale && Cached == Verdict::Yes &&
+      NewResponses == 0 && !NewNonResponse) {
     // Nothing but invocations since the Yes: same obligations, same
     // witnesses (the sessions materialize them on request).
     R.Outcome = Verdict::Yes;
     return seal(R);
   }
-  if (!Opts.Resume)
-    ++Epoch; // Reference mode: nothing is reused across verdicts.
   if (fastStep(Avail, R)) {
     LastPath = VerdictPath::Fast;
     return seal(R);
@@ -978,22 +1012,21 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
   bool Polluted = false;
   const std::size_t Members = members();
   for (std::size_t I = 0; I != Members; ++I) {
-    // Only chains that captured something are admitted (slin: a stream of
-    // never-recurring interpretations must not flood the table); a miss
-    // runs against a scratch chain.
+    // A member without a chain runs against a scratch chain, admitted only
+    // if it captured something (see Chains).
     RetainedChain Fresh;
-    RetainedChain *C = Opts.Resume ? chain(I) : nullptr;
-    const bool IsFresh = Opts.Resume && !C;
+    RetainedChain *C = chain(I);
+    const bool IsFresh = !C;
     if (IsFresh)
       C = &Fresh;
     ChainResult Run;
-    if (WindowBase != 0 && (!C || IsFresh || C->RetiredRows != WindowBase)) {
+    if (WindowBase != 0 && (IsFresh || C->RetiredRows != WindowBase)) {
       // A member without a chain at the retirement depth cannot validate
       // the retired obligations (they left the window).
       ++Stats.WindowRetiredUnknowns;
       Run.Outcome = Verdict::Unknown;
       Run.Reason = WindowRetiredReason;
-    } else if (C && !C->Master.empty()) {
+    } else if (!C->Master.empty()) {
       ++Stats.FrontierResumes;
       const auto Start = Clock::now();
       Run = runMember(I, C, /*FromFrontier=*/true, Obligations.size(),
@@ -1027,7 +1060,7 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
     R.NodesExplored += Run.Stats.Nodes;
     Polluted |= Run.BudgetLimited;
     if (Run.Outcome == Verdict::Yes)
-      memberYes(I, Run, C, R);
+      memberYes(I, Run, *C, R);
     if (IsFresh && !Fresh.Master.empty())
       admit(I, std::move(Fresh));
     if (Run.Outcome != Verdict::Yes) {
@@ -1093,10 +1126,17 @@ void WindowedSession::resetCore() {
   RetiredStale = false;
   NumInits = 0;
   Scratch.reset();
+  // Chains of an unrelated trace are meaningless (their commit tags index
+  // the old trace): discard, don't just invalidate.
+  Chains.clear();
 }
 
 std::size_t WindowedSession::coreBytes() const {
-  return Memo.memoryBytes() + Scratch.reservedBytes() +
+  std::size_t ChainBytes =
+      Chains.capacity() * sizeof(std::pair<std::uint64_t, RetainedChain>);
+  for (const auto &[Key, C] : Chains)
+    ChainBytes += C.memoryBytes();
+  return ChainBytes + Memo.memoryBytes() + Scratch.reservedBytes() +
          Interner.memoryBytes() + Obligations.memoryBytes() +
          Invoked.capacity() * sizeof(std::int32_t) +
          OpenStart.capacity() * sizeof(std::size_t) +

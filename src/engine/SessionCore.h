@@ -27,10 +27,12 @@
 ///     the WindowRetired shaping of a No behind a retired prefix;
 ///   * reset and the footprint of all of the above.
 ///
-/// A session supplies the family through a handful of hooks: how many
-/// members, where member I's chain lives, its memo salt, what a run adds on
-/// top of the shared window (availability overlays, a seed, a leaf
-/// predicate), and how a No and a member's Yes are reported.
+/// The core also owns every retained chain: one table keyed by member key,
+/// recycled least-recently-used, from which each member's chain and memo
+/// salt are derived. A session supplies the family through five hooks: how
+/// many members, each member's key, what a run adds on top of the shared
+/// window (availability overlays, a seed, a leaf predicate), and how a No
+/// and a member's Yes are reported.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -97,13 +99,6 @@ inline constexpr std::size_t IncrementalWindowLimit = 64;
 struct IncrementalOptions {
   /// Capacity of the session's transposition table.
   std::size_t TranspositionCapacity = 1u << 20;
-  /// Drive the search through the mutate/undo protocol when available.
-  bool UseUndoStates = true;
-  /// Resume searches from the retained success frontier and retained memo.
-  /// Off forces a freshly salted full root search per verdict — same
-  /// verdicts, no reuse; exists for differential testing and as the
-  /// reference point the resumable path is benchmarked against.
-  bool Resume = true;
   /// Materialize the trace view (TraceBuilder retention). Off makes ingest
   /// O(1)-space and allocation-free for unbounded outcome-only monitors;
   /// trace() then returns an empty view (size() still counts). The slin
@@ -117,8 +112,16 @@ struct IncrementalOptions {
   /// unbounded monitor (the prefix otherwise grows without bound) — at the
   /// cost of witnesses (and, lin, frontierHistory()) omitting the retired
   /// region and of the replay fallback degrading to a sound Unknown when
-  /// the retained boundary state cannot be adopted (non-undo ADTs, or
-  /// UseUndoStates off). Applies to every member's retired chain.
+  /// the retained boundary state cannot be adopted. That is every run
+  /// behind a retired prefix when the ADT state lacks undo
+  /// (AdtState::supportsUndo() false): after the first fold no run can
+  /// adopt or replay the retired prefix, so the session answers the
+  /// "retired seed prefix unavailable" Unknown until reset() and never
+  /// retires again. On the 300-operation quiescing register stream of
+  /// the trace fuzz suite's NoUndoSessionDifferential tests that is 471
+  /// Unknowns in 600 verdicts (from verdict 130 on), 64 obligations
+  /// retired instead of 255, and a live-window high-water of 236. Every
+  /// in-tree ADT implements undo. Applies to every member's retired chain.
   bool RetainRetiredWitness = true;
   /// Graded-fallback bound for pinned overflow excursions: while a
   /// straggler pins the cut past the 64-slot window, a verdict searches
@@ -278,10 +281,8 @@ struct RetainedChain {
   /// step adds it to the shared window row instead of re-sweeping inits.
   std::vector<std::int32_t> InitDense;
   std::size_t InitUpTo = 0;
-  std::uint64_t LastTouch = 0; ///< LRU stamp (slin's frontier table).
+  std::uint64_t LastTouch = 0; ///< LRU stamp (the core's chain table).
 
-  /// Forgets the chain, keeping vector capacity.
-  void clear();
   std::size_t memoryBytes() const;
 };
 
@@ -348,15 +349,9 @@ protected:
 
   // Family hooks.
   virtual std::size_t members() = 0;
-  /// Member I's retained chain, or null when it holds none.
-  virtual RetainedChain *chain(std::size_t I) = 0;
-  /// Stores a chain captured for member I (which holds none yet).
-  virtual RetainedChain &admit(std::size_t I, RetainedChain &&C) = 0;
-  /// Every retained chain, members or not (retirement folds them all).
-  virtual std::size_t retained() const = 0;
-  virtual RetainedChain &retainedAt(std::size_t J) = 0;
-  virtual void dropRetained(std::size_t J) = 0;
-  virtual std::uint64_t memberSalt(std::size_t I) const = 0;
+  /// Member I's key in the chain table (and its memo salt); members with
+  /// equal keys share a chain. Valid after members().
+  virtual std::uint64_t memberKey(std::size_t I) const = 0;
   /// Fills \p M for a run of member I over the first \p NumOb obligations;
   /// runs right after the scratch arena is reset and may intern inputs.
   virtual void prepareRun(std::size_t I, std::size_t NumOb, MemberRun &M) {
@@ -364,10 +359,13 @@ protected:
   }
   /// Names a conclusive engine No (or downgrades it to Unknown).
   virtual void shapeNo(ChainResult &R) const = 0;
-  /// Member I's full run linearized; \p C is its chain (null without
-  /// resumption), already advanced to the accepting leaf.
-  virtual void memberYes(std::size_t I, ChainResult &R, RetainedChain *C,
+  /// Member I's full run linearized; \p C is its chain, already advanced
+  /// to the accepting leaf.
+  virtual void memberYes(std::size_t I, ChainResult &R, RetainedChain &C,
                          LinCheckResult &Out) = 0;
+
+  /// The chain stored under \p Key in the chain table, or null.
+  const RetainedChain *findChain(std::uint64_t Key) const;
 
   // Ingest.
   WellFormedness doom(std::string Reason);
@@ -424,6 +422,12 @@ protected:
   /// masks, budget-limited runs, relaxations, reset); folded into every
   /// member salt.
   std::uint64_t Epoch = 0;
+  /// Retained chains keyed by member key. Only chains that captured
+  /// something are admitted (a stream of never-recurring slin
+  /// interpretations must not flood the table), at most 64 of them; a lost
+  /// chain costs re-search, never soundness. Retirement folds every entry,
+  /// members or not. Cleared by resetCore().
+  std::vector<std::pair<std::uint64_t, RetainedChain>> Chains;
 
   bool HaveResult = false;
   Verdict Cached = Verdict::No;
@@ -450,6 +454,14 @@ private:
     std::string BudgetReason;
   };
 
+  /// Member I's retained chain (stamped as recently used), or null.
+  RetainedChain *chain(std::size_t I);
+  /// Stores a chain captured for member I (which holds none yet); at the
+  /// size bound the least-recently-used entry is recycled.
+  RetainedChain &admit(std::size_t I, RetainedChain &&C);
+  /// Drops chain table entry \p J.
+  void dropChain(std::size_t J);
+  std::uint64_t memberSalt(std::size_t I) const;
   std::size_t openCut() const;
   std::uint64_t foldMask(const std::vector<std::pair<std::size_t, std::size_t>>
                              &Rows,
@@ -469,6 +481,7 @@ private:
   ChainResult runMember(std::size_t I, RetainedChain *C, bool FromFrontier,
                         std::size_t NumOb, const ChainLimits &L);
 
+  std::uint64_t TouchCounter = 0; ///< LRU clock of the chain table.
   std::vector<std::pair<std::size_t, std::size_t>> SeedCommitsScratch;
   std::vector<CommitObligation> CappedScratch;
   std::vector<ChainResult> DrainRound;

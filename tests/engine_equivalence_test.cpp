@@ -22,6 +22,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "NoUndoAdt.h"
 #include "adt/Consensus.h"
 #include "adt/Queue.h"
 #include "engine/CheckSession.h"
@@ -252,19 +253,18 @@ TEST(EngineEquivalenceTest, AbortValidityReadingsDifferOnLateDecider) {
 //===----------------------------------------------------------------------===//
 // Mutate/undo vs clone-per-child: the two state-threading modes must be
 // observationally identical — same verdicts AND same node counts, since
-// move order, pruning, and memo keys do not depend on the mode.
+// move order, pruning, and memo keys do not depend on the mode. The clone
+// side runs over NoUndoAdt, whose states hide the undo protocol.
 //===----------------------------------------------------------------------===//
 
 TEST(EngineEquivalenceTest, UndoVsCloneDifferentialLin) {
-  SessionOptions UndoMode, CloneMode;
-  CloneMode.UseUndoStates = false;
-
   auto CheckCorpus = [&](const Adt &Type, const std::vector<Trace> &Corpus) {
+    NoUndoAdt CloneType(Type);
     for (const Trace &T : Corpus) {
       // Fresh sessions per trace: identical interner order makes node
       // counts comparable bit-for-bit, not only verdicts.
-      CheckSession Undo(Type, UndoMode);
-      CheckSession Clone(Type, CloneMode);
+      CheckSession Undo(Type);
+      CheckSession Clone(CloneType);
       LinCheckResult RU = Undo.checkLin(T);
       LinCheckResult RC = Clone.checkLin(T);
       ASSERT_EQ(RU.Outcome, RC.Outcome)
@@ -309,9 +309,8 @@ TEST(EngineEquivalenceTest, UndoVsCloneDifferentialLin) {
 
 TEST(EngineEquivalenceTest, UndoVsCloneDifferentialSlin) {
   ConsensusAdt Cons;
+  NoUndoAdt CloneCons(Cons);
   UniversalInitRelation Rel;
-  SessionOptions UndoMode, CloneMode;
-  CloneMode.UseUndoStates = false;
   for (PhaseId M : {1u, 2u}) {
     PhaseSignature Sig(M, M + 1);
     SpecAutomaton A(Sig, 3);
@@ -326,8 +325,8 @@ TEST(EngineEquivalenceTest, UndoVsCloneDifferentialSlin) {
       for (bool AtEnd : {false, true}) {
         SlinCheckOptions O;
         O.AbortValidityAtEnd = AtEnd;
-        CheckSession Undo(Cons, UndoMode);
-        CheckSession Clone(Cons, CloneMode);
+        CheckSession Undo(Cons);
+        CheckSession Clone(CloneCons);
         SlinVerdict VU = Undo.checkSlin(T, Sig, Rel, O);
         SlinVerdict VC = Clone.checkSlin(T, Sig, Rel, O);
         ASSERT_EQ(VU.Outcome, VC.Outcome)

@@ -33,9 +33,8 @@ namespace {
 
 /// Streams \p T through a resumable session, checking after every event,
 /// and compares each verdict with a scratch batch check of the prefix.
-void expectLinPrefixAgreement(const Adt &Type, const Trace &T,
-                              const IncrementalOptions &IncOpts) {
-  IncrementalLinSession Inc(Type, IncOpts);
+void expectLinPrefixAgreement(const Adt &Type, const Trace &T) {
+  IncrementalLinSession Inc(Type);
   Trace Prefix;
   for (const Action &A : T) {
     Inc.append(A); // A rejected event dooms the session; keep streaming.
@@ -43,8 +42,7 @@ void expectLinPrefixAgreement(const Adt &Type, const Trace &T,
     LinCheckResult Streamed = Inc.verdict();
     LinCheckResult Batch = checkLinearizable(Prefix, Type);
     ASSERT_EQ(Streamed.Outcome, Batch.Outcome)
-        << Type.name() << " prefix of " << Prefix.size()
-        << " events (resume=" << IncOpts.Resume << "):\n"
+        << Type.name() << " prefix of " << Prefix.size() << " events:\n"
         << formatTrace(Prefix);
   }
 }
@@ -57,12 +55,8 @@ void runLinFamily(const Adt &Type, const GenOptions &G, unsigned Count,
     Trace Mutated = Positive;
     mutateTrace(Mutated, static_cast<MutationKind>(I % 4), G, R);
     Trace Arbitrary = genArbitraryTrace(G, R);
-    for (const Trace *T : {&Positive, &Mutated, &Arbitrary}) {
-      expectLinPrefixAgreement(Type, *T, IncrementalOptions{});
-      IncrementalOptions NoResume;
-      NoResume.Resume = false;
-      expectLinPrefixAgreement(Type, *T, NoResume);
-    }
+    for (const Trace *T : {&Positive, &Mutated, &Arbitrary})
+      expectLinPrefixAgreement(Type, *T);
   }
 }
 
@@ -132,7 +126,7 @@ TEST(IncrementalEquivalenceTest, DoomedStreamsAgreeWithBatch) {
   // Response with no pending invocation: ill-formed from here on.
   T.push_back(makeRespond(0, 1, cons::propose(1), cons::decide(1)));
   T.push_back(makeInvoke(1, 1, cons::propose(2)));
-  expectLinPrefixAgreement(Cons, T, IncrementalOptions{});
+  expectLinPrefixAgreement(Cons, T);
 
   // An input the ADT rejects.
   IncrementalLinSession Inc(Cons);

@@ -14,14 +14,14 @@
 //
 //   * verdict equality — a resumable session asked after every event must
 //     agree with a scratch batch check of that prefix, including the
-//     dooming paths (corrupted traces are injected on purpose);
-//   * for lin, node-count equality across checking schedules — with
-//     resumption off, checking after every event and checking the prefix
-//     once in a fresh session must spend identical nodes (the incremental
-//     obligation builder must not perturb the search). Node counts are
-//     compared within the incremental interning discipline: the batch
-//     session interns sorted, so its counts are only verdict-comparable
-//     (see the warm-session caveat in docs/engine.md).
+//     dooming paths (corrupted traces are injected on purpose).
+//
+// Node counts are compared only between sessions that share the
+// incremental interning discipline (the batch session interns sorted, so
+// its counts are only verdict-comparable; see the warm-session caveat in
+// docs/engine.md): the fast step against the engine, lin against its
+// one-member slin family, and a session over an ADT against the same
+// session over that ADT with undo hidden (NoUndoAdt).
 //
 // Every failure message carries the deterministic per-trace seed; re-run a
 // single trace with SLIN_FUZZ_SEED=<seed> (and the suite with
@@ -34,6 +34,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "NoUndoAdt.h"
 #include "adt/Consensus.h"
 #include "adt/KvStore.h"
 #include "adt/Queue.h"
@@ -127,43 +128,18 @@ Trace drawLinTrace(const LinFixture &Fx, unsigned Index, Rng &R) {
   return T;
 }
 
-/// The per-prefix streamed-vs-batch differential for one lin trace, plus
-/// the schedule node-count parity check.
+/// The per-prefix streamed-vs-batch differential for one lin trace.
 void fuzzLinTrace(const LinFixture &Fx, const Trace &T) {
   IncrementalLinSession Resumed(Fx.Type);
-  IncrementalOptions NoResumeOpts;
-  NoResumeOpts.Resume = false;
-  IncrementalLinSession Streamed(Fx.Type, NoResumeOpts);
-
   Trace Prefix;
   for (const Action &A : T) {
     Resumed.append(A); // Rejected events doom the session; keep streaming.
-    Streamed.append(A);
     Prefix.push_back(A);
 
     LinCheckResult FromResumed = Resumed.verdict();
     LinCheckResult Batch = checkLinearizable(Prefix, Fx.Type);
     ASSERT_EQ(FromResumed.Outcome, Batch.Outcome)
         << Fx.Type.name() << ": resumable session disagrees with batch at "
-        << "prefix " << Prefix.size() << ":\n"
-        << formatTrace(Prefix);
-
-    LinCheckResult FromStreamed = Streamed.verdict();
-    ASSERT_EQ(FromStreamed.Outcome, Batch.Outcome)
-        << Fx.Type.name() << ": resumption-free session disagrees with "
-        << "batch at prefix " << Prefix.size() << ":\n"
-        << formatTrace(Prefix);
-
-    // Node-count parity across checking schedules: a fresh session fed the
-    // whole prefix and asked once must spend exactly the nodes the
-    // per-event session spent on this verdict.
-    IncrementalLinSession Fresh(Fx.Type, NoResumeOpts);
-    for (const Action &B : Prefix)
-      Fresh.append(B);
-    LinCheckResult Once = Fresh.verdict();
-    ASSERT_EQ(FromStreamed.Outcome, Once.Outcome);
-    ASSERT_EQ(FromStreamed.NodesExplored, Once.NodesExplored)
-        << Fx.Type.name() << ": checking schedule perturbed the search at "
         << "prefix " << Prefix.size() << ":\n"
         << formatTrace(Prefix);
   }
@@ -818,11 +794,8 @@ Trace drawSlinWalk(const PhaseSignature &Sig, UniversalInitRelation &WalkRel,
 
 void fuzzSlinTrace(const Adt &Type, const PhaseSignature &Sig,
                    const InitRelation &Rel, const Trace &T,
-                   const SlinCheckOptions &O, bool AlsoNoResume) {
+                   const SlinCheckOptions &O) {
   IncrementalSlinSession Inc(Type, Sig, Rel);
-  IncrementalOptions NoResumeOpts;
-  NoResumeOpts.Resume = false;
-  IncrementalSlinSession Ref(Type, Sig, Rel, NoResumeOpts);
   Trace Prefix;
   for (const Action &A : T) {
     Inc.append(A);
@@ -834,14 +807,6 @@ void fuzzSlinTrace(const Adt &Type, const PhaseSignature &Sig,
         << " (atEnd=" << O.AbortValidityAtEnd << "):\n"
         << formatTrace(Prefix);
     ASSERT_EQ(Streamed.Exact, Batch.Exact);
-    if (AlsoNoResume) {
-      Ref.append(A);
-      SlinVerdict Reference = Ref.verdict(O);
-      ASSERT_EQ(Reference.Outcome, Batch.Outcome)
-          << "slin reference-mode mismatch at prefix " << Prefix.size()
-          << ":\n"
-          << formatTrace(Prefix);
-    }
   }
 }
 
@@ -860,7 +825,7 @@ TEST(TraceFuzzTest, SlinFuzz_UniversalRelation) {
     Trace T = drawSlinWalk(Sig, Rel, R);
     SlinCheckOptions O;
     O.AbortValidityAtEnd = (I / 2) % 2 == 1; // Both readings over the run.
-    fuzzSlinTrace(Cons, Sig, Rel, T, O, /*AlsoNoResume=*/I % 4 == 0);
+    fuzzSlinTrace(Cons, Sig, Rel, T, O);
     if (::testing::Test::HasFatalFailure())
       return;
   }
@@ -886,7 +851,7 @@ TEST(TraceFuzzTest, SlinFuzz_ConsensusRelation) {
         Act.Sv.Val = 1 + (Act.Sv.Val & 1);
     SlinCheckOptions O;
     O.AbortValidityAtEnd = I % 2 == 1;
-    fuzzSlinTrace(Cons, Sig, ConsRel, T, O, /*AlsoNoResume=*/I % 5 == 0);
+    fuzzSlinTrace(Cons, Sig, ConsRel, T, O);
     if (::testing::Test::HasFatalFailure())
       return;
   }
@@ -1255,6 +1220,177 @@ TEST(TraceFuzzTest, SlinFastStepDifferential_InitFamilySteadyStreams) {
         << "init-family slin stream never took the fast step";
     EXPECT_GT(Fast.retiredObligations(), 0u);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Sessions over states without undo: the ADT state alone picks the engine's
+// mode, so a session over NoUndoAdt (undo hidden) runs every search
+// clone-per-child and replays every seed instead of adopting a retained
+// replay state, and never takes the fast step. Both leave the search state
+// the undo path would, so at every prefix the wrapped session must match
+// the plain one in outcome and nodes spent, and the batch checker in
+// outcome.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+void runNoUndoLin(const LinFixture &Fx, std::uint64_t FamilyTag) {
+  NoUndoAdt Wrapped(Fx.Type);
+  unsigned N = traceBudget(64);
+  for (unsigned I = 0; I != N; ++I) {
+    std::uint64_t TraceSeed =
+        hashCombine(hashCombine(baseSeed(), FamilyTag), I);
+    SCOPED_TRACE(seedNote(TraceSeed, I));
+    Rng R(TraceSeed);
+    Trace T = drawLinTrace(Fx, I, R);
+    LinCheckOptions O;
+    O.WantWitness = I % 2 == 0; // Without witnesses the plain side fast-steps.
+    IncrementalLinSession Plain(Fx.Type), Bare(Wrapped);
+    Trace Prefix;
+    for (const Action &A : T) {
+      Plain.append(A);
+      Bare.append(A);
+      Prefix.push_back(A);
+      LinCheckResult P = Plain.verdict(O);
+      LinCheckResult W = Bare.verdict(O);
+      ASSERT_EQ(P.Outcome, W.Outcome)
+          << Fx.Type.name() << ": hiding undo changed the verdict at prefix "
+          << Prefix.size() << ":\n"
+          << formatTrace(Prefix);
+      ASSERT_EQ(P.NodesExplored, W.NodesExplored)
+          << Fx.Type.name() << ": hiding undo changed the nodes at prefix "
+          << Prefix.size() << ":\n"
+          << formatTrace(Prefix);
+      ASSERT_EQ(W.Outcome, checkLinearizable(Prefix, Fx.Type).Outcome)
+          << Fx.Type.name() << ": undo-free session disagrees with batch at "
+          << "prefix " << Prefix.size() << ":\n"
+          << formatTrace(Prefix);
+    }
+    ASSERT_EQ(Bare.stats().FastPathVerdicts, 0u);
+  }
+}
+
+} // namespace
+
+TEST(TraceFuzzTest, NoUndoSessionDifferential_Consensus) {
+  ConsensusAdt Cons;
+  runNoUndoLin({Cons,
+                {cons::propose(1), cons::propose(2), cons::propose(3)},
+                {cons::decide(1), cons::decide(2), cons::decide(3)}},
+               0xA1);
+}
+
+TEST(TraceFuzzTest, NoUndoSessionDifferential_Queue) {
+  QueueAdt Q;
+  runNoUndoLin({Q,
+                {queue::enq(1), queue::enq(2), queue::deq()},
+                {Output{1}, Output{2}, Output{NoValue}}},
+               0xA2);
+}
+
+TEST(TraceFuzzTest, NoUndoSessionDifferential_Register) {
+  RegisterAdt Reg;
+  runNoUndoLin({Reg,
+                {reg::read(), reg::write(1), reg::write(2)},
+                {Output{1}, Output{2}, Output{NoValue}}},
+               0xA3);
+}
+
+TEST(TraceFuzzTest, NoUndoSessionDifferential_KvStore) {
+  KvStoreAdt Kv;
+  runNoUndoLin({Kv,
+                {kv::put(1, 10), kv::put(1, 20), kv::get(1), kv::del(1)},
+                {Output{10}, Output{20}, Output{NoValue}}},
+               0xA4);
+}
+
+TEST(TraceFuzzTest, NoUndoSessionDifferential_Universal) {
+  UniversalAdt Uni;
+  runNoUndoLin({Uni,
+                {Input{1, 0, 1, 0}, Input{2, 0, 2, 0}, Input{3, 0, 3, 0}},
+                {Output{0}, Output{1}}},
+               0xA5);
+}
+
+TEST(TraceFuzzTest, NoUndoSessionDifferential_Slin) {
+  // Consensus walks under the universal relation with aborts and
+  // recoveries: sequence-sensitive runs, where a replayed seed must also
+  // rebuild the sequence hash the retained state would carry.
+  ConsensusAdt Cons;
+  NoUndoAdt Wrapped(Cons);
+  UniversalInitRelation Rel;
+  unsigned N = traceBudget(64);
+  for (unsigned I = 0; I != N; ++I) {
+    std::uint64_t TraceSeed = hashCombine(hashCombine(baseSeed(), 0xA6), I);
+    SCOPED_TRACE(seedNote(TraceSeed, I));
+    Rng R(TraceSeed);
+    PhaseId M = 1 + (I % 2);
+    PhaseSignature Sig(M, M + 1);
+    SpecAutomaton Walker(Sig, 3);
+    SpecAutomaton::WalkOptions W;
+    W.Steps = 6 + static_cast<unsigned>(R.next() % 7); // 6..12
+    W.Alphabet = {cons::propose(1), cons::propose(2)};
+    W.InitChoices = {{cons::ghostPropose(1)},
+                     {cons::ghostPropose(1), cons::ghostPropose(2)}};
+    W.AbortProbability = 0.3;
+    Trace T = Walker.randomWalk(W, R, Rel);
+    SlinCheckOptions O;
+    O.AbortValidityAtEnd = (I / 2) % 2 == 1;
+    O.WantWitness = I % 2 == 0;
+    IncrementalSlinSession Plain(Cons, Sig, Rel), Bare(Wrapped, Sig, Rel);
+    Trace Prefix;
+    for (const Action &A : T) {
+      Plain.append(A);
+      Bare.append(A);
+      Prefix.push_back(A);
+      SlinVerdict P = Plain.verdict(O);
+      SlinVerdict V = Bare.verdict(O);
+      ASSERT_EQ(P.Outcome, V.Outcome)
+          << "hiding undo changed the slin verdict at prefix "
+          << Prefix.size() << ":\n"
+          << formatTrace(Prefix);
+      ASSERT_EQ(P.NodesExplored, V.NodesExplored)
+          << "hiding undo changed the slin nodes at prefix " << Prefix.size()
+          << ":\n"
+          << formatTrace(Prefix);
+      ASSERT_EQ(V.Outcome, checkSlin(Prefix, Sig, Cons, Rel, O).Outcome)
+          << "undo-free slin session disagrees with batch at prefix "
+          << Prefix.size() << ":\n"
+          << formatTrace(Prefix);
+    }
+    ASSERT_EQ(Bare.stats().FastPathVerdicts, 0u);
+  }
+}
+
+TEST(TraceFuzzTest, NoUndoSessionDifferential_RetiringRegisterStream) {
+  // Past the 64-obligation window with the retired witness kept (the
+  // default): the undo-free session replays the retired prefix on every
+  // run and must still retire through the same folds. (With the retired
+  // witness off it cannot; see IncrementalOptions::RetainRetiredWitness.)
+  RegisterAdt Reg;
+  NoUndoAdt Wrapped(Reg);
+  LinFixture Fx{Reg,
+                {reg::read(), reg::write(1), reg::write(2)},
+                {Output{1}, Output{2}, Output{NoValue}}};
+  Rng R(hashCombine(baseSeed(), 0xA7));
+  Trace T = quiescingTrace(Fx, 300, /*MaxConc=*/4, R);
+  LinCheckOptions O;
+  O.WantWitness = false;
+  IncrementalLinSession Plain(Reg), Bare(Wrapped);
+  for (std::size_t I = 0; I != T.size(); ++I) {
+    Plain.append(T[I]);
+    Bare.append(T[I]);
+    LinCheckResult P = Plain.verdict(O);
+    LinCheckResult W = Bare.verdict(O);
+    ASSERT_EQ(P.Outcome, W.Outcome) << "event " << I << " (" << W.Reason
+                                    << ")";
+    ASSERT_EQ(P.NodesExplored, W.NodesExplored) << "event " << I;
+  }
+  // Every operation but at most one window's worth retires, on both sides.
+  EXPECT_GE(Plain.retiredObligations(), 300u - 64u);
+  EXPECT_EQ(Bare.retiredObligations(), Plain.retiredObligations());
+  EXPECT_GT(Plain.stats().FastPathVerdicts, 0u);
+  EXPECT_EQ(Bare.stats().FastPathVerdicts, 0u);
 }
 
 //===----------------------------------------------------------------------===//

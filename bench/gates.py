@@ -36,9 +36,9 @@ GROUPS = {
 # (group, row pattern, metric, rule, tolerance or value, noise floor).
 #   grow: now <= max(base * (1 + tolerance), floor)   lower is better
 #   drop: now >= min(base * (1 - tolerance), floor)   higher is better
-#   eq / gt: now == value / now > value, over every matching row of the
-#     run; the last column is then the value a row lacking the metric
-#     counts as (None: the metric is required)
+#   eq / gt / le: now == value / now > value / now <= value, over every
+#     matching row of the run; the last column is then the value a row
+#     lacking the metric counts as (None: the metric is required)
 GATES = [
     # Node counts are deterministic (unlike times on shared runners), so
     # they are the steady-state regression metric.
@@ -76,6 +76,10 @@ GATES = [
     # through both.
     ("e9-aggregate", r".", "composed_yes", "eq", 1.0, None),
     ("e9-aggregate", r".", "events_per_sec", "drop", 0.10, 1e6),
+    # Per-shard memory is sized to what a shard touches: every aggregate
+    # row's largest shard stays within 16 KiB. The byte count is
+    # deterministic, so this gate does not depend on the box.
+    ("e9-aggregate", r".", "shard_memory_max_bytes", "le", 16384.0, None),
     # The straggler lifecycle: one overflow per cycle, graded verdicts
     # during the excursion, a recovered Yes at its end, and the cycle cost
     # within +10% or 250 us — a drain that loses its capped sub-search
@@ -87,6 +91,13 @@ GATES = [
 ]
 
 EPS = 1e-9
+
+# The absolute rules: (value of the run, bound) -> pass.
+ABSOLUTE = {
+    "eq": lambda v, b: v == b,
+    "gt": lambda v, b: v > b,
+    "le": lambda v, b: v <= b,
+}
 
 
 def load(path, belongs):
@@ -107,12 +118,12 @@ def check(group, base, now):
         if g != group:
             continue
         match = re.compile(pattern).search
-        if rule in ("eq", "gt"):
+        if rule in ABSOLUTE:
             for name, r in now.items():
                 if not match(name):
                     continue
                 v = r.get(metric, floor)
-                if v is None or not (v == bound if rule == "eq" else v > bound):
+                if v is None or not ABSOLUTE[rule](v, bound):
                     yield f"{name}: {metric} {v!r}, want {rule} {bound}"
             continue
         names = [n for n in base if match(n)]

@@ -194,11 +194,12 @@ public:
 
   /// Restores fresh-session *semantics* while keeping warm storage: the
   /// interner is emptied (dense-id — and thus move exploration — order
-  /// restarts as in a new session), the memo table shrinks back to its
-  /// initial capacity, the run-salt serial restarts, and the arena is
-  /// rewound without freeing its blocks. After reset(), verdicts and node
-  /// counts of subsequent checks are bit-identical to a newly constructed
-  /// session's; only the heap traffic differs. Cumulative Stats are kept.
+  /// restarts as in a new session), the memo table frees its slot array
+  /// (a fresh table holds none), the run-salt serial restarts, and the
+  /// arena is rewound without freeing its blocks. After reset(), verdicts
+  /// and node counts of subsequent checks are bit-identical to a newly
+  /// constructed session's; only the heap traffic differs. Cumulative
+  /// Stats are kept.
   void reset();
 
 private:

@@ -137,7 +137,8 @@ void LiveWindow::compact(std::size_t RowStride) {
 void LiveWindow::ensureStride(std::size_t AlphabetSize) {
   if (Stride >= AlphabetSize)
     return;
-  std::size_t NewStride = Stride ? Stride : 64;
+  // One cache line of int32 at least: a small alphabet's rows stay dense.
+  std::size_t NewStride = Stride ? Stride : 16;
   while (NewStride < AlphabetSize)
     NewStride *= 2;
   // Re-lay the live rows out at the wider stride, compacting to the front.
@@ -167,7 +168,11 @@ void LiveWindow::pushResponse(std::size_t Tag, InputId In, const Output &Out,
       // traffic on the event path.
       compact(Stride);
     } else {
-      std::size_t NewCap = std::max<std::size_t>(128, Slots.size() * 2);
+      // The window itself (64 slots) at first: a fold at the limit leaves
+      // the vacated front for compaction. Only an overflow excursion
+      // (64 live rows, none retirable) doubles it.
+      std::size_t NewCap =
+          std::max(IncrementalWindowLimit, Slots.size() * 2);
       Slots.resize(NewCap);
       Invokes.resize(NewCap);
       Clients.resize(NewCap);
@@ -247,7 +252,7 @@ WindowedSession::WindowedSession(const Adt &Type,
                                  const IncrementalOptions &Opts,
                                  const PhaseSignature *Sig)
     : Type(Type), Opts(Opts), Order(Opts.Order),
-      Memo(Opts.TranspositionCapacity),
+      Scratch(/*FirstBlockBytes=*/256), Memo(Opts.TranspositionCapacity),
       Builder(Sig ? TraceBuilder(*Sig) : TraceBuilder()) {
   if (!Opts.RetainTrace)
     Builder.setRetainView(false);

@@ -149,10 +149,12 @@ struct IncrementalOptions {
 /// which realizes the lazy zero-extension contract (an input first
 /// interned after a response cannot have been invoked before it); when
 /// the alphabet outgrows the stride, ensureStride() relays the live rows
-/// out once at the next power of two. The slots' Available pointers are
-/// only published by finalize() immediately before an engine run. The
-/// window is common to every
-/// family member: per-interpretation availability differences ride on
+/// out once at the next power of two. Storage is sized to what a shard
+/// touches: 64 slots (the window limit) at first, doubled only by an
+/// overflow excursion, and rows at least 16 wide (one cache line). The
+/// slots' Available pointers are only published by finalize() immediately
+/// before an engine run. The window is common to every family member:
+/// per-interpretation availability differences ride on
 /// ChainProblemView::AvailOverride overlay rows.
 class LiveWindow {
 public:
@@ -237,8 +239,9 @@ public:
   const CommitObligation *finalize(InputId AlphabetSize);
 
 private:
-  /// Ensures Stride >= AlphabetSize (power of two, min 64), re-laying
-  /// live rows out and compacting to the front when it grows.
+  /// Ensures Stride >= AlphabetSize (power of two, min 16 — one cache
+  /// line), re-laying live rows out and compacting to the front when it
+  /// grows.
   void ensureStride(std::size_t AlphabetSize);
   /// Moves the live rows of every parallel array to the front.
   void compact(std::size_t RowStride);
@@ -395,6 +398,9 @@ protected:
   /// derives and every retirement cut it takes goes through it.
   OrderRelation Order;
   InputInterner Interner;
+  /// Run and fast-step scratch. Its first block is 256 B (a lin shard's
+  /// high-water is tens of bytes) and later ones double, so the reserve
+  /// follows the shard's own demand.
   Arena Scratch;
   TranspositionTable Memo;
   SessionStats Stats;

@@ -23,12 +23,13 @@ std::size_t roundUpPow2(std::size_t N) {
 
 TranspositionTable::TranspositionTable(std::size_t MaxCap) {
   MaxCapacity = roundUpPow2(std::max(MaxCap, ProbeWindow));
-  std::size_t Cap = std::min(MaxCapacity, InitialCapacity);
-  Slots.assign(Cap, EmptyKey);
-  Mask = Cap - 1;
 }
 
 bool TranspositionTable::contains(std::uint64_t Key) {
+  if (Slots.empty()) {
+    ++Stats.Misses; // Nothing stored yet: a miss that touches no memory.
+    return false;
+  }
   if (Key == EmptyKey)
     Key = 1; // Remap the sentinel; collides with genuine 1-keys only.
   std::size_t Home = homeSlot(Key);
@@ -73,6 +74,13 @@ void TranspositionTable::grow() {
 void TranspositionTable::insert(std::uint64_t Key) {
   if (Key == EmptyKey)
     Key = 1;
+  if (Slots.empty()) {
+    // The first store allocates the initial array; a table that is only
+    // ever probed (the steady-state fast path) never does.
+    std::size_t Cap = std::min(MaxCapacity, InitialCapacity);
+    Slots.assign(Cap, EmptyKey);
+    Mask = Cap - 1;
+  }
   // Keep load below 1/2 while growth is still allowed.
   while (2 * Live >= Slots.size() && Slots.size() < MaxCapacity)
     grow();
@@ -102,9 +110,7 @@ void TranspositionTable::clear() {
 }
 
 void TranspositionTable::shrinkToInitial() {
-  std::size_t Cap = std::min(MaxCapacity, InitialCapacity);
-  Slots.assign(Cap, EmptyKey);
-  Slots.shrink_to_fit();
-  Mask = Cap - 1;
+  std::vector<std::uint64_t>().swap(Slots);
+  Mask = 0;
   Live = 0;
 }

@@ -38,10 +38,12 @@ struct TranspositionStats {
   std::uint64_t Evictions = 0;  ///< Stores that overwrote another key.
 };
 
-/// A bounded set of 64-bit keys with replacement. Starts small and doubles
-/// (rehashing the stored keys) as it fills, so short checks never pay for a
-/// large table while long searches grow up to MaxCapacity before the
-/// replacement policy kicks in.
+/// A bounded set of 64-bit keys with replacement. Holds no slot array until
+/// the first insert, which allocates a small one (4 Ki slots, or
+/// MaxCapacity if smaller); it then doubles (rehashing the stored keys) as
+/// it fills, so a table that is only probed costs nothing, short checks
+/// never pay for a large table, and long searches grow up to MaxCapacity
+/// before the replacement policy kicks in.
 class TranspositionTable {
 public:
   /// \p MaxCapacity is rounded up to a power of two; growth stops there.
@@ -53,9 +55,11 @@ public:
   /// Hints \p Key's home slot into cache. The steady-state fast path
   /// issues this for its lookup key before the work that must precede the
   /// probe, so the probe window is resident by the time contains() runs.
+  /// A no-op while the table is empty.
   void prefetch(std::uint64_t Key) const {
 #if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(Slots.data() + homeSlot(Key));
+    if (!Slots.empty())
+      __builtin_prefetch(Slots.data() + homeSlot(Key));
 #else
     (void)Key;
 #endif
@@ -68,17 +72,19 @@ public:
   /// Forgets every key (O(capacity); prefer per-run salting).
   void clear();
 
-  /// Forgets every key and shrinks back to the initial capacity, exactly
-  /// as freshly constructed — the cheap way for a reused session to offer
+  /// Forgets every key and frees the slot array, exactly as freshly
+  /// constructed — the cheap way for a reused session to offer
   /// fresh-session semantics (a clear() of a fully grown table memsets
-  /// MaxCapacity slots; this reallocates a 4 Ki one).
+  /// MaxCapacity slots; this frees them, and the next insert allocates
+  /// the initial array again).
   void shrinkToInitial();
 
   std::size_t capacity() const { return Slots.size(); }
   std::size_t liveKeys() const { return Live; }
   /// Bytes currently reserved by the slot array — the table's whole
-  /// footprint up to the fixed-size header. The sharded monitoring
-  /// service sums this per shard for its bounded-memory accounting.
+  /// footprint up to the fixed-size header, and 0 before the first insert.
+  /// The sharded monitoring service sums this per shard for its
+  /// bounded-memory accounting.
   std::size_t memoryBytes() const {
     return Slots.capacity() * sizeof(std::uint64_t);
   }
@@ -100,8 +106,8 @@ private:
   /// probe window was full (caller decides between growing and evicting).
   bool tryPlace(std::uint64_t Key);
 
-  std::vector<std::uint64_t> Slots;
-  std::size_t Mask;
+  std::vector<std::uint64_t> Slots; ///< Empty until the first insert.
+  std::size_t Mask = 0;
   std::size_t MaxCapacity;
   std::size_t Live = 0;
   TranspositionStats Stats;

@@ -29,12 +29,16 @@
 namespace slin {
 
 /// A monotonic allocator: allocation bumps a pointer within chained blocks;
-/// reset() rewinds to empty while keeping the blocks for reuse. Only
-/// trivially-destructible payloads may be placed in the arena — reset() runs
-/// no destructors.
+/// reset() rewinds to empty while keeping the blocks for reuse. Blocks grow
+/// geometrically: the first is \p FirstBlockBytes (64 KB by default), and
+/// each later one max(2 x the last block, the request), so the reserve stays
+/// within a small factor of the high-water however small the first block
+/// is. Only trivially-destructible payloads may be placed in the arena —
+/// reset() runs no destructors.
 class Arena {
 public:
-  explicit Arena(std::size_t BlockBytes = 1u << 16) : BlockBytes(BlockBytes) {}
+  explicit Arena(std::size_t FirstBlockBytes = 1u << 16)
+      : FirstBlockBytes(FirstBlockBytes) {}
 
   /// Allocates \p Bytes with the given power-of-two alignment.
   void *allocate(std::size_t Bytes,
@@ -91,13 +95,15 @@ public:
 
 private:
   /// Advances to the next retained block with at least \p AtLeast free
-  /// bytes, appending a fresh block when none fits.
+  /// bytes, appending a fresh block (twice the last one, or the request if
+  /// larger) when none fits.
   void grow(std::size_t AtLeast) {
     std::size_t Next = Blocks.empty() ? 0 : Current + 1;
     while (Next < Blocks.size() && Capacities[Next] < AtLeast)
       ++Next;
     if (Next == Blocks.size()) {
-      std::size_t Cap = std::max(BlockBytes, AtLeast);
+      std::size_t Cap = std::max(
+          Blocks.empty() ? FirstBlockBytes : 2 * Capacities.back(), AtLeast);
       Blocks.push_back(std::make_unique<std::byte[]>(Cap));
       Capacities.push_back(Cap);
       Reserved += Cap;
@@ -106,7 +112,7 @@ private:
     Offset = 0;
   }
 
-  std::size_t BlockBytes;
+  std::size_t FirstBlockBytes;
   std::vector<std::unique_ptr<std::byte[]>> Blocks;
   std::vector<std::size_t> Capacities;
   std::size_t Current = 0; ///< Index of the block being bumped.

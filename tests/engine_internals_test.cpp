@@ -6,11 +6,14 @@
 //
 // Direct unit tests for the engine's building blocks, which until now were
 // covered only through whole-checker runs: the Arena's rewind/overflow
-// block reuse (the guarantee that a corpus run performs a bounded number of
-// real heap allocations) and the TranspositionTable's lazy growth and
-// always-replace-at-capacity semantics (the guarantee that memo pressure
-// costs re-exploration, never a wrong verdict), plus the CorpusDriver's
-// scheduling-independent results.
+// block reuse and geometric growth (the guarantees that a corpus run
+// performs a bounded number of real heap allocations and that a shard's
+// reserve follows its high-water), the TranspositionTable's allocation on
+// first insert, lazy growth and always-replace-at-capacity semantics (the
+// guarantee that memo pressure costs re-exploration, never a wrong
+// verdict), the LiveWindow's 64-slot storage through folds, stride regrows
+// and an overflow excursion, plus the CorpusDriver's scheduling-independent
+// results.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,12 +24,16 @@
 #include "engine/CorpusDriver.h"
 #include "engine/Incremental.h"
 #include "engine/Transposition.h"
+#include "lin/LinChecker.h"
+#include "lin/Witness.h"
 #include "spec/SpecAutomaton.h"
 #include "support/Arena.h"
 #include "trace/Gen.h"
 #include "trace/TraceIo.h"
 
 #include <gtest/gtest.h>
+
+#include <deque>
 
 using namespace slin;
 
@@ -90,9 +97,95 @@ TEST(ArenaTest, ZeroedArraysAreZeroAfterDirtyReuse) {
     EXPECT_EQ(Y[I], 0);
 }
 
+TEST(ArenaTest, BlocksGrowGeometricallyAndPassesReuseThem) {
+  // A search-shaped pass: per obligation one dense count row (8 inputs)
+  // and a candidate buffer, deepening to 40 obligations.
+  constexpr std::size_t First = 256;
+  Arena A(First);
+  auto Pass = [&A] {
+    std::vector<void *> Ptrs;
+    for (std::size_t Q = 1; Q <= 40; ++Q) {
+      Ptrs.push_back(A.allocZeroed<std::int32_t>(8));
+      Ptrs.push_back(A.allocArray<std::uint32_t>(Q));
+    }
+    return Ptrs;
+  };
+  std::vector<void *> Ptrs = Pass();
+  const std::size_t Reserved = A.reservedBytes();
+  const std::size_t Blocks = A.blockCount();
+  // Doubling blocks: the reserve stays within twice the high-water (plus
+  // the first block), in a logarithmic number of blocks.
+  EXPECT_LE(Reserved, First + 2 * A.highWaterBytes());
+  EXPECT_GT(Blocks, 1u);
+  EXPECT_LE(Blocks, 6u);
+  // The same shape again after a rewind lands in the retained blocks:
+  // same addresses, no new block.
+  A.reset();
+  EXPECT_EQ(Pass(), Ptrs);
+  EXPECT_EQ(A.reservedBytes(), Reserved);
+  EXPECT_EQ(A.blockCount(), Blocks);
+}
+
+TEST(ArenaTest, OversizedRequestGetsItsOwnBlock) {
+  // A request beyond twice the last block is served by a block of its own
+  // size; the next block doubles from there.
+  Arena A(/*FirstBlockBytes=*/64);
+  A.allocate(16, 16);
+  A.allocate(1000, 16);
+  EXPECT_EQ(A.blockCount(), 2u);
+  EXPECT_EQ(A.reservedBytes(), 64u + 1016u);
+  A.allocate(1000, 16); // Does not fit the 1016 B block's tail.
+  EXPECT_EQ(A.blockCount(), 3u);
+  EXPECT_EQ(A.reservedBytes(), 64u + 1016u + 2032u);
+}
+
 //===----------------------------------------------------------------------===//
-// TranspositionTable: lazy growth and always-replace at capacity.
+// TranspositionTable: allocation on first insert, lazy growth and
+// always-replace at capacity.
 //===----------------------------------------------------------------------===//
+
+TEST(TranspositionTest, NoSlotArrayUntilTheFirstInsert) {
+  TranspositionTable T;
+  EXPECT_EQ(T.memoryBytes(), 0u);
+  EXPECT_EQ(T.capacity(), 0u);
+  // Probing an empty table misses, is counted, and allocates nothing.
+  T.prefetch(42);
+  EXPECT_FALSE(T.contains(42));
+  EXPECT_FALSE(T.contains(0));
+  EXPECT_EQ(T.stats().Misses, 2u);
+  EXPECT_EQ(T.stats().Hits, 0u);
+  EXPECT_EQ(T.memoryBytes(), 0u);
+  T.clear();
+  EXPECT_EQ(T.memoryBytes(), 0u);
+
+  T.insert(42);
+  EXPECT_EQ(T.capacity(), 4096u);
+  EXPECT_EQ(T.memoryBytes(), 4096u * sizeof(std::uint64_t));
+  EXPECT_TRUE(T.contains(42));
+
+  // A bound below the initial capacity caps the first array too.
+  TranspositionTable Small(/*MaxCapacity=*/64);
+  EXPECT_EQ(Small.memoryBytes(), 0u);
+  Small.insert(7);
+  EXPECT_EQ(Small.capacity(), 64u);
+}
+
+TEST(TranspositionTest, ShrinkToInitialFreesTheSlotArray) {
+  TranspositionTable T(/*MaxCapacity=*/1u << 14);
+  Rng R(0x5A1);
+  for (int I = 0; I != 1 << 12; ++I)
+    T.insert(R.next());
+  ASSERT_GT(T.capacity(), 4096u);
+  T.shrinkToInitial();
+  EXPECT_EQ(T.memoryBytes(), 0u);
+  EXPECT_EQ(T.capacity(), 0u);
+  EXPECT_EQ(T.liveKeys(), 0u);
+  EXPECT_FALSE(T.contains(42));
+  // The next insert starts over at the initial array.
+  T.insert(42);
+  EXPECT_EQ(T.capacity(), 4096u);
+  EXPECT_TRUE(T.contains(42));
+}
 
 TEST(TranspositionTest, InsertThenContains) {
   TranspositionTable T(1u << 12);
@@ -113,6 +206,7 @@ TEST(TranspositionTest, ZeroKeyIsStorable) {
 
 TEST(TranspositionTest, GrowsUpToMaxCapacityUnderLoad) {
   TranspositionTable T(/*MaxCapacity=*/1u << 14);
+  T.insert(1);
   std::size_t Initial = T.capacity();
   Rng R(0x7AB1E);
   for (int I = 0; I != 1 << 13; ++I)
@@ -147,6 +241,218 @@ TEST(TranspositionTest, ClearForgetsEverything) {
   EXPECT_EQ(T.liveKeys(), 0u);
   for (std::uint64_t K = 1; K <= 100; ++K)
     EXPECT_FALSE(T.contains(K));
+}
+
+//===----------------------------------------------------------------------===//
+// LiveWindow: 64-slot storage through folds, stride regrows and an
+// overflow excursion.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Drives a LiveWindow the way a windowed session does (one availability
+/// snapshot per response, a fold of the front whenever a push would pass
+/// the 64-slot window) next to a plain model of every live obligation, and
+/// checks after every step that each live row equals the row rebuilt from
+/// the invocation counts it snapshotted, zero-extended to the stride.
+class LiveWindowHarness {
+public:
+  /// Invokes and responds one operation on input \p In.
+  void respond(InputId In) {
+    if (In >= Invoked.size())
+      Invoked.resize(In + 1, 0);
+    ++Invoked[In];
+    const std::size_t InvokeIdx = Events++;
+    const std::size_t Tag = Events++;
+    // Some must-follow edge to the previous live obligation, so a fold's
+    // mask shift is observable. Past the window no mask is representable
+    // (the session leaves it 0 there too).
+    const std::size_t Live = Model.size();
+    const std::uint64_t Mask =
+        Live != 0 && Live <= IncrementalWindowLimit && Tag % 3 == 0
+            ? 1ull << (Live - 1)
+            : 0;
+    W.pushResponse(Tag, In, Output{static_cast<std::int64_t>(In)}, InvokeIdx,
+                   Mask, static_cast<ClientId>(Tag % 4), 0, Invoked);
+    Model.push_back({Tag, In, InvokeIdx, Mask, Invoked});
+  }
+
+  /// Retires the first \p K live obligations.
+  void fold(std::size_t K) {
+    W.eraseFront(K);
+    W.shiftMasks(K);
+    Model.erase(Model.begin(), Model.begin() + static_cast<std::ptrdiff_t>(K));
+    for (Row &R : Model)
+      R.Mask >>= K;
+  }
+
+  /// Responds on \p In, first folding all but \p Keep obligations when
+  /// the window is at its limit (the session's fold before a push).
+  void respondFolding(InputId In, std::size_t Keep) {
+    if (W.size() == IncrementalWindowLimit)
+      fold(IncrementalWindowLimit - Keep);
+    respond(In);
+  }
+
+  void expectRowsMatchModel() const {
+    ASSERT_EQ(W.size(), Model.size());
+    for (std::size_t Q = 0; Q != Model.size(); ++Q) {
+      const Row &R = Model[Q];
+      ASSERT_EQ(W.tag(Q), R.Tag);
+      ASSERT_EQ(W.in(Q), R.In);
+      ASSERT_EQ(W.invokeIdx(Q), R.InvokeIdx);
+      ASSERT_EQ(W.mustFollow(Q), R.Mask);
+      const std::int32_t *Avail = W.availRow(Q);
+      for (std::size_t Id = 0; Id != W.stride(); ++Id)
+        ASSERT_EQ(Avail[Id], Id < R.Snapshot.size() ? R.Snapshot[Id] : 0)
+            << "row " << Q << " (tag " << R.Tag << "), input " << Id;
+    }
+  }
+
+  /// The window's bytes at \p Slots slots of \p Stride-wide rows.
+  static std::size_t bytesAt(std::size_t Slots, std::size_t Stride) {
+    return Slots * (sizeof(CommitObligation) + sizeof(std::size_t) +
+                    sizeof(ClientId) + sizeof(std::uint32_t) +
+                    Stride * sizeof(std::int32_t));
+  }
+
+  LiveWindow W;
+  std::vector<std::int32_t> Invoked;
+
+private:
+  struct Row {
+    std::size_t Tag;
+    InputId In;
+    std::size_t InvokeIdx;
+    std::uint64_t Mask;
+    std::vector<std::int32_t> Snapshot;
+  };
+  std::deque<Row> Model;
+  std::size_t Events = 0;
+};
+
+} // namespace
+
+TEST(LiveWindowTest, SixtyFourSlotsThroughFoldsRegrowAndExcursion) {
+  LiveWindowHarness H;
+  // Folds at every 64th response: each leaves 4 live rows behind, which
+  // the next push compacts to the front of the same 64 slots.
+  for (unsigned K = 0; K != 280; ++K) {
+    H.respondFolding(static_cast<InputId>(K % 4), /*Keep=*/4);
+    ASSERT_NO_FATAL_FAILURE(H.expectRowsMatchModel());
+  }
+  EXPECT_EQ(H.W.stride(), 16u);
+  EXPECT_EQ(H.W.memoryBytes(), LiveWindowHarness::bytesAt(64, 16));
+
+  // The alphabet passes 16 inputs mid-window: the rows are re-laid out
+  // once at stride 32, keeping every count.
+  ASSERT_GT(H.W.size(), 8u);
+  ASSERT_LT(H.W.size(), 48u);
+  for (InputId In = 4; In != 20; ++In) {
+    H.respond(In);
+    ASSERT_NO_FATAL_FAILURE(H.expectRowsMatchModel());
+    EXPECT_EQ(H.W.stride(), In < 16 ? 16u : 32u);
+  }
+  for (unsigned K = 0; K != 200; ++K) {
+    H.respondFolding(static_cast<InputId>(K % 20), /*Keep=*/6);
+    ASSERT_NO_FATAL_FAILURE(H.expectRowsMatchModel());
+  }
+  EXPECT_EQ(H.W.memoryBytes(), LiveWindowHarness::bytesAt(64, 32));
+
+  // An overflow excursion: nothing folds while 80 rows are live, so the
+  // storage doubles once; after the fold the session keeps that capacity.
+  while (H.W.size() != 80) {
+    H.respond(static_cast<InputId>(H.W.size() % 20));
+    ASSERT_NO_FATAL_FAILURE(H.expectRowsMatchModel());
+  }
+  EXPECT_EQ(H.W.memoryBytes(), LiveWindowHarness::bytesAt(128, 32));
+  H.fold(40); // Two drain rounds, each within the 64-bit mask shift.
+  ASSERT_NO_FATAL_FAILURE(H.expectRowsMatchModel());
+  H.fold(35);
+  ASSERT_NO_FATAL_FAILURE(H.expectRowsMatchModel());
+  for (unsigned K = 0; K != 200; ++K) {
+    H.respondFolding(static_cast<InputId>(K % 20), /*Keep=*/3);
+    ASSERT_NO_FATAL_FAILURE(H.expectRowsMatchModel());
+  }
+  EXPECT_EQ(H.W.memoryBytes(), LiveWindowHarness::bytesAt(128, 32));
+
+  // finalize() publishes each slot's row for an engine run.
+  const CommitObligation *Slots =
+      H.W.finalize(static_cast<InputId>(H.Invoked.size()));
+  for (std::size_t Q = 0; Q != H.W.size(); ++Q)
+    EXPECT_EQ(Slots[Q].Available, H.W.availRow(Q));
+}
+
+// The same three storage events inside a lin session, checked against the
+// batch checker wherever it decides (at most 64 operations, nothing
+// retired) and past that against the independent witness verifier: a
+// register stream of quiescing rounds whose alphabet passes 16 inputs
+// after the first folds, then a straggling read that stays open across 80
+// completions (an overflow excursion) and finally responds.
+TEST(LiveWindowTest, SessionVerdictsHoldThroughFoldsRegrowAndExcursion) {
+  RegisterAdt Reg;
+  std::unique_ptr<AdtState> Model = Reg.makeState();
+  Rng R(0x64);
+  Trace T;
+  auto Round = [&](std::int64_t MaxWrite) {
+    const unsigned Ops = 1 + static_cast<unsigned>(R.next() % 3);
+    std::vector<Input> Ins;
+    for (unsigned C = 0; C != Ops; ++C) {
+      const std::int64_t V =
+          static_cast<std::int64_t>(R.next() % (MaxWrite + 1));
+      Ins.push_back(V == 0 ? reg::read() : reg::write(V));
+      T.push_back(makeInvoke(C, 1, Ins.back()));
+    }
+    for (unsigned C = 0; C != Ops; ++C)
+      T.push_back(makeRespond(C, 1, Ins[C], Model->apply(Ins[C])));
+  };
+  while (T.size() < 2 * 100)
+    Round(3); // Four inputs (read, write 1..3): stride 16.
+  while (T.size() < 2 * 200)
+    Round(20); // 21 inputs: the stride regrows to 32 mid-window.
+  // The straggler reads the value at its response: a read linearized at
+  // its end, after the 80 completions it overlaps.
+  const Input StragglerIn = reg::read();
+  T.push_back(makeInvoke(7, 1, StragglerIn));
+  const std::size_t StragglerFrom = T.size();
+  while (T.size() < StragglerFrom + 2 * 80)
+    Round(20);
+  T.push_back(makeRespond(7, 1, StragglerIn, Model->apply(StragglerIn)));
+  while (T.size() < StragglerFrom + 2 * 200)
+    Round(20);
+
+  IncrementalLinSession Inc(Reg);
+  Trace Prefix;
+  std::size_t Responses = 0;
+  bool SawExcursion = false;
+  for (const Action &A : T) {
+    ASSERT_TRUE(static_cast<bool>(Inc.append(A)));
+    Prefix.push_back(A);
+    Responses += isRespond(A);
+    LinCheckResult V = Inc.verdict();
+    SawExcursion |= Inc.overflowed();
+    if (Responses <= 64 && Inc.retiredObligations() == 0) {
+      ASSERT_EQ(V.Outcome, checkLinearizable(Prefix, Reg).Outcome)
+          << "prefix " << Prefix.size();
+    }
+    if (V.Outcome == Verdict::Yes) {
+      WellFormedness W = verifyLinWitness(Prefix, Reg, V.Witness);
+      ASSERT_TRUE(static_cast<bool>(W))
+          << "prefix " << Prefix.size() << ": " << W.Reason;
+    } else {
+      // Only the pinned excursion may leave the definitive verdict, and
+      // then only for the graded first-64 Yes.
+      ASSERT_TRUE(Inc.overflowed()) << "prefix " << Prefix.size() << ": "
+                                    << V.Reason;
+      ASSERT_EQ(V.Grade, VerdictGrade::BoundedYes) << V.Reason;
+    }
+  }
+  EXPECT_TRUE(SawExcursion);
+  EXPECT_FALSE(Inc.overflowed());
+  EXPECT_EQ(Inc.verdict().Outcome, Verdict::Yes);
+  EXPECT_EQ(Inc.stats().WindowOverflows, 1u);
+  EXPECT_GT(Inc.stats().LiveWindowHighWater, 64u);
+  EXPECT_GT(Inc.retiredObligations(), 300u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -25,7 +25,8 @@
 //     after every call, poll() or not, and an out-of-range object id is
 //     counted and dropped, never indexed;
 //   * the steady-state service path is allocation-free end to end (this
-//     binary interposes operator new — support/AllocGauge.h);
+//     binary interposes operator new — support/AllocGauge.h), and a warm
+//     register shard, lin or slin, reserves at most 16 KiB;
 //   * ComposedVerdictTracker unit coverage (absorption, culprit and
 //     reason tracking, re-reporting, clear()).
 //
@@ -482,6 +483,34 @@ TEST(Service, SteadyStateServicePathIsAllocationFree) {
   if (AllocGauge::active())
     EXPECT_EQ(Allocs, 0u);
   EXPECT_EQ(Service.composedVerdict(), Verdict::Yes);
+}
+
+// A warmed register shard reserves about what it touches: a 64-slot
+// window of cache-line rows, a scratch arena near its high-water, and no
+// memo array (the steady state only probes it). Under 16 KiB per shard in
+// both modes; a fixed wide reserve (a 64 KB arena block, a 4 Ki-slot memo,
+// 128 rows at stride 64) would be several times that.
+TEST(Service, WarmRegisterShardsStayWithin16KiB) {
+  RegisterAdt Reg;
+  PhaseSignature Sig(1, 2);
+  UniversalInitRelation Rel;
+  MonitorService LinService(Reg);
+  MonitorService SlinService(Reg, Sig, Rel);
+  MultiObjectStream Stream(4, 4, 0x59A);
+  std::string Buf;
+  for (unsigned Round = 0; Round != 200; ++Round) {
+    Buf.clear();
+    Stream.appendRound(Buf);
+    ASSERT_TRUE(LinService.ingestText(Buf));
+    ASSERT_TRUE(SlinService.ingestText(Buf));
+  }
+  for (const MonitorService *S : {&LinService, &SlinService}) {
+    ASSERT_EQ(S->composedVerdict(), Verdict::Yes);
+    ASSERT_EQ(S->shardCount(), 4u);
+    EXPECT_GT(S->aggregateSessionStats().RetiredObligations, 0u);
+    EXPECT_LE(S->memoryFootprintBytes() / S->shardCount(), 16384u)
+        << (S == &LinService ? "lin" : "slin") << " shard";
+  }
 }
 
 //===----------------------------------------------------------------------===//

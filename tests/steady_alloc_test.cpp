@@ -218,8 +218,10 @@ TEST(SteadyAlloc, MemoryFootprintTracksMeasuredLiveBytes) {
   IncrementalOptions Opts;
   Opts.RetainTrace = false;
   Opts.RetainRetiredWitness = false;
-  // A small table keeps the one flat preallocation from drowning the
-  // capacity-accounted containers the audit is really about.
+  // The memo allocates nothing until its first insert (this all-fast-path
+  // stream makes none); the small bound keeps any table a search might
+  // grow from drowning the capacity-accounted containers the audit is
+  // really about.
   Opts.TranspositionCapacity = 1u << 8;
   LinCheckOptions Limits;
   Limits.WantWitness = false;

@@ -12,18 +12,6 @@ using namespace slin;
 
 AdtState::~AdtState() = default;
 
-Output AdtState::applyInput(const Input &In, UndoToken &, Arena &) {
-  return apply(In);
-}
-
-void AdtState::undoInput(const UndoToken &) {
-  assert(false && "undoInput called on a state without undo support; "
-                  "callers must check supportsUndo() and fall back to "
-                  "clone()");
-}
-
-bool AdtState::supportsUndo() const { return false; }
-
 void AdtState::serializeCanonical(std::vector<std::int64_t> &Out) const {
   Out.push_back(static_cast<std::int64_t>(digest()));
 }

@@ -13,13 +13,12 @@
 /// (AdtState) used heavily by the linearizability checkers, which explore
 /// many histories sharing long prefixes.
 ///
-/// Branching searches used to fork the replay state with clone() at every
-/// child node. AdtState now also speaks a mutate/undo protocol: applyInput
-/// records how to revert the step into a small POD UndoToken (spilling to a
-/// caller-provided Arena when the inline fields don't fit) and undoInput
-/// reverts it in O(1), so a depth-first search can thread ONE state down
-/// the whole search path. clone() remains the fallback for ADTs that do not
-/// implement undo (supportsUndo() == false, the default).
+/// Branching searches thread ONE replay state down the whole search path
+/// through a mutate/undo protocol: applyInput records how to revert the
+/// step into a small POD UndoToken (spilling to a caller-provided Arena
+/// when the inline fields don't fit) and undoInput reverts it in O(1).
+/// Every AdtState implements both; adt_test's undo round-trip checks each
+/// in-tree ADT against apply on a clone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,29 +63,17 @@ public:
 
   /// Applies \p In like apply and records into \p U how to revert it;
   /// payloads too large for the token's inline fields are allocated from
-  /// \p Overflow. Meaningful only when supportsUndo(); the default
-  /// implementation forwards to apply and records nothing.
-  virtual Output applyInput(const Input &In, UndoToken &U, Arena &Overflow);
+  /// \p Overflow.
+  virtual Output applyInput(const Input &In, UndoToken &U,
+                            Arena &Overflow) = 0;
 
   /// Reverts the most recent not-yet-undone applyInput (tokens are strictly
   /// LIFO: undo order must mirror apply order). After the call the state is
   /// logically identical — same digest, same response to every future — to
-  /// the state before the matching applyInput. Meaningful only when
-  /// supportsUndo().
-  virtual void undoInput(const UndoToken &U);
+  /// the state before the matching applyInput.
+  virtual void undoInput(const UndoToken &U) = 0;
 
-  /// True when applyInput/undoInput implement an O(1) mutate/undo cycle.
-  /// Searches fall back to clone-per-child when false (the default), with
-  /// the same verdicts and node counts. A resumable session then cannot
-  /// keep a replay state at its chains' ends: it has no fast step and
-  /// replays every seed. Behind a retired prefix it replays the retired
-  /// prefix too, so an outcome-only session (IncrementalOptions::
-  /// RetainRetiredWitness off) answers Unknown from its first fold until
-  /// reset(); see that option. Every in-tree ADT implements undo.
-  virtual bool supportsUndo() const;
-
-  /// Deep-copies the state. Used by branching searches over states that
-  /// cannot use the undo protocol.
+  /// Deep-copies the state (snapshots of a retained replay state).
   virtual std::unique_ptr<AdtState> clone() const = 0;
 
   /// A fingerprint of the *logical* state: two states with equal digests

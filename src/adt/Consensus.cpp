@@ -27,8 +27,6 @@ public:
 
   void undoInput(const UndoToken &U) override { Decided = U.A; }
 
-  bool supportsUndo() const override { return true; }
-
   std::unique_ptr<AdtState> clone() const override {
     return std::make_unique<ConsensusState>(*this);
   }

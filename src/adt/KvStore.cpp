@@ -95,8 +95,6 @@ public:
     }
   }
 
-  bool supportsUndo() const override { return true; }
-
   std::unique_ptr<AdtState> clone() const override {
     return std::make_unique<KvStoreState>(*this);
   }

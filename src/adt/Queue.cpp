@@ -51,8 +51,6 @@ public:
       Items.push_front(U.A);
   }
 
-  bool supportsUndo() const override { return true; }
-
   std::unique_ptr<AdtState> clone() const override {
     return std::make_unique<QueueState>(*this);
   }

@@ -25,8 +25,6 @@ public:
 
   void undoInput(const UndoToken &U) override { Content = U.A; }
 
-  bool supportsUndo() const override { return true; }
-
   std::unique_ptr<AdtState> clone() const override {
     return std::make_unique<RegisterState>(*this);
   }

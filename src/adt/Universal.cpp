@@ -26,8 +26,6 @@ public:
     Fingerprint = static_cast<std::uint64_t>(U.A);
   }
 
-  bool supportsUndo() const override { return true; }
-
   std::unique_ptr<AdtState> clone() const override {
     return std::make_unique<UniversalState>(*this);
   }

@@ -36,26 +36,17 @@ public:
     Base = P.SeedBase;
     InputId A = P.AlphabetSize;
     // Whether the caller's retained FrontierState can stand in for the
-    // whole seed prefix — decided up front, before any state is touched,
-    // so the virtual-seed refusal below can be exact: a run that adopts
-    // never re-applies a seed input, so it does not need the retired ids
-    // at all (except to fold a sequence hash the frontier predates). An
-    // outcome-only monitor (retired prefixes as pure counters) lives off
-    // this: its post-drain root searches carry a valid boundary clone and
-    // nothing replayable.
+    // whole seed prefix — decided up front, before any state is touched.
+    // The engine never sees the retired part of a virtual seed, so a run
+    // behind one must adopt (and, when sequence-sensitive, find the
+    // sequence hash already folded); anything else is refused up front
+    // rather than risk a wrong answer.
     FrontierState *F = P.Retained;
-    bool Adopted = F && F->Valid && F->State && F->State->supportsUndo() &&
-                   F->Len == Base + P.SeedLen && F->Len != 0 &&
-                   F->Used.size() <= A;
-    bool NeedPrefixIds =
-        !Adopted || (P.SequenceSensitive && !F->HasSeqHash);
-    if (Base && NeedPrefixIds &&
-        (!P.RetiredPrefix || P.RetiredPrefixLen != Base)) {
-      // A virtual seed whose retired ids are gone can neither be replayed
-      // (no adoptable state) nor hashed; refuse up front rather than risk
-      // a wrong answer.
+    bool Adopted = F && F->Valid && F->State && F->Len == Base + P.SeedLen &&
+                   F->Len != 0 && F->Used.size() <= A;
+    if (Base && (!Adopted || (P.SequenceSensitive && !F->HasSeqHash))) {
       Result.Outcome = Verdict::Unknown;
-      Result.Reason = "retired seed prefix unavailable for replay";
+      Result.Reason = RetiredSeedUnavailableReason;
       return Result;
     }
     FullMask = NumOb == 64 ? ~0ull : ((1ull << NumOb) - 1);
@@ -79,14 +70,14 @@ public:
     // Bring the search to the end of the seed prefix. Fast path: adopt the
     // caller's retained FrontierState — the ADT state, used counts, and
     // hashes materialized by the previous run — so no seed input is ever
-    // re-applied (and no throwaway fresh state is allocated). Slow path:
-    // replay the seed into a fresh state. Both paths leave identical
+    // re-applied (and no throwaway fresh state is allocated). Slow path
+    // (never behind a retired prefix): replay the seed into a fresh
+    // state. Both paths leave identical
     // (Used, UsedHash, Deficit, Master, SeqHash) search state, so verdicts
     // AND node counts are independent of which one ran.
     TrackIds = F != nullptr;
     std::unique_ptr<AdtState> State =
         Adopted ? std::move(F->State) : P.Type->makeState();
-    UseUndo = State->supportsUndo();
 
     // Obligations the seed already commits (a resumable session's retained
     // witness chain): mark them committed and replay their witness rows, so
@@ -117,9 +108,8 @@ public:
         if (!F->HasSeqHash) {
           // Captured before the problem became sequence-sensitive (first
           // abort): fold the seed's hash once, without touching the ADT.
+          // Base is 0 here, so the seed is the whole master prefix.
           H = SeqHashes.back();
-          for (std::size_t I = 0; I != P.RetiredPrefixLen; ++I)
-            H = hashCombine(H, IdHash[P.RetiredPrefix[I]]);
           for (std::size_t I = 0; I != P.SeedLen; ++I)
             H = hashCombine(H, IdHash[P.Seed[I]]);
         }
@@ -135,28 +125,18 @@ public:
       }
       Stats.SeedStepsSkipped += Base + P.SeedLen;
     } else {
-      // The retired prefix (if any) is replayed for its state, counts, and
-      // hashes but never materialized into the master: its inputs are part
-      // of every commit history, yet only the caller that retired them can
-      // name them in a witness.
-      if (Base)
-        for (std::size_t I = 0; I != P.RetiredPrefixLen; ++I) {
-          InputId Id = P.RetiredPrefix[I];
-          State->apply(Interner.input(Id));
-          applyVirtual(Id);
-        }
       for (std::size_t I = 0; I != P.SeedLen; ++I) {
         InputId Id = P.Seed[I];
         State->apply(Interner.input(Id));
         push(Id);
       }
-      Stats.SeedStepsReplayed += Base + P.SeedLen;
+      Stats.SeedStepsReplayed += P.SeedLen;
     }
 
     bool Found = dfs(PreCommitted, *State);
     Result.Stats = Stats;
     if (Found) {
-      if (UseUndo && F) {
+      if (F) {
         // Capture the new accepting leaf as the caller's next frontier:
         // the threaded state sits exactly there.
         F->State = std::move(State);
@@ -213,22 +193,6 @@ private:
       SeqHashes.push_back(hashCombine(SeqHashes.back(), IdHash[Id]));
   }
 
-  /// Applies a *retired* input: used counts, hashes, and deficits move as
-  /// in push(), but the master (live window) is untouched — retired inputs
-  /// live before it and are never popped, so the sequence hash is folded in
-  /// place instead of stacked.
-  void applyVirtual(InputId Id) {
-    std::int32_t C = Used[Id]++;
-    if (C > 0)
-      UsedHash ^= pairMix(Id, C);
-    UsedHash ^= pairMix(Id, C + 1);
-    for (std::size_t K = 0; K != NumActive; ++K)
-      if (std::size_t R = Active[K]; Avail[R][Id] == C)
-        ++Deficit[R];
-    if (P.SequenceSensitive)
-      SeqHashes.back() = hashCombine(SeqHashes.back(), IdHash[Id]);
-  }
-
   /// Undoes the matching push.
   void pop(InputId Id) {
     std::int32_t C = --Used[Id];
@@ -280,11 +244,8 @@ private:
       return false;
     }
 
-    // Move 1: commit an outstanding response by appending its input. With
-    // an undo-capable state the move mutates State in place and reverts on
-    // the way back; otherwise each child runs on a clone (the fallback for
-    // ADTs without undo). Move order, stats, and pruning are identical in
-    // both modes.
+    // Move 1: commit an outstanding response by appending its input. The
+    // move mutates State in place and reverts on the way back.
     for (std::size_t R = 0, E = P.NumCommits; R != E; ++R) {
       if (Committed & (1ull << R))
         continue;
@@ -295,32 +256,19 @@ private:
         continue; // Some earlier append is not available at this response.
       if (Used[Ob.In] + 1 > Avail[R][Ob.In])
         continue; // Validity would fail on the endpoint input.
-      if (UseUndo) {
-        UndoToken U;
-        if (State.applyInput(Interner.input(Ob.In), U, Scratch) != Ob.Out) {
-          State.undoInput(U);
-          continue; // Would not explain the response.
-        }
-        ++Stats.CommitMoves;
-        push(Ob.In);
-        Commits.push_back({Ob.Tag, Base + Master.size()});
-        if (dfs(Committed | (1ull << R), State))
-          return true;
-        Commits.pop_back();
-        pop(Ob.In);
+      UndoToken U;
+      if (State.applyInput(Interner.input(Ob.In), U, Scratch) != Ob.Out) {
         State.undoInput(U);
-      } else {
-        std::unique_ptr<AdtState> Next = State.clone();
-        if (Next->apply(Interner.input(Ob.In)) != Ob.Out)
-          continue; // Would not explain the response.
-        ++Stats.CommitMoves;
-        push(Ob.In);
-        Commits.push_back({Ob.Tag, Base + Master.size()});
-        if (dfs(Committed | (1ull << R), *Next))
-          return true;
-        Commits.pop_back();
-        pop(Ob.In);
+        continue; // Would not explain the response.
       }
+      ++Stats.CommitMoves;
+      push(Ob.In);
+      Commits.push_back({Ob.Tag, Base + Master.size()});
+      if (dfs(Committed | (1ull << R), State))
+        return true;
+      Commits.pop_back();
+      pop(Ob.In);
+      State.undoInput(U);
     }
 
     // Move 2: append a filler input. A filler lies in every later commit
@@ -341,24 +289,14 @@ private:
     }
     for (std::size_t I = 0; I != NumCandidates; ++I) {
       InputId Id = Candidates[I];
-      if (UseUndo) {
-        UndoToken U;
-        State.applyInput(Interner.input(Id), U, Scratch);
-        ++Stats.FillerMoves;
-        push(Id);
-        if (dfs(Committed, State))
-          return true;
-        pop(Id);
-        State.undoInput(U);
-      } else {
-        std::unique_ptr<AdtState> Next = State.clone();
-        Next->apply(Interner.input(Id));
-        ++Stats.FillerMoves;
-        push(Id);
-        if (dfs(Committed, *Next))
-          return true;
-        pop(Id);
-      }
+      UndoToken U;
+      State.applyInput(Interner.input(Id), U, Scratch);
+      ++Stats.FillerMoves;
+      push(Id);
+      if (dfs(Committed, State))
+        return true;
+      pop(Id);
+      State.undoInput(U);
     }
 
     Memo.insert(Key);
@@ -390,7 +328,6 @@ private:
 
   std::uint64_t FullMask = 0;
   std::size_t Base = 0; ///< ChainProblemView::SeedBase (retired master inputs).
-  bool UseUndo = false;
   /// Dense master ids are maintained only for callers that retain the
   /// chain (P.Retained set — resumable sessions); batch searches skip the
   /// per-node bookkeeping.

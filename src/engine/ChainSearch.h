@@ -26,11 +26,10 @@
 /// copies with dense count arrays over interned InputIds, rehash-the-world
 /// memo keys with an incrementally folded multiset hash, the unbounded
 /// failed-state set with a bounded salted TranspositionTable, and per-node
-/// heap churn with Arena scratch — same verdicts, measurably faster. When
-/// the ADT speaks the mutate/undo protocol (AdtState::supportsUndo) the
-/// DFS threads a single replay state down the search path, reverting each
-/// move with an O(1) UndoToken instead of cloning the state at every child
-/// node; clone-per-child remains the fallback for states without undo.
+/// heap churn with Arena scratch — same verdicts, measurably faster. The
+/// DFS threads a single replay state down the search path through the
+/// ADT's mutate/undo protocol, reverting each move with an O(1) UndoToken
+/// instead of cloning the state at every child node.
 ///
 /// Deciding linearizability is NP-complete, so the search is bounded by a
 /// node budget and an optional deadline; exhaustion yields Verdict::Unknown
@@ -171,13 +170,12 @@ struct CommitObligation {
 /// success frontier owns one of these; the engine *adopts* it instead of
 /// replaying the seed into a fresh state — eliminating the O(seed) ADT
 /// replay that was the last linear term in a monitor's steady state — and,
-/// on an accepting undo-mode run, *captures* the new accepting leaf back
+/// on an accepting run, *captures* the new accepting leaf back
 /// into it (the undo protocol leaves the threaded state exactly there).
 /// On a failed or exhausted run the strict LIFO undo discipline has
 /// restored the adopted state to the frontier, so it is handed back
-/// unchanged. Only undo-capable states can be adopted or captured: a run
-/// over a state without undo leaves the struct untouched and replays the
-/// seed.
+/// unchanged. Behind a retired prefix (ChainProblemView::SeedBase) the
+/// adopted state is the only record of that prefix the engine gets.
 struct FrontierState {
   std::unique_ptr<AdtState> State; ///< Positioned after the seed prefix.
   std::vector<std::int32_t> Used;  ///< Used counts by InputId at the frontier.
@@ -231,7 +229,7 @@ void advanceFrontierState(FrontierState &F, const InputInterner &Interner,
 /// over them each event.
 ///
 /// Lifetimes: every pointed-to range (Commits, their Available rows, Seed,
-/// RetiredPrefix, SeedCommits, AcceptLeaf) must outlive the run() call.
+/// SeedCommits, AcceptLeaf) must outlive the run() call.
 struct ChainProblemView {
   const Adt *Type = nullptr;
   /// Exclusive upper bound of the InputIds this problem mentions; all
@@ -266,19 +264,12 @@ struct ChainProblemView {
   /// ChainResult::Commits) are absolute — they include SeedBase — while
   /// ChainResult::Master/MasterIds carry only the live part (the caller
   /// that retired the prefix owns it and prepends it when materializing a
-  /// witness). Requires either an adoptable Retained state of length
-  /// SeedBase + SeedLen or RetiredPrefix for the replay fallback; the
-  /// AcceptLeaf predicate (if any) must not inspect the retired region of
-  /// the master (it only sees the live part).
+  /// witness). Requires an adoptable Retained state of length SeedBase +
+  /// SeedLen whose sequence hash is folded when SequenceSensitive; any
+  /// other run with SeedBase != 0 answers the RetiredSeedUnavailableReason
+  /// Unknown. The AcceptLeaf predicate (if any) must not inspect the
+  /// retired region of the master (it only sees the live part).
   std::size_t SeedBase = 0;
-  /// Dense ids of the retired prefix, used only when the Retained state
-  /// cannot be adopted (runs over a state without undo, or a mismatched
-  /// one, replay it without materializing it into the master) and to fold
-  /// sequence hashes for states captured before the problem became
-  /// sequence-sensitive. Must have exactly SeedBase elements whenever
-  /// SeedBase != 0.
-  const InputId *RetiredPrefix = nullptr;
-  std::size_t RetiredPrefixLen = 0;
   /// Obligations already committed *within* the (virtual ++ materialized)
   /// seed, as (obligation index, absolute master length at the commit
   /// point) in chain order. The search starts with these marked committed
@@ -300,14 +291,20 @@ struct ChainProblemView {
   const std::function<bool(const History &Master, std::size_t MaxCommitLen)>
       *AcceptLeaf = nullptr;
   /// Optional retained replay state for Seed, owned by the caller (in-out).
-  /// When it is valid, matches the seed's length, and the run is
-  /// undo-capable, the engine starts from it — zero seed replay — and
-  /// refreshes it to the new accepting leaf on Yes. A fresh (or mismatched)
-  /// run still captures the leaf into it on Yes, which is how a resumable
-  /// session's frontier state gets created in the first place. Null
-  /// disables retention.
+  /// When it is valid and matches the seed's length (SeedBase + SeedLen),
+  /// the engine starts from it — zero seed replay — and refreshes it to the
+  /// new accepting leaf on Yes. A fresh (or mismatched) run without a
+  /// retired prefix still captures the leaf into it on Yes, which is how a
+  /// resumable session's frontier state gets created in the first place.
+  /// Null disables retention.
   FrontierState *Retained = nullptr;
 };
+
+/// The Unknown reason of a run behind a retired prefix (SeedBase != 0) that
+/// cannot adopt its Retained state: the engine never sees the retired ids,
+/// so it can neither replay them nor fold their sequence hash.
+inline constexpr char RetiredSeedUnavailableReason[] =
+    "retired seed prefix unavailable for replay";
 
 /// Outcome of one search run. On Yes, Master/Commits describe the witness
 /// chain: Commits maps each obligation's Tag to its commit history's length

@@ -79,21 +79,8 @@ void OrderRelation::rebuildMasks(LiveWindow &W) const {
   // indices, clients, and metadata are all retained). Obligations past the
   // 64-bit mask range get mask 0 — they are never handed to the engine
   // while out of range, exactly as the old LiveWindow::rebuildMasks.
-  for (std::size_t Q = 0, E = W.size(); Q != E; ++Q) {
-    if (Q >= 64) {
-      W.setMustFollow(Q, 0);
-      continue;
-    }
-    std::uint64_t M;
-    if (isStrict()) {
-      std::size_t K = W.lowerBoundTag(W.invokeIdx(Q));
-      M = K == 0 ? 0 : ~0ull >> (64 - (K < 64 ? K : 64));
-      M &= Q == 0 ? 0 : ~0ull >> (64 - (Q < 64 ? Q : 64));
-    } else {
-      M = maskOver(W, Q);
-    }
-    W.setMustFollow(Q, M);
-  }
+  for (std::size_t Q = 0, E = W.size(); Q != E; ++Q)
+    W.setMustFollow(Q, Q < 64 ? maskOver(W, Q) : 0);
 }
 
 std::size_t OrderRelation::retirablePrefix(const LiveWindow &W,

@@ -745,13 +745,8 @@ ChainResult WindowedSession::runMember(std::size_t I, RetainedChain *C,
   // retired prefix as the engine's virtual seed: it is never
   // re-materialized or re-replayed.
   const bool Behind = C && WindowBase != 0;
-  if (Behind) {
+  if (Behind)
     V.SeedBase = C->RetiredLen;
-    if (Opts.RetainRetiredWitness) {
-      V.RetiredPrefix = C->RetiredMaster.data();
-      V.RetiredPrefixLen = C->RetiredMaster.size();
-    }
-  }
   SeedCommitsScratch.clear();
   if (FromFrontier)
     for (const auto &[Tag, Len] : C->Commits) {
@@ -845,7 +840,7 @@ bool WindowedSession::fastStep(const LinCheckOptions &L, LinCheckResult &R) {
       return Rollback();
     // Mirror the engine's frontier-adoption conditions exactly.
     FrontierState &F = C->Replay;
-    if (!F.Valid || !F.State || !F.State->supportsUndo() ||
+    if (!F.Valid || !F.State ||
         F.Len != C->RetiredLen + C->Master.size() || F.Len == 0 ||
         F.Used.size() > A || F.Used.size() > Obligations.stride())
       return Rollback();

@@ -107,21 +107,12 @@ struct IncrementalOptions {
   /// this too.
   bool RetainTrace = true;
   /// Keep the materialized retired prefix (dense ids + commit rows) for
-  /// witness completion and the engine's replay fallback. Off makes the
-  /// retired prefix a pure counter — required for a zero-allocation
-  /// unbounded monitor (the prefix otherwise grows without bound) — at the
-  /// cost of witnesses (and, lin, frontierHistory()) omitting the retired
-  /// region and of the replay fallback degrading to a sound Unknown when
-  /// the retained boundary state cannot be adopted. That is every run
-  /// behind a retired prefix when the ADT state lacks undo
-  /// (AdtState::supportsUndo() false): after the first fold no run can
-  /// adopt or replay the retired prefix, so the session answers the
-  /// "retired seed prefix unavailable" Unknown until reset() and never
-  /// retires again. On the 300-operation quiescing register stream of
-  /// the trace fuzz suite's NoUndoSessionDifferential tests that is 471
-  /// Unknowns in 600 verdicts (from verdict 130 on), 64 obligations
-  /// retired instead of 255, and a live-window high-water of 236. Every
-  /// in-tree ADT implements undo. Applies to every member's retired chain.
+  /// witness completion. Off makes the retired prefix a pure counter —
+  /// required for a zero-allocation unbounded monitor (the prefix
+  /// otherwise grows without bound) — at the cost of witnesses (and, lin,
+  /// frontierHistory()) omitting the retired region. Searches never read
+  /// it: they adopt the member's retired-boundary replay state either way.
+  /// Applies to every member's retired chain.
   bool RetainRetiredWitness = true;
   /// Graded-fallback bound for pinned overflow excursions: while a
   /// straggler pins the cut past the 64-slot window, a verdict searches

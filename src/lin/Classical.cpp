@@ -60,7 +60,6 @@ public:
       return Result;
     }
     std::unique_ptr<AdtState> State = Type.makeState();
-    UseUndo = State->supportsUndo();
     bool Found = dfs(0, *State);
     Result.NodesExplored = Nodes;
     if (Found) {
@@ -107,31 +106,19 @@ private:
         continue; // Some unscheduled operation finished before Op started.
       // Original responses must agree with the ADT; completed (pending)
       // operations accept whatever the ADT produces (Definition 45 lets the
-      // completion choose the output). With an undo-capable state the step
-      // mutates in place and is reverted on mismatch or backtrack;
-      // otherwise each child runs on a clone.
-      if (UseUndo) {
-        UndoToken U;
-        Output Produced = State.applyInput(Op.In, U, TokenOverflow);
-        if (!Op.Pending && Produced != Op.Out) {
-          State.undoInput(U);
-          continue;
-        }
-        Order.push_back({Op.InvokeIndex, Op.Pending, Produced});
-        if (dfs(Scheduled | (1ull << I), State))
-          return true;
-        Order.pop_back();
+      // completion choose the output). The step mutates in place and is
+      // reverted on mismatch or backtrack.
+      UndoToken U;
+      Output Produced = State.applyInput(Op.In, U, TokenOverflow);
+      if (!Op.Pending && Produced != Op.Out) {
         State.undoInput(U);
-      } else {
-        std::unique_ptr<AdtState> Next = State.clone();
-        Output Produced = Next->apply(Op.In);
-        if (!Op.Pending && Produced != Op.Out)
-          continue;
-        Order.push_back({Op.InvokeIndex, Op.Pending, Produced});
-        if (dfs(Scheduled | (1ull << I), *Next))
-          return true;
-        Order.pop_back();
+        continue;
       }
+      Order.push_back({Op.InvokeIndex, Op.Pending, Produced});
+      if (dfs(Scheduled | (1ull << I), State))
+        return true;
+      Order.pop_back();
+      State.undoInput(U);
     }
     Failed.insert(Key);
     return false;
@@ -144,7 +131,6 @@ private:
   std::unordered_set<std::uint64_t> Failed;
   Arena TokenOverflow; ///< Undo-token spill space; lives for the search.
   std::uint64_t Nodes = 0;
-  bool UseUndo = false;
   bool BudgetExhausted = false;
 };
 

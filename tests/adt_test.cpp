@@ -43,7 +43,6 @@ void undoRoundTrip(const Adt &T, const std::vector<Input> &Alphabet,
   Rng R(Seed);
   Arena Overflow;
   auto State = T.makeState();
-  ASSERT_TRUE(State->supportsUndo()) << T.name();
 
   // Phase 1: random walk; each step is applied via the undo protocol and
   // cross-checked against a clone driven by plain apply. Half the steps

@@ -22,7 +22,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "NoUndoAdt.h"
 #include "adt/Consensus.h"
 #include "adt/Queue.h"
 #include "engine/CheckSession.h"
@@ -248,97 +247,6 @@ TEST(EngineEquivalenceTest, AbortValidityReadingsDifferOnLateDecider) {
   // One-shot agreement on the same scenario.
   EXPECT_EQ(checkSlin(T, Sig, Cons, Rel, Strict).Outcome, Verdict::No);
   EXPECT_EQ(checkSlin(T, Sig, Cons, Rel, Relaxed).Outcome, Verdict::Yes);
-}
-
-//===----------------------------------------------------------------------===//
-// Mutate/undo vs clone-per-child: the two state-threading modes must be
-// observationally identical — same verdicts AND same node counts, since
-// move order, pruning, and memo keys do not depend on the mode. The clone
-// side runs over NoUndoAdt, whose states hide the undo protocol.
-//===----------------------------------------------------------------------===//
-
-TEST(EngineEquivalenceTest, UndoVsCloneDifferentialLin) {
-  auto CheckCorpus = [&](const Adt &Type, const std::vector<Trace> &Corpus) {
-    NoUndoAdt CloneType(Type);
-    for (const Trace &T : Corpus) {
-      // Fresh sessions per trace: identical interner order makes node
-      // counts comparable bit-for-bit, not only verdicts.
-      CheckSession Undo(Type);
-      CheckSession Clone(CloneType);
-      LinCheckResult RU = Undo.checkLin(T);
-      LinCheckResult RC = Clone.checkLin(T);
-      ASSERT_EQ(RU.Outcome, RC.Outcome)
-          << "undo mode changed a verdict on\n"
-          << formatTrace(T);
-      ASSERT_EQ(RU.NodesExplored, RC.NodesExplored)
-          << "undo mode changed the search tree on\n"
-          << formatTrace(T);
-    }
-  };
-
-  ConsensusAdt Cons;
-  GenOptions GC;
-  GC.NumClients = 4;
-  GC.NumOps = 8;
-  GC.Alphabet = {cons::propose(1), cons::propose(2), cons::propose(3)};
-  GC.Outputs = {cons::decide(1), cons::decide(2), cons::decide(3)};
-  Rng R(0xE9E7);
-  std::vector<Trace> ConsCorpus;
-  for (int I = 0; I < 40; ++I) {
-    ConsCorpus.push_back(genLinearizableTrace(Cons, GC, R));
-    Trace M = ConsCorpus.back();
-    if (mutateTrace(M, static_cast<MutationKind>(I % 4), GC, R))
-      ConsCorpus.push_back(std::move(M));
-    ConsCorpus.push_back(genArbitraryTrace(GC, R));
-  }
-  CheckCorpus(Cons, ConsCorpus);
-
-  QueueAdt Q;
-  GenOptions GQ;
-  GQ.NumClients = 3;
-  GQ.NumOps = 7;
-  GQ.Alphabet = {queue::enq(1), queue::enq(2), queue::deq()};
-  GQ.Outputs = {Output{1}, Output{2}, Output{NoValue}};
-  std::vector<Trace> QueueCorpus;
-  for (int I = 0; I < 40; ++I) {
-    QueueCorpus.push_back(genLinearizableTrace(Q, GQ, R));
-    QueueCorpus.push_back(genArbitraryTrace(GQ, R));
-  }
-  CheckCorpus(Q, QueueCorpus);
-}
-
-TEST(EngineEquivalenceTest, UndoVsCloneDifferentialSlin) {
-  ConsensusAdt Cons;
-  NoUndoAdt CloneCons(Cons);
-  UniversalInitRelation Rel;
-  for (PhaseId M : {1u, 2u}) {
-    PhaseSignature Sig(M, M + 1);
-    SpecAutomaton A(Sig, 3);
-    SpecAutomaton::WalkOptions W;
-    W.Steps = 10;
-    W.Alphabet = {cons::propose(1), cons::propose(2)};
-    W.InitChoices = {{cons::ghostPropose(1)},
-                     {cons::ghostPropose(1), cons::ghostPropose(2)}};
-    Rng R(0xE9E8 + M);
-    for (int I = 0; I < 30; ++I) {
-      Trace T = A.randomWalk(W, R, Rel);
-      for (bool AtEnd : {false, true}) {
-        SlinCheckOptions O;
-        O.AbortValidityAtEnd = AtEnd;
-        CheckSession Undo(Cons);
-        CheckSession Clone(CloneCons);
-        SlinVerdict VU = Undo.checkSlin(T, Sig, Rel, O);
-        SlinVerdict VC = Clone.checkSlin(T, Sig, Rel, O);
-        ASSERT_EQ(VU.Outcome, VC.Outcome)
-            << "undo mode changed a slin verdict (atEnd=" << AtEnd << ")\n"
-            << formatTrace(T);
-        ASSERT_EQ(VU.NodesExplored, VC.NodesExplored)
-            << "undo mode changed the slin search tree (atEnd=" << AtEnd
-            << ")\n"
-            << formatTrace(T);
-      }
-    }
-  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -244,6 +244,75 @@ TEST(TranspositionTest, ClearForgetsEverything) {
 }
 
 //===----------------------------------------------------------------------===//
+// ChainSearch behind a retired prefix: the engine never sees the retired
+// ids, so only an adoptable retained state may stand in for them.
+//===----------------------------------------------------------------------===//
+
+TEST(ChainSearchTest, RetiredSeedAnswersOnlyFromAnAdoptableState) {
+  // Retired master [write(1)]; one live obligation read() -> 1.
+  RegisterAdt Reg;
+  InputInterner Interner;
+  const InputId W1 = Interner.intern(reg::write(1));
+  const InputId Rd = Interner.intern(reg::read());
+  const std::vector<std::int32_t> Avail = {1, 1};
+  CommitObligation Ob;
+  Ob.In = Rd;
+  Ob.Out = Output{1};
+  Ob.Available = Avail.data();
+  ChainProblemView V;
+  V.Type = &Reg;
+  V.AlphabetSize = Interner.size();
+  V.Commits = &Ob;
+  V.NumCommits = 1;
+  V.SeedBase = 1;
+
+  // The retired-boundary state a session would hand the engine.
+  auto boundary = [&](bool HasSeqHash) {
+    FrontierState F;
+    F.State = Reg.makeState();
+    F.Used.assign(Interner.size(), 0);
+    F.HasSeqHash = HasSeqHash;
+    F.Valid = true;
+    advanceFrontierState(F, Interner, &W1, 1);
+    return F;
+  };
+  auto run = [&](FrontierState *Retained, bool SequenceSensitive) {
+    TranspositionTable Memo;
+    Arena Scratch;
+    V.Retained = Retained;
+    V.SequenceSensitive = SequenceSensitive;
+    return ChainSearch(Interner, Memo, Scratch).run(V, ChainLimits{});
+  };
+  auto expectRefused = [](const ChainResult &R, const char *Setup) {
+    EXPECT_EQ(R.Outcome, Verdict::Unknown) << Setup;
+    EXPECT_EQ(R.Reason, RetiredSeedUnavailableReason) << Setup;
+    EXPECT_FALSE(R.BudgetLimited) << Setup;
+    EXPECT_EQ(R.Stats.Nodes, 0u) << Setup;
+  };
+
+  // (a) No retained state, or one that cannot be adopted.
+  expectRefused(run(nullptr, false), "no Retained");
+  FrontierState Empty;
+  expectRefused(run(&Empty, false), "invalid Retained");
+  // (b) Sequence-sensitive, but the boundary's sequence hash was never
+  // folded.
+  FrontierState Unhashed = boundary(/*HasSeqHash=*/false);
+  expectRefused(run(&Unhashed, true), "sequence-sensitive, no SeqHash");
+
+  // Controls: the same boundary adopted where it can be answers Yes, with
+  // the commit length absolute (retired write ++ live read).
+  for (bool SequenceSensitive : {false, true}) {
+    FrontierState F = boundary(/*HasSeqHash=*/SequenceSensitive);
+    ChainResult R = run(&F, SequenceSensitive);
+    ASSERT_EQ(R.Outcome, Verdict::Yes) << R.Reason;
+    ASSERT_EQ(R.Commits.size(), 1u);
+    EXPECT_EQ(R.Commits[0].second, 2u);
+    EXPECT_EQ(R.Stats.SeedStepsSkipped, 1u);
+    EXPECT_EQ(R.Stats.SeedStepsReplayed, 0u);
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // LiveWindow: 64-slot storage through folds, stride regrows and an
 // overflow excursion.
 //===----------------------------------------------------------------------===//
@@ -676,8 +745,9 @@ TEST(IncrementalSessionTest, BudgetExhaustionRecoversCleanly) {
     LinCheckOptions Tight;
     Tight.NodeBudget = 1;
     LinCheckResult Starved = Inc.verdict(Tight);
-    if (Starved.Outcome == Verdict::Unknown)
+    if (Starved.Outcome == Verdict::Unknown) {
       EXPECT_TRUE(Starved.BudgetLimited);
+    }
     LinCheckResult Recovered = Inc.verdict();
     LinCheckResult Batch = checkLinearizable(T, Cons);
     ASSERT_EQ(Recovered.Outcome, Batch.Outcome) << "trace " << I;
@@ -733,8 +803,9 @@ TEST(IncrementalSessionTest, BudgetLadderOnResumedSessionsStaysSound) {
       } else {
         EXPECT_EQ(V.Outcome, Verdict::No);
       }
-      if (Batch.Outcome != Verdict::Unknown && V.Outcome != Verdict::Unknown)
+      if (Batch.Outcome != Verdict::Unknown && V.Outcome != Verdict::Unknown) {
         EXPECT_EQ(V.Outcome, Batch.Outcome);
+      }
       // Shared-budget sanity: nowhere near two fresh budgets of real work
       // at the big rung (the old bug), and bounded unwinding at small ones.
       EXPECT_LE(V.NodesExplored,
@@ -804,8 +875,9 @@ TEST(CorpusDriverTest, SharePrefixesPreservesVerdicts) {
     EXPECT_EQ(Rep.Unknown, Base.Unknown);
     // What sharing is for: each prefix-closed trace streams only its
     // delta, so the one-thread shared drain searches fewer nodes.
-    if (Threads == 1)
+    if (Threads == 1) {
       EXPECT_LT(Rep.Aggregate.Search.Nodes, Base.Aggregate.Search.Nodes);
+    }
   }
 }
 
@@ -973,8 +1045,9 @@ TEST(IncrementalSessionTest, SlinBudgetPollutionSaltsOutRetainedFrontiers) {
       SlinCheckOptions Tight;
       Tight.Search.NodeBudget = 1;
       SlinVerdict Starved = Inc.verdict(Tight);
-      if (Starved.Outcome == Verdict::Unknown)
+      if (Starved.Outcome == Verdict::Unknown) {
         EXPECT_TRUE(Starved.BudgetLimited);
+      }
       SlinVerdict Recovered = Inc.verdict(Full);
       Trace Prefix(T.begin(), T.begin() + static_cast<std::ptrdiff_t>(Fed) + 1);
       SlinVerdict Batch = checkSlin(Prefix, Sig, Uni, Rel, Full);
@@ -1017,8 +1090,9 @@ void streamSequentialRegisterOps(IncrementalLinSession &Inc, unsigned Ops,
     ASSERT_TRUE(Inc.append(makeRespond(K % 4, 1, In, Out)));
     if (VerdictPerEvent) {
       LinCheckResult R = Inc.verdict(Opts);
-      if (!Inc.overflowed()) // Excursions (pinned cuts) answer Unknown.
+      if (!Inc.overflowed()) { // Excursions (pinned cuts) answer Unknown.
         ASSERT_EQ(R.Outcome, Verdict::Yes) << "op " << K;
+      }
     }
   }
 }

@@ -103,8 +103,9 @@ TEST(OrderRelationTest, PairwiseSemantics) {
   // TsoHb is a sub-relation of Strict: whenever it orders, Strict does.
   for (std::uint32_t Meta : {0u, ActionMetaFlushed})
     for (ClientId C : {ClientId(0), ClientId(1)})
-      if (Tso.orders(2, C, Meta, 5, 0))
+      if (Tso.orders(2, C, Meta, 5, 0)) {
         EXPECT_TRUE(Strict.orders(2, C, Meta, 5, 0));
+      }
 
   // The retirement guarantee: Strict slots always precede the future;
   // TsoHb can only promise that for flushed slots.

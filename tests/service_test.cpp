@@ -480,8 +480,9 @@ TEST(Service, SteadyStateServicePathIsAllocationFree) {
     ASSERT_TRUE(Service.ingestText(Buf));
     Allocs += AllocGauge::count() - Allocs0;
   }
-  if (AllocGauge::active())
+  if (AllocGauge::active()) {
     EXPECT_EQ(Allocs, 0u);
+  }
   EXPECT_EQ(Service.composedVerdict(), Verdict::Yes);
 }
 

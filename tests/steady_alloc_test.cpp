@@ -131,9 +131,10 @@ TEST(SteadyAlloc, SteadyStateEventsAreAllocationFree) {
   EXPECT_EQ(Inc.scratchArena().reservedBytes(), Reserved0)
       << "scratch arena reserved new blocks during steady state";
   EXPECT_LE(Inc.stats().LiveWindowHighWater, 64u);
-  if (AllocGauge::active())
+  if (AllocGauge::active()) {
     EXPECT_EQ(AllocGauge::count() - Allocs0, 0u)
         << "steady-state events must not touch the heap";
+  }
 }
 
 // The same contract for the slin session: an outcome-only speculative
@@ -197,9 +198,10 @@ TEST(SteadyAlloc, SlinSteadyStateEventsAreAllocationFree) {
   EXPECT_GT(Inc.retiredObligations(), 0u);
   EXPECT_LE(Inc.stats().LiveWindowHighWater, 64u);
   EXPECT_EQ(Inc.stats().WindowOverflows, 0u);
-  if (AllocGauge::active())
+  if (AllocGauge::active()) {
     EXPECT_EQ(AllocGauge::count() - Allocs0, 0u)
         << "steady slin events must not touch the heap";
+  }
 }
 
 // memoryFootprintBytes is an *estimate* (container capacities, arena

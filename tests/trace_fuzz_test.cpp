@@ -19,9 +19,8 @@
 // Node counts are compared only between sessions that share the
 // incremental interning discipline (the batch session interns sorted, so
 // its counts are only verdict-comparable; see the warm-session caveat in
-// docs/engine.md): the fast step against the engine, lin against its
-// one-member slin family, and a session over an ADT against the same
-// session over that ADT with undo hidden (NoUndoAdt).
+// docs/engine.md): the fast step against the engine, and lin against its
+// one-member slin family.
 //
 // Every failure message carries the deterministic per-trace seed; re-run a
 // single trace with SLIN_FUZZ_SEED=<seed> (and the suite with
@@ -34,7 +33,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "NoUndoAdt.h"
 #include "adt/Consensus.h"
 #include "adt/KvStore.h"
 #include "adt/Queue.h"
@@ -294,12 +292,13 @@ void fuzzWindowedLinTrace(const LinFixture &Fx, const Trace &T,
         ASSERT_GT(R.Interference, 0u);
       }
     }
-    if (ExpectDefinitiveYes)
+    if (ExpectDefinitiveYes) {
       ASSERT_EQ(R.Outcome, Verdict::Yes)
           << Fx.Type.name() << ": lost the definitive verdict at prefix "
           << Prefix.size() << " (reason: " << R.Reason
           << ", retired=" << Inc.retiredObligations()
           << ", window=" << Inc.liveWindow() << ")";
+    }
     ASSERT_LE(Inc.liveWindow(), 64u);
   }
   if (ExpectDefinitiveYes) {
@@ -441,6 +440,9 @@ void fuzzFastStepTrace(IncrementalLinSession &Fast,
         << Prefix << " (outcome " << int(F.Outcome) << "):\n"
         << formatTrace(T);
     ASSERT_EQ(F.Reason, E.Reason);
+    // Every run behind a retired prefix adopts its boundary state.
+    ASSERT_NE(E.Reason, RetiredSeedUnavailableReason)
+        << "retired seed refused at prefix " << Prefix;
     ASSERT_EQ(F.BudgetLimited, E.BudgetLimited);
   }
   ASSERT_EQ(Engine.stats().FastPathVerdicts, 0u)
@@ -563,6 +565,8 @@ void expectFamilyOfOne(IncrementalLinSession &Lin,
         << formatTrace(T);
     ASSERT_EQ(Lin.stats().FastPathVerdicts, Slin.stats().FastPathVerdicts)
         << Lin.adt().name() << ": fast steps diverged at prefix " << Prefix;
+    ASSERT_NE(L.Reason, RetiredSeedUnavailableReason) << "prefix " << Prefix;
+    ASSERT_NE(S.Reason, RetiredSeedUnavailableReason) << "prefix " << Prefix;
   }
 }
 
@@ -649,8 +653,9 @@ TEST(TraceFuzzTest, FamilyOfOne_RetiringRegisterStream) {
       return;
     EXPECT_GT(Lin.retiredObligations(), 0u);
     EXPECT_EQ(Lin.retiredObligations(), Slin.retiredObligations());
-    if (!WantWitness)
+    if (!WantWitness) {
       EXPECT_GT(Lin.stats().FastPathVerdicts, 0u);
+    }
   }
 }
 
@@ -1062,6 +1067,8 @@ void fuzzSlinFastStepTrace(IncrementalSlinSession &Fast,
         << formatTrace(T);
     ASSERT_EQ(S.Reason, R.Reason)
         << "slin reason diverged at prefix " << Prefix;
+    ASSERT_NE(R.Reason, RetiredSeedUnavailableReason)
+        << "slin retired seed refused at prefix " << Prefix;
     ASSERT_EQ(S.Grade, R.Grade)
         << "slin verdict grade diverged at prefix " << Prefix;
     ASSERT_EQ(S.Interference, R.Interference)
@@ -1220,177 +1227,6 @@ TEST(TraceFuzzTest, SlinFastStepDifferential_InitFamilySteadyStreams) {
         << "init-family slin stream never took the fast step";
     EXPECT_GT(Fast.retiredObligations(), 0u);
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Sessions over states without undo: the ADT state alone picks the engine's
-// mode, so a session over NoUndoAdt (undo hidden) runs every search
-// clone-per-child and replays every seed instead of adopting a retained
-// replay state, and never takes the fast step. Both leave the search state
-// the undo path would, so at every prefix the wrapped session must match
-// the plain one in outcome and nodes spent, and the batch checker in
-// outcome.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-void runNoUndoLin(const LinFixture &Fx, std::uint64_t FamilyTag) {
-  NoUndoAdt Wrapped(Fx.Type);
-  unsigned N = traceBudget(64);
-  for (unsigned I = 0; I != N; ++I) {
-    std::uint64_t TraceSeed =
-        hashCombine(hashCombine(baseSeed(), FamilyTag), I);
-    SCOPED_TRACE(seedNote(TraceSeed, I));
-    Rng R(TraceSeed);
-    Trace T = drawLinTrace(Fx, I, R);
-    LinCheckOptions O;
-    O.WantWitness = I % 2 == 0; // Without witnesses the plain side fast-steps.
-    IncrementalLinSession Plain(Fx.Type), Bare(Wrapped);
-    Trace Prefix;
-    for (const Action &A : T) {
-      Plain.append(A);
-      Bare.append(A);
-      Prefix.push_back(A);
-      LinCheckResult P = Plain.verdict(O);
-      LinCheckResult W = Bare.verdict(O);
-      ASSERT_EQ(P.Outcome, W.Outcome)
-          << Fx.Type.name() << ": hiding undo changed the verdict at prefix "
-          << Prefix.size() << ":\n"
-          << formatTrace(Prefix);
-      ASSERT_EQ(P.NodesExplored, W.NodesExplored)
-          << Fx.Type.name() << ": hiding undo changed the nodes at prefix "
-          << Prefix.size() << ":\n"
-          << formatTrace(Prefix);
-      ASSERT_EQ(W.Outcome, checkLinearizable(Prefix, Fx.Type).Outcome)
-          << Fx.Type.name() << ": undo-free session disagrees with batch at "
-          << "prefix " << Prefix.size() << ":\n"
-          << formatTrace(Prefix);
-    }
-    ASSERT_EQ(Bare.stats().FastPathVerdicts, 0u);
-  }
-}
-
-} // namespace
-
-TEST(TraceFuzzTest, NoUndoSessionDifferential_Consensus) {
-  ConsensusAdt Cons;
-  runNoUndoLin({Cons,
-                {cons::propose(1), cons::propose(2), cons::propose(3)},
-                {cons::decide(1), cons::decide(2), cons::decide(3)}},
-               0xA1);
-}
-
-TEST(TraceFuzzTest, NoUndoSessionDifferential_Queue) {
-  QueueAdt Q;
-  runNoUndoLin({Q,
-                {queue::enq(1), queue::enq(2), queue::deq()},
-                {Output{1}, Output{2}, Output{NoValue}}},
-               0xA2);
-}
-
-TEST(TraceFuzzTest, NoUndoSessionDifferential_Register) {
-  RegisterAdt Reg;
-  runNoUndoLin({Reg,
-                {reg::read(), reg::write(1), reg::write(2)},
-                {Output{1}, Output{2}, Output{NoValue}}},
-               0xA3);
-}
-
-TEST(TraceFuzzTest, NoUndoSessionDifferential_KvStore) {
-  KvStoreAdt Kv;
-  runNoUndoLin({Kv,
-                {kv::put(1, 10), kv::put(1, 20), kv::get(1), kv::del(1)},
-                {Output{10}, Output{20}, Output{NoValue}}},
-               0xA4);
-}
-
-TEST(TraceFuzzTest, NoUndoSessionDifferential_Universal) {
-  UniversalAdt Uni;
-  runNoUndoLin({Uni,
-                {Input{1, 0, 1, 0}, Input{2, 0, 2, 0}, Input{3, 0, 3, 0}},
-                {Output{0}, Output{1}}},
-               0xA5);
-}
-
-TEST(TraceFuzzTest, NoUndoSessionDifferential_Slin) {
-  // Consensus walks under the universal relation with aborts and
-  // recoveries: sequence-sensitive runs, where a replayed seed must also
-  // rebuild the sequence hash the retained state would carry.
-  ConsensusAdt Cons;
-  NoUndoAdt Wrapped(Cons);
-  UniversalInitRelation Rel;
-  unsigned N = traceBudget(64);
-  for (unsigned I = 0; I != N; ++I) {
-    std::uint64_t TraceSeed = hashCombine(hashCombine(baseSeed(), 0xA6), I);
-    SCOPED_TRACE(seedNote(TraceSeed, I));
-    Rng R(TraceSeed);
-    PhaseId M = 1 + (I % 2);
-    PhaseSignature Sig(M, M + 1);
-    SpecAutomaton Walker(Sig, 3);
-    SpecAutomaton::WalkOptions W;
-    W.Steps = 6 + static_cast<unsigned>(R.next() % 7); // 6..12
-    W.Alphabet = {cons::propose(1), cons::propose(2)};
-    W.InitChoices = {{cons::ghostPropose(1)},
-                     {cons::ghostPropose(1), cons::ghostPropose(2)}};
-    W.AbortProbability = 0.3;
-    Trace T = Walker.randomWalk(W, R, Rel);
-    SlinCheckOptions O;
-    O.AbortValidityAtEnd = (I / 2) % 2 == 1;
-    O.WantWitness = I % 2 == 0;
-    IncrementalSlinSession Plain(Cons, Sig, Rel), Bare(Wrapped, Sig, Rel);
-    Trace Prefix;
-    for (const Action &A : T) {
-      Plain.append(A);
-      Bare.append(A);
-      Prefix.push_back(A);
-      SlinVerdict P = Plain.verdict(O);
-      SlinVerdict V = Bare.verdict(O);
-      ASSERT_EQ(P.Outcome, V.Outcome)
-          << "hiding undo changed the slin verdict at prefix "
-          << Prefix.size() << ":\n"
-          << formatTrace(Prefix);
-      ASSERT_EQ(P.NodesExplored, V.NodesExplored)
-          << "hiding undo changed the slin nodes at prefix " << Prefix.size()
-          << ":\n"
-          << formatTrace(Prefix);
-      ASSERT_EQ(V.Outcome, checkSlin(Prefix, Sig, Cons, Rel, O).Outcome)
-          << "undo-free slin session disagrees with batch at prefix "
-          << Prefix.size() << ":\n"
-          << formatTrace(Prefix);
-    }
-    ASSERT_EQ(Bare.stats().FastPathVerdicts, 0u);
-  }
-}
-
-TEST(TraceFuzzTest, NoUndoSessionDifferential_RetiringRegisterStream) {
-  // Past the 64-obligation window with the retired witness kept (the
-  // default): the undo-free session replays the retired prefix on every
-  // run and must still retire through the same folds. (With the retired
-  // witness off it cannot; see IncrementalOptions::RetainRetiredWitness.)
-  RegisterAdt Reg;
-  NoUndoAdt Wrapped(Reg);
-  LinFixture Fx{Reg,
-                {reg::read(), reg::write(1), reg::write(2)},
-                {Output{1}, Output{2}, Output{NoValue}}};
-  Rng R(hashCombine(baseSeed(), 0xA7));
-  Trace T = quiescingTrace(Fx, 300, /*MaxConc=*/4, R);
-  LinCheckOptions O;
-  O.WantWitness = false;
-  IncrementalLinSession Plain(Reg), Bare(Wrapped);
-  for (std::size_t I = 0; I != T.size(); ++I) {
-    Plain.append(T[I]);
-    Bare.append(T[I]);
-    LinCheckResult P = Plain.verdict(O);
-    LinCheckResult W = Bare.verdict(O);
-    ASSERT_EQ(P.Outcome, W.Outcome) << "event " << I << " (" << W.Reason
-                                    << ")";
-    ASSERT_EQ(P.NodesExplored, W.NodesExplored) << "event " << I;
-  }
-  // Every operation but at most one window's worth retires, on both sides.
-  EXPECT_GE(Plain.retiredObligations(), 300u - 64u);
-  EXPECT_EQ(Bare.retiredObligations(), Plain.retiredObligations());
-  EXPECT_GT(Plain.stats().FastPathVerdicts, 0u);
-  EXPECT_EQ(Bare.stats().FastPathVerdicts, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1560,16 +1396,18 @@ void fuzzLinMonotonicity(const LinFixture &Fx, const Trace &T,
 
     LinCheckResult S = checkLinearizable(Prefix, Fx.Type, StrictO);
     LinCheckResult W = checkLinearizable(Prefix, Fx.Type, TsoO);
-    if (S.Outcome == Verdict::Yes)
+    if (S.Outcome == Verdict::Yes) {
       ASSERT_EQ(W.Outcome, Verdict::Yes)
           << Fx.Type.name() << ": weakening the order lost a Yes at prefix "
           << Prefix.size() << ":\n"
           << formatTrace(Prefix);
-    if (W.Outcome == Verdict::No)
+    }
+    if (W.Outcome == Verdict::No) {
       ASSERT_EQ(S.Outcome, Verdict::No)
           << Fx.Type.name() << ": a TsoHb No must be a Strict No at prefix "
           << Prefix.size() << ":\n"
           << formatTrace(Prefix);
+    }
     if (AllFlushed) {
       // Every response flushed: the relations' masks coincide slot for
       // slot, so verdicts AND node counts must be identical.
@@ -1682,16 +1520,18 @@ TEST(TraceFuzzTest, OrderMonotonicity_Slin) {
 
       SlinVerdict S = checkSlin(Prefix, Sig, Cons, Rel, StrictO);
       SlinVerdict W = checkSlin(Prefix, Sig, Cons, Rel, TsoO);
-      if (S.Outcome == Verdict::Yes)
+      if (S.Outcome == Verdict::Yes) {
         ASSERT_EQ(W.Outcome, Verdict::Yes)
             << "slin: weakening the order lost a Yes at prefix "
             << Prefix.size() << ":\n"
             << formatTrace(Prefix);
-      if (W.Outcome == Verdict::No)
+      }
+      if (W.Outcome == Verdict::No) {
         ASSERT_EQ(S.Outcome, Verdict::No)
             << "slin: a TsoHb No must be a Strict No at prefix "
             << Prefix.size() << ":\n"
             << formatTrace(Prefix);
+      }
 
       ASSERT_EQ(StrictSession.verdict(StrictO).Outcome, S.Outcome)
           << "slin strict session diverged from batch at prefix "

@@ -189,8 +189,9 @@ TEST(TraceIoHardeningTest, RandomCorruptionNeverCrashesTheParser) {
       Text[Rand.next() % Text.size()] =
           Junk[Rand.next() % (sizeof(Junk) / sizeof(Junk[0]))];
     TraceParseResult R = parseTrace(Text);
-    if (!R.Ok)
+    if (!R.Ok) {
       EXPECT_FALSE(R.Error.empty());
+    }
   }
 }
 
@@ -244,8 +245,9 @@ TEST(TraceIoHardeningTest, ParseLoopIsAllocationFree) {
   for (int Round = 0; Round != 8; ++Round)
     ParseAll();
   std::uint64_t Delta = AllocGauge::count() - Before;
-  if (AllocGauge::active())
+  if (AllocGauge::active()) {
     EXPECT_EQ(Delta, 0u) << "zero-copy parse loop touched the heap";
+  }
 }
 
 TEST(TraceIoHardeningTest, StringViewParseMatchesStringParse) {
@@ -264,10 +266,12 @@ TEST(TraceIoHardeningTest, StringViewParseMatchesStringParse) {
     LineKind KString =
         parseActionLine(std::string(L), FromString, ErrString);
     EXPECT_EQ(KView, KString) << L;
-    if (KView == LineKind::Record && KString == LineKind::Record)
+    if (KView == LineKind::Record && KString == LineKind::Record) {
       EXPECT_EQ(FromView, FromString) << L;
-    if (KView == LineKind::Bad && KString == LineKind::Bad)
+    }
+    if (KView == LineKind::Bad && KString == LineKind::Bad) {
       EXPECT_EQ(ErrView, ErrString) << L;
+    }
   }
 }
 

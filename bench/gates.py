@@ -4,6 +4,7 @@
   python3 bench/gates.py e8 e8_now.json            # bench_e8 steady state
   python3 bench/gates.py e9-aggregate e9_now.json  # service throughput
   python3 bench/gates.py e9-overflow e9_overflow_now.json
+  python3 bench/gates.py e9-wireparse e9_wireparse_now.json  # parse stage
 
 Every gate of the named group checks one metric of every matching row of
 the fresh run (one JSON object per line, as the benches print them).
@@ -31,6 +32,9 @@ GROUPS = {
                     lambda r: r["name"].startswith(
                         "BM_E9_Service_OverflowRecovery"),
                     r"."),
+    "e9-wireparse": ("BENCH_e9.json",
+                     lambda r: r["name"].startswith("BM_E9_WireParse"),
+                     r"."),
 }
 
 # (group, row pattern, metric, rule, tolerance or value, noise floor).
@@ -88,6 +92,11 @@ GATES = [
     ("e9-overflow", r".", "overflows_per_cycle", "eq", 1.0, None),
     ("e9-overflow", r".", "bounded_yes_per_cycle", "gt", 0.0, None),
     ("e9-overflow", r".", "ns_per_op", "grow", 0.10, 250e3),
+    # The parse stage alone: wire lines/s at >= 90% of the artifact or the
+    # 5M lines/s floor. The one-pass parser clears the floor by half again;
+    # a parse that re-tokenizes each line (under 3M lines/s on the box
+    # that captured BENCH_e9.json) fails it.
+    ("e9-wireparse", r".", "lines_per_sec", "drop", 0.10, 5e6),
 ]
 
 EPS = 1e-9

@@ -12,37 +12,7 @@ using namespace slin;
 
 LineKind slin::parseServiceLine(std::string_view Line, ServiceRecord &R,
                                 std::string &Error) {
-  if (Line.empty() || Line[0] == '#')
-    return LineKind::Blank;
-
-  std::string_view Rest = Line;
-  std::string_view ObjField = nextTraceField(Rest);
-  if (ObjField.empty())
-    return LineKind::Blank;
-
-  std::uint32_t Obj = 0;
-  if (!parseTraceFieldU32(ObjField, Obj)) {
-    Error = "malformed object id '" + std::string(ObjField) + "'";
-    return LineKind::Bad;
-  }
-  if (Obj >= MaxObjectId) {
-    Error = "object id " + std::string(ObjField) + " out of range";
-    return LineKind::Bad;
-  }
-
-  // The remainder is exactly one base-format record. A bare object id
-  // (nothing after the prefix) is a malformed record, not a blank line —
-  // parseActionLine would call the empty remainder Blank, so catch it here.
-  std::string_view Peek = Rest;
-  if (nextTraceField(Peek).empty()) {
-    Error = "object id without an action record";
-    return LineKind::Bad;
-  }
-
-  LineKind Kind = parseActionLine(Rest, R.A, Error);
-  if (Kind == LineKind::Record)
-    R.Object = Obj;
-  return Kind;
+  return parseObjectActionLine(Line, MaxObjectId, R.Object, R.A, Error);
 }
 
 std::string slin::formatServiceRecord(const ServiceRecord &R) {

@@ -22,9 +22,11 @@
 /// is a parse failure, client/phase ids are dense-bounded) and adds the
 /// same bound on the object id: the demux keys per-shard state by object,
 /// so an adversarial 2^32-scale id must be a parse error, not a memory
-/// bomb. Like parseActionLine, parseServiceLine tokenizes the view in
-/// place and never allocates on an accepted record — it is the service's
-/// per-event ingest hot path.
+/// bomb. parseServiceLine is parseObjectActionLine (trace/TraceIo.h) with
+/// that bound: the base format's one-pass parser reads the object id in
+/// the same pass as the record, never allocates on an accepted record,
+/// and reports the object column's errors before the record's — it is the
+/// service's per-event ingest hot path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,8 +56,10 @@ struct ServiceRecord {
 
 /// Parses one wire line. Returns LineKind::Record and fills \p R on
 /// success; LineKind::Blank for blank/comment lines; LineKind::Bad with a
-/// diagnostic in \p Error otherwise. Allocation-free on the Record and
-/// Blank outcomes.
+/// diagnostic in \p Error otherwise (checked in the order: malformed
+/// object id, object id out of range, object id without an action record,
+/// then the base format's order). Allocation-free on the Record and Blank
+/// outcomes.
 LineKind parseServiceLine(std::string_view Line, ServiceRecord &R,
                           std::string &Error);
 

@@ -25,11 +25,15 @@
 /// client id would be a memory bomb, not a trace).
 ///
 /// The line parser is also the per-event unit of the monitoring service's
-/// wire protocol (service/Wire.h), which makes it a steady-state hot path:
-/// parseActionLine takes a std::string_view, tokenizes in place, and
-/// performs no heap allocation on any accepted record (error diagnostics,
-/// which are off that path, still build a std::string). The zero-allocation
-/// contract is enforced by the AllocGauge coverage in tests/trace_io_test.
+/// wire protocol (service/Wire.h), which makes it a steady-state hot path.
+/// One routine serves parseActionLine, parseObjectActionLine (the wire
+/// format's entry) and parseTrace: a single forward cursor over the
+/// std::string_view that classifies each byte with a 256-entry table,
+/// dispatches on the kind once and converts each numeric field while it
+/// scans it. It performs no heap allocation on a Record or Blank line;
+/// diagnostics are built only for a Bad one. The zero-allocation contract
+/// is enforced by the AllocGauge coverage in tests/trace_io_test, and the
+/// exact diagnostics by its golden table.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,17 +46,6 @@
 #include <string_view>
 
 namespace slin {
-
-/// Splits the next whitespace-delimited field off the front of \p Rest;
-/// returns the empty view when none remain. The line format's tokenizer,
-/// exported so wire-format extensions (service/Wire.h prefixes an
-/// object-id field) consume their leading fields with the same rules and
-/// hand the remainder to parseActionLine.
-std::string_view nextTraceField(std::string_view &Rest);
-
-/// Overflow-checked unsigned-decimal parse of one field; never throws or
-/// allocates. Shared with the service wire parser for its object-id field.
-bool parseTraceFieldU32(std::string_view Field, std::uint32_t &Out);
 
 /// Renders one action in the textual format (no trailing newline).
 std::string formatAction(const Action &A);
@@ -69,11 +62,24 @@ enum class LineKind : std::uint8_t {
 
 /// Parses a single line — the streaming unit of the format. Returns
 /// LineKind::Record and fills \p A on success; LineKind::Bad and fills
-/// \p Error (without line-number prefix) on a malformed record. Never
-/// allocates on the Record or Blank outcomes: the fields are tokenized in
+/// \p Error (without line-number prefix) on a malformed record, leaving
+/// it untouched otherwise. The first failing check names the line: kind,
+/// field count, every numeric field, phase 0, client bound, phase bound.
+/// Never allocates on the Record or Blank outcomes: the line is read in
 /// place over the view.
 LineKind parseActionLine(std::string_view Line, Action &A,
                          std::string &Error);
+
+/// Parses a line of the format behind a leading object-id column (the
+/// service wire format, service/Wire.h). The id must be a u32 below
+/// \p ObjectBound; it is written to \p Object on a Record. The id is
+/// checked first (malformed, then out of range, then an id with no record
+/// after it) and the record then exactly as parseActionLine checks it,
+/// by the same routine. Allocation-free on the Record and Blank outcomes.
+LineKind parseObjectActionLine(std::string_view Line,
+                               std::uint32_t ObjectBound,
+                               std::uint32_t &Object, Action &A,
+                               std::string &Error);
 
 /// Result of parsing a textual trace.
 struct TraceParseResult {

@@ -139,34 +139,200 @@ TEST(ServiceWire, RoundTrip) {
   EXPECT_EQ(Back.A, Resp.A);
 }
 
-TEST(ServiceWire, BlankAndComment) {
-  ServiceRecord R;
-  std::string Error;
-  EXPECT_EQ(parseServiceLine("", R, Error), LineKind::Blank);
-  EXPECT_EQ(parseServiceLine("# comment", R, Error), LineKind::Blank);
-  EXPECT_EQ(parseServiceLine("   \t ", R, Error), LineKind::Blank);
+namespace {
+
+using namespace std::string_view_literals;
+
+/// One wire line and everything parseServiceLine must report for it.
+/// Want is the exact Error text for a Bad line, formatServiceRecord of
+/// the parsed record for a Record line, and empty for a Blank line.
+struct WireGoldenRow {
+  std::string_view Line;
+  LineKind Kind;
+  std::string_view Want;
+};
+
+constexpr LineKind Rec = LineKind::Record, Blank = LineKind::Blank,
+                   Bad = LineKind::Bad;
+
+// The object column is checked first: malformed id, then id out of range,
+// then a missing record. The record behind it is then checked exactly as
+// parseActionLine checks a base-format line (trace_io_test's golden
+// table), with field counts that exclude the object id.
+const WireGoldenRow WireGolden[] = {
+    {""sv, Blank, ""sv},
+    {"   \t "sv, Blank, ""sv},
+    {"\r"sv, Blank, ""sv},
+    {"# comment"sv, Blank, ""sv},
+    {"#5 inv 0 1 0 0 0 0"sv, Blank, ""sv},
+    // The object id.
+    {"zap inv 0 1 0 1 1 0"sv, Bad, "malformed object id 'zap'"sv},
+    {" # x"sv, Bad, "malformed object id '#'"sv},
+    {"-1 inv 0 1 0 0 0 0"sv, Bad, "malformed object id '-1'"sv},
+    {"+3 inv 0 1 0 0 0 0"sv, Bad, "malformed object id '+3'"sv},
+    {"- inv 0 1 0 0 0 0"sv, Bad, "malformed object id '-'"sv},
+    {"5#x"sv, Bad, "malformed object id '5#x'"sv},
+    {"5\0 inv 0 1 0 0 0 0"sv, Bad, "malformed object id '5\0'"sv},
+    {"4294967296 inv 0 1 0 0 0 0"sv, Bad,
+     "malformed object id '4294967296'"sv},
+    {"99999999999999999999 inv 0 1 0 0 0 0"sv, Bad,
+     "malformed object id '99999999999999999999'"sv},
+    {"4294967295 inv 0 1 0 0 0 0"sv, Bad,
+     "object id 4294967295 out of range"sv},
+    {"1048576 inv 0 1 0 0 0 0"sv, Bad, "object id 1048576 out of range"sv},
+    {"001048576 inv 0 1 0 0 0 0"sv, Bad,
+     "object id 001048576 out of range"sv},
+    {"1048575 inv 0 1 0 0 0 0"sv, Rec, "1048575 inv 0 1 0 0 0 0"sv},
+    {"-0 inv 0 1 0 0 0 0"sv, Rec, "0 inv 0 1 0 0 0 0"sv},
+    // A malformed or out-of-range id outranks a missing record.
+    {"zap"sv, Bad, "malformed object id 'zap'"sv},
+    {"1048576"sv, Bad, "object id 1048576 out of range"sv},
+    {"7"sv, Bad, "object id without an action record"sv},
+    {"7 "sv, Bad, "object id without an action record"sv},
+    {"7 \r"sv, Bad, "object id without an action record"sv},
+    {"\t7\t\f\v"sv, Bad, "object id without an action record"sv},
+    // After the id a '#' is a kind, not a comment.
+    {"5 #x"sv, Bad, "unknown action kind '#x'"sv},
+    {"5 # comment"sv, Bad, "unknown action kind '#'"sv},
+    {"5 bogus"sv, Bad, "unknown action kind 'bogus'"sv},
+    {"5 5 inv 0 1 0 0 0 0"sv, Bad, "unknown action kind '5'"sv},
+    {"5 inv\0 0 1 0 0 0 0"sv, Bad, "unknown action kind 'inv\0'"sv},
+    // The record's field counts exclude the object id.
+    {"7 inv"sv, Bad, "expected 7 or 8 fields, found 1"sv},
+    {"7 inv 0 1"sv, Bad, "expected 7 or 8 fields, found 3"sv},
+    {"7 inv 0 1 0 0 0 0 0 0"sv, Bad, "expected 7 or 8 fields, found 9"sv},
+    {"7 res 0 1 0 0 0 0"sv, Bad, "expected 8 or 9 fields, found 7"sv},
+    {"7 swi 0 1 0 0 0 0 0 0 0"sv, Bad, "expected 8 or 9 fields, found 10"sv},
+    {"7 inv x y"sv, Bad, "expected 7 or 8 fields, found 3"sv},
+    // Numeric fields, then phase 0, then the client and phase bounds.
+    {"5 res x 1 0 0 0 0 0"sv, Bad, "malformed numeric field"sv},
+    {"5 inv 0 1 0 0 +3 0"sv, Bad, "malformed numeric field"sv},
+    {"5 inv 0 1 0 0 - 0"sv, Bad, "malformed numeric field"sv},
+    {"5 inv 0 1 4294967296 0 0 0"sv, Bad, "malformed numeric field"sv},
+    {"5 inv 0 1 0 0 9223372036854775808 0"sv, Bad,
+     "malformed numeric field"sv},
+    {"5 inv 0 1 0 0 1\0 0"sv, Bad, "malformed numeric field"sv},
+    {"5 inv 0 0 x 0 0 0"sv, Bad, "malformed numeric field"sv},
+    {"5 inv 0 0 0 0 0 0"sv, Bad, "phase numbering starts at 1"sv},
+    {"5 inv 1048576 0 0 0 0 0"sv, Bad, "phase numbering starts at 1"sv},
+    {"5 inv 1048576 1 0 0 0 0"sv, Bad, "client id 1048576 out of range"sv},
+    {"5 inv 1048576 1048576 0 0 0 0"sv, Bad,
+     "client id 1048576 out of range"sv},
+    {"5 inv 0 1048576 0 0 0 0"sv, Bad, "phase id 1048576 out of range"sv},
+    {"5 inv 1048575 1048575 4294967295 0 0 0"sv, Rec,
+     "5 inv 1048575 1048575 4294967295 0 0 0"sv},
+    {"5 inv -0 1 0 0 -9223372036854775808 9223372036854775807"sv, Rec,
+     "5 inv 0 1 0 0 -9223372036854775808 9223372036854775807"sv},
+    // Separators and the Meta column.
+    {"\t5\tinv\t0\t1\t0\t0\t0\t0\r"sv, Rec, "5 inv 0 1 0 0 0 0"sv},
+    {" 5 res 2 1 0 0 5 6 7 "sv, Rec, "5 res 2 1 0 0 5 6 7"sv},
+    {"5 swi 0 2 1 1 0 0 -9 1\r\r"sv, Rec, "5 swi 0 2 1 1 0 0 -9 1"sv},
+    {"5 inv 0 1 0 0 0 0 7"sv, Rec, "5 inv 0 1 0 0 0 0 7"sv},
+};
+
+std::string show(std::string_view Line) {
+  return ::testing::PrintToString(std::string(Line));
 }
 
-TEST(ServiceWire, MalformedLines) {
-  ServiceRecord R;
+} // namespace
+
+TEST(ServiceWire, GoldenDiagnostics) {
+  for (const WireGoldenRow &Row : WireGolden) {
+    ServiceRecord R;
+    std::string Error = "untouched";
+    LineKind K = parseServiceLine(Row.Line, R, Error);
+    EXPECT_EQ(K, Row.Kind) << show(Row.Line) << " -> " << show(Error);
+    if (K == LineKind::Bad) {
+      EXPECT_EQ(Error, Row.Want) << show(Row.Line);
+      continue;
+    }
+    // Only a Bad line writes the error.
+    EXPECT_EQ(Error, "untouched") << show(Row.Line);
+    if (K == LineKind::Record) {
+      EXPECT_EQ(formatServiceRecord(R), Row.Want) << show(Row.Line);
+    }
+  }
+}
+
+TEST(ServiceWire, GoldenDiagnosticsCarryLineNumbersThroughIngestText) {
+  // ingestText stops at the first Bad line, prefixes its diagnostic and
+  // counts it; a Blank line passes.
+  for (const WireGoldenRow &Row : WireGolden) {
+    if (Row.Kind == LineKind::Record)
+      continue;
+    RegisterAdt Reg;
+    MonitorService Service(Reg);
+    std::string Text = "0 inv 0 1 0 0 0 0\n\n";
+    Text += Row.Line;
+    bool Ok = Service.ingestText(Text);
+    EXPECT_EQ(Ok, Row.Kind == LineKind::Blank) << show(Row.Line);
+    if (!Ok) {
+      EXPECT_EQ(Service.lastError(), "line 3: " + std::string(Row.Want))
+          << show(Row.Line);
+      EXPECT_EQ(Service.stats().ParseErrors, 1u) << show(Row.Line);
+    }
+  }
+}
+
+namespace {
+
+/// A random action over every column's full range: all three kinds, u32
+/// extremes in the op, tag and meta columns, int64 extremes in the
+/// payloads, and client and phase ids up to the dense bound.
+Action randomAction(Rng &R) {
+  auto Pick64 = [&] {
+    switch (R.next() % 4) {
+    case 0:
+      return INT64_MIN;
+    case 1:
+      return INT64_MAX;
+    case 2:
+      return static_cast<std::int64_t>(R.next() % 201) - 100;
+    default:
+      return static_cast<std::int64_t>(R.next());
+    }
+  };
+  auto Pick32 = [&] {
+    return R.next() % 4 == 0 ? UINT32_MAX
+                             : static_cast<std::uint32_t>(R.next());
+  };
+  Action A;
+  A.Kind = static_cast<ActionKind>(R.next() % 3);
+  A.Client = static_cast<ClientId>(R.next() % MaxObjectId);
+  A.Phase = 1 + static_cast<PhaseId>(R.next() % (MaxObjectId - 1));
+  A.In.Op = Pick32();
+  A.In.Tag = Pick32();
+  A.In.A = Pick64();
+  A.In.B = Pick64();
+  if (isRespond(A))
+    A.Out.Val = Pick64();
+  if (isSwitch(A))
+    A.Sv.Val = Pick64();
+  A.Meta = R.next() % 2 ? 0 : Pick32();
+  return A;
+}
+
+} // namespace
+
+TEST(ServiceWire, RandomRecordsRoundTripThroughBothEntryPoints) {
+  Rng Rand(0x5EED);
   std::string Error;
-
-  EXPECT_EQ(parseServiceLine("zap inv 0 1 0 1 1 0", R, Error), LineKind::Bad);
-  EXPECT_NE(Error.find("malformed object id"), std::string::npos) << Error;
-
-  // At or past the cap.
-  std::string TooBig = std::to_string(MaxObjectId) + " inv 0 1 0 1 1 0";
-  EXPECT_EQ(parseServiceLine(TooBig, R, Error), LineKind::Bad);
-  EXPECT_NE(Error.find("out of range"), std::string::npos) << Error;
-
-  // A bare object id is a malformed record, not a blank line.
-  EXPECT_EQ(parseServiceLine("7", R, Error), LineKind::Bad);
-  EXPECT_NE(Error.find("without an action record"), std::string::npos)
-      << Error;
-
-  // The base-format parser's diagnostics pass through.
-  EXPECT_EQ(parseServiceLine("7 inv 0 1", R, Error), LineKind::Bad);
-  EXPECT_FALSE(Error.empty());
+  for (int Iter = 0; Iter != 5000; ++Iter) {
+    ServiceRecord R;
+    R.Object = static_cast<ObjectId>(Rand.next() % MaxObjectId);
+    R.A = randomAction(Rand);
+    Action Back;
+    ASSERT_EQ(parseActionLine(formatAction(R.A), Back, Error),
+              LineKind::Record)
+        << formatAction(R.A) << ": " << Error;
+    EXPECT_EQ(Back, R.A) << formatAction(R.A);
+    ServiceRecord BackRec;
+    ASSERT_EQ(parseServiceLine(formatServiceRecord(R), BackRec, Error),
+              LineKind::Record)
+        << formatServiceRecord(R) << ": " << Error;
+    EXPECT_EQ(BackRec.Object, R.Object) << formatServiceRecord(R);
+    EXPECT_EQ(BackRec.A, R.A) << formatServiceRecord(R);
+  }
 }
 
 TEST(ServiceWire, IngestTextReportsLineNumbers) {

@@ -9,12 +9,16 @@
 // untrusted sources, so the parser must reject — never crash on, never
 // mis-read — truncated records, overflowing numerics, and out-of-range
 // dense ids, and the well-formedness layer behind it must catch the
-// semantic corruptions (duplicate completions) the parser cannot see.
+// semantic corruptions (duplicate completions) the parser cannot see. The
+// golden table pins every diagnostic byte for byte, and with it the order
+// in which the parser's checks fire.
 //
 //===----------------------------------------------------------------------===//
 
 #include "trace/TraceIo.h"
 
+#include "adt/Register.h"
+#include "service/Service.h"
 #include "support/AllocGauge.h"
 #include "support/Rng.h"
 #include "trace/TraceBuilder.h"
@@ -22,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -195,16 +200,178 @@ TEST(TraceIoHardeningTest, RandomCorruptionNeverCrashesTheParser) {
   }
 }
 
-TEST(TraceIoHardeningTest, BlankAndCommentLinesStream) {
-  Action A;
-  std::string Error;
-  EXPECT_EQ(parseActionLine("", A, Error), LineKind::Blank);
-  EXPECT_EQ(parseActionLine("   ", A, Error), LineKind::Blank);
-  EXPECT_EQ(parseActionLine("# res 1 1 0 0 0 0 0", A, Error),
-            LineKind::Blank);
-  EXPECT_EQ(parseActionLine("res 1 1 0 0 0 0 0", A, Error),
-            LineKind::Record);
-  EXPECT_TRUE(isRespond(A));
+//===----------------------------------------------------------------------===//
+// Golden diagnostics: the parser's exact contract, line by line.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using namespace std::string_view_literals;
+
+/// One line and everything parseActionLine must report for it. Want is
+/// the exact Error text for a Bad line, formatAction of the parsed record
+/// for a Record line, and empty for a Blank line.
+struct GoldenRow {
+  std::string_view Line;
+  LineKind Kind;
+  std::string_view Want;
+};
+
+constexpr LineKind Rec = LineKind::Record, Blank = LineKind::Blank,
+                   Bad = LineKind::Bad;
+
+// The checks run in a fixed order, and the first failing one names the
+// line: kind, then field count, then every numeric field, then phase 0,
+// then the client bound, then the phase bound.
+const GoldenRow ActionGolden[] = {
+    // Blank and comment lines. Only a '#' in the first byte comments.
+    {""sv, Blank, ""sv},
+    {"   "sv, Blank, ""sv},
+    {" \t\r\f\v"sv, Blank, ""sv},
+    {"\r"sv, Blank, ""sv},
+    {"#"sv, Blank, ""sv},
+    {"#inv 0 1 0 0 0 0"sv, Blank, ""sv},
+    {"# res 1 1 0 0 0 0 0"sv, Blank, ""sv},
+    {"res 1 1 0 0 0 0 0"sv, Rec, "res 1 1 0 0 0 0 0"sv},
+    // The kind is checked first, before any field is counted.
+    {" #x 1 2"sv, Bad, "unknown action kind '#x'"sv},
+    {"bogus"sv, Bad, "unknown action kind 'bogus'"sv},
+    {"bogus 1 2 3"sv, Bad, "unknown action kind 'bogus'"sv},
+    {"INV 0 1 0 0 0 0"sv, Bad, "unknown action kind 'INV'"sv},
+    {"in 0 1 0 0 0 0"sv, Bad, "unknown action kind 'in'"sv},
+    {"invx 0 1 0 0 0 0"sv, Bad, "unknown action kind 'invx'"sv},
+    {"resw 0 1 0 0 0 0 0"sv, Bad, "unknown action kind 'resw'"sv},
+    {"inv\0 0 1 0 0 0 0"sv, Bad, "unknown action kind 'inv\0'"sv},
+    {"\n"sv, Bad, "unknown action kind '\n'"sv},
+    {"0 inv 0 1 0 0 0 0"sv, Bad, "unknown action kind '0'"sv},
+    // Field counts include the kind; an exact count past the optional
+    // Meta column.
+    {"inv"sv, Bad, "expected 7 or 8 fields, found 1"sv},
+    {"inv "sv, Bad, "expected 7 or 8 fields, found 1"sv},
+    {"inv 0 1"sv, Bad, "expected 7 or 8 fields, found 3"sv},
+    {"inv 0 1 0 0 0"sv, Bad, "expected 7 or 8 fields, found 6"sv},
+    {"inv 0 1 0 0 0 0 0 0"sv, Bad, "expected 7 or 8 fields, found 9"sv},
+    {"inv x y"sv, Bad, "expected 7 or 8 fields, found 3"sv},
+    {"inv 0 1 0 0 0 0 0 x y z"sv, Bad, "expected 7 or 8 fields, found 11"sv},
+    {"res"sv, Bad, "expected 8 or 9 fields, found 1"sv},
+    {"res 0 1 0 0 0 0"sv, Bad, "expected 8 or 9 fields, found 7"sv},
+    {"res 0 1 0 0 0 0 0 0 0"sv, Bad, "expected 8 or 9 fields, found 10"sv},
+    {"swi 0 1 0 0 0 0"sv, Bad, "expected 8 or 9 fields, found 7"sv},
+    {"swi 0 1 0 0 0 0 0 0 0 0 0 0"sv, Bad,
+     "expected 8 or 9 fields, found 13"sv},
+    // Numeric fields: an optional '-' and decimal digits, nothing else.
+    {"inv x 1 0 0 0 0"sv, Bad, "malformed numeric field"sv},
+    {"inv -1 1 0 0 0 0"sv, Bad, "malformed numeric field"sv},
+    {"inv +3 1 0 0 0 0"sv, Bad, "malformed numeric field"sv},
+    {"inv 0 1 0 0 +3 0"sv, Bad, "malformed numeric field"sv},
+    {"inv 0 1 0 0 - 0"sv, Bad, "malformed numeric field"sv},
+    {"inv 0 1 0 0 -- 0"sv, Bad, "malformed numeric field"sv},
+    {"inv 0 1 0 0 1- 0"sv, Bad, "malformed numeric field"sv},
+    {"inv 0 1 0 0 0x1 0"sv, Bad, "malformed numeric field"sv},
+    {"inv 0 1 0 0 1\0 0"sv, Bad, "malformed numeric field"sv},
+    {"inv 0 1 0 0 0 0\n"sv, Bad, "malformed numeric field"sv},
+    {"inv -0 1 -0 -0 -0 -0"sv, Rec, "inv 0 1 0 0 0 0"sv},
+    {"inv 0 1 0 0 -00 0000000000000000000000000001"sv, Rec,
+     "inv 0 1 0 0 0 1"sv},
+    // u32 columns: op, tag and meta take the full range.
+    {"inv 0 1 4294967295 4294967295 0 0 4294967295"sv, Rec,
+     "inv 0 1 4294967295 4294967295 0 0 4294967295"sv},
+    {"inv 0 1 4294967296 0 0 0"sv, Bad, "malformed numeric field"sv},
+    {"inv 0 1 0 4294967296 0 0"sv, Bad, "malformed numeric field"sv},
+    {"inv 0 1 0 0 0 0 4294967296"sv, Bad, "malformed numeric field"sv},
+    {"inv 0 1 0 0 0 0 -1"sv, Bad, "malformed numeric field"sv},
+    {"inv 0 1 -1 0 0 0"sv, Bad, "malformed numeric field"sv},
+    {"inv 0 1 9223372036854775807 0 0 0"sv, Bad,
+     "malformed numeric field"sv},
+    {"inv 0 1 0 0 0 0 -0"sv, Rec, "inv 0 1 0 0 0 0"sv},
+    // i64 columns: exactly [-2^63, 2^63 - 1].
+    {"inv 0 1 0 0 9223372036854775807 -9223372036854775808"sv, Rec,
+     "inv 0 1 0 0 9223372036854775807 -9223372036854775808"sv},
+    {"inv 0 1 0 0 9223372036854775808 0"sv, Bad,
+     "malformed numeric field"sv},
+    {"inv 0 1 0 0 0 -9223372036854775809"sv, Bad,
+     "malformed numeric field"sv},
+    {"inv 0 1 0 0 99999999999999999999 0"sv, Bad,
+     "malformed numeric field"sv},
+    {"inv 0 1 0 0 -99999999999999999999 0"sv, Bad,
+     "malformed numeric field"sv},
+    {"inv 0 1 0 0 18446744073709551616 0"sv, Bad,
+     "malformed numeric field"sv},
+    {"res 0 1 0 0 0 0 -9223372036854775808"sv, Rec,
+     "res 0 1 0 0 0 0 -9223372036854775808"sv},
+    {"res 0 1 0 0 0 0 9223372036854775808"sv, Bad,
+     "malformed numeric field"sv},
+    {"swi 0 1 0 0 0 0 x"sv, Bad, "malformed numeric field"sv},
+    {"swi 0 1 0 0 0 0 -5 3"sv, Rec, "swi 0 1 0 0 0 0 -5 3"sv},
+    // A malformed field outranks every range check behind it.
+    {"inv 0 0 x 0 0 0"sv, Bad, "malformed numeric field"sv},
+    {"inv 1048576 1 0 0 0 x"sv, Bad, "malformed numeric field"sv},
+    {"inv 4294967296 1 0 0 0 0"sv, Bad, "malformed numeric field"sv},
+    // Phase 0, then the client bound, then the phase bound.
+    {"inv 0 0 0 0 0 0"sv, Bad, "phase numbering starts at 1"sv},
+    {"inv 0 -0 0 0 0 0"sv, Bad, "phase numbering starts at 1"sv},
+    {"inv 1048576 0 0 0 0 0"sv, Bad, "phase numbering starts at 1"sv},
+    {"inv 1048575 1 0 0 0 0"sv, Rec, "inv 1048575 1 0 0 0 0"sv},
+    {"inv 1048576 1 0 0 0 0"sv, Bad, "client id 1048576 out of range"sv},
+    {"inv 4294967295 1 0 0 0 0"sv, Bad,
+     "client id 4294967295 out of range"sv},
+    {"inv 01048576 1 0 0 0 0"sv, Bad, "client id 01048576 out of range"sv},
+    {"inv 1048576 1048576 0 0 0 0"sv, Bad,
+     "client id 1048576 out of range"sv},
+    {"inv 0 1048575 0 0 0 0"sv, Rec, "inv 0 1048575 0 0 0 0"sv},
+    {"inv 0 1048576 0 0 0 0"sv, Bad, "phase id 1048576 out of range"sv},
+    {"res 0 4294967295 0 0 0 0 0"sv, Bad,
+     "phase id 4294967295 out of range"sv},
+    // Separators: any run of " \t\r\f\v", before, between and after.
+    {"\tinv\t0\t1\t0\t0\t0\t0\t"sv, Rec, "inv 0 1 0 0 0 0"sv},
+    {"inv 3 1 0 0 0 0\r"sv, Rec, "inv 3 1 0 0 0 0"sv},
+    {"inv 3 1 0 0 0 0\r\r"sv, Rec, "inv 3 1 0 0 0 0"sv},
+    {"  res  2 1  0 0 5 6 7  "sv, Rec, "res 2 1 0 0 5 6 7"sv},
+    {"swi\v0\f2 1 1 0 0 -9"sv, Rec, "swi 0 2 1 1 0 0 -9"sv},
+    {"res 0 1 0 0 5 0 9 3 \r"sv, Rec, "res 0 1 0 0 5 0 9 3"sv},
+};
+
+std::string show(std::string_view Line) {
+  return ::testing::PrintToString(std::string(Line));
+}
+
+} // namespace
+
+TEST(TraceIoHardeningTest, GoldenDiagnostics) {
+  for (const GoldenRow &Row : ActionGolden) {
+    Action A;
+    std::string Error = "untouched";
+    LineKind K = parseActionLine(Row.Line, A, Error);
+    EXPECT_EQ(K, Row.Kind) << show(Row.Line) << " -> " << show(Error);
+    if (K == LineKind::Bad) {
+      EXPECT_EQ(Error, Row.Want) << show(Row.Line);
+      continue;
+    }
+    // Only a Bad line writes the error.
+    EXPECT_EQ(Error, "untouched") << show(Row.Line);
+    if (K == LineKind::Record) {
+      EXPECT_EQ(formatAction(A), Row.Want) << show(Row.Line);
+    }
+  }
+}
+
+TEST(TraceIoHardeningTest, GoldenDiagnosticsCarryLineNumbersThroughParseTrace) {
+  // parseTrace stops at the first Bad line and prefixes its diagnostic.
+  for (const GoldenRow &Row : ActionGolden) {
+    if (Row.Line.find('\n') != std::string_view::npos)
+      continue; // A newline splits the line in a trace.
+    std::string Text = "inv 0 1 0 0 0 0\n\n";
+    Text += Row.Line;
+    TraceParseResult R = parseTrace(Text);
+    EXPECT_EQ(R.Ok, Row.Kind != LineKind::Bad) << show(Row.Line);
+    if (Row.Kind == LineKind::Bad) {
+      EXPECT_EQ(R.Error, "line 3: " + std::string(Row.Want))
+          << show(Row.Line);
+    } else {
+      EXPECT_EQ(R.ParsedTrace.size(), Row.Kind == LineKind::Record ? 2u : 1u)
+          << show(Row.Line);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -212,42 +379,91 @@ TEST(TraceIoHardeningTest, BlankAndCommentLinesStream) {
 //===----------------------------------------------------------------------===//
 
 TEST(TraceIoHardeningTest, ParseLoopIsAllocationFree) {
-  // Pre-render a batch of records once, then parse them in a loop over
-  // string_views into the shared buffer: past the first iteration (which
-  // may still warm allocator caches), the parse loop must perform zero
-  // heap allocations — tokenization is in place and accepted records
+  // Pre-render a batch of records, interleaved with blank and comment
+  // lines, once in each format, then parse them in a loop over
+  // string_views into the shared buffers: past the first iteration (which
+  // may still warm allocator caches), neither line parser performs a heap
+  // allocation — the cursor reads the view in place and accepted records
   // build no strings.
   Trace T = sampleTrace();
   for (int I = 0; I != 16; ++I)
     T.push_back(makeRespond(2, 1, Input{1, static_cast<std::uint32_t>(I),
                                         I * 3, -I},
                             Output{I}));
-  const std::string Text = formatTrace(T);
+  T[1].Meta = 0x5u;
+  const char *Blanks[] = {"", "# a comment", " \t\r"};
+  std::string Text, Wire;
+  for (std::size_t I = 0; I != T.size(); ++I) {
+    Text += formatAction(T[I]) + "\n" + Blanks[I % 3] + "\n";
+    appendServiceLine(Wire, static_cast<ObjectId>(I * 977), T[I]);
+    Wire += std::string(Blanks[I % 3]) + "\n";
+  }
 
-  auto ParseAll = [&] {
-    std::string_view Rest = Text;
-    std::size_t Records = 0;
+  auto ParseAll = [&](std::string_view Rest, auto Parse) {
+    std::size_t Records = 0, Blank = 0;
     std::string Error;
     while (!Rest.empty()) {
       std::size_t Eol = Rest.find('\n');
       std::string_view Line = Rest.substr(0, Eol);
       Rest = Eol == std::string_view::npos ? std::string_view{}
                                            : Rest.substr(Eol + 1);
-      Action A;
-      ASSERT_EQ(parseActionLine(Line, A, Error), LineKind::Record);
-      ++Records;
+      LineKind K = Parse(Line, Error);
+      ASSERT_NE(K, LineKind::Bad) << Error;
+      ++(K == LineKind::Record ? Records : Blank);
     }
     ASSERT_EQ(Records, T.size());
+    ASSERT_EQ(Blank, T.size());
+  };
+  auto ParseBoth = [&] {
+    ParseAll(Text, [](std::string_view Line, std::string &Error) {
+      Action A;
+      return parseActionLine(Line, A, Error);
+    });
+    ParseAll(Wire, [](std::string_view Line, std::string &Error) {
+      ServiceRecord R;
+      return parseServiceLine(Line, R, Error);
+    });
   };
 
-  ParseAll(); // Warm-up.
+  ParseBoth(); // Warm-up.
   std::uint64_t Before = AllocGauge::count();
   for (int Round = 0; Round != 8; ++Round)
-    ParseAll();
+    ParseBoth();
   std::uint64_t Delta = AllocGauge::count() - Before;
   if (AllocGauge::active()) {
     EXPECT_EQ(Delta, 0u) << "zero-copy parse loop touched the heap";
   }
+
+  // The service's own parse loop, ingestText, over the same mix: a
+  // sequential register stream on four objects, each block starting with
+  // a write so every repetition is linearizable. Past the warm-up (the
+  // shards' retirement folds stop growing anything), ingesting a block
+  // touches the heap zero times.
+  RegisterAdt Reg;
+  std::unique_ptr<AdtState> Model = Reg.makeState();
+  const Input Ops[] = {reg::write(1), reg::read(), reg::write(2),
+                       reg::read()};
+  std::string Block;
+  for (ObjectId Obj = 0; Obj != 4; ++Obj)
+    for (unsigned K = 0; K != 4; ++K) {
+      ClientId C = K % 2;
+      appendServiceLine(Block, Obj, makeInvoke(C, 1, Ops[K]));
+      Block += std::string(Blanks[K % 3]) + "\n";
+      appendServiceLine(Block, Obj,
+                        makeRespond(C, 1, Ops[K], Model->apply(Ops[K])));
+    }
+  MonitorService Service(Reg);
+  for (int Round = 0; Round != 200; ++Round)
+    ASSERT_TRUE(Service.ingestText(Block)) << Service.lastError();
+  Before = AllocGauge::count();
+  for (int Round = 0; Round != 8; ++Round)
+    ASSERT_TRUE(Service.ingestText(Block)) << Service.lastError();
+  Delta = AllocGauge::count() - Before;
+  if (AllocGauge::active()) {
+    EXPECT_EQ(Delta, 0u) << "ingestText touched the heap";
+  }
+  EXPECT_EQ(Service.composedVerdict(), Verdict::Yes);
+  EXPECT_EQ(Service.stats().ParseErrors, 0u);
 }
 
 TEST(TraceIoHardeningTest, StringViewParseMatchesStringParse) {

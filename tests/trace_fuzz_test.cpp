@@ -39,6 +39,7 @@
 #include "adt/Register.h"
 #include "adt/Universal.h"
 #include "engine/Incremental.h"
+#include "slin/SlinWitness.h"
 #include "spec/SpecAutomaton.h"
 #include "trace/Gen.h"
 #include "trace/TraceIo.h"
@@ -1032,7 +1033,10 @@ TEST(TraceFuzzTest, WindowedSlinFuzz_StragglerOverflowDrain) {
 // asks the fast session for witnesses every eighth verdict, which drives
 // the deferred witness refresh: a witness-carrying absorption after fast
 // steps must rebuild exactly the witnesses the engine session carried all
-// along. Long abort-free streams additionally pin that the slin fast step
+// along. Since both sessions read their witnesses from retained chains,
+// every Yes witness of the engine-path session is also re-checked by the
+// independent verifySlinWitness (Definitions 20-32 from first principles).
+// Long abort-free streams additionally pin that the slin fast step
 // actually fires.
 //===----------------------------------------------------------------------===//
 
@@ -1043,6 +1047,7 @@ enum class WitnessMode { Never, Mixed };
 
 void fuzzSlinFastStepTrace(IncrementalSlinSession &Fast,
                            IncrementalSlinSession &Engine, const Trace &T,
+                           const PhaseSignature &Sig, const InitRelation &Rel,
                            SlinCheckOptions O, WitnessMode Mode) {
   SlinCheckOptions WithWitness = O;
   WithWitness.WantWitness = true;
@@ -1074,6 +1079,16 @@ void fuzzSlinFastStepTrace(IncrementalSlinSession &Fast,
     ASSERT_EQ(S.Interference, R.Interference)
         << "slin bounded-interference count diverged at prefix " << Prefix;
     ASSERT_EQ(S.BudgetLimited, R.BudgetLimited);
+    if (R.Outcome == Verdict::Yes)
+      for (const auto &[Finit, W] : R.Witnesses) {
+        WellFormedness Ok = verifySlinWitness(Engine.trace(), Sig,
+                                              Engine.adt(), Rel, Finit, W,
+                                              O.AbortValidityAtEnd);
+        ASSERT_TRUE(Ok.Ok) << "engine-path witness rejected at prefix "
+                           << Prefix << " (atEnd=" << O.AbortValidityAtEnd
+                           << "): " << Ok.Reason << "\n"
+                           << formatTrace(T);
+      }
     if (!O.WantWitness)
       continue;
     ASSERT_EQ(S.Witnesses.size(), R.Witnesses.size())
@@ -1111,7 +1126,7 @@ TEST(TraceFuzzTest, SlinFastStepDifferential_UniversalRelation) {
     SlinCheckOptions O;
     O.AbortValidityAtEnd = (I / 2) % 2 == 1; // Both readings over the run.
     IncrementalSlinSession Fast(Cons, Sig, Rel), Engine(Cons, Sig, Rel);
-    fuzzSlinFastStepTrace(Fast, Engine, T, O,
+    fuzzSlinFastStepTrace(Fast, Engine, T, Sig, Rel, O,
                           static_cast<WitnessMode>(I % 2));
     if (::testing::Test::HasFatalFailure())
       return;
@@ -1140,7 +1155,7 @@ TEST(TraceFuzzTest, SlinFastStepDifferential_ConsensusRelation) {
     O.AbortValidityAtEnd = I % 2 == 1;
     IncrementalSlinSession Fast(Cons, Sig, ConsRel),
         Engine(Cons, Sig, ConsRel);
-    fuzzSlinFastStepTrace(Fast, Engine, T, O,
+    fuzzSlinFastStepTrace(Fast, Engine, T, Sig, ConsRel, O,
                           static_cast<WitnessMode>((I / 2) % 2));
     if (::testing::Test::HasFatalFailure())
       return;
@@ -1173,7 +1188,7 @@ TEST(TraceFuzzTest, SlinFastStepDifferential_SteadyStreams) {
     SlinCheckOptions O;
     O.AbortValidityAtEnd = I % 2 == 1;
     IncrementalSlinSession Fast(Cons, Sig, Rel), Engine(Cons, Sig, Rel);
-    fuzzSlinFastStepTrace(Fast, Engine, T, O,
+    fuzzSlinFastStepTrace(Fast, Engine, T, Sig, Rel, O,
                           I % 2 ? WitnessMode::Mixed : WitnessMode::Never);
     if (::testing::Test::HasFatalFailure())
       return;
@@ -1219,7 +1234,7 @@ TEST(TraceFuzzTest, SlinFastStepDifferential_InitFamilySteadyStreams) {
     SlinCheckOptions O;
     O.AbortValidityAtEnd = I % 2 == 1;
     IncrementalSlinSession Fast(Cons, Sig, Rel), Engine(Cons, Sig, Rel);
-    fuzzSlinFastStepTrace(Fast, Engine, T, O,
+    fuzzSlinFastStepTrace(Fast, Engine, T, Sig, Rel, O,
                           I % 2 ? WitnessMode::Mixed : WitnessMode::Never);
     if (::testing::Test::HasFatalFailure())
       return;

@@ -75,7 +75,6 @@ public:
     // state. Both paths leave identical
     // (Used, UsedHash, Deficit, Master, SeqHash) search state, so verdicts
     // AND node counts are independent of which one ran.
-    TrackIds = F != nullptr;
     std::unique_ptr<AdtState> State =
         Adopted ? std::move(F->State) : P.Type->makeState();
 
@@ -97,12 +96,7 @@ public:
     if (Adopted) {
       std::copy(F->Used.begin(), F->Used.end(), Used);
       UsedHash = F->UsedHash;
-      Master.reserve(P.SeedLen);
-      MasterIds.reserve(P.SeedLen);
-      for (std::size_t I = 0; I != P.SeedLen; ++I) {
-        Master.push_back(Interner.input(P.Seed[I]));
-        MasterIds.push_back(P.Seed[I]);
-      }
+      Master.assign(P.Seed, P.Seed + P.SeedLen);
       if (P.SequenceSensitive) {
         std::uint64_t H = F->SeqHash;
         if (!F->HasSeqHash) {
@@ -149,7 +143,6 @@ public:
       }
       Result.Outcome = Verdict::Yes;
       Result.Master = std::move(Master);
-      Result.MasterIds = std::move(MasterIds);
       Result.Commits = std::move(Commits);
       return Result;
     }
@@ -186,9 +179,7 @@ private:
     for (std::size_t K = 0; K != NumActive; ++K)
       if (std::size_t R = Active[K]; Avail[R][Id] == C)
         ++Deficit[R];
-    Master.push_back(Interner.input(Id));
-    if (TrackIds)
-      MasterIds.push_back(Id);
+    Master.push_back(Id);
     if (P.SequenceSensitive)
       SeqHashes.push_back(hashCombine(SeqHashes.back(), IdHash[Id]));
   }
@@ -203,8 +194,6 @@ private:
       if (std::size_t R = Active[K]; Avail[R][Id] == C)
         --Deficit[R];
     Master.pop_back();
-    if (TrackIds)
-      MasterIds.pop_back();
     if (P.SequenceSensitive)
       SeqHashes.pop_back();
   }
@@ -213,12 +202,14 @@ private:
     ++Stats.LeafChecks;
     if (!P.AcceptLeaf || !*P.AcceptLeaf)
       return true;
-    std::size_t MaxCommitLen = 0;
+    // The longest commit history, materialized only here: commit lengths
+    // are absolute, the ids cover the live part only.
+    std::size_t Longest = Base;
     for (const auto &[Tag, Len] : Commits) {
       (void)Tag;
-      MaxCommitLen = std::max(MaxCommitLen, Len);
+      Longest = std::max(Longest, Len);
     }
-    return (*P.AcceptLeaf)(Master, MaxCommitLen);
+    return (*P.AcceptLeaf)(Interner.history({Master.data(), Longest - Base}));
   }
 
   bool dfs(std::uint64_t Committed, AdtState &State) {
@@ -328,10 +319,6 @@ private:
 
   std::uint64_t FullMask = 0;
   std::size_t Base = 0; ///< ChainProblemView::SeedBase (retired master inputs).
-  /// Dense master ids are maintained only for callers that retain the
-  /// chain (P.Retained set — resumable sessions); batch searches skip the
-  /// per-node bookkeeping.
-  bool TrackIds = false;
   std::int32_t *Used = nullptr;
   const std::int32_t **Avail = nullptr;
   std::int32_t *Deficit = nullptr;
@@ -339,8 +326,7 @@ private:
   std::size_t NumActive = 0;
   std::uint64_t *IdHash = nullptr;
   std::uint64_t UsedHash = 0;
-  History Master;
-  std::vector<InputId> MasterIds;
+  std::vector<InputId> Master; ///< Live master in dense ids.
   std::vector<std::pair<std::size_t, std::size_t>> Commits;
   std::vector<std::uint64_t> SeqHashes;
   std::vector<Frame> Frames;

@@ -262,13 +262,13 @@ struct ChainProblemView {
   /// a steady-state run costs O(live window) regardless of how much
   /// history was retired. Commit lengths (SeedCommits and
   /// ChainResult::Commits) are absolute — they include SeedBase — while
-  /// ChainResult::Master/MasterIds carry only the live part (the caller
-  /// that retired the prefix owns it and prepends it when materializing a
+  /// ChainResult::Master carries only the live part (the caller that
+  /// retired the prefix owns it and prepends it when materializing a
   /// witness). Requires an adoptable Retained state of length SeedBase +
   /// SeedLen whose sequence hash is folded when SequenceSensitive; any
   /// other run with SeedBase != 0 answers the RetiredSeedUnavailableReason
-  /// Unknown. The AcceptLeaf predicate (if any) must not inspect the
-  /// retired region of the master (it only sees the live part).
+  /// Unknown. An AcceptLeaf predicate likewise sees only the live part of
+  /// the longest commit.
   std::size_t SeedBase = 0;
   /// Obligations already committed *within* the (virtual ++ materialized)
   /// seed, as (obligation index, absolute master length at the commit
@@ -283,13 +283,15 @@ struct ChainProblemView {
   /// leaf predicate depends on the master's order (abort synthesis does);
   /// plain multiset + ADT-digest keys suffice otherwise.
   bool SequenceSensitive = false;
-  /// Called when every obligation is committed, with the candidate master
-  /// and the longest commit-prefix length; returning false rejects the
-  /// leaf and the search continues. Borrowed: null (or pointing at an
-  /// empty std::function) accepts every leaf. A pointer rather than a
-  /// copy: the view itself must never allocate.
-  const std::function<bool(const History &Master, std::size_t MaxCommitLen)>
-      *AcceptLeaf = nullptr;
+  /// Called when every obligation is committed, with the longest commit
+  /// history (the master prefix up to the longest commit length, the
+  /// empty history when nothing commits); returning false rejects the leaf
+  /// and the search continues. The engine materializes that history only
+  /// at a leaf, and only when a predicate is set. Borrowed: null (or
+  /// pointing at an empty std::function) accepts every leaf. A pointer
+  /// rather than a copy: the view itself must never allocate.
+  const std::function<bool(const History &LongestCommit)> *AcceptLeaf =
+      nullptr;
   /// Optional retained replay state for Seed, owned by the caller (in-out).
   /// When it is valid and matches the seed's length (SeedBase + SeedLen),
   /// the engine starts from it — zero seed replay — and refreshes it to the
@@ -307,9 +309,11 @@ inline constexpr char RetiredSeedUnavailableReason[] =
     "retired seed prefix unavailable for replay";
 
 /// Outcome of one search run. On Yes, Master/Commits describe the witness
-/// chain: Commits maps each obligation's Tag to its commit history's length
-/// (a prefix of Master). Under ChainProblemView::SeedBase, Master holds only
-/// the live (post-retirement) part while commit lengths stay absolute.
+/// chain: Master is the master history in dense ids (materialize it with
+/// InputInterner::history), and Commits maps each obligation's Tag to its
+/// commit history's length (a prefix of Master). Under
+/// ChainProblemView::SeedBase, Master holds only the live (post-retirement)
+/// part while commit lengths stay absolute.
 struct ChainResult {
   Verdict Outcome = Verdict::No;
   std::string Reason; ///< Set for Unknown; empty No is the caller's to name.
@@ -317,12 +321,7 @@ struct ChainResult {
   /// opposed to a structural limit like >64 obligations). Batch drivers use
   /// it to retry such traces one-shot with a fresh session.
   bool BudgetLimited = false;
-  History Master;
-  /// Master in dense ids (parallel to Master). Resumable sessions retain
-  /// this as the next run's seed without re-interning the witness.
-  /// Populated only when ChainProblemView::Retained was set — batch searches
-  /// skip the per-node id bookkeeping.
-  std::vector<InputId> MasterIds;
+  std::vector<InputId> Master;
   std::vector<std::pair<std::size_t, std::size_t>> Commits;
   ChainStats Stats;
 

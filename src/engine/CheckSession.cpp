@@ -39,20 +39,12 @@ void detail::capByAbortBudgets(std::vector<Multiset<Input>> &CommitAvail,
       M = pointwiseMin(M, Ab.Budget);
 }
 
-std::function<bool(const History &, std::size_t)>
-detail::makeAbortSynthesisLeaf(
+std::function<bool(const History &)> detail::makeAbortSynthesisLeaf(
     const InitRelation &Rel, const std::vector<PendingAbort> &Aborts,
     const History &Lcp,
     std::vector<std::pair<std::size_t, History>> &FoundAborts) {
-  return [&Rel, &Aborts, &Lcp, &FoundAborts](const History &Master,
-                                             std::size_t MaxCommitLen) {
+  return [&Rel, &Aborts, &Lcp, &FoundAborts](const History &LongestCommit) {
     FoundAborts.clear();
-    if (Aborts.empty())
-      return true; // Nothing to synthesize — and the master must not be
-                   // touched: under ChainProblemView::SeedBase (abort-free by
-                   // construction) it holds the live window only, while
-                   // commit lengths stay absolute.
-    History LongestCommit(Master.begin(), Master.begin() + MaxCommitLen);
     for (const PendingAbort &Ab : Aborts) {
       std::optional<History> AbortHistory =
           Rel.findAbortHistory(Ab.Sv, LongestCommit, Lcp, Ab.In, Ab.Budget);
@@ -65,14 +57,14 @@ detail::makeAbortSynthesisLeaf(
 }
 
 SlinCheckResult detail::shapeSlinResult(
-    ChainResult R, const InitRelation &Rel, bool HadAborts,
-    std::vector<std::pair<std::size_t, History>> FoundAborts) {
+    ChainResult R, const InputInterner &Interner, const InitRelation &Rel,
+    bool HadAborts, std::vector<std::pair<std::size_t, History>> FoundAborts) {
   SlinCheckResult Result;
   Result.Outcome = R.Outcome;
   Result.NodesExplored = R.Stats.Nodes;
   Result.BudgetLimited = R.BudgetLimited;
   if (R.Outcome == Verdict::Yes) {
-    Result.Witness.Master = std::move(R.Master);
+    Result.Witness.Master = Interner.history(R.Master);
     Result.Witness.Commits = std::move(R.Commits);
     Result.Witness.Aborts = std::move(FoundAborts);
   } else if (R.Outcome == Verdict::Unknown) {
@@ -219,7 +211,7 @@ LinCheckResult CheckSession::runLin(const Trace &T,
   Result.NodesExplored = R.Stats.Nodes;
   Result.BudgetLimited = R.BudgetLimited;
   if (R.Outcome == Verdict::Yes) {
-    Result.Witness.Master = std::move(R.Master);
+    Result.Witness.Master = Interner.history(R.Master);
     Result.Witness.Commits = std::move(R.Commits);
   } else if (R.Outcome == Verdict::Unknown) {
     Result.Reason = std::move(R.Reason);
@@ -341,10 +333,12 @@ SlinCheckResult CheckSession::runSlinUnder(const Trace &T,
 
   // At a leaf every response is committed; synthesize f_abort per abort
   // action. Abort histories extend the master *sequence*, so the memo key
-  // must distinguish orderings whenever aborts are present.
+  // must distinguish orderings whenever aborts are present. Without aborts
+  // there is nothing to synthesize and no predicate is set.
   std::vector<std::pair<std::size_t, History>> FoundAborts;
-  const std::function<bool(const History &, std::size_t)> AcceptLeaf =
-      detail::makeAbortSynthesisLeaf(Rel, Aborts, Lcp, FoundAborts);
+  std::function<bool(const History &)> AcceptLeaf;
+  if (!Aborts.empty())
+    AcceptLeaf = detail::makeAbortSynthesisLeaf(Rel, Aborts, Lcp, FoundAborts);
 
   ChainProblemView Problem;
   Problem.Type = &Type;
@@ -359,7 +353,7 @@ SlinCheckResult CheckSession::runSlinUnder(const Trace &T,
   ChainSearch Engine(Interner, Memo, Scratch);
   ChainResult R = Engine.run(Problem, Limits, ++RunSerial);
   Stats.Search.accumulate(R.Stats);
-  return detail::shapeSlinResult(std::move(R), Rel, !Aborts.empty(),
+  return detail::shapeSlinResult(std::move(R), Interner, Rel, !Aborts.empty(),
                                  std::move(FoundAborts));
 }
 

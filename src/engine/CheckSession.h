@@ -59,9 +59,10 @@ void capByAbortBudgets(std::vector<Multiset<Input>> &CommitAvail,
 
 /// Builds the accepting-leaf predicate that synthesizes f_abort per abort
 /// action via Rel.findAbortHistory, collecting the found histories into
-/// \p FoundAborts. All reference parameters are captured by reference and
-/// must outlive the search run.
-std::function<bool(const History &, std::size_t)>
+/// \p FoundAborts. Callers build it only when \p Aborts is non-empty (an
+/// abort-free run needs no predicate). All reference parameters are
+/// captured by reference and must outlive the search run.
+std::function<bool(const History &LongestCommit)>
 makeAbortSynthesisLeaf(const InitRelation &Rel,
                        const std::vector<PendingAbort> &Aborts,
                        const History &Lcp,
@@ -69,11 +70,13 @@ makeAbortSynthesisLeaf(const InitRelation &Rel,
                            &FoundAborts);
 
 /// Maps the engine's outcome onto a SlinCheckResult: witness assembly on
-/// Yes, reason pass-through on Unknown, and the downgrade of a No to
-/// Unknown when aborts are present but the relation's abort search is not
-/// a decision procedure.
+/// Yes (the dense master materialized through \p Interner), reason
+/// pass-through on Unknown, and the downgrade of a No to Unknown when
+/// aborts are present but the relation's abort search is not a decision
+/// procedure.
 SlinCheckResult
-shapeSlinResult(ChainResult R, const InitRelation &Rel, bool HadAborts,
+shapeSlinResult(ChainResult R, const InputInterner &Interner,
+                const InitRelation &Rel, bool HadAborts,
                 std::vector<std::pair<std::size_t, History>> FoundAborts);
 
 } // namespace detail

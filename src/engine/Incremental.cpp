@@ -45,12 +45,6 @@ void IncrementalLinSession::shapeNo(ChainResult &R) const {
   R.Reason = "no linearization function exists";
 }
 
-void IncrementalLinSession::memberYes(std::size_t, ChainResult &R,
-                                      RetainedChain &, LinCheckResult &Out) {
-  Out.Witness.Master = std::move(R.Master);
-  Out.Witness.Commits = std::move(R.Commits);
-}
-
 WellFormedness IncrementalLinSession::append(const Action &A) {
   if (Doomed)
     return WellFormedness::fail(DoomReason);
@@ -79,23 +73,11 @@ LinCheckResult IncrementalLinSession::verdict(const LinCheckOptions &Limits) {
     return R;
   }
   decide(Limits, R);
-  if (R.Outcome != Verdict::Yes || !Limits.WantWitness) {
-    if (LastPath == VerdictPath::Searched)
-      R.Witness = LinWitness();
-    return R;
-  }
   // A Yes with nothing ever committed leaves no chain (and an empty
   // witness).
-  const RetainedChain *C = findChain(0);
-  if (!C)
-    return R;
-  // An absorbed Yes hands back the retained chain (the engine's witness of
-  // the last search); searched ones carry the engine's own.
-  if (LastPath != VerdictPath::Searched) {
-    R.Witness.Master = chainHistory(*C);
-    R.Witness.Commits = C->Commits;
-  }
-  completeWitness(*C, R.Witness.Master, R.Witness.Commits);
+  if (R.Outcome == Verdict::Yes && Limits.WantWitness)
+    if (const RetainedChain *C = findChain(0))
+      completeWitness(*C, R.Witness.Master, R.Witness.Commits);
   return R;
 }
 
@@ -106,16 +88,10 @@ const FrontierState &IncrementalLinSession::frontierState() const {
 }
 
 History IncrementalLinSession::frontierHistory() const {
-  History H;
-  const RetainedChain *C = findChain(0);
-  if (!C)
-    return H;
-  H.reserve(C->RetiredMaster.size() + C->Master.size());
-  for (InputId Id : C->RetiredMaster)
-    H.push_back(Interner.input(Id));
-  for (InputId Id : C->Master)
-    H.push_back(Interner.input(Id));
-  return H;
+  LinWitness W;
+  if (const RetainedChain *C = findChain(0))
+    completeWitness(*C, W.Master, W.Commits);
+  return W.Master;
 }
 
 //===----------------------------------------------------------------------===//
@@ -139,8 +115,9 @@ WellFormedness IncrementalSlinSession::append(const Action &A) {
   const std::size_t I = Builder.size() - 1;
   openSlot(A.Client);
   const InputId In = Interner.intern(A.In);
-  // FreshBound for interpretationsFromInits tracks exactly what the
-  // relations' trace walks compute: the max over every ingested action.
+  // FreshBound for interpretationsFromInits tracks exactly what
+  // InitRelation::interpretations' trace walk computes: the max over every
+  // ingested action.
   const std::int64_t ActMax = std::max(A.In.A, A.Sv.Val);
   const bool FreshRaised = ActMax > MaxSeenVal;
   if (FreshRaised)
@@ -193,8 +170,8 @@ void IncrementalSlinSession::refreshFamily() {
     return;
   // Built from the retained init actions and the running fresh-value bound
   // — never from the materialized trace, so outcome-only monitors can run
-  // with RetainTrace off. The contract on interpretationsFromInits makes
-  // this identical to interpretations(trace(), Sig).
+  // with RetainTrace off. interpretations(trace(), Sig) is this very call
+  // on the same inits and bound, so the two derivations cannot drift.
   CachedFamily = Rel.interpretationsFromInits(InitActions, MaxSeenVal);
   CachedInterpHashes.clear();
   std::uint64_t H = hashCombine(0xFA111ull, CachedFamily.Assignments.size());
@@ -353,20 +330,16 @@ void IncrementalSlinSession::prepareRun(std::size_t I, std::size_t NumOb,
   }
 }
 
-void IncrementalSlinSession::memberYes(std::size_t I, ChainResult &R,
-                                       RetainedChain &C, LinCheckResult &) {
+void IncrementalSlinSession::memberYes(std::size_t, RetainedChain &C) {
   // The dense init overlay the fast step re-applies without re-sweeping.
   if (AnyInit)
     C.InitDense.assign(RunningInitScratch.begin(), RunningInitScratch.end());
   else
     C.InitDense.clear();
   C.InitUpTo = InitActions.size();
-  SlinWitness W;
-  W.Master = std::move(R.Master);
-  W.Commits = std::move(R.Commits);
-  W.Aborts = std::move(FoundAborts);
-  // The family is cached across verdicts, so the interpretation is copied.
-  PendingWitnesses.push_back({CachedFamily.Assignments[I], std::move(W)});
+  // This run's f_abort (prepareRun cleared it; the accepting leaf filled
+  // it).
+  C.Aborts = std::move(FoundAborts);
 }
 
 SlinVerdict IncrementalSlinSession::verdict(const SlinCheckOptions &SOpts) {
@@ -394,7 +367,6 @@ SlinVerdict IncrementalSlinSession::verdict(const SlinCheckOptions &SOpts) {
     if (CacheStale && AnyVerdict)
       ++Epoch;
     AbortValidityAtEnd = SOpts.AbortValidityAtEnd;
-    PendingWitnesses.clear();
     LinCheckOptions Limits = SOpts.Search;
     Limits.WantWitness = SOpts.WantWitness;
     decide(Limits, R);
@@ -403,24 +375,17 @@ SlinVerdict IncrementalSlinSession::verdict(const SlinCheckOptions &SOpts) {
     LastAbortValidityAtEnd = AbortValidityAtEnd;
     LastFamilyHash = CachedFamilyHash;
     Out.Exact = CachedFamily.Exact && Rel.abortSearchExact();
-    if (R.Outcome == Verdict::Yes) {
-      if (LastPath == VerdictPath::Searched) {
-        CachedWitnesses.swap(PendingWitnesses);
-        CachedWitnessesStale = false;
-      } else if (LastPath == VerdictPath::Fast) {
-        CachedWitnessesStale = true;
+    if (R.Outcome == Verdict::Yes && SOpts.WantWitness)
+      for (std::size_t I = 0; I != CachedFamily.Assignments.size(); ++I) {
+        // A member whose Yes committed nothing and found no f_abort keeps
+        // no chain: its witness is empty.
+        SlinWitness W;
+        if (const RetainedChain *C = findChain(memberKey(I))) {
+          completeWitness(*C, W.Master, W.Commits);
+          W.Aborts = C->Aborts;
+        }
+        Out.Witnesses.push_back({CachedFamily.Assignments[I], std::move(W)});
       }
-      if (SOpts.WantWitness) {
-        if (CachedWitnessesStale)
-          refreshCachedWitnesses();
-        Out.Witnesses = CachedWitnesses;
-        // Witnesses are cached in windowed form so the steady state never
-        // copies the retired region.
-        for (auto &[Finit, W] : Out.Witnesses)
-          if (const RetainedChain *C = findChain(interpretationHash(Finit)))
-            completeWitness(*C, W.Master, W.Commits);
-      }
-    }
   }
   Out.Outcome = R.Outcome;
   Out.Reason = std::move(R.Reason);
@@ -429,21 +394,6 @@ SlinVerdict IncrementalSlinSession::verdict(const SlinCheckOptions &SOpts) {
   Out.Grade = R.Grade;
   Out.Interference = R.Interference;
   return Out;
-}
-
-void IncrementalSlinSession::refreshCachedWitnesses() {
-  CachedWitnesses.clear();
-  for (std::size_t I = 0; I != CachedFamily.Assignments.size(); ++I) {
-    const RetainedChain *C = findChain(CachedInterpHashes[I]);
-    if (!C)
-      continue; // Defensive: every fast-step member holds a chain.
-    // Fast steps only serve abort-free deltas, so f_abort stays empty.
-    SlinWitness W;
-    W.Master = chainHistory(*C);
-    W.Commits = C->Commits;
-    CachedWitnesses.push_back({CachedFamily.Assignments[I], std::move(W)});
-  }
-  CachedWitnessesStale = false;
 }
 
 std::size_t IncrementalSlinSession::memoryFootprintBytes() const {
@@ -466,8 +416,6 @@ void IncrementalSlinSession::reset() {
   FamilyDirty = false;
   CachedFamily = InterpretationFamily();
   CachedInterpHashes.clear();
-  CachedWitnesses.clear();
-  CachedWitnessesStale = false;
   SawInvokeSinceVerdict = false;
   AnyVerdict = false;
 }

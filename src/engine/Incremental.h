@@ -119,8 +119,6 @@ private:
   std::size_t members() override { return 1; }
   std::uint64_t memberKey(std::size_t) const override { return 0; }
   void shapeNo(ChainResult &R) const override;
-  void memberYes(std::size_t I, ChainResult &R, RetainedChain &C,
-                 LinCheckResult &Out) override;
 };
 
 /// Streaming (m, n)-speculative-linearizability checking (Definition 19)
@@ -182,18 +180,13 @@ private:
   }
   void prepareRun(std::size_t I, std::size_t NumOb, MemberRun &M) override;
   void shapeNo(ChainResult &R) const override;
-  void memberYes(std::size_t I, ChainResult &R, RetainedChain &C,
-                 LinCheckResult &Out) override;
+  void memberYes(std::size_t I, RetainedChain &C) override;
 
   /// Rebuilds the cached interpretation family (assignments, hashes,
   /// family hash) from the retained init actions when an append dirtied
   /// it; no-op — and allocation-free — while the family is append-stable
   /// (InitRelation::interpretationsStableUnderAppend), the steady state.
   void refreshFamily();
-  /// Rebuilds CachedWitnesses from the retained chains (each chain's live
-  /// part is exactly the witness the engine would have materialized) after
-  /// fast steps let them go stale.
-  void refreshCachedWitnesses();
 
   PhaseSignature Sig;
   const InitRelation &Rel;
@@ -222,13 +215,6 @@ private:
   bool HaveCachedFamily = false;
   bool FamilyDirty = false;
 
-  /// The last searched Yes's per-interpretation witnesses in windowed
-  /// (live-only) form; fast steps advance the chains without them, so they
-  /// go stale until refreshCachedWitnesses().
-  std::vector<std::pair<InitInterpretation, SlinWitness>> CachedWitnesses;
-  std::vector<std::pair<InitInterpretation, SlinWitness>> PendingWitnesses;
-  bool CachedWitnessesStale = false;
-
   // Persistent per-run scratch (warm capacity; refilled per run so the
   // steady state allocates nothing).
   History Lcp;
@@ -239,7 +225,7 @@ private:
   bool AnyInit = false; ///< RunningInitScratch holds a contribution.
   std::vector<detail::PendingAbort> Budgeted;
   std::vector<std::pair<std::size_t, History>> FoundAborts;
-  std::function<bool(const History &, std::size_t)> Leaf;
+  std::function<bool(const History &)> Leaf;
 };
 
 } // namespace slin

@@ -20,6 +20,7 @@
 #include "adt/Values.h"
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -42,6 +43,16 @@ public:
 
   /// The input denoted by \p Id. \p Id must have been produced by intern.
   const Input &input(InputId Id) const { return Inputs[Id]; }
+
+  /// The inputs denoted by \p Ids, in order: the one place a dense master
+  /// (the engine's, or a retained chain's) becomes a History.
+  History history(std::span<const InputId> Ids) const {
+    History H;
+    H.reserve(Ids.size());
+    for (InputId Id : Ids)
+      H.push_back(Inputs[Id]);
+    return H;
+  }
 
   /// Number of distinct inputs interned so far (== smallest unassigned id).
   InputId size() const { return static_cast<InputId>(Inputs.size()); }

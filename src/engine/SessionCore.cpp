@@ -239,6 +239,7 @@ const CommitObligation *LiveWindow::finalize(InputId AlphabetSize) {
 std::size_t RetainedChain::memoryBytes() const {
   return (Master.capacity() + RetiredMaster.capacity()) * sizeof(InputId) +
          rowBytes(Commits) + rowBytes(RetiredCommits) +
+         Aborts.capacity() * sizeof(std::pair<std::size_t, History>) +
          (Replay.Used.capacity() + RetiredBoundary.Used.capacity() +
           InitDense.capacity()) *
              sizeof(std::int32_t);
@@ -592,7 +593,7 @@ WindowedSession::drainOverflow(const LinCheckOptions &L, std::uint64_t &Spent,
         }
         Stop = true;
       } else {
-        Common &= foldMask(R.Commits, R.MasterIds.size(),
+        Common &= foldMask(R.Commits, R.Master.size(),
                            C ? C->RetiredLen : 0, Limit, E);
         // No common foldable prefix this round: the structural Unknown
         // stands.
@@ -612,7 +613,7 @@ WindowedSession::drainOverflow(const LinCheckOptions &L, std::uint64_t &Spent,
         C = &admit(I, RetainedChain());
       if (C->RetiredRows != WindowBase)
         continue; // Already folded under a duplicate member.
-      foldChain(*C, DrainRound[I].MasterIds, DrainRound[I].Commits, K);
+      foldChain(*C, DrainRound[I].Master, DrainRound[I].Commits, K);
       // The capped chain's remainder covers the restriction, not the whole
       // window; the next full root search behind the boundary rebuilds it.
       C->Master.clear();
@@ -773,15 +774,15 @@ ChainResult WindowedSession::runMember(std::size_t I, RetainedChain *C,
   } else {
     // From the root: behind the retired prefix the run adopts a clone of
     // the boundary state (on Yes it becomes the chain's replay state, on
-    // failure the boundary survives untouched); capped runs capture into a
-    // scratch state that doubles as the MasterIds request.
+    // failure the boundary survives untouched); a capped run's leaf covers
+    // a restriction, so it must not replace the chain's replay state.
     if (Behind)
       Boundary = C->RetiredBoundary.snapshot();
     else {
       V.Seed = M.Seed;
       V.SeedLen = M.SeedLen;
     }
-    V.Retained = Behind || Capped ? &Boundary : C ? &C->Replay : nullptr;
+    V.Retained = Behind ? &Boundary : Capped || !C ? nullptr : &C->Replay;
   }
   ChainSearch Engine(Interner, Memo, Scratch);
   ChainResult R = Engine.run(V, L, memberSalt(I));
@@ -790,8 +791,8 @@ ChainResult WindowedSession::runMember(std::size_t I, RetainedChain *C,
     // The accepting chain becomes the member's next frontier.
     if (!FromFrontier && Behind)
       C->Replay = std::move(Boundary);
-    C->Master = std::move(R.MasterIds);
-    C->Commits = R.Commits;
+    C->Master = std::move(R.Master);
+    C->Commits = std::move(R.Commits);
   }
   return R;
 }
@@ -933,7 +934,6 @@ void WindowedSession::seal(LinCheckResult &R) {
 
 void WindowedSession::decide(const LinCheckOptions &Limits,
                              LinCheckResult &R) {
-  LastPath = VerdictPath::Absorbed;
   if (HaveResult && !CacheStale && Cached == Verdict::No) {
     R.Outcome = Verdict::No; // No is final under monotone extension.
     R.Reason = CachedReason;
@@ -994,19 +994,16 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
   if (HaveResult && !CacheStale && Cached == Verdict::Yes &&
       NewResponses == 0 && !NewNonResponse) {
     // Nothing but invocations since the Yes: same obligations, same
-    // witnesses (the sessions materialize them on request).
+    // chains, and so the same witnesses.
     R.Outcome = Verdict::Yes;
     return seal(R);
   }
-  if (fastStep(Avail, R)) {
-    LastPath = VerdictPath::Fast;
+  if (fastStep(Avail, R))
     return seal(R);
-  }
 
   // Per member: resume at its retained accepting leaf when it has one —
   // a conclusive No there only rules out that subtree, so a root search
   // follows on what the resumed run left — else search from the root.
-  LastPath = VerdictPath::Searched;
   R.Outcome = Verdict::Yes;
   R.NodesExplored = Spent;
   bool Polluted = false;
@@ -1060,8 +1057,8 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
     R.NodesExplored += Run.Stats.Nodes;
     Polluted |= Run.BudgetLimited;
     if (Run.Outcome == Verdict::Yes)
-      memberYes(I, Run, *C, R);
-    if (IsFresh && !Fresh.Master.empty())
+      memberYes(I, *C);
+    if (IsFresh && (!Fresh.Master.empty() || !Fresh.Aborts.empty()))
       admit(I, std::move(Fresh));
     if (Run.Outcome != Verdict::Yes) {
       R.Outcome = Run.Outcome;
@@ -1085,26 +1082,14 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
 
 void WindowedSession::completeWitness(const RetainedChain &C, History &Master,
                                       Rows &Commits) const {
-  // Without witness retention the retired ids/rows were never stored; the
-  // witness stays in its live-window (post-retirement) form.
-  if (WindowBase == 0 || !Opts.RetainRetiredWitness)
-    return;
-  History Full;
-  Full.reserve(C.RetiredMaster.size() + Master.size());
-  for (InputId Id : C.RetiredMaster)
-    Full.push_back(Interner.input(Id));
-  Full.insert(Full.end(), Master.begin(), Master.end());
-  Master = std::move(Full);
-  Commits.insert(Commits.begin(), C.RetiredCommits.begin(),
-                 C.RetiredCommits.end());
-}
-
-History WindowedSession::chainHistory(const RetainedChain &C) const {
-  History H;
-  H.reserve(C.Master.size());
-  for (InputId Id : C.Master)
-    H.push_back(Interner.input(Id));
-  return H;
+  // Without witness retention the retired ids/rows were never stored (both
+  // stay empty); the witness is then the live-window (post-retirement)
+  // chain alone.
+  Master = Interner.history(C.RetiredMaster);
+  const History Live = Interner.history(C.Master);
+  Master.insert(Master.end(), Live.begin(), Live.end());
+  Commits = C.RetiredCommits;
+  Commits.insert(Commits.end(), C.Commits.begin(), C.Commits.end());
 }
 
 void WindowedSession::resetCore() {

@@ -29,10 +29,12 @@
 ///
 /// The core also owns every retained chain: one table keyed by member key,
 /// recycled least-recently-used, from which each member's chain and memo
-/// salt are derived. A session supplies the family through five hooks: how
-/// many members, each member's key, what a run adds on top of the shared
-/// window (availability overlays, a seed, a leaf predicate), and how a No
-/// and a member's Yes are reported.
+/// salt are derived. The chains are also the only source of a witness:
+/// every Yes, however the ladder reached it, reads each member's witness
+/// from its chain (completeWitness). A session supplies the family through
+/// five hooks: how many members, each member's key, what a run adds on top
+/// of the shared window (availability overlays, a seed, a leaf predicate),
+/// how a No is reported, and what a member keeps from a searched Yes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -255,7 +257,10 @@ private:
 /// absolute). RetiredLen/RetiredRows are counters, so the materialized
 /// RetiredMaster/RetiredCommits are optional
 /// (IncrementalOptions::RetainRetiredWitness): every structural use —
-/// SeedBase, frontier lengths, fold alignment — reads the counters.
+/// SeedBase, frontier lengths, fold alignment — reads the counters. The
+/// chain is the member's witness (Definitions 5 and 19: a master history
+/// plus one commit length per response), so a session never keeps another
+/// copy of it.
 struct RetainedChain {
   std::vector<InputId> Master; ///< Live part of the chain (post-retired).
   std::vector<std::pair<std::size_t, std::size_t>> Commits; ///< (Tag, Len)
@@ -275,6 +280,9 @@ struct RetainedChain {
   /// step adds it to the shared window row instead of re-sweeping inits.
   std::vector<std::int32_t> InitDense;
   std::size_t InitUpTo = 0;
+  /// The member's f_abort (slin) from its last searched Yes. Aborts rule
+  /// out the fast step, so no later Yes can advance the chain past it.
+  std::vector<std::pair<std::size_t, History>> Aborts;
   std::uint64_t LastTouch = 0; ///< LRU stamp (the core's chain table).
 
   std::size_t memoryBytes() const;
@@ -329,14 +337,9 @@ protected:
     const std::int32_t *const *AvailOverride = nullptr;
     const InputId *Seed = nullptr; ///< Used for runs from the root only.
     std::size_t SeedLen = 0;
-    const std::function<bool(const History &, std::size_t)> *AcceptLeaf =
-        nullptr;
+    const std::function<bool(const History &)> *AcceptLeaf = nullptr;
     bool SequenceSensitive = false;
   };
-
-  /// Which rung of the verdict ladder answered the last Yes: the cache,
-  /// the fast step, or the engine (which left the witnesses behind).
-  enum class VerdictPath : std::uint8_t { Absorbed, Fast, Searched };
 
   WindowedSession(const Adt &Type, const IncrementalOptions &Opts,
                   const PhaseSignature *Sig);
@@ -354,9 +357,12 @@ protected:
   /// Names a conclusive engine No (or downgrades it to Unknown).
   virtual void shapeNo(ChainResult &R) const = 0;
   /// Member I's full run linearized; \p C is its chain, already advanced
-  /// to the accepting leaf.
-  virtual void memberYes(std::size_t I, ChainResult &R, RetainedChain &C,
-                         LinCheckResult &Out) = 0;
+  /// to the accepting leaf. The hook stores what the chain alone cannot
+  /// rebuild (slin: the init overlay and f_abort of this run); the witness
+  /// itself is the chain.
+  virtual void memberYes(std::size_t I, RetainedChain &C) {
+    (void)I, (void)C;
+  }
 
   /// The chain stored under \p Key in the chain table, or null.
   const RetainedChain *findChain(std::uint64_t Key) const;
@@ -375,11 +381,11 @@ protected:
   /// Records \p R in the stats, seals its grade and clears the deltas.
   void seal(LinCheckResult &R);
 
-  /// Prepends \p C's materialized retired prefix to a live-window witness.
+  /// Materializes \p C's witness: its retired prefix (when retained, see
+  /// IncrementalOptions::RetainRetiredWitness) ++ its live chain.
   void completeWitness(const RetainedChain &C, History &Master,
                        std::vector<std::pair<std::size_t, std::size_t>>
                            &Commits) const;
-  History chainHistory(const RetainedChain &C) const;
   void resetCore();
   std::size_t coreBytes() const;
 
@@ -440,7 +446,6 @@ protected:
   /// WindowRetired Unknown.
   bool RetiredStale = false;
   std::size_t NumInits = 0; ///< Init actions ingested (slin).
-  VerdictPath LastPath = VerdictPath::Absorbed;
 
 private:
   using Clock = std::chrono::steady_clock;

@@ -75,9 +75,9 @@ struct LinCheckOptions {
   std::uint64_t TimeBudgetMillis = 0;
   /// Materialize the witness on Yes. Monitors that consume only
   /// Outcome/NodesExplored can turn this off; the incremental session then
-  /// skips the O(trace) witness copy on its absorbed-Yes fast path, making
-  /// the steady-state verdict genuinely O(1) (batch checkers always
-  /// materialize).
+  /// skips the O(trace) witness materialization from its retained chain
+  /// and may answer through its fast step, making the steady-state verdict
+  /// genuinely O(1) (batch checkers always materialize).
   bool WantWitness = true;
   /// The happens-before relation MustFollow masks are derived under
   /// (engine/OrderRelation.h). Strict — the default — is the paper's

@@ -9,6 +9,7 @@
 #include "adt/Consensus.h"
 #include "support/Sequences.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace slin;
@@ -17,14 +18,15 @@ InitRelation::~InitRelation() = default;
 
 InterpretationFamily
 InitRelation::interpretations(const Trace &T, const PhaseSignature &Sig) const {
-  InterpretationFamily Family;
-  InitInterpretation Canonical;
-  for (std::size_t I = 0, E = T.size(); I != E; ++I)
-    if (Sig.isInitAction(T[I]))
-      Canonical[I] = canonical(T[I].Sv);
-  Family.Assignments.push_back(std::move(Canonical));
-  Family.Exact = false;
-  return Family;
+  std::vector<std::pair<std::size_t, Action>> Inits;
+  std::int64_t FreshBound = 0;
+  for (std::size_t I = 0, E = T.size(); I != E; ++I) {
+    const Action &A = T[I];
+    if (Sig.isInitAction(A))
+      Inits.push_back({I, A});
+    FreshBound = std::max({FreshBound, A.In.A, A.Sv.Val});
+  }
+  return interpretationsFromInits(Inits, FreshBound);
 }
 
 InterpretationFamily InitRelation::interpretationsFromInits(
@@ -112,50 +114,6 @@ History ConsensusInitRelation::canonical(const SwitchValue &V) const {
 /// element and have an empty LCP). The family below realizes both extremes,
 /// plus a long-LCP variant whose tail inputs appear nowhere in the trace
 /// (maximal prefix with minimal usable availability).
-InterpretationFamily
-ConsensusInitRelation::interpretations(const Trace &T,
-                                       const PhaseSignature &Sig) const {
-  InterpretationFamily Family;
-  Family.Exact = true;
-
-  std::vector<std::size_t> InitIndices;
-  for (std::size_t I = 0, E = T.size(); I != E; ++I)
-    if (Sig.isInitAction(T[I]))
-      InitIndices.push_back(I);
-
-  InitInterpretation Canonical;
-  for (std::size_t I : InitIndices)
-    Canonical[I] = canonical(T[I].Sv);
-  Family.Assignments.push_back(Canonical);
-  if (InitIndices.empty())
-    return Family;
-
-  bool AllEqual = true;
-  for (std::size_t I : InitIndices)
-    AllEqual = AllEqual && T[I].Sv == T[InitIndices.front()].Sv;
-  if (!AllEqual)
-    return Family; // LCP is empty under every interpretation.
-
-  // All switch values equal v: identical extended interpretations maximize
-  // the LCP. Use fresh values absent from the trace so the extension's
-  // inputs cannot be re-derived from invocations.
-  std::int64_t Fresh = 0;
-  for (const Action &A : T)
-    Fresh = std::max({Fresh, A.In.A, A.Sv.Val});
-  ++Fresh;
-
-  for (unsigned Extra : {1u, 2u}) {
-    InitInterpretation Extended;
-    History H = canonical(T[InitIndices.front()].Sv);
-    for (unsigned K = 0; K < Extra; ++K)
-      H.push_back(cons::ghostPropose(Fresh + K));
-    for (std::size_t I : InitIndices)
-      Extended[I] = H;
-    Family.Assignments.push_back(std::move(Extended));
-  }
-  return Family;
-}
-
 InterpretationFamily ConsensusInitRelation::interpretationsFromInits(
     const std::vector<std::pair<std::size_t, Action>> &Inits,
     std::int64_t FreshBound) const {
@@ -175,8 +133,10 @@ InterpretationFamily ConsensusInitRelation::interpretationsFromInits(
   if (!AllEqual)
     return Family; // LCP is empty under every interpretation.
 
-  // FreshBound stands in for the trace maximum of interpretations(); the
-  // first value absent from the trace is therefore FreshBound + 1.
+  // All switch values equal v: identical extended interpretations maximize
+  // the LCP. FreshBound is the trace maximum, so FreshBound + 1 onwards are
+  // values absent from the trace: the extension's inputs cannot be
+  // re-derived from invocations.
   const std::int64_t Fresh = FreshBound + 1;
   for (unsigned Extra : {1u, 2u}) {
     InitInterpretation Extended;
@@ -297,19 +257,11 @@ History UniversalInitRelation::canonical(const SwitchValue &V) const {
   return decode(V);
 }
 
-InterpretationFamily
-UniversalInitRelation::interpretations(const Trace &T,
-                                       const PhaseSignature &Sig) const {
-  // r_init(h) = {h}: the interpretation is forced, so the family is the
-  // singleton canonical assignment and checking over it is exact.
-  InterpretationFamily Family = InitRelation::interpretations(T, Sig);
-  Family.Exact = true;
-  return Family;
-}
-
 InterpretationFamily UniversalInitRelation::interpretationsFromInits(
     const std::vector<std::pair<std::size_t, Action>> &Inits,
     std::int64_t FreshBound) const {
+  // r_init(h) = {h}: the interpretation is forced, so the family is the
+  // singleton canonical assignment and checking over it is exact.
   InterpretationFamily Family =
       InitRelation::interpretationsFromInits(Inits, FreshBound);
   Family.Exact = true;

@@ -66,19 +66,20 @@ public:
   virtual History canonical(const SwitchValue &V) const = 0;
 
   /// Produces interpretation assignments for the init actions of \p T (the
-  /// switch actions into Sig.M). The default returns the all-canonical
-  /// assignment, marked inexact.
-  virtual InterpretationFamily
-  interpretations(const Trace &T, const PhaseSignature &Sig) const;
+  /// switch actions into Sig.M): one walk of \p T collects the init actions
+  /// and the FreshBound, then interpretationsFromInits decides. A relation
+  /// customizes the family there only, so the batch and streaming
+  /// derivations agree by construction.
+  InterpretationFamily interpretations(const Trace &T,
+                                       const PhaseSignature &Sig) const;
 
-  /// interpretations() from the init actions alone: \p Inits holds each
-  /// init action with its trace index (trace order), and \p FreshBound is
-  /// max over every trace action of max(In.A, Sv.Val) — the only other
-  /// trace-derived quantity any bundled relation consumes. Must agree with
-  /// interpretations(T, Sig) on the same trace; exists so a streaming
-  /// session can (re)build the family without retaining — or re-walking —
-  /// the materialized trace. The default mirrors interpretations()'s
-  /// default (all-canonical, inexact).
+  /// The interpretation family from the init actions alone: \p Inits holds
+  /// each init action with its trace index (trace order), and \p FreshBound
+  /// is max(0, max over every trace action of max(In.A, Sv.Val)) — the only
+  /// other trace-derived quantity any bundled relation consumes. A
+  /// streaming session calls it directly to (re)build the family without
+  /// retaining — or re-walking — the materialized trace. The default
+  /// returns the all-canonical assignment, marked inexact.
   virtual InterpretationFamily interpretationsFromInits(
       const std::vector<std::pair<std::size_t, Action>> &Inits,
       std::int64_t FreshBound) const;
@@ -126,8 +127,6 @@ class ConsensusInitRelation final : public InitRelation {
 public:
   bool contains(const SwitchValue &V, const History &H) const override;
   History canonical(const SwitchValue &V) const override;
-  InterpretationFamily
-  interpretations(const Trace &T, const PhaseSignature &Sig) const override;
   InterpretationFamily interpretationsFromInits(
       const std::vector<std::pair<std::size_t, Action>> &Inits,
       std::int64_t FreshBound) const override;
@@ -154,8 +153,6 @@ public:
 
   bool contains(const SwitchValue &V, const History &H) const override;
   History canonical(const SwitchValue &V) const override;
-  InterpretationFamily
-  interpretations(const Trace &T, const PhaseSignature &Sig) const override;
   InterpretationFamily interpretationsFromInits(
       const std::vector<std::pair<std::size_t, Action>> &Inits,
       std::int64_t FreshBound) const override;

@@ -77,8 +77,9 @@ struct SlinCheckOptions {
   bool AbortValidityAtEnd = false;
   /// Materialize per-interpretation witnesses on Yes. Monitors that consume
   /// only Outcome/NodesExplored can turn this off; the incremental session
-  /// then skips the O(trace) witness copy on its absorbed-verdict fast
-  /// path (batch checkers always materialize).
+  /// then skips the O(trace) witness materialization from its retained
+  /// chains and may answer through its fast step (batch checkers always
+  /// materialize).
   /// IncrementalSlinSession::verdict() overwrites Search.WantWitness with
   /// this flag.
   bool WantWitness = true;

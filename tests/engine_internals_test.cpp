@@ -34,6 +34,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <functional>
 
 using namespace slin;
 
@@ -310,6 +311,78 @@ TEST(ChainSearchTest, RetiredSeedAnswersOnlyFromAnAdoptableState) {
     EXPECT_EQ(R.Stats.SeedStepsSkipped, 1u);
     EXPECT_EQ(R.Stats.SeedStepsReplayed, 0u);
   }
+}
+
+TEST(ChainSearchTest, AcceptLeafSeesTheLongestCommitAndCanReject) {
+  // Two unordered writes, write(1) -> 1 and write(2) -> 2, each available
+  // once: the search reaches the leaf [w1, w2] first, and a predicate that
+  // rejects it must make the search go on to [w2, w1].
+  RegisterAdt Reg;
+  InputInterner Interner;
+  const InputId W1 = Interner.intern(reg::write(1));
+  const InputId W2 = Interner.intern(reg::write(2));
+  const std::vector<std::int32_t> Avail = {1, 1};
+  CommitObligation Obs[2];
+  Obs[0].Tag = 10;
+  Obs[0].In = W1;
+  Obs[0].Out = Output{1};
+  Obs[0].Available = Avail.data();
+  Obs[1].Tag = 11;
+  Obs[1].In = W2;
+  Obs[1].Out = Output{2};
+  Obs[1].Available = Avail.data();
+  std::vector<History> Seen;
+  const std::function<bool(const History &)> Leaf =
+      [&Seen](const History &LongestCommit) {
+        Seen.push_back(LongestCommit);
+        return LongestCommit.back() != reg::write(2);
+      };
+  ChainProblemView V;
+  V.Type = &Reg;
+  V.AlphabetSize = Interner.size();
+  V.Commits = Obs;
+  V.NumCommits = 2;
+  V.AcceptLeaf = &Leaf;
+  TranspositionTable Memo;
+  Arena Scratch;
+  ChainResult R = ChainSearch(Interner, Memo, Scratch).run(V, ChainLimits{});
+  ASSERT_EQ(R.Outcome, Verdict::Yes);
+  const History First = {reg::write(1), reg::write(2)};
+  const History Second = {reg::write(2), reg::write(1)};
+  EXPECT_EQ(Seen, (std::vector<History>{First, Second}));
+  EXPECT_EQ(R.Stats.LeafChecks, 2u);
+  EXPECT_EQ(R.Master, (std::vector<InputId>{W2, W1}));
+  EXPECT_EQ(Interner.history(R.Master), Second);
+  using Rows = std::vector<std::pair<std::size_t, std::size_t>>;
+  EXPECT_EQ(R.Commits, (Rows{{11, 1}, {10, 2}}));
+
+  // A resumed leaf: the seed [w1, w2] with write(1), the only obligation,
+  // pre-committed at length 1. The master runs past the longest commit, and
+  // the predicate sees exactly the commit prefix [w1], not the master.
+  const InputId Seed[] = {W1, W2};
+  const std::pair<std::size_t, std::size_t> SeedCommits[] = {{0, 1}};
+  V.NumCommits = 1;
+  V.Seed = Seed;
+  V.SeedLen = 2;
+  V.SeedCommits = SeedCommits;
+  V.NumSeedCommits = 1;
+  Seen.clear();
+  R = ChainSearch(Interner, Memo, Scratch).run(V, ChainLimits{});
+  ASSERT_EQ(R.Outcome, Verdict::Yes);
+  EXPECT_EQ(Seen, (std::vector<History>{{reg::write(1)}}));
+  EXPECT_EQ(R.Master, (std::vector<InputId>{W1, W2}));
+
+  // The same leaf rejected: nothing is left to search, so the run is a No.
+  const std::function<bool(const History &)> Reject =
+      [&Seen](const History &LongestCommit) {
+        Seen.push_back(LongestCommit);
+        return false;
+      };
+  V.AcceptLeaf = &Reject;
+  Seen.clear();
+  R = ChainSearch(Interner, Memo, Scratch).run(V, ChainLimits{});
+  EXPECT_EQ(R.Outcome, Verdict::No);
+  EXPECT_EQ(Seen, (std::vector<History>{{reg::write(1)}}));
 }
 
 //===----------------------------------------------------------------------===//

@@ -45,6 +45,13 @@
 //     inner loop (frontier resumption per interpretation), on switch-free
 //     consensus phase traces through the consensus relation.
 //
+//   * ReorderSlin: the miss path. One slin register shard (the
+//     reorder-slin-256 shape: rounds of four, one write, responses
+//     shuffled within the round) streamed with a witness-free verdict per
+//     event. About a sixth of the verdicts miss the fast step; each
+//     resumes at the chain's last quiescent cut before it searches from
+//     the root. CI gates its deterministic nodes_per_check.
+//
 //   * SteadyState_MonitorSlin: the slin analogue of the Long row. One
 //     outcome-only slin session (trace retention off, retired-witness
 //     retention off) is primed with thousands of quiescing consensus
@@ -667,6 +674,64 @@ static void BM_E8_SteadyState_MonitorSlin(benchmark::State &State) {
 BENCHMARK(BM_E8_SteadyState_MonitorSlin)
     ->Arg(4096)
     ->UseManualTime();
+
+//===----------------------------------------------------------------------===//
+// ReorderSlin: the verdict ladder's miss path. Every iteration streams the
+// same `Arg` shuffled one-write register rounds through a fresh slin
+// session, a witness-free verdict per event, so the node counts are
+// deterministic: nodes_per_check over every verdict, nodes_per_miss over
+// the verdicts that left the fast step with a search, and how the misses
+// split between the cut rung and the root search.
+//===----------------------------------------------------------------------===//
+
+static void BM_E8_ReorderSlin(benchmark::State &State) {
+  RegisterAdt Reg;
+  PhaseSignature Sig(1, 2);
+  UniversalInitRelation Rel;
+  Rng R(0xE86);
+  const Trace T =
+      genShuffledRegisterRounds(static_cast<unsigned>(State.range(0)), 4, 1, R);
+  SlinCheckOptions Opts;
+  Opts.WantWitness = false;
+  std::uint64_t Nodes = 0, Checks = 0, MissNodes = 0, Misses = 0;
+  SessionStats Stats;
+  TimedRegion Timer;
+  for (auto _ : State) {
+    IncrementalSlinSession Inc(Reg, Sig, Rel);
+    Timer.start();
+    for (const Action &A : T) {
+      Inc.append(A);
+      const std::uint64_t Fast0 = Inc.stats().FastPathVerdicts;
+      SlinVerdict V = Inc.verdict(Opts);
+      benchmark::DoNotOptimize(V.Outcome);
+      Nodes += V.NodesExplored;
+      if (Inc.stats().FastPathVerdicts == Fast0 && V.NodesExplored != 0) {
+        MissNodes += V.NodesExplored;
+        ++Misses;
+      }
+    }
+    Timer.stop(State);
+    Checks += T.size();
+    Stats.accumulate(Inc.stats());
+  }
+  Timer.report(State);
+  State.SetItemsProcessed(static_cast<std::int64_t>(Checks));
+  const double C = static_cast<double>(Checks ? Checks : 1);
+  const double M = static_cast<double>(Misses ? Misses : 1);
+  State.counters["nodes_per_check"] =
+      benchmark::Counter(static_cast<double>(Nodes) / C);
+  State.counters["nodes_per_miss"] =
+      benchmark::Counter(static_cast<double>(MissNodes) / M);
+  State.counters["miss_per_check"] =
+      benchmark::Counter(static_cast<double>(Misses) / C);
+  State.counters["cut_resumes_per_miss"] =
+      benchmark::Counter(static_cast<double>(Stats.CutResumes) / M);
+  State.counters["root_searches_per_miss"] =
+      benchmark::Counter(static_cast<double>(Stats.RootSearches) / M);
+  State.counters["seed_replay_per_check"] = benchmark::Counter(
+      static_cast<double>(Stats.Search.SeedStepsReplayed) / C);
+}
+BENCHMARK(BM_E8_ReorderSlin)->Arg(64)->UseManualTime();
 
 static void BM_E8_PrefixCorpus(benchmark::State &State) {
   RegisterAdt Reg;

@@ -105,6 +105,15 @@ struct SessionStats {
   /// counts, frontier updates, memo stats) is bit-identical to the engine
   /// run it replaces. Batch sessions never bump this.
   std::uint64_t FastPathVerdicts = 0;
+  /// Member runs the resumable sessions' verdict ladder answered Yes from
+  /// the chain's last aligned quiescent cut after the resume at its
+  /// accepting leaf failed (engine/SessionCore.h): the miss reopened only
+  /// the obligations after the cut. Batch sessions never bump this.
+  std::uint64_t CutResumes = 0;
+  /// Root searches the resumable sessions' verdict ladder ran: members
+  /// with no chain to resume, and misses neither resumed rung answered.
+  /// Batch sessions never bump this.
+  std::uint64_t RootSearches = 0;
   /// Obligations a windowed session folded into its retired prefix at
   /// quiescent cuts (engine/Incremental.h); what keeps the live window —
   /// and therefore every steady-state verdict — bounded on unbounded
@@ -149,6 +158,8 @@ struct SessionStats {
     Unknown += S.Unknown;
     FrontierResumes += S.FrontierResumes;
     FastPathVerdicts += S.FastPathVerdicts;
+    CutResumes += S.CutResumes;
+    RootSearches += S.RootSearches;
     RetiredObligations += S.RetiredObligations;
     WindowOverflows += S.WindowOverflows;
     WindowRetiredUnknowns += S.WindowRetiredUnknowns;

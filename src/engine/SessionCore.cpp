@@ -241,8 +241,9 @@ std::size_t RetainedChain::memoryBytes() const {
          rowBytes(Commits) + rowBytes(RetiredCommits) +
          Aborts.capacity() * sizeof(std::pair<std::size_t, History>) +
          (Replay.Used.capacity() + RetiredBoundary.Used.capacity() +
-          InitDense.capacity()) *
-             sizeof(std::int32_t);
+          (Cut ? Cut->Used.capacity() : 0) + InitDense.capacity()) *
+             sizeof(std::int32_t) +
+         (Cut ? sizeof(FrontierState) : 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -411,19 +412,21 @@ std::uint64_t WindowedSession::foldMask(const Rows &Commits,
   return Mask;
 }
 
+void WindowedSession::startFrontier(FrontierState &F) const {
+  F.State = Type.makeState();
+  F.Used.assign(Interner.size(), 0);
+  F.UsedHash = F.SeqHash = 0;
+  F.HasSeqHash = false;
+  F.Len = 0;
+  F.Valid = true;
+}
+
 void WindowedSession::foldChain(RetainedChain &C,
                                 const std::vector<InputId> &Ids,
                                 const Rows &Commits, std::size_t K) {
   const std::size_t L = Commits[K - 1].second; // Absolute length at the cut.
-  if (!C.RetiredBoundary.Valid) {
-    FrontierState &B = C.RetiredBoundary;
-    B.State = Type.makeState();
-    B.Used.assign(Interner.size(), 0);
-    B.UsedHash = B.SeqHash = 0;
-    B.HasSeqHash = false;
-    B.Len = 0;
-    B.Valid = true;
-  }
+  if (!C.RetiredBoundary.Valid)
+    startFrontier(C.RetiredBoundary);
   // The boundary replay state always advances — it is what keeps searches
   // behind the retired prefix sound; the ids and rows are optional.
   advanceFrontierState(C.RetiredBoundary, Interner, Ids.data(),
@@ -572,8 +575,7 @@ WindowedSession::drainOverflow(const LinCheckOptions &L, std::uint64_t &Spent,
         Stop = true;
         break;
       }
-      ChainResult R = runMember(I, C, /*FromFrontier=*/false, WindowLimit,
-                                Split.Rest);
+      ChainResult R = runMember(I, C, Rung::Root, WindowLimit, Split.Rest);
       Spent += R.Stats.Nodes;
       if (R.Outcome == Verdict::Unknown) {
         if (R.BudgetLimited) {
@@ -619,6 +621,7 @@ WindowedSession::drainOverflow(const LinCheckOptions &L, std::uint64_t &Spent,
       C->Master.clear();
       C->Commits.clear();
       C->Replay.invalidate();
+      C->Cut.reset();
     }
     // Chains that fell behind the new retirement depth could never fold or
     // resume again.
@@ -676,7 +679,7 @@ bool WindowedSession::boundedFallback(const LinCheckOptions &L,
       return true;
     }
     ChainResult Sub =
-        runMember(I, C, /*FromFrontier=*/false, WindowLimit, Split.Rest);
+        runMember(I, C, Rung::Root, WindowLimit, Split.Rest);
     Spent += Sub.Stats.Nodes;
     if (Sub.Outcome == Verdict::Unknown) {
       if (!Sub.BudgetLimited)
@@ -719,8 +722,50 @@ bool WindowedSession::boundedFallback(const LinCheckOptions &L,
 // Searching
 //===----------------------------------------------------------------------===//
 
+bool WindowedSession::advanceCut(RetainedChain &C) {
+  // The cut is the largest chain prefix that commits exactly the first k
+  // window obligations, all responded before E: the earliest open
+  // operation or uncovered response. (The chain commits window [0, rows);
+  // the responses after it are in no chain yet.) Every obligation before
+  // the cut real-time-precedes what the verdict must place, so only the
+  // obligations after it are reopened. Aborts pin every slot and make the
+  // search sequence-sensitive, so they rule the rung out.
+  const std::size_t N = Obligations.size();
+  const std::size_t Rows = C.Commits.size();
+  if (PinnedByAborts || Rows == 0 || Rows > N)
+    return false;
+  std::size_t E = openCut();
+  for (std::size_t Q = Rows; Q != N; ++Q)
+    E = std::min(E, Obligations.invokeIdx(Q));
+  const std::uint64_t Mask =
+      foldMask(C.Commits, C.Master.size(), C.RetiredLen,
+               Order.retirablePrefix(Obligations, N), E);
+  if (!Mask)
+    return false;
+  const std::size_t K = 64 - static_cast<std::size_t>(__builtin_clzll(Mask));
+  if (K == Rows)
+    return false; // The whole chain: the frontier rung already ran there.
+  const std::size_t L = C.Commits[K - 1].second;
+  if (!C.Cut)
+    C.Cut = std::make_unique<FrontierState>();
+  FrontierState &Cut = *C.Cut;
+  if (!Cut.Valid || Cut.Len > L || Cut.Len < C.RetiredLen) {
+    // Rebuild from the retired boundary (the empty state before any
+    // retirement) when the cut moved back or a fold passed it (lengths
+    // are absolute, so a fold at or before the cut keeps it).
+    if (C.RetiredBoundary.Valid)
+      Cut = C.RetiredBoundary.snapshot();
+    else
+      startFrontier(Cut);
+  }
+  advanceFrontierState(Cut, Interner,
+                       C.Master.data() + (Cut.Len - C.RetiredLen),
+                       L - Cut.Len);
+  return true;
+}
+
 ChainResult WindowedSession::runMember(std::size_t I, RetainedChain *C,
-                                       bool FromFrontier, std::size_t NumOb,
+                                       Rung From, std::size_t NumOb,
                                        const ChainLimits &L) {
   Scratch.reset();
   MemberRun M;
@@ -748,49 +793,70 @@ ChainResult WindowedSession::runMember(std::size_t I, RetainedChain *C,
   const bool Behind = C && WindowBase != 0;
   if (Behind)
     V.SeedBase = C->RetiredLen;
+  // A resumed run's seed is the chain up to its accepting leaf (Frontier)
+  // or up to its cut (Cut); the rows within it are pre-committed.
+  std::size_t SeedEnd = 0;
+  if (From == Rung::Frontier)
+    SeedEnd = C->RetiredLen + C->Master.size();
+  else if (From == Rung::Cut)
+    SeedEnd = C->Cut->Len;
   SeedCommitsScratch.clear();
-  if (FromFrontier)
+  if (From != Rung::Root)
     for (const auto &[Tag, Len] : C->Commits) {
+      if (Len > SeedEnd)
+        break; // Rows are in chain order: the rest lie past the seed.
       // Tags resolve by binary search (trace order). One that fails to
       // resolve would pre-commit the wrong obligation; search from the
       // root instead (defense in depth — reset() drops every chain).
       std::size_t Idx = Obligations.lowerBoundTag(Tag);
       if (Idx == NumOb || Obligations.tag(Idx) != Tag) {
-        FromFrontier = false;
+        From = Rung::Root;
         break;
       }
       SeedCommitsScratch.push_back({Idx, Len});
     }
-  FrontierState Boundary;
-  if (FromFrontier) {
-    // Resume at the retained accepting leaf: the chain is the seed, its
-    // rows are pre-committed, and the engine adopts the retained replay
-    // state, so only the new obligations need placing.
+  // The snapshot a run adopts when it must not consume the chain's own
+  // state: the cut, or the retired boundary for a root run behind it. On
+  // Yes it becomes the chain's replay state; on failure the original
+  // survives untouched.
+  FrontierState Adopt;
+  if (From != Rung::Root) {
+    // Resume inside the retained chain: its prefix is the seed, its rows
+    // there are pre-committed, and the engine adopts the replay state at
+    // the seed's end, so only the obligations after it need placing.
     V.Seed = C->Master.data();
-    V.SeedLen = C->Master.size();
+    V.SeedLen = SeedEnd - C->RetiredLen;
     V.SeedCommits = SeedCommitsScratch.data();
     V.NumSeedCommits = SeedCommitsScratch.size();
-    V.Retained = &C->Replay;
+    if (From == Rung::Cut) {
+      Adopt = C->Cut->snapshot();
+      V.Retained = &Adopt;
+    } else {
+      V.Retained = &C->Replay;
+    }
   } else {
-    // From the root: behind the retired prefix the run adopts a clone of
-    // the boundary state (on Yes it becomes the chain's replay state, on
-    // failure the boundary survives untouched); a capped run's leaf covers
-    // a restriction, so it must not replace the chain's replay state.
+    // From the root: a capped run's leaf covers a restriction, so it must
+    // not replace the chain's replay state.
     if (Behind)
-      Boundary = C->RetiredBoundary.snapshot();
+      Adopt = C->RetiredBoundary.snapshot();
     else {
       V.Seed = M.Seed;
       V.SeedLen = M.SeedLen;
     }
-    V.Retained = Behind ? &Boundary : Capped || !C ? nullptr : &C->Replay;
+    V.Retained = Behind ? &Adopt : Capped || !C ? nullptr : &C->Replay;
   }
+  if (From == Rung::Root && !Capped)
+    ++Stats.RootSearches; // Capped runs are the drain's and the fallback's.
   ChainSearch Engine(Interner, Memo, Scratch);
   ChainResult R = Engine.run(V, L, memberSalt(I));
   Stats.Search.accumulate(R.Stats);
   if (R.Outcome == Verdict::Yes && C && !Capped) {
-    // The accepting chain becomes the member's next frontier.
-    if (!FromFrontier && Behind)
-      C->Replay = std::move(Boundary);
+    // The accepting chain becomes the member's next frontier. A root
+    // search's chain is a new one, so its cut no longer describes it.
+    if (V.Retained == &Adopt)
+      C->Replay = std::move(Adopt);
+    if (From == Rung::Root)
+      C->Cut.reset();
     C->Master = std::move(R.Master);
     C->Commits = std::move(R.Commits);
   }
@@ -1001,9 +1067,12 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
   if (fastStep(Avail, R))
     return seal(R);
 
-  // Per member: resume at its retained accepting leaf when it has one —
-  // a conclusive No there only rules out that subtree, so a root search
-  // follows on what the resumed run left — else search from the root.
+  // Per member, three rungs: resume at its retained accepting leaf; on a
+  // No there, resume at the chain's last aligned quiescent cut, which
+  // reopens only what the new responses are concurrent with; on a No
+  // there too, search from the root. A No from a resumed rung only rules
+  // out its subtree, so only the root rung concludes one; a Yes from any
+  // rung is a complete witness. The rungs share the verdict's budget.
   R.Outcome = Verdict::Yes;
   R.NodesExplored = Spent;
   bool Polluted = false;
@@ -1016,6 +1085,7 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
     const bool IsFresh = !C;
     if (IsFresh)
       C = &Fresh;
+    const ChainLimits Budget{Avail.NodeBudget, Avail.TimeBudgetMillis};
     ChainResult Run;
     if (WindowBase != 0 && (IsFresh || C->RetiredRows != WindowBase)) {
       // A member without a chain at the retirement depth cannot validate
@@ -1026,22 +1096,28 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
     } else if (!C->Master.empty()) {
       ++Stats.FrontierResumes;
       const auto Start = Clock::now();
-      Run = runMember(I, C, /*FromFrontier=*/true, Obligations.size(),
-                      {Avail.NodeBudget, Avail.TimeBudgetMillis});
-      if (Run.Outcome == Verdict::No) {
-        const std::uint64_t Resumed = Run.Stats.Nodes;
+      Run = runMember(I, C, Rung::Frontier, Obligations.size(), Budget);
+      std::uint64_t Resumed = Run.Stats.Nodes;
+      // The next rung runs on what the previous ones left of the budget.
+      auto Next = [&](Rung From) {
         BudgetSplit Split = splitBudget(Resumed, Start, Avail);
         if (Split.Exhausted) {
           Run = budgetUnknown(Split.Reason, Resumed);
-        } else {
-          Run = runMember(I, C, /*FromFrontier=*/false, Obligations.size(),
-                          Split.Rest);
-          Run.Stats.Nodes += Resumed;
+          return;
         }
+        Run = runMember(I, C, From, Obligations.size(), Split.Rest);
+        Run.Stats.Nodes += Resumed;
+        Resumed = Run.Stats.Nodes;
+      };
+      if (Run.Outcome == Verdict::No && advanceCut(*C)) {
+        Next(Rung::Cut);
+        if (Run.Outcome == Verdict::Yes)
+          ++Stats.CutResumes;
       }
+      if (Run.Outcome == Verdict::No)
+        Next(Rung::Root);
     } else {
-      Run = runMember(I, C, /*FromFrontier=*/false, Obligations.size(),
-                      {Avail.NodeBudget, Avail.TimeBudgetMillis});
+      Run = runMember(I, C, Rung::Root, Obligations.size(), Budget);
     }
     if (Run.Outcome == Verdict::No)
       shapeNo(Run);

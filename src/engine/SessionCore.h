@@ -23,8 +23,10 @@
 ///     would make, bit-identical in verdicts, node counts and retained
 ///     state;
 ///   * the budget-split verdict ladder: absorbed No, overflow, absorbed
-///     Yes, fast step, per-member resume with a root-search fallback, and
-///     the WindowRetired shaping of a No behind a retired prefix;
+///     Yes, fast step, then per member a resume at its chain's accepting
+///     leaf, a resume at the chain's last aligned quiescent cut and a root
+///     search, and the WindowRetired shaping of a No behind a retired
+///     prefix;
 ///   * reset and the footprint of all of the above.
 ///
 /// The core also owns every retained chain: one table keyed by member key,
@@ -48,6 +50,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -284,6 +287,17 @@ struct RetainedChain {
   /// out the fast step, so no later Yes can advance the chain past it.
   std::vector<std::pair<std::size_t, History>> Aborts;
   std::uint64_t LastTouch = 0; ///< LRU stamp (the core's chain table).
+  /// Replay state at the chain's last aligned quiescent cut (absolute
+  /// length Cut->Len), which the cut rung of the verdict ladder adopts a
+  /// clone of. A soft boundary: the obligations before it stay in the live
+  /// window. Created and advanced lazily, only when a verdict misses the
+  /// frontier, by the chain ids between the old cut and the new one (each
+  /// input is applied once while the chain prefix stands), so a chain that
+  /// never misses carries a null pointer. Valid while the chain's prefix
+  /// up to Cut->Len is unchanged: dropped by a root-search Yes (a new
+  /// chain) and the drain's chain reset, and rebuilt from the retired
+  /// boundary once a fold passes it.
+  std::unique_ptr<FrontierState> Cut;
 
   std::size_t memoryBytes() const;
 };
@@ -469,6 +483,8 @@ private:
                              &Rows,
                          std::size_t LiveLen, std::size_t RetiredLen,
                          std::size_t Limit, std::size_t E) const;
+  /// Sets \p F to the replay state of the empty master.
+  void startFrontier(FrontierState &F) const;
   void foldChain(RetainedChain &C, const std::vector<InputId> &Ids,
                  const std::vector<std::pair<std::size_t, std::size_t>> &Rows,
                  std::size_t K);
@@ -480,7 +496,15 @@ private:
                        Clock::time_point Start, LinCheckResult &R);
   void cacheNo(ChainResult &Sub);
   bool fastStep(const LinCheckOptions &L, LinCheckResult &R);
-  ChainResult runMember(std::size_t I, RetainedChain *C, bool FromFrontier,
+  /// Where a member's run starts: at its chain's accepting leaf, at the
+  /// chain's last aligned quiescent cut (RetainedChain::Cut), or at the
+  /// root (behind the retired prefix, if any).
+  enum class Rung { Frontier, Cut, Root };
+  /// Moves \p C's cut state to the chain's last aligned quiescent cut;
+  /// returns false when the cut rung does not apply (aborts pin the
+  /// window, no aligned prefix qualifies, or it is the whole chain).
+  bool advanceCut(RetainedChain &C);
+  ChainResult runMember(std::size_t I, RetainedChain *C, Rung From,
                         std::size_t NumOb, const ChainLimits &L);
 
   std::uint64_t TouchCounter = 0; ///< LRU clock of the chain table.

@@ -6,6 +6,9 @@
 
 #include "trace/Gen.h"
 
+#include "adt/Register.h"
+
+#include <algorithm>
 #include <cassert>
 #include <optional>
 
@@ -74,6 +77,35 @@ Trace slin::genLinearizableTrace(const Adt &Type, const GenOptions &Opts,
       T.push_back(makeRespond(C, 1, Slot.In, Slot.Out));
       break;
     }
+  }
+  return T;
+}
+
+Trace slin::genShuffledRegisterRounds(unsigned Rounds, unsigned Clients,
+                                      unsigned Writes, Rng &R) {
+  assert(Writes <= Clients && "more writers than clients");
+  RegisterAdt Reg;
+  std::unique_ptr<AdtState> S = Reg.makeState();
+  std::vector<ClientId> Order(Clients);
+  std::vector<Input> Ins(Clients);
+  Trace T;
+  for (unsigned Round = 0; Round != Rounds; ++Round) {
+    // The first Writes clients of a shuffled order write.
+    for (unsigned C = 0; C != Clients; ++C)
+      Order[C] = C;
+    for (unsigned K = Clients; K > 1; --K)
+      std::swap(Order[K - 1], Order[R.nextBounded(K)]);
+    for (unsigned C = 0; C != Clients; ++C)
+      Ins[Order[C]] = C < Writes ? reg::write(R.nextInRange(1, 3))
+                                 : reg::read();
+    for (ClientId C = 0; C != Clients; ++C)
+      T.push_back(makeInvoke(C, 1, Ins[C]));
+    std::vector<Action> Responses;
+    for (ClientId C = 0; C != Clients; ++C)
+      Responses.push_back(makeRespond(C, 1, Ins[C], S->apply(Ins[C])));
+    for (std::size_t K = Responses.size(); K > 1; --K)
+      std::swap(Responses[K - 1], Responses[R.nextBounded(K)]);
+    T.insert(T.end(), Responses.begin(), Responses.end());
   }
   return T;
 }

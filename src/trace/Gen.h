@@ -50,6 +50,17 @@ Trace genLinearizableTrace(const Adt &Type, const GenOptions &Opts, Rng &R);
 /// Generates a well-formed trace whose outputs are random alphabet draws.
 Trace genArbitraryTrace(const GenOptions &Opts, Rng &R);
 
+/// Generates \p Rounds quiescing rounds of \p Clients concurrent register
+/// operations in phase 1: \p Writes clients, drawn at random, write a value
+/// in 1..3 and the others read. Every client invokes before any responds,
+/// outputs come from applying the inputs in client order, and the
+/// responses arrive shuffled. Every round boundary is a quiescent cut, and
+/// the trace is linearizable by construction. With one write per round,
+/// the register state at each cut is fixed by the round's own outputs;
+/// with more, only the round's reads observe the write order.
+Trace genShuffledRegisterRounds(unsigned Rounds, unsigned Clients,
+                                unsigned Writes, Rng &R);
+
 /// Exhaustively enumerates well-formed traces with at most \p MaxActions
 /// actions over \p NumClients clients, inputs from \p Alphabet and response
 /// outputs from \p Outputs, invoking \p Visit on each (including every

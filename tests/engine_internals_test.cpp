@@ -26,6 +26,7 @@
 #include "engine/Transposition.h"
 #include "lin/LinChecker.h"
 #include "lin/Witness.h"
+#include "slin/SlinWitness.h"
 #include "spec/SpecAutomaton.h"
 #include "support/Arena.h"
 #include "trace/Gen.h"
@@ -1462,4 +1463,205 @@ TEST(IncrementalSessionTest, SlinOverflowDrainWithInitActionsSeedsTheLcp) {
     ASSERT_EQ(Inc.verdict(O).Outcome, Verdict::Yes) << "post-drain round "
                                                     << K;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The cut rung: a verdict that misses the frontier resumes at the chain's
+// last aligned quiescent cut before it searches from the root.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Streams \p T through \p S with a witness-free verdict after every event;
+/// every verdict must be Yes. Returns the mean nodes per verdict that left
+/// the fast step with a search (a miss).
+template <typename Session, typename Options>
+double streamMeanMissNodes(Session &S, const Trace &T, const Options &O) {
+  std::uint64_t Misses = 0, Nodes = 0;
+  for (std::size_t I = 0; I != T.size(); ++I) {
+    EXPECT_TRUE(bool(S.append(T[I])));
+    const std::uint64_t Fast0 = S.stats().FastPathVerdicts;
+    auto V = S.verdict(O);
+    EXPECT_EQ(V.Outcome, Verdict::Yes) << "event " << I << ": " << V.Reason;
+    if (S.stats().FastPathVerdicts == Fast0 && V.NodesExplored != 0) {
+      ++Misses;
+      Nodes += V.NodesExplored;
+    }
+  }
+  return Misses ? static_cast<double>(Nodes) / static_cast<double>(Misses)
+                : 0.0;
+}
+
+/// A two-write round whose later read needs the write order the chain did
+/// not pick: w(1) and w(2) overlap and respond in that order (the chain
+/// commits w(1) first), a read invoked after both stays open across a
+/// w(3), and then returns 1. Only w(2) w(1) r w(3) linearizes it, so the
+/// cut — after both writes, before w(3) — must fail and the root search
+/// must answer.
+Trace reorderedWritesRound() {
+  Trace T;
+  T.push_back(makeInvoke(0, 1, reg::write(1)));
+  T.push_back(makeInvoke(1, 1, reg::write(2)));
+  T.push_back(makeRespond(0, 1, reg::write(1), Output{1}));
+  T.push_back(makeRespond(1, 1, reg::write(2), Output{2}));
+  T.push_back(makeInvoke(2, 1, reg::read()));
+  T.push_back(makeInvoke(3, 1, reg::write(3)));
+  T.push_back(makeRespond(3, 1, reg::write(3), Output{3}));
+  T.push_back(makeRespond(2, 1, reg::read(), Output{1}));
+  return T;
+}
+
+} // namespace
+
+TEST(CutRungTest, LinShuffledRoundsResumeAtTheCut) {
+  // One write per round, responses shuffled: a response that lands before
+  // an earlier-linearized one misses the frontier. The cut sits at the
+  // previous round's end, so a miss reopens at most its round, and misses
+  // cost at most the round size (4) plus 4 nodes on average. (Searched
+  // from the retired boundary, BM_E8_ReorderSlin's misses cost ~32.)
+  RegisterAdt Reg;
+  Rng R(0xC071);
+  const Trace T = genShuffledRegisterRounds(40, 4, 1, R);
+  IncrementalLinSession Inc(Reg);
+  LinCheckOptions O;
+  O.WantWitness = false;
+  const double PerMiss = streamMeanMissNodes(Inc, T, O);
+  EXPECT_GT(Inc.stats().CutResumes, 0u);
+  EXPECT_LE(PerMiss, 4.0 + 4.0) << "misses reopen more than their round";
+  EXPECT_GT(Inc.retiredObligations(), 0u);
+  EXPECT_EQ(Inc.stats().WindowRetiredUnknowns, 0u);
+}
+
+TEST(CutRungTest, SlinShuffledRoundsResumeAtTheCut) {
+  // The same stream through a slin session (the reorder-slin-256 shard).
+  RegisterAdt Reg;
+  PhaseSignature Sig(1, 2);
+  UniversalInitRelation Rel;
+  Rng R(0xC072);
+  const Trace T = genShuffledRegisterRounds(40, 4, 1, R);
+  IncrementalSlinSession Inc(Reg, Sig, Rel);
+  SlinCheckOptions O;
+  O.WantWitness = false;
+  const double PerMiss = streamMeanMissNodes(Inc, T, O);
+  EXPECT_GT(Inc.stats().CutResumes, 0u);
+  EXPECT_LE(PerMiss, 4.0 + 4.0) << "misses reopen more than their round";
+  EXPECT_GT(Inc.retiredObligations(), 0u);
+  EXPECT_EQ(Inc.stats().WindowRetiredUnknowns, 0u);
+}
+
+TEST(CutRungTest, LinCutNoFallsThroughToTheRoot) {
+  RegisterAdt Reg;
+  IncrementalLinSession Inc(Reg);
+  LinCheckOptions O;
+  O.WantWitness = false;
+  const Trace T = reorderedWritesRound();
+  for (std::size_t I = 0; I + 1 != T.size(); ++I) {
+    ASSERT_TRUE(Inc.append(T[I]));
+    ASSERT_EQ(Inc.verdict(O).Outcome, Verdict::Yes) << "event " << I;
+  }
+  const SessionStats Before = Inc.stats();
+  ASSERT_TRUE(Inc.append(T.back()));
+  LinCheckResult V = Inc.verdict();
+  EXPECT_EQ(V.Outcome, Verdict::Yes) << V.Reason;
+  EXPECT_EQ(Inc.stats().CutResumes, Before.CutResumes);
+  EXPECT_EQ(Inc.stats().RootSearches, Before.RootSearches + 1);
+  EXPECT_EQ(Inc.stats().WindowRetiredUnknowns, 0u);
+  EXPECT_TRUE(bool(verifyLinWitness(T, Reg, V.Witness)));
+}
+
+TEST(CutRungTest, SlinCutNoFallsThroughToTheRoot) {
+  RegisterAdt Reg;
+  PhaseSignature Sig(1, 2);
+  UniversalInitRelation Rel;
+  IncrementalSlinSession Inc(Reg, Sig, Rel);
+  SlinCheckOptions O;
+  O.WantWitness = false;
+  const Trace T = reorderedWritesRound();
+  for (std::size_t I = 0; I + 1 != T.size(); ++I) {
+    ASSERT_TRUE(Inc.append(T[I]));
+    ASSERT_EQ(Inc.verdict(O).Outcome, Verdict::Yes) << "event " << I;
+  }
+  const SessionStats Before = Inc.stats();
+  ASSERT_TRUE(Inc.append(T.back()));
+  SlinVerdict V = Inc.verdict();
+  EXPECT_EQ(V.Outcome, Verdict::Yes) << V.Reason;
+  EXPECT_EQ(Inc.stats().CutResumes, Before.CutResumes);
+  EXPECT_EQ(Inc.stats().RootSearches, Before.RootSearches + 1);
+  EXPECT_EQ(Inc.stats().WindowRetiredUnknowns, 0u);
+  for (const auto &[Finit, W] : V.Witnesses) {
+    WellFormedness Ok = verifySlinWitness(T, Sig, Reg, Rel, Finit, W, false);
+    EXPECT_TRUE(Ok.Ok) << Ok.Reason;
+  }
+}
+
+namespace {
+
+/// A stream whose root-search Yes reorders two writes before the cut, then
+/// needs the reordered cut: w(1) and w(2) respond in that order; w(3), a
+/// read x and reads r and y are invoked; x returns 3 and w(3) responds
+/// (the cut rung places w(3) before x on top of w(1) w(2)); r returns 1,
+/// which only w(2) w(1) r w(3) explains (the root search); y returns 1,
+/// which the cut after w(2) w(1) explains. Every prefix is linearizable.
+Trace rootReordersTheCut() {
+  const Input R = reg::read();
+  Trace T;
+  T.push_back(makeInvoke(0, 1, reg::write(1)));
+  T.push_back(makeInvoke(1, 1, reg::write(2)));
+  T.push_back(makeRespond(0, 1, reg::write(1), Output{1}));
+  T.push_back(makeRespond(1, 1, reg::write(2), Output{2}));
+  T.push_back(makeInvoke(2, 1, reg::write(3)));
+  T.push_back(makeInvoke(3, 1, R));
+  T.push_back(makeInvoke(4, 1, R));
+  T.push_back(makeInvoke(5, 1, R));
+  T.push_back(makeRespond(3, 1, R, Output{3}));
+  T.push_back(makeRespond(2, 1, reg::write(3), Output{3}));
+  T.push_back(makeRespond(4, 1, R, Output{1}));
+  T.push_back(makeRespond(5, 1, R, Output{1}));
+  return T;
+}
+
+/// Streams rootReordersTheCut() through \p S: the cut rung serves the
+/// w(3) miss, the root search the r miss, and the cut rung the y miss —
+/// from the cut state of the root search's chain, not the stale one.
+template <typename Session, typename Options>
+void expectRootYesInvalidatesTheCut(Session &S, const Options &O) {
+  const Trace T = rootReordersTheCut();
+  // (CutResumes, RootSearches) gained over the last three verdicts.
+  const std::uint64_t Expected[][2] = {{1, 0},  // w(3): cut Yes
+                                       {1, 1},  // r: cut No, root Yes
+                                       {2, 1}}; // y: cut Yes
+  SessionStats Base;
+  for (std::size_t I = 0; I != T.size(); ++I) {
+    if (I + 3 == T.size())
+      Base = S.stats();
+    ASSERT_TRUE(bool(S.append(T[I])));
+    ASSERT_EQ(S.verdict(O).Outcome, Verdict::Yes) << "event " << I;
+    if (I + 3 >= T.size()) {
+      const auto &Want = Expected[I + 3 - T.size()];
+      EXPECT_EQ(S.stats().CutResumes - Base.CutResumes, Want[0])
+          << "event " << I;
+      EXPECT_EQ(S.stats().RootSearches - Base.RootSearches, Want[1])
+          << "event " << I;
+    }
+  }
+}
+
+} // namespace
+
+TEST(CutRungTest, LinRootYesInvalidatesTheCut) {
+  RegisterAdt Reg;
+  IncrementalLinSession Inc(Reg);
+  LinCheckOptions O;
+  O.WantWitness = false;
+  expectRootYesInvalidatesTheCut(Inc, O);
+}
+
+TEST(CutRungTest, SlinRootYesInvalidatesTheCut) {
+  RegisterAdt Reg;
+  PhaseSignature Sig(1, 2);
+  UniversalInitRelation Rel;
+  IncrementalSlinSession Inc(Reg, Sig, Rel);
+  SlinCheckOptions O;
+  O.WantWitness = false;
+  expectRootYesInvalidatesTheCut(Inc, O);
 }

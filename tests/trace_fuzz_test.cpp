@@ -249,7 +249,8 @@ Trace quiescingTrace(const LinFixture &Fx, unsigned Ops, unsigned MaxConc,
 /// contract at every prefix. \p ExpectDefinitiveYes asserts the
 /// linearizable-by-construction property (no Unknown ever).
 void fuzzWindowedLinTrace(const LinFixture &Fx, const Trace &T,
-                          bool ExpectDefinitiveYes) {
+                          bool ExpectDefinitiveYes,
+                          SessionStats *Stats = nullptr) {
   IncrementalLinSession Inc(Fx.Type);
   Trace Prefix;
   std::size_t NumResponses = 0;
@@ -302,6 +303,8 @@ void fuzzWindowedLinTrace(const LinFixture &Fx, const Trace &T,
     }
     ASSERT_LE(Inc.liveWindow(), 64u);
   }
+  if (Stats)
+    Stats->accumulate(Inc.stats());
   if (ExpectDefinitiveYes) {
     ASSERT_GT(Inc.retiredObligations(), 0u)
         << Fx.Type.name()
@@ -527,6 +530,41 @@ TEST(TraceFuzzTest, FastStepDifferential_Universal) {
                    {Input{1, 0, 1, 0}, Input{2, 0, 2, 0}},
                    {Output{0}, Output{1}}},
                   0x65, /*MaxConc=*/1);
+}
+
+TEST(TraceFuzzTest, WindowedLinFuzz_ShuffledRounds) {
+  // Register rounds of four with the responses shuffled (the
+  // reorder-slin-256 shape): a response that lands before an
+  // earlier-linearized one misses the frontier, and the verdict resumes at
+  // the chain's last quiescent cut before it searches from the root. One
+  // write per round stays definitively Yes past the window; with two, the
+  // write order a retired round pinned can be the wrong one for a later
+  // read, so only soundness is asserted. The fast-step differential runs on
+  // the same streams, and the corpus must exercise the cut rung.
+  RegisterAdt Reg;
+  const LinFixture Fx{Reg,
+                      {reg::read(), reg::write(1), reg::write(2),
+                       reg::write(3)},
+                      {Output{1}, Output{2}, Output{3}, Output{NoValue}}};
+  SessionStats Stats;
+  unsigned N = std::max(4u, traceBudget(220) / 18);
+  for (unsigned I = 0; I != N; ++I) {
+    std::uint64_t TraceSeed = hashCombine(hashCombine(baseSeed(), 0x46), I);
+    SCOPED_TRACE(seedNote(TraceSeed, I));
+    Rng R(TraceSeed);
+    const unsigned Writes = 1 + I % 2;
+    const unsigned Rounds = 17 + static_cast<unsigned>(R.next() % 10);
+    Trace T = genShuffledRegisterRounds(Rounds, 4, Writes, R);
+    fuzzWindowedLinTrace(Fx, T, /*ExpectDefinitiveYes=*/Writes == 1, &Stats);
+    if (::testing::Test::HasFatalFailure())
+      return;
+    IncrementalLinSession Fast(Reg), Engine(Reg);
+    fuzzFastStepTrace(Fast, Engine, T);
+    if (::testing::Test::HasFatalFailure())
+      return;
+    Stats.accumulate(Fast.stats());
+  }
+  EXPECT_GT(Stats.CutResumes, 0u) << "no miss resumed at the cut";
 }
 
 //===----------------------------------------------------------------------===//
@@ -1048,14 +1086,17 @@ enum class WitnessMode { Never, Mixed };
 void fuzzSlinFastStepTrace(IncrementalSlinSession &Fast,
                            IncrementalSlinSession &Engine, const Trace &T,
                            const PhaseSignature &Sig, const InitRelation &Rel,
-                           SlinCheckOptions O, WitnessMode Mode) {
+                           SlinCheckOptions O, WitnessMode Mode,
+                           bool CompareBatch = false) {
   SlinCheckOptions WithWitness = O;
   WithWitness.WantWitness = true;
   std::size_t Prefix = 0;
+  std::size_t Responses = 0;
   for (const Action &A : T) {
     Fast.append(A);
     Engine.append(A);
     ++Prefix;
+    Responses += isRespond(A);
     O.WantWitness = Mode == WitnessMode::Mixed && Prefix % 8 == 0;
     SlinVerdict S = Fast.verdict(O);
     SlinVerdict R = Engine.verdict(WithWitness);
@@ -1079,6 +1120,15 @@ void fuzzSlinFastStepTrace(IncrementalSlinSession &Fast,
     ASSERT_EQ(S.Interference, R.Interference)
         << "slin bounded-interference count diverged at prefix " << Prefix;
     ASSERT_EQ(S.BudgetLimited, R.BudgetLimited);
+    if (CompareBatch && Responses <= 64 && Engine.retiredObligations() == 0) {
+      // Up to the window: the batch checker's verdict, prefix by prefix.
+      Trace Head(T.begin(), T.begin() + static_cast<std::ptrdiff_t>(Prefix));
+      SlinVerdict B = checkSlin(Head, Sig, Engine.adt(), Rel, O);
+      ASSERT_EQ(R.Outcome, B.Outcome)
+          << "slin session diverged from batch at prefix " << Prefix
+          << ":\n"
+          << formatTrace(Head);
+    }
     if (R.Outcome == Verdict::Yes)
       for (const auto &[Finit, W] : R.Witnesses) {
         WellFormedness Ok = verifySlinWitness(Engine.trace(), Sig,
@@ -1196,6 +1246,41 @@ TEST(TraceFuzzTest, SlinFastStepDifferential_SteadyStreams) {
         << "witness-free abort-free slin stream never took the fast step";
     EXPECT_GT(Fast.retiredObligations(), 0u);
   }
+}
+
+TEST(TraceFuzzTest, SlinFastStepDifferential_ShuffledRounds) {
+  // The reorder-slin-256 shard: register rounds of four over the universal
+  // relation with the responses shuffled, past the retirement threshold.
+  // Misses resume at the chain's last quiescent cut; every prefix up to the
+  // window must match the batch checker, every engine-path Yes witness must
+  // pass verifySlinWitness, and the corpus must exercise the cut rung. Two
+  // writes per round may pin a wrong write order once retired (the
+  // WindowRetired Unknown), which both sessions must then agree on.
+  RegisterAdt Reg;
+  PhaseSignature Sig(1, 2);
+  UniversalInitRelation Rel;
+  SessionStats Stats;
+  unsigned N = std::max(4u, traceBudget(200) / 25);
+  for (unsigned I = 0; I != N; ++I) {
+    std::uint64_t TraceSeed = hashCombine(hashCombine(baseSeed(), 0x75), I);
+    SCOPED_TRACE(seedNote(TraceSeed, I));
+    Rng R(TraceSeed);
+    const unsigned Writes = 1 + I % 2;
+    const unsigned Rounds = 17 + static_cast<unsigned>(R.next() % 10);
+    Trace T = genShuffledRegisterRounds(Rounds, 4, Writes, R);
+    SlinCheckOptions O;
+    O.AbortValidityAtEnd = (I / 2) % 2 == 1;
+    IncrementalSlinSession Fast(Reg, Sig, Rel), Engine(Reg, Sig, Rel);
+    fuzzSlinFastStepTrace(Fast, Engine, T, Sig, Rel, O,
+                          I % 4 < 2 ? WitnessMode::Never : WitnessMode::Mixed,
+                          /*CompareBatch=*/true);
+    if (::testing::Test::HasFatalFailure())
+      return;
+    EXPECT_GT(Engine.retiredObligations(), 0u);
+    Stats.accumulate(Fast.stats());
+    Stats.accumulate(Engine.stats());
+  }
+  EXPECT_GT(Stats.CutResumes, 0u) << "no miss resumed at the cut";
 }
 
 TEST(TraceFuzzTest, SlinFastStepDifferential_InitFamilySteadyStreams) {

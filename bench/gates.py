@@ -5,6 +5,7 @@
   python3 bench/gates.py e9-aggregate e9_now.json  # service throughput
   python3 bench/gates.py e9-overflow e9_overflow_now.json
   python3 bench/gates.py e9-wireparse e9_wireparse_now.json  # parse stage
+  python3 bench/gates.py e4 e4_now.json            # batch checker nodes
 
 Every gate of the named group checks one metric of every matching row of
 the fresh run (one JSON object per line, as the benches print them).
@@ -22,6 +23,10 @@ import sys
 # Group -> (committed artifact, which rows of a bench run belong to it,
 # which committed rows must reappear).
 GROUPS = {
+    "e4": ("BENCH_e4.json",
+           lambda r: "nodes_per_trace" in r
+           and re.search(r"NewDefinition|Classical", r["name"]),
+           r"."),
     "e8": ("BENCH_e8.json",
            lambda r: "nodes_per_check" in r or "PrefixCorpus" in r["name"],
            r"SteadyState|IncrementalSlin|AppendOne_Incremental|ReorderSlin"
@@ -41,10 +46,15 @@ GROUPS = {
 # (group, row pattern, metric, rule, tolerance or value, noise floor).
 #   grow: now <= max(base * (1 + tolerance), floor)   lower is better
 #   drop: now >= min(base * (1 - tolerance), floor)   higher is better
+#   same: now == base (tolerance and floor unused)
 #   eq / gt / le: now == value / now > value / now <= value, over every
 #     matching row of the run; the last column is then the value a row
 #     lacking the metric counts as (None: the metric is required)
 GATES = [
+    # The batch checkers' DFS: every new-definition and classical row
+    # explores exactly the artifact's nodes per trace. Node counts are
+    # deterministic, so any change to the engine's move order shows here.
+    ("e4", r".", "nodes_per_trace", "same", None, None),
     # Node counts are deterministic (unlike times on shared runners), so
     # they are the steady-state regression metric. ReorderSlin is the miss
     # path: a verdict that leaves the fast step must resume at the chain's
@@ -149,6 +159,8 @@ def check(group, base, now):
                 yield f"{name}: {metric} regressed {b:g} -> {v:g}"
             elif rule == "drop" and v < min(b * (1 - bound), floor or b) - EPS:
                 yield f"{name}: {metric} regressed {b:g} -> {v:g}"
+            elif rule == "same" and abs(v - b) > EPS:
+                yield f"{name}: {metric} changed {b:g} -> {v:g}"
 
 
 def main():

@@ -21,17 +21,24 @@ class Runner {
 public:
   Runner(const ChainProblemView &P, const ChainLimits &Limits,
          const InputInterner &Interner, TranspositionTable &Memo,
-         Arena &Scratch, std::uint64_t Salt)
+         Arena &Scratch, std::uint64_t Salt, ChainResult &Result)
       : P(P), Limits(Limits), Interner(Interner), Memo(Memo),
-        Scratch(Scratch), Salt(Salt) {}
+        Scratch(Scratch), Salt(Salt), Result(Result), Master(Result.Master),
+        Commits(Result.Commits) {}
 
-  ChainResult run() {
-    ChainResult Result;
+  void run() {
+    // Master and Commits are the caller's buffers: they may hold the seed
+    // already (see ChainSearch::run), so they are left alone until the
+    // seed is laid down below.
+    Result.Outcome = Verdict::No;
+    Result.Reason.clear();
+    Result.BudgetLimited = false;
+    Result.Stats = ChainStats();
     std::size_t NumOb = P.NumCommits;
     if (NumOb > 64) {
       Result.Outcome = Verdict::Unknown;
       Result.Reason = "more than 64 responses; exact search not attempted";
-      return Result;
+      return;
     }
     Base = P.SeedBase;
     InputId A = P.AlphabetSize;
@@ -47,19 +54,29 @@ public:
     if (Base && (!Adopted || (P.SequenceSensitive && !F->HasSeqHash))) {
       Result.Outcome = Verdict::Unknown;
       Result.Reason = RetiredSeedUnavailableReason;
-      return Result;
+      return;
     }
     FullMask = NumOb == 64 ? ~0ull : ((1ull << NumOb) - 1);
+    // Obligations the seed already commits (a resumable session's retained
+    // witness chain) start committed, and their rows start the run's own.
+    // Everything below is sized to the open rest: only open obligations
+    // are ever read.
+    const std::uint64_t PreCommitted = P.SeedCommitted & FullMask;
+    const std::uint64_t Open = FullMask & ~PreCommitted;
+    startWith(Master, P.Seed, P.SeedLen);
+    startWith(Commits, P.SeedRows, P.NumSeedRows);
     Used = Scratch.allocZeroed<std::int32_t>(A);
     Avail = Scratch.allocArray<const std::int32_t *>(NumOb);
-    for (std::size_t R = 0; R != NumOb; ++R)
+    for (std::uint64_t M = Open; M; M &= M - 1) {
+      std::size_t R = lowBit(M);
       Avail[R] = P.AvailOverride ? P.AvailOverride[R] : P.Commits[R].Available;
+    }
     Deficit = Scratch.allocZeroed<std::int32_t>(NumOb);
     if (P.SequenceSensitive) {
       IdHash = Scratch.allocArray<std::uint64_t>(A);
       for (InputId Id = 0; Id != A; ++Id)
         IdHash[Id] = hashValue(Interner.input(Id));
-      SeqHashes.push_back(0x484953u); // hashValue(History) fold seed.
+      SeqHash = 0x484953u; // hashValue(History) fold seed.
     }
     if (Limits.TimeBudgetMillis) {
       Deadline = std::chrono::steady_clock::now() +
@@ -77,42 +94,24 @@ public:
     // AND node counts are independent of which one ran.
     std::unique_ptr<AdtState> State =
         Adopted ? std::move(F->State) : P.Type->makeState();
-
-    // Obligations the seed already commits (a resumable session's retained
-    // witness chain): mark them committed and replay their witness rows, so
-    // the run starts at the retained frontier. Deficit counters are
-    // maintained only for the remaining (active) obligations.
-    std::uint64_t PreCommitted = 0;
-    for (std::size_t I = 0; I != P.NumSeedCommits; ++I) {
-      const auto &[Index, Len] = P.SeedCommits[I];
-      PreCommitted |= 1ull << Index;
-      Commits.push_back({P.Commits[Index].Tag, Len});
-    }
-    Active = Scratch.allocArray<std::uint32_t>(NumOb);
-    for (std::size_t R = 0; R != NumOb; ++R)
-      if (!(PreCommitted & (1ull << R)))
-        Active[NumActive++] = static_cast<std::uint32_t>(R);
-
     if (Adopted) {
       std::copy(F->Used.begin(), F->Used.end(), Used);
       UsedHash = F->UsedHash;
-      Master.assign(P.Seed, P.Seed + P.SeedLen);
       if (P.SequenceSensitive) {
-        std::uint64_t H = F->SeqHash;
-        if (!F->HasSeqHash) {
+        if (F->HasSeqHash) {
+          SeqHash = F->SeqHash;
+        } else {
           // Captured before the problem became sequence-sensitive (first
           // abort): fold the seed's hash once, without touching the ADT.
           // Base is 0 here, so the seed is the whole master prefix.
-          H = SeqHashes.back();
           for (std::size_t I = 0; I != P.SeedLen; ++I)
-            H = hashCombine(H, IdHash[P.Seed[I]]);
+            SeqHash = hashCombine(SeqHash, IdHash[P.Seed[I]]);
         }
-        SeqHashes.push_back(H);
       }
-      // Deficits of the active obligations w.r.t. the retained counts:
+      // Deficits of the open obligations w.r.t. the retained counts:
       // Deficit[R] is the number of ids over-used beyond Avail[R].
-      for (std::size_t K = 0; K != NumActive; ++K) {
-        std::size_t R = Active[K];
+      for (std::uint64_t M = Open; M; M &= M - 1) {
+        std::size_t R = lowBit(M);
         for (InputId Id = 0; Id != A; ++Id)
           if (Used[Id] > Avail[R][Id])
             ++Deficit[R];
@@ -120,9 +119,9 @@ public:
       Stats.SeedStepsSkipped += Base + P.SeedLen;
     } else {
       for (std::size_t I = 0; I != P.SeedLen; ++I) {
-        InputId Id = P.Seed[I];
+        InputId Id = Master[I];
         State->apply(Interner.input(Id));
-        push(Id);
+        count(Id, Open);
       }
       Stats.SeedStepsReplayed += P.SeedLen;
     }
@@ -137,14 +136,12 @@ public:
         F->Used.assign(Used, Used + A);
         F->UsedHash = UsedHash;
         F->HasSeqHash = P.SequenceSensitive;
-        F->SeqHash = P.SequenceSensitive ? SeqHashes.back() : 0;
+        F->SeqHash = P.SequenceSensitive ? SeqHash : 0;
         F->Len = Base + Master.size();
         F->Valid = true;
       }
       Result.Outcome = Verdict::Yes;
-      Result.Master = std::move(Master);
-      Result.Commits = std::move(Commits);
-      return Result;
+      return;
     }
     if (Adopted) {
       // Strict LIFO undo restored the adopted state to the frontier; hand
@@ -156,46 +153,64 @@ public:
       Result.BudgetLimited = true;
       Result.Reason = DeadlineExhausted ? "time budget exhausted"
                                         : "node budget exhausted";
-      return Result;
+      return;
     }
     Result.Outcome = Verdict::No;
-    return Result;
   }
 
 private:
-  /// Appends input \p Id to the master: bumps its used count, maintains the
-  /// incremental multiset hash, the per-obligation deficit counters (number
-  /// of inputs over-used w.r.t. that obligation's availability), and the
-  /// sequence-hash stack.
-  void push(InputId Id) {
+  static std::size_t lowBit(std::uint64_t M) {
+    return static_cast<std::size_t>(__builtin_ctzll(M));
+  }
+
+  /// Lays \p N seed elements at \p Seed into the output buffer \p Out:
+  /// a copy, or a truncation when the buffer already starts with them (a
+  /// caller resuming inside its own chain).
+  template <typename T>
+  static void startWith(std::vector<T> &Out, const T *Seed, std::size_t N) {
+    if (Seed == Out.data() && N <= Out.size())
+      Out.resize(N);
+    else
+      Out.assign(Seed, Seed + N);
+  }
+
+  /// Counts input \p Id as appended: bumps its used count, maintains the
+  /// incremental multiset hash, the deficit counters (number of inputs
+  /// over-used w.r.t. that obligation's availability) of the \p Open
+  /// obligations, and the sequence hash. A committed obligation's counter
+  /// is neither read nor kept while it stays committed: every push below
+  /// its commit is popped before the commit is undone, so the counter is
+  /// exact again by then.
+  void count(InputId Id, std::uint64_t Open) {
     std::int32_t C = Used[Id]++;
     if (C > 0)
       UsedHash ^= pairMix(Id, C);
     UsedHash ^= pairMix(Id, C + 1);
-    // Deficits are tracked only for obligations the run can still commit:
-    // a seed-committed obligation is never uncommitted, so its counter is
-    // never read (the hot-loop saving a resumable session's seed replay
-    // depends on).
-    for (std::size_t K = 0; K != NumActive; ++K)
-      if (std::size_t R = Active[K]; Avail[R][Id] == C)
+    for (std::uint64_t M = Open; M; M &= M - 1)
+      if (std::size_t R = lowBit(M); Avail[R][Id] == C)
         ++Deficit[R];
-    Master.push_back(Id);
     if (P.SequenceSensitive)
-      SeqHashes.push_back(hashCombine(SeqHashes.back(), IdHash[Id]));
+      SeqHash = hashCombine(SeqHash, IdHash[Id]);
   }
 
-  /// Undoes the matching push.
-  void pop(InputId Id) {
+  /// Appends input \p Id to the master (see count).
+  void push(InputId Id, std::uint64_t Open) {
+    count(Id, Open);
+    Master.push_back(Id);
+  }
+
+  /// Undoes the matching push(Id, Open), restoring the sequence hash
+  /// \p Seq it started from.
+  void pop(InputId Id, std::uint64_t Open, std::uint64_t Seq) {
     std::int32_t C = --Used[Id];
     UsedHash ^= pairMix(Id, C + 1);
     if (C > 0)
       UsedHash ^= pairMix(Id, C);
-    for (std::size_t K = 0; K != NumActive; ++K)
-      if (std::size_t R = Active[K]; Avail[R][Id] == C)
+    for (std::uint64_t M = Open; M; M &= M - 1)
+      if (std::size_t R = lowBit(M); Avail[R][Id] == C)
         --Deficit[R];
     Master.pop_back();
-    if (P.SequenceSensitive)
-      SeqHashes.pop_back();
+    SeqHash = Seq;
   }
 
   bool atLeaf() {
@@ -224,22 +239,27 @@ private:
       BudgetExhausted = DeadlineExhausted = true;
       return false;
     }
+    const std::uint64_t Seq = SeqHash;
     std::uint64_t Digest = State.digest();
     std::uint64_t Key =
         hashCombine(hashCombine(hashCombine(Salt, Committed), Digest),
                     UsedHash);
     if (P.SequenceSensitive)
-      Key = hashCombine(Key, SeqHashes.back());
+      Key = hashCombine(Key, Seq);
     if (Memo.contains(Key)) {
       ++Stats.MemoHits;
       return false;
     }
+    // Everything this node allocates (undo payloads, the candidate buffer)
+    // is dead once it returns without a leaf.
+    const Arena::Mark Frame = Scratch.mark();
+    const std::uint64_t Open = FullMask & ~Committed;
 
-    // Move 1: commit an outstanding response by appending its input. The
-    // move mutates State in place and reverts on the way back.
-    for (std::size_t R = 0, E = P.NumCommits; R != E; ++R) {
-      if (Committed & (1ull << R))
-        continue;
+    // Move 1: commit an open response by appending its input, in
+    // obligation order. The move mutates State in place and reverts on the
+    // way back.
+    for (std::uint64_t M = Open; M; M &= M - 1) {
+      const std::size_t R = lowBit(M);
       const CommitObligation &Ob = P.Commits[R];
       if ((Committed & Ob.MustFollow) != Ob.MustFollow)
         continue; // Real-time Order: a predecessor is still uncommitted.
@@ -253,28 +273,25 @@ private:
         continue; // Would not explain the response.
       }
       ++Stats.CommitMoves;
-      push(Ob.In);
+      push(Ob.In, Open);
       Commits.push_back({Ob.Tag, Base + Master.size()});
       if (dfs(Committed | (1ull << R), State))
         return true;
       Commits.pop_back();
-      pop(Ob.In);
+      pop(Ob.In, Open, Seq);
       State.undoInput(U);
     }
 
     // Move 2: append a filler input. A filler lies in every later commit
     // history, so it must be available (beyond what is already used) at
-    // every uncommitted obligation: candidates are the inputs with positive
+    // every open obligation: candidates are the inputs with positive
     // pointwise-min remaining availability.
-    // Note: deeper recursion may reallocate Frames, so take the (arena-
-    // stable) buffer pointer rather than a reference into the vector.
-    InputId *Candidates = frameAt(Master.size()).Candidates;
+    InputId *Candidates = Scratch.allocArray<InputId>(P.AlphabetSize);
     std::size_t NumCandidates = 0;
     for (InputId Id = 0; Id != P.AlphabetSize; ++Id) {
       std::int32_t Min = INT32_MAX;
-      for (std::size_t R = 0, E = P.NumCommits; R != E && Min > 0; ++R)
-        if (!(Committed & (1ull << R)))
-          Min = std::min(Min, Avail[R][Id] - Used[Id]);
+      for (std::uint64_t M = Open; M && Min > 0; M &= M - 1)
+        Min = std::min(Min, Avail[lowBit(M)][Id] - Used[Id]);
       if (Min > 0 && Min != INT32_MAX)
         Candidates[NumCandidates++] = Id;
     }
@@ -283,31 +300,17 @@ private:
       UndoToken U;
       State.applyInput(Interner.input(Id), U, Scratch);
       ++Stats.FillerMoves;
-      push(Id);
+      push(Id, Open);
       if (dfs(Committed, State))
         return true;
-      pop(Id);
+      pop(Id, Open, Seq);
       State.undoInput(U);
     }
 
+    Scratch.rewind(Frame);
     Memo.insert(Key);
     ++Stats.MemoStores;
     return false;
-  }
-
-  /// Per-depth candidate buffer; the recursion stack has strictly
-  /// increasing master lengths, so one buffer per depth never aliases.
-  struct Frame {
-    InputId *Candidates = nullptr;
-  };
-
-  Frame &frameAt(std::size_t Depth) {
-    while (Depth >= Frames.size()) {
-      Frame F;
-      F.Candidates = Scratch.allocArray<InputId>(P.AlphabetSize);
-      Frames.push_back(F);
-    }
-    return Frames[Depth];
   }
 
   const ChainProblemView &P;
@@ -316,20 +319,19 @@ private:
   TranspositionTable &Memo;
   Arena &Scratch;
   std::uint64_t Salt;
+  ChainResult &Result;
+  std::vector<InputId> &Master; ///< Live master in dense ids.
+  std::vector<std::pair<std::size_t, std::size_t>> &Commits;
 
   std::uint64_t FullMask = 0;
   std::size_t Base = 0; ///< ChainProblemView::SeedBase (retired master inputs).
   std::int32_t *Used = nullptr;
+  /// Availability rows by obligation; set for the open ones only.
   const std::int32_t **Avail = nullptr;
   std::int32_t *Deficit = nullptr;
-  std::uint32_t *Active = nullptr; ///< Obligations not committed by the seed.
-  std::size_t NumActive = 0;
   std::uint64_t *IdHash = nullptr;
   std::uint64_t UsedHash = 0;
-  std::vector<InputId> Master; ///< Live master in dense ids.
-  std::vector<std::pair<std::size_t, std::size_t>> Commits;
-  std::vector<std::uint64_t> SeqHashes;
-  std::vector<Frame> Frames;
+  std::uint64_t SeqHash = 0; ///< Sequence-hash fold (sequence-sensitive runs).
   ChainStats Stats;
   std::chrono::steady_clock::time_point Deadline;
   bool HaveDeadline = false;
@@ -357,8 +359,8 @@ void slin::advanceFrontierState(FrontierState &F, const InputInterner &Interner,
   }
 }
 
-ChainResult ChainSearch::run(const ChainProblemView &Problem,
-                             const ChainLimits &Limits, std::uint64_t Salt) {
-  Runner R(Problem, Limits, Interner, Memo, Scratch, mix64(Salt));
-  return R.run();
+void ChainSearch::run(const ChainProblemView &Problem,
+                      const ChainLimits &Limits, std::uint64_t Salt,
+                      ChainResult &Out) {
+  Runner(Problem, Limits, Interner, Memo, Scratch, mix64(Salt), Out).run();
 }

@@ -229,7 +229,7 @@ void advanceFrontierState(FrontierState &F, const InputInterner &Interner,
 /// over them each event.
 ///
 /// Lifetimes: every pointed-to range (Commits, their Available rows, Seed,
-/// SeedCommits, AcceptLeaf) must outlive the run() call.
+/// SeedRows, AcceptLeaf) must outlive the run() call.
 struct ChainProblemView {
   const Adt *Type = nullptr;
   /// Exclusive upper bound of the InputIds this problem mentions; all
@@ -260,7 +260,7 @@ struct ChainProblemView {
   /// engine never materializes the retired part: the adopted Retained
   /// state already sits past it (its Used counts and hashes cover it), so
   /// a steady-state run costs O(live window) regardless of how much
-  /// history was retired. Commit lengths (SeedCommits and
+  /// history was retired. Commit lengths (SeedRows and
   /// ChainResult::Commits) are absolute — they include SeedBase — while
   /// ChainResult::Master carries only the live part (the caller that
   /// retired the prefix owns it and prepends it when materializing a
@@ -271,14 +271,20 @@ struct ChainProblemView {
   /// the longest commit.
   std::size_t SeedBase = 0;
   /// Obligations already committed *within* the (virtual ++ materialized)
-  /// seed, as (obligation index, absolute master length at the commit
-  /// point) in chain order. The search starts with these marked committed
-  /// — this is how a resumable session resumes from its retained success
-  /// frontier instead of re-deriving the old witness: the root of the run
-  /// is the old leaf, and backtracking above it is the fallback full
-  /// search's job. Every listed length must be <= SeedBase + SeedLen.
-  const std::pair<std::size_t, std::size_t> *SeedCommits = nullptr;
-  std::size_t NumSeedCommits = 0;
+  /// seed: SeedCommitted is their bitmask over obligation indices, and
+  /// SeedRows are their (Tag, absolute master length at the commit point)
+  /// rows in chain order, one per set bit, which the run's commit rows
+  /// start with verbatim. The search starts with these marked committed —
+  /// this is how a resumable session resumes inside its retained chain
+  /// instead of re-deriving the old witness: the root of the run is the
+  /// chain's seed point, and backtracking above it is a shorter seed
+  /// point's job. The caller vouches that the rows commit exactly the
+  /// masked obligations (a session passes its chain's own rows once they
+  /// are aligned on a window prefix, see LiveWindow::commitsPrefix); every
+  /// listed length must be <= SeedBase + SeedLen.
+  const std::pair<std::size_t, std::size_t> *SeedRows = nullptr;
+  std::size_t NumSeedRows = 0;
+  std::uint64_t SeedCommitted = 0;
   /// Include the master's sequence hash in memo keys. Required whenever the
   /// leaf predicate depends on the master's order (abort synthesis does);
   /// plain multiset + ADT-digest keys suffice otherwise.
@@ -340,7 +346,23 @@ public:
 
   /// Runs one search over \p Problem.
   ChainResult run(const ChainProblemView &Problem, const ChainLimits &Limits,
-                  std::uint64_t Salt = 0);
+                  std::uint64_t Salt = 0) {
+    ChainResult R;
+    run(Problem, Limits, Salt, R);
+    return R;
+  }
+
+  /// Runs one search over \p Problem into \p Out, writing the master and
+  /// commit rows into Out's existing capacity. When Out.Master and
+  /// Out.Commits already start with the seed (Problem.Seed ==
+  /// Out.Master.data(), Problem.SeedRows == Out.Commits.data(): a session
+  /// resuming inside its own chain) the run truncates them to it instead of
+  /// copying. A run that does not answer Yes leaves them holding the seed
+  /// and its rows (the strict LIFO discipline restores both), or untouched
+  /// when it was refused before the search (more than 64 obligations, an
+  /// unavailable retired seed).
+  void run(const ChainProblemView &Problem, const ChainLimits &Limits,
+           std::uint64_t Salt, ChainResult &Out);
 
 private:
   const InputInterner &Interner;

@@ -218,6 +218,7 @@ void IncrementalSlinSession::prepareRun(std::size_t I, std::size_t NumOb,
   Lcp = longestCommonPrefix(Histories);
   const InputId A = Interner.size();
   const CommitObligation *Rows = Obligations.finalize(A);
+  M.Commits = Rows;
 
   // One sweep in trace-index order maintains the running max-union of init
   // contributions as a dense row, giving each response and abort its

@@ -95,6 +95,13 @@ ChainResult budgetUnknown(const char *Reason, std::uint64_t Nodes) {
   return R;
 }
 
+/// The start of a verdict's time budget; the clock is read only when one
+/// is set (splitBudget reads nothing else).
+std::chrono::steady_clock::time_point budgetStart(const LinCheckOptions &L) {
+  return L.TimeBudgetMillis ? std::chrono::steady_clock::now()
+                            : std::chrono::steady_clock::time_point();
+}
+
 using Rows = std::vector<std::pair<std::size_t, std::size_t>>;
 
 /// Folded with the epoch and the member key into every member's memo salt.
@@ -227,6 +234,22 @@ std::size_t LiveWindow::lowerBoundTag(std::size_t T) const {
       Hi = Mid;
   }
   return Lo;
+}
+
+bool LiveWindow::commitsPrefix(const std::pair<std::size_t, std::size_t> *Rows,
+                               std::size_t K) const {
+  if (K > N)
+    return false;
+  if (K == 0)
+    return true;
+  const std::size_t Lo = tag(0);
+  std::size_t MaxTag = 0;
+  for (std::size_t Q = 0; Q != K; ++Q) {
+    if (Rows[Q].first < Lo)
+      return false;
+    MaxTag = std::max(MaxTag, Rows[Q].first);
+  }
+  return MaxTag == tag(K - 1);
 }
 
 const CommitObligation *LiveWindow::finalize(InputId AlphabetSize) {
@@ -575,7 +598,10 @@ WindowedSession::drainOverflow(const LinCheckOptions &L, std::uint64_t &Spent,
         Stop = true;
         break;
       }
-      ChainResult R = runMember(I, C, Rung::Root, WindowLimit, Split.Rest);
+      ChainProblemView V;
+      prepareMember(I, WindowLimit, V);
+      ChainResult &R = DrainRound[I];
+      runRung(I, C, Rung::Root, 0, V, Split.Rest, R);
       Spent += R.Stats.Nodes;
       if (R.Outcome == Verdict::Unknown) {
         if (R.BudgetLimited) {
@@ -600,7 +626,6 @@ WindowedSession::drainOverflow(const LinCheckOptions &L, std::uint64_t &Spent,
         // No common foldable prefix this round: the structural Unknown
         // stands.
         Stop = Common == 0;
-        DrainRound[I] = std::move(R);
       }
     }
     if (Stop)
@@ -617,9 +642,10 @@ WindowedSession::drainOverflow(const LinCheckOptions &L, std::uint64_t &Spent,
         continue; // Already folded under a duplicate member.
       foldChain(*C, DrainRound[I].Master, DrainRound[I].Commits, K);
       // The capped chain's remainder covers the restriction, not the whole
-      // window; the next full root search behind the boundary rebuilds it.
-      C->Master.clear();
-      C->Commits.clear();
+      // window; the next full root search behind the boundary rebuilds it
+      // (in fresh buffers: an excursion's chain is no size to keep).
+      C->Master = std::vector<InputId>();
+      C->Commits = Rows();
       C->Replay.invalidate();
       C->Cut.reset();
     }
@@ -678,8 +704,10 @@ bool WindowedSession::boundedFallback(const LinCheckOptions &L,
       R.Reason = WindowRetiredReason;
       return true;
     }
-    ChainResult Sub =
-        runMember(I, C, Rung::Root, WindowLimit, Split.Rest);
+    ChainProblemView V;
+    prepareMember(I, WindowLimit, V);
+    ChainResult Sub;
+    runRung(I, C, Rung::Root, 0, V, Split.Rest, Sub);
     Spent += Sub.Stats.Nodes;
     if (Sub.Outcome == Verdict::Unknown) {
       if (!Sub.BudgetLimited)
@@ -722,7 +750,7 @@ bool WindowedSession::boundedFallback(const LinCheckOptions &L,
 // Searching
 //===----------------------------------------------------------------------===//
 
-bool WindowedSession::advanceCut(RetainedChain &C) {
+std::size_t WindowedSession::advanceCut(RetainedChain &C) {
   // The cut is the largest chain prefix that commits exactly the first k
   // window obligations, all responded before E: the earliest open
   // operation or uncovered response. (The chain commits window [0, rows);
@@ -733,7 +761,7 @@ bool WindowedSession::advanceCut(RetainedChain &C) {
   const std::size_t N = Obligations.size();
   const std::size_t Rows = C.Commits.size();
   if (PinnedByAborts || Rows == 0 || Rows > N)
-    return false;
+    return 0;
   std::size_t E = openCut();
   for (std::size_t Q = Rows; Q != N; ++Q)
     E = std::min(E, Obligations.invokeIdx(Q));
@@ -741,10 +769,10 @@ bool WindowedSession::advanceCut(RetainedChain &C) {
       foldMask(C.Commits, C.Master.size(), C.RetiredLen,
                Order.retirablePrefix(Obligations, N), E);
   if (!Mask)
-    return false;
+    return 0;
   const std::size_t K = 64 - static_cast<std::size_t>(__builtin_clzll(Mask));
   if (K == Rows)
-    return false; // The whole chain: the frontier rung already ran there.
+    return 0; // The whole chain: the frontier rung already ran there.
   const std::size_t L = C.Commits[K - 1].second;
   if (!C.Cut)
     C.Cut = std::make_unique<FrontierState>();
@@ -761,22 +789,20 @@ bool WindowedSession::advanceCut(RetainedChain &C) {
   advanceFrontierState(Cut, Interner,
                        C.Master.data() + (Cut.Len - C.RetiredLen),
                        L - Cut.Len);
-  return true;
+  return K;
 }
 
-ChainResult WindowedSession::runMember(std::size_t I, RetainedChain *C,
-                                       Rung From, std::size_t NumOb,
-                                       const ChainLimits &L) {
+void WindowedSession::prepareMember(std::size_t I, std::size_t NumOb,
+                                    ChainProblemView &V) {
   Scratch.reset();
   MemberRun M;
   prepareRun(I, NumOb, M);
-  ChainProblemView V;
+  V = ChainProblemView();
   V.Type = &Type;
   V.AlphabetSize = Interner.size();
-  V.Commits = Obligations.finalize(V.AlphabetSize);
+  V.Commits = M.Commits ? M.Commits : Obligations.finalize(V.AlphabetSize);
   V.NumCommits = NumOb;
-  const bool Capped = NumOb < Obligations.size();
-  if (Capped) {
+  if (NumOb < Obligations.size()) {
     // Fresh masks over the capped sub-window: the stored ones are deferred
     // during an excursion.
     CappedScratch.assign(V.Commits, V.Commits + NumOb);
@@ -787,47 +813,67 @@ ChainResult WindowedSession::runMember(std::size_t I, RetainedChain *C,
   V.AvailOverride = M.AvailOverride;
   V.AcceptLeaf = M.AcceptLeaf;
   V.SequenceSensitive = M.SequenceSensitive;
+  V.Seed = M.Seed; // A root run's seed; resumed rungs seed with the chain.
+  V.SeedLen = M.SeedLen;
+  PreparedMark = Scratch.mark();
+}
+
+void WindowedSession::runRung(std::size_t I, RetainedChain *C, Rung From,
+                              std::size_t Rows, ChainProblemView V,
+                              const ChainLimits &L, ChainResult &Out) {
+  Scratch.rewind(PreparedMark);
+  const bool Capped = V.NumCommits < Obligations.size();
   // Once the session has retired, every run rides behind the member's
   // retired prefix as the engine's virtual seed: it is never
   // re-materialized or re-replayed.
   const bool Behind = C && WindowBase != 0;
   if (Behind)
     V.SeedBase = C->RetiredLen;
-  // A resumed run's seed is the chain up to its accepting leaf (Frontier)
-  // or up to its cut (Cut); the rows within it are pre-committed.
-  std::size_t SeedEnd = 0;
-  if (From == Rung::Frontier)
-    SeedEnd = C->RetiredLen + C->Master.size();
-  else if (From == Rung::Cut)
-    SeedEnd = C->Cut->Len;
-  SeedCommitsScratch.clear();
-  if (From != Rung::Root)
-    for (const auto &[Tag, Len] : C->Commits) {
-      if (Len > SeedEnd)
-        break; // Rows are in chain order: the rest lie past the seed.
-      // Tags resolve by binary search (trace order). One that fails to
-      // resolve would pre-commit the wrong obligation; search from the
-      // root instead (defense in depth — reset() drops every chain).
-      std::size_t Idx = Obligations.lowerBoundTag(Tag);
-      if (Idx == NumOb || Obligations.tag(Idx) != Tag) {
-        From = Rung::Root;
-        break;
-      }
-      SeedCommitsScratch.push_back({Idx, Len});
-    }
+  // The frontier's rows are the whole chain; they must commit exactly a
+  // window prefix to be pre-committed by position. One that does not is
+  // searched from the root (defense in depth — reset() drops every chain;
+  // the cut rung's rows passed foldMask's alignment already).
+  if (From == Rung::Frontier &&
+      !Obligations.commitsPrefix(C->Commits.data(), Rows))
+    From = Rung::Root;
   // The snapshot a run adopts when it must not consume the chain's own
   // state: the cut, or the retired boundary for a root run behind it. On
   // Yes it becomes the chain's replay state; on failure the original
   // survives untouched.
   FrontierState Adopt;
-  if (From != Rung::Root) {
-    // Resume inside the retained chain: its prefix is the seed, its rows
-    // there are pre-committed, and the engine adopts the replay state at
-    // the seed's end, so only the obligations after it need placing.
-    V.Seed = C->Master.data();
-    V.SeedLen = SeedEnd - C->RetiredLen;
-    V.SeedCommits = SeedCommitsScratch.data();
-    V.NumSeedCommits = SeedCommitsScratch.size();
+  const bool Resumed = From != Rung::Root;
+  // A resumed rung's chain past its seed point, kept in the arena below
+  // everything the run allocates.
+  InputId *TailIds = nullptr;
+  std::pair<std::size_t, std::size_t> *TailRows = nullptr;
+  std::size_t NumTailIds = 0, NumTailRows = 0;
+  if (Resumed) {
+    // Resume inside the retained chain, in place: the chain's own buffers
+    // are the run's output, its prefix up to the seed point is the seed,
+    // its first Rows rows (window [0, Rows)) are pre-committed, and the
+    // engine adopts the replay state at the seed's end, so only the
+    // obligations after it need placing. What lies past a cut is set
+    // aside first and put back if the rung fails.
+    const std::size_t SeedLen =
+        (From == Rung::Frontier ? C->RetiredLen + C->Master.size()
+                                : C->Cut->Len) -
+        C->RetiredLen;
+    NumTailIds = C->Master.size() - SeedLen;
+    NumTailRows = C->Commits.size() - Rows;
+    TailIds = Scratch.allocArray<InputId>(NumTailIds);
+    TailRows = Scratch.allocArray<std::pair<std::size_t, std::size_t>>(
+        NumTailRows);
+    std::copy(C->Master.end() - static_cast<std::ptrdiff_t>(NumTailIds),
+              C->Master.end(), TailIds);
+    std::copy(C->Commits.end() - static_cast<std::ptrdiff_t>(NumTailRows),
+              C->Commits.end(), TailRows);
+    Out.Master.swap(C->Master);
+    Out.Commits.swap(C->Commits);
+    V.Seed = Out.Master.data();
+    V.SeedLen = SeedLen;
+    V.SeedRows = Out.Commits.data();
+    V.NumSeedRows = Rows;
+    V.SeedCommitted = Rows == 64 ? ~0ull : (1ull << Rows) - 1;
     if (From == Rung::Cut) {
       Adopt = C->Cut->snapshot();
       V.Retained = &Adopt;
@@ -836,31 +882,47 @@ ChainResult WindowedSession::runMember(std::size_t I, RetainedChain *C,
     }
   } else {
     // From the root: a capped run's leaf covers a restriction, so it must
-    // not replace the chain's replay state.
-    if (Behind)
+    // not replace the chain's replay state. An uncapped run builds a new
+    // chain beside the old one, in buffers as large as the old one's.
+    if (Behind) {
       Adopt = C->RetiredBoundary.snapshot();
-    else {
-      V.Seed = M.Seed;
-      V.SeedLen = M.SeedLen;
+      V.Seed = nullptr;
+      V.SeedLen = 0;
     }
     V.Retained = Behind ? &Adopt : Capped || !C ? nullptr : &C->Replay;
+    if (!Capped) {
+      ++Stats.RootSearches; // Capped runs are the drain's and the fallback's.
+      if (C) {
+        Out.Master.reserve(C->Master.capacity());
+        Out.Commits.reserve(C->Commits.capacity());
+      }
+    }
   }
-  if (From == Rung::Root && !Capped)
-    ++Stats.RootSearches; // Capped runs are the drain's and the fallback's.
-  ChainSearch Engine(Interner, Memo, Scratch);
-  ChainResult R = Engine.run(V, L, memberSalt(I));
-  Stats.Search.accumulate(R.Stats);
-  if (R.Outcome == Verdict::Yes && C && !Capped) {
-    // The accepting chain becomes the member's next frontier. A root
-    // search's chain is a new one, so its cut no longer describes it.
-    if (V.Retained == &Adopt)
-      C->Replay = std::move(Adopt);
-    if (From == Rung::Root)
+  ChainSearch(Interner, Memo, Scratch).run(V, L, memberSalt(I), Out);
+  Stats.Search.accumulate(Out.Stats);
+  const bool Yes = Out.Outcome == Verdict::Yes;
+  if (Yes && C && !Capped && V.Retained == &Adopt)
+    C->Replay = std::move(Adopt); // The accepting leaf is the new frontier.
+  if (Resumed) {
+    // A failed run left the seed in place; put back what followed it.
+    if (!Yes) {
+      Out.Master.insert(Out.Master.end(), TailIds, TailIds + NumTailIds);
+      Out.Commits.insert(Out.Commits.end(), TailRows, TailRows + NumTailRows);
+    }
+    Out.Master.swap(C->Master);
+    Out.Commits.swap(C->Commits);
+  } else if (C && !Capped) {
+    // A root search's accepting chain is a new one: it replaces the old
+    // chain, whose cut no longer describes it. Either way the buffers left
+    // in Out are freed, so a session keeps one chain's worth.
+    if (Yes) {
       C->Cut.reset();
-    C->Master = std::move(R.Master);
-    C->Commits = std::move(R.Commits);
+      Out.Master.swap(C->Master);
+      Out.Commits.swap(C->Commits);
+    }
+    Out.Master = decltype(Out.Master)();
+    Out.Commits = decltype(Out.Commits)();
   }
-  return R;
 }
 
 bool WindowedSession::fastStep(const LinCheckOptions &L, LinCheckResult &R) {
@@ -1012,7 +1074,7 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
     // check while a straggler pins it); whatever still exceeds the limit
     // is graded by the bounded fallback or reported structurally. Drain,
     // fallback and the searches below share the verdict's budgets.
-    const auto Start = Clock::now();
+    const auto Start = budgetStart(Limits);
     DrainOutcome D;
     if (!PinnedByAborts)
       D = drainOverflow(Limits, Spent, Start);
@@ -1093,31 +1155,37 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
       ++Stats.WindowRetiredUnknowns;
       Run.Outcome = Verdict::Unknown;
       Run.Reason = WindowRetiredReason;
-    } else if (!C->Master.empty()) {
-      ++Stats.FrontierResumes;
-      const auto Start = Clock::now();
-      Run = runMember(I, C, Rung::Frontier, Obligations.size(), Budget);
-      std::uint64_t Resumed = Run.Stats.Nodes;
-      // The next rung runs on what the previous ones left of the budget.
-      auto Next = [&](Rung From) {
-        BudgetSplit Split = splitBudget(Resumed, Start, Avail);
-        if (Split.Exhausted) {
-          Run = budgetUnknown(Split.Reason, Resumed);
-          return;
-        }
-        Run = runMember(I, C, From, Obligations.size(), Split.Rest);
-        Run.Stats.Nodes += Resumed;
-        Resumed = Run.Stats.Nodes;
-      };
-      if (Run.Outcome == Verdict::No && advanceCut(*C)) {
-        Next(Rung::Cut);
-        if (Run.Outcome == Verdict::Yes)
-          ++Stats.CutResumes;
-      }
-      if (Run.Outcome == Verdict::No)
-        Next(Rung::Root);
     } else {
-      Run = runMember(I, C, Rung::Root, Obligations.size(), Budget);
+      // The rungs share one prepared view and the verdict's budget.
+      const auto Start = budgetStart(Avail);
+      ChainProblemView V;
+      prepareMember(I, Obligations.size(), V);
+      if (C->Master.empty()) {
+        runRung(I, C, Rung::Root, 0, V, Budget, Run);
+      } else {
+        ++Stats.FrontierResumes;
+        runRung(I, C, Rung::Frontier, C->Commits.size(), V, Budget, Run);
+        std::uint64_t Resumed = Run.Stats.Nodes;
+        // The next rung runs on what the previous ones left of the budget.
+        auto Next = [&](Rung From, std::size_t Rows) {
+          BudgetSplit Split = splitBudget(Resumed, Start, Avail);
+          if (Split.Exhausted) {
+            Run = budgetUnknown(Split.Reason, Resumed);
+            return;
+          }
+          runRung(I, C, From, Rows, V, Split.Rest, Run);
+          Run.Stats.Nodes += Resumed;
+          Resumed = Run.Stats.Nodes;
+        };
+        if (Run.Outcome == Verdict::No)
+          if (const std::size_t Rows = advanceCut(*C)) {
+            Next(Rung::Cut, Rows);
+            if (Run.Outcome == Verdict::Yes)
+              ++Stats.CutResumes;
+          }
+        if (Run.Outcome == Verdict::No)
+          Next(Rung::Root, 0);
+      }
     }
     if (Run.Outcome == Verdict::No)
       shapeNo(Run);
@@ -1201,7 +1269,6 @@ std::size_t WindowedSession::coreBytes() const {
          Interner.memoryBytes() + Obligations.memoryBytes() +
          Invoked.capacity() * sizeof(std::int32_t) +
          OpenStart.capacity() * sizeof(std::size_t) +
-         rowBytes(SeedCommitsScratch) +
          CappedScratch.capacity() * sizeof(CommitObligation) +
          DrainRound.capacity() * sizeof(ChainResult) +
          FastUndoScratch.capacity() *

@@ -219,6 +219,16 @@ public:
   /// in trace order).
   std::size_t lowerBoundTag(std::size_t T) const;
 
+  /// Whether the chain rows \p Rows[0, K) commit exactly the first \p K
+  /// live obligations, in O(K) by foldMask's running-max test: chain rows
+  /// carry distinct response tags (one row per committed slot) and the
+  /// window holds every unretired response in tag order, so K rows that
+  /// all lie at or after tag(0) and peak at tag(K-1) are a permutation of
+  /// window [0, K). A retired or foreign tag below the window, or a gap
+  /// (some row past tag(K-1)), fails.
+  bool commitsPrefix(const std::pair<std::size_t, std::size_t> *Rows,
+                     std::size_t K) const;
+
   /// Bytes reserved by the window's persistent storage (slots, invoke
   /// indices, availability rows).
   std::size_t memoryBytes() const {
@@ -348,6 +358,9 @@ protected:
 
   /// What one member's run adds on top of the shared window.
   struct MemberRun {
+    /// The window as published by a hook that had to finalize it itself
+    /// (null: the core publishes it).
+    const CommitObligation *Commits = nullptr;
     const std::int32_t *const *AvailOverride = nullptr;
     const InputId *Seed = nullptr; ///< Used for runs from the root only.
     std::size_t SeedLen = 0;
@@ -363,8 +376,9 @@ protected:
   /// Member I's key in the chain table (and its memo salt); members with
   /// equal keys share a chain. Valid after members().
   virtual std::uint64_t memberKey(std::size_t I) const = 0;
-  /// Fills \p M for a run of member I over the first \p NumOb obligations;
-  /// runs right after the scratch arena is reset and may intern inputs.
+  /// Fills \p M for the runs of member I over the first \p NumOb
+  /// obligations (once per member and verdict, shared by every rung); runs
+  /// right after the scratch arena is reset and may intern inputs.
   virtual void prepareRun(std::size_t I, std::size_t NumOb, MemberRun &M) {
     (void)I, (void)NumOb, (void)M;
   }
@@ -500,15 +514,25 @@ private:
   /// chain's last aligned quiescent cut (RetainedChain::Cut), or at the
   /// root (behind the retired prefix, if any).
   enum class Rung { Frontier, Cut, Root };
-  /// Moves \p C's cut state to the chain's last aligned quiescent cut;
-  /// returns false when the cut rung does not apply (aborts pin the
-  /// window, no aligned prefix qualifies, or it is the whole chain).
-  bool advanceCut(RetainedChain &C);
-  ChainResult runMember(std::size_t I, RetainedChain *C, Rung From,
-                        std::size_t NumOb, const ChainLimits &L);
+  /// Moves \p C's cut state to the chain's last aligned quiescent cut and
+  /// returns the number of chain rows before it; 0 when the cut rung does
+  /// not apply (aborts pin the window, no aligned prefix qualifies, or it
+  /// is the whole chain).
+  std::size_t advanceCut(RetainedChain &C);
+  /// Builds member I's problem over the first \p NumOb obligations into
+  /// \p V: resets the scratch arena, runs prepareRun, publishes the window
+  /// and marks the arena. Every rung of one verdict runs over the view.
+  void prepareMember(std::size_t I, std::size_t NumOb, ChainProblemView &V);
+  /// Runs member I over \p V (from prepareMember) from rung \p From into
+  /// \p Out, rewinding the arena to the prepared mark first. A resumed
+  /// rung pre-commits the chain's first \p Rows rows and runs in the
+  /// chain's own buffers (Out.Master/Commits are left as they were). An
+  /// uncapped root rung's Yes moves its chain into \p C.
+  void runRung(std::size_t I, RetainedChain *C, Rung From, std::size_t Rows,
+               ChainProblemView V, const ChainLimits &L, ChainResult &Out);
 
   std::uint64_t TouchCounter = 0; ///< LRU clock of the chain table.
-  std::vector<std::pair<std::size_t, std::size_t>> SeedCommitsScratch;
+  Arena::Mark PreparedMark; ///< The scratch arena past prepareMember.
   std::vector<CommitObligation> CappedScratch;
   std::vector<ChainResult> DrainRound;
   std::vector<std::pair<RetainedChain *, UndoToken>> FastUndoScratch;

@@ -6,13 +6,14 @@
 ///
 /// \file
 /// A monotonic bump arena for the chain-search engine's scratch data: the
-/// per-obligation availability count arrays, the per-depth candidate
+/// per-obligation availability count arrays, the per-node candidate
 /// buffers, and any AdtState undo payload too large for the inline
 /// UndoToken fields (the overflow-token contract of adt/Adt.h). The search
-/// allocates these once per trace instead of once per node (the seed
-/// checkers rebuilt a Multiset per node), and a CheckSession rewinds the
-/// arena between traces so a corpus run performs a bounded number of real
-/// heap allocations no matter how many traces it checks.
+/// bump-allocates these and rewinds a node's share when it backtracks,
+/// where the seed checkers built a heap Multiset per node, and a
+/// CheckSession rewinds the arena between traces so a corpus run performs
+/// a bounded number of real heap allocations no matter how many traces it
+/// checks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -75,6 +76,23 @@ public:
     Current = 0;
     Offset = 0;
     Allocated = 0;
+  }
+
+  /// A bump position to rewind() to.
+  struct Mark {
+    std::size_t Block = 0;
+    std::size_t Offset = 0;
+    std::size_t Allocated = 0;
+  };
+
+  Mark mark() const { return {Current, Offset, Allocated}; }
+
+  /// Frees everything allocated since \p M was taken (the blocks stay).
+  /// Marks nest: rewinding to one invalidates every mark taken after it.
+  void rewind(const Mark &M) {
+    Current = M.Block;
+    Offset = M.Offset;
+    Allocated = M.Allocated;
   }
 
   /// Bytes handed out since the last reset (excluding alignment padding).

@@ -128,6 +128,25 @@ TEST(ArenaTest, BlocksGrowGeometricallyAndPassesReuseThem) {
   EXPECT_EQ(A.blockCount(), Blocks);
 }
 
+TEST(ArenaTest, RewindToAMarkFreesOnlyWhatFollowedIt) {
+  Arena A(/*FirstBlockBytes=*/64);
+  std::int32_t *Kept = A.allocZeroed<std::int32_t>(4);
+  const Arena::Mark M = A.mark();
+  void *First = A.allocate(32);
+  A.allocate(256); // Spills into a second block.
+  A.rewind(M);
+  EXPECT_EQ(A.bytesAllocated(), 4 * sizeof(std::int32_t));
+  // The next allocation reuses the first block's tail, and what preceded
+  // the mark is untouched.
+  EXPECT_EQ(A.allocate(32), First);
+  EXPECT_EQ(Kept[3], 0);
+  const std::size_t Blocks = A.blockCount();
+  A.rewind(M);
+  A.allocate(32);
+  A.allocate(256);
+  EXPECT_EQ(A.blockCount(), Blocks) << "the spilled block is reused";
+}
+
 TEST(ArenaTest, OversizedRequestGetsItsOwnBlock) {
   // A request beyond twice the last block is served by a block of its own
   // size; the next block doubles from there.
@@ -361,12 +380,13 @@ TEST(ChainSearchTest, AcceptLeafSeesTheLongestCommitAndCanReject) {
   // pre-committed at length 1. The master runs past the longest commit, and
   // the predicate sees exactly the commit prefix [w1], not the master.
   const InputId Seed[] = {W1, W2};
-  const std::pair<std::size_t, std::size_t> SeedCommits[] = {{0, 1}};
+  const std::pair<std::size_t, std::size_t> SeedRows[] = {{10, 1}};
   V.NumCommits = 1;
   V.Seed = Seed;
   V.SeedLen = 2;
-  V.SeedCommits = SeedCommits;
-  V.NumSeedCommits = 1;
+  V.SeedRows = SeedRows;
+  V.NumSeedRows = 1;
+  V.SeedCommitted = 1;
   Seen.clear();
   R = ChainSearch(Interner, Memo, Scratch).run(V, ChainLimits{});
   ASSERT_EQ(R.Outcome, Verdict::Yes);
@@ -384,6 +404,194 @@ TEST(ChainSearchTest, AcceptLeafSeesTheLongestCommitAndCanReject) {
   R = ChainSearch(Interner, Memo, Scratch).run(V, ChainLimits{});
   EXPECT_EQ(R.Outcome, Verdict::No);
   EXPECT_EQ(Seen, (std::vector<History>{{reg::write(1)}}));
+}
+
+namespace {
+
+/// Plain linearizability of \p T as engine obligations, one per response in
+/// trace order: availability is the inputs invoked before the response,
+/// and a response must follow every response before its invocation.
+struct LinProblem {
+  InputInterner Interner;
+  std::vector<std::vector<std::int32_t>> Avail;
+  std::vector<CommitObligation> Obs;
+
+  explicit LinProblem(const Trace &T) {
+    for (const Action &A : T)
+      Interner.intern(A.In);
+    std::vector<std::int32_t> Invoked(Interner.size(), 0);
+    std::vector<std::size_t> OpenAt(64, 0);
+    std::vector<std::size_t> InvokeOf;
+    for (std::size_t I = 0; I != T.size(); ++I) {
+      const Action &A = T[I];
+      if (isInvoke(A)) {
+        ++Invoked[Interner.intern(A.In)];
+        OpenAt[A.Client] = I;
+        continue;
+      }
+      CommitObligation Ob;
+      Ob.Tag = I;
+      Ob.In = Interner.intern(A.In);
+      Ob.Out = A.Out;
+      for (std::size_t Q = 0; Q != Obs.size(); ++Q)
+        if (Obs[Q].Tag < OpenAt[A.Client])
+          Ob.MustFollow |= 1ull << Q;
+      Obs.push_back(Ob);
+      Avail.push_back(Invoked);
+    }
+    for (std::size_t Q = 0; Q != Obs.size(); ++Q)
+      Obs[Q].Available = Avail[Q].data();
+  }
+
+  ChainProblemView view(const Adt &Type) const {
+    ChainProblemView V;
+    V.Type = &Type;
+    V.AlphabetSize = Interner.size();
+    V.Commits = Obs.data();
+    V.NumCommits = Obs.size();
+    return V;
+  }
+};
+
+} // namespace
+
+TEST(ChainSearchTest, SeedRowsResumeExactlyLikeTheReplayedSeed) {
+  // Shuffled one-write register rounds: every round boundary is a point
+  // where the chain's rows commit exactly a prefix of the obligations.
+  RegisterAdt Reg;
+  Rng R(0xC5EED);
+  const LinProblem P(genShuffledRegisterRounds(6, 4, 1, R));
+  ASSERT_EQ(P.Obs.size(), 24u);
+  using Rows = std::vector<std::pair<std::size_t, std::size_t>>;
+  auto run = [&](const ChainProblemView &V, ChainResult &Out) {
+    TranspositionTable Memo;
+    Arena Scratch;
+    ChainSearch(P.Interner, Memo, Scratch).run(V, ChainLimits{}, 7, Out);
+  };
+  ChainResult Root;
+  run(P.view(Reg), Root);
+  ASSERT_EQ(Root.Outcome, Verdict::Yes);
+  ASSERT_EQ(Root.Commits.size(), 24u);
+
+  // Seed points: the rows that commit exactly obligations [0, K).
+  std::vector<std::size_t> Points;
+  std::uint64_t Seen = 0;
+  for (std::size_t K = 1; K != Root.Commits.size(); ++K) {
+    for (std::size_t Q = 0; Q != P.Obs.size(); ++Q)
+      if (P.Obs[Q].Tag == Root.Commits[K - 1].first)
+        Seen |= 1ull << Q;
+    if (Seen == (1ull << K) - 1)
+      Points.push_back(K);
+  }
+  ASSERT_GE(Points.size(), 3u);
+
+  for (std::size_t K : Points) {
+    const std::size_t L = Root.Commits[K - 1].second;
+    ChainProblemView V = P.view(Reg);
+    V.Seed = Root.Master.data();
+    V.SeedLen = L;
+    V.SeedRows = Root.Commits.data();
+    V.NumSeedRows = K;
+    V.SeedCommitted = (1ull << K) - 1;
+
+    // The seed replayed from the root into a fresh state.
+    ChainResult Replayed;
+    run(V, Replayed);
+    // The same seed point adopted from a state positioned at it.
+    FrontierState F;
+    F.State = Reg.makeState();
+    F.Used.assign(P.Interner.size(), 0);
+    F.Valid = true;
+    advanceFrontierState(F, P.Interner, Root.Master.data(), L);
+    V.Retained = &F;
+    ChainResult Adopted;
+    run(V, Adopted);
+    // And adopted in place: the output buffers already hold the chain.
+    FrontierState G;
+    G.State = Reg.makeState();
+    G.Used.assign(P.Interner.size(), 0);
+    G.Valid = true;
+    advanceFrontierState(G, P.Interner, Root.Master.data(), L);
+    ChainResult InPlace;
+    InPlace.Master = Root.Master;
+    InPlace.Commits = Root.Commits;
+    V.Seed = InPlace.Master.data();
+    V.SeedRows = InPlace.Commits.data();
+    V.Retained = &G;
+    run(V, InPlace);
+
+    for (const ChainResult *X : {&Replayed, &Adopted, &InPlace}) {
+      ASSERT_EQ(X->Outcome, Verdict::Yes) << "K = " << K;
+      // The first leaf in DFS order below the seed point is the root
+      // search's own: memo prunes only subtrees without a leaf.
+      EXPECT_EQ(X->Master, Root.Master) << "K = " << K;
+      EXPECT_EQ(X->Commits, Root.Commits) << "K = " << K;
+      EXPECT_EQ(X->Stats.Nodes, Replayed.Stats.Nodes) << "K = " << K;
+      EXPECT_EQ(X->Stats.CommitMoves, Replayed.Stats.CommitMoves);
+      EXPECT_EQ(X->Stats.FillerMoves, Replayed.Stats.FillerMoves);
+    }
+    EXPECT_EQ(Replayed.Stats.SeedStepsReplayed, L);
+    EXPECT_EQ(Adopted.Stats.SeedStepsReplayed, 0u);
+    EXPECT_EQ(Adopted.Stats.SeedStepsSkipped, L);
+    EXPECT_EQ(F.Len, Root.Master.size()) << "the leaf is captured";
+  }
+
+  // A seed point that cannot complete: the last seed point with the final
+  // obligation's output changed. The run fails, and in place it leaves the
+  // seed and its rows as they were.
+  const std::size_t K = Points.back();
+  const std::size_t L = Root.Commits[K - 1].second;
+  LinProblem Bad = P;
+  Bad.Obs.back().Out = Output{99};
+  for (std::size_t Q = 0; Q != Bad.Obs.size(); ++Q)
+    Bad.Obs[Q].Available = Bad.Avail[Q].data();
+  ChainResult InPlace;
+  InPlace.Master = Root.Master;
+  InPlace.Commits = Root.Commits;
+  ChainProblemView V = Bad.view(Reg);
+  V.Seed = InPlace.Master.data();
+  V.SeedLen = L;
+  V.SeedRows = InPlace.Commits.data();
+  V.NumSeedRows = K;
+  V.SeedCommitted = (1ull << K) - 1;
+  run(V, InPlace);
+  EXPECT_EQ(InPlace.Outcome, Verdict::No);
+  EXPECT_EQ(InPlace.Master,
+            std::vector<InputId>(Root.Master.begin(),
+                                 Root.Master.begin() +
+                                     static_cast<std::ptrdiff_t>(L)));
+  EXPECT_EQ(InPlace.Commits,
+            Rows(Root.Commits.begin(),
+                 Root.Commits.begin() + static_cast<std::ptrdiff_t>(K)));
+}
+
+TEST(LiveWindowTest, CommitsPrefixIsThePermutationTest) {
+  // Live responses at tags 11, 13, 15, 17 (a retired one sat at tag 9).
+  LiveWindow W;
+  const std::vector<std::int32_t> Invoked = {1};
+  for (std::size_t Tag : {11u, 13u, 15u, 17u})
+    W.pushResponse(Tag, 0, Output{0}, Tag - 1, 0, 0, 0, Invoked);
+  using Rows = std::vector<std::pair<std::size_t, std::size_t>>;
+  auto Aligned = [&W](const Rows &R, std::size_t K) {
+    return W.commitsPrefix(R.data(), K);
+  };
+  // Any order of window [0, K) passes, at every K.
+  const Rows Perm = {{13, 1}, {11, 2}, {15, 3}, {17, 4}};
+  EXPECT_TRUE(Aligned(Perm, 0));
+  EXPECT_TRUE(Aligned(Perm, 2));
+  EXPECT_TRUE(Aligned(Perm, 3));
+  EXPECT_TRUE(Aligned(Perm, 4));
+  EXPECT_TRUE(Aligned({{17, 1}, {15, 2}, {13, 3}, {11, 4}}, 4));
+  // The first row alone is window [0, 1) only if it is tag 11.
+  EXPECT_FALSE(Aligned(Perm, 1));
+  // A foreign tag: retired (below the window) or beyond it.
+  EXPECT_FALSE(Aligned({{9, 1}, {13, 2}}, 2));
+  EXPECT_FALSE(Aligned({{11, 1}, {19, 2}}, 2));
+  // A gap: window [0, 2) is {11, 13}, not {11, 15}.
+  EXPECT_FALSE(Aligned({{11, 1}, {15, 2}}, 2));
+  EXPECT_FALSE(Aligned({{15, 1}, {11, 2}, {17, 3}}, 3));
+  // More rows than live obligations.
+  EXPECT_FALSE(Aligned({{11, 1}, {13, 2}, {15, 3}, {17, 4}, {19, 5}}, 5));
 }
 
 //===----------------------------------------------------------------------===//

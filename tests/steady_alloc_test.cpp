@@ -288,6 +288,59 @@ TEST(SteadyAlloc, SlinSearchingFootprintTracksMeasuredLiveBytes) {
   EXPECT_GT(Inc->retiredObligations(), 0u);
 }
 
+// The miss path's heap contract: on shuffled one-write register rounds (the
+// reorder-slin-256 shape) about a sixth of the verdicts miss the fast step
+// and walk the verdict ladder. Once warm, a missed verdict may allocate
+// little more than the cut rung's snapshot of the cut state (its ADT clone
+// and its used counts): the search's per-node buffers live in the scratch
+// arena, and resumed rungs write the chain's master and commit rows into
+// the chain's own vectors. The memo is capped at its initial array so that
+// its geometric growth, a cost of the table and not of a miss, stays out
+// of the count.
+TEST(SteadyAlloc, SlinMissPathAllocations) {
+  if (!AllocGauge::active())
+    GTEST_SKIP() << "sanitizer build: interposer compiled out";
+  RegisterAdt Reg;
+  PhaseSignature Sig(1, 2);
+  UniversalInitRelation Rel;
+  IncrementalOptions Opts;
+  Opts.RetainTrace = false;
+  Opts.RetainRetiredWitness = false;
+  Opts.TranspositionCapacity = 1u << 12;
+  SlinCheckOptions Limits;
+  Limits.WantWitness = false;
+  Rng R(0x5A11);
+  const Trace T = genShuffledRegisterRounds(1024, 4, 1, R);
+  IncrementalSlinSession Inc(Reg, Sig, Rel, Opts);
+
+  // Warm-up: the first quarter of the stream settles every capacity.
+  const std::size_t Warm = T.size() / 4;
+  for (std::size_t I = 0; I != Warm; ++I) {
+    ASSERT_TRUE(static_cast<bool>(Inc.append(T[I])));
+    ASSERT_EQ(Inc.verdict(Limits).Outcome, Verdict::Yes);
+  }
+
+  const std::uint64_t Allocs0 = AllocGauge::count();
+  const std::size_t Reserved0 = Inc.scratchArena().reservedBytes();
+  std::uint64_t NonYes = 0, Misses = 0;
+  for (std::size_t I = Warm; I != T.size(); ++I) {
+    Inc.append(T[I]);
+    const std::uint64_t Fast0 = Inc.stats().FastPathVerdicts;
+    SlinVerdict V = Inc.verdict(Limits);
+    NonYes += V.Outcome != Verdict::Yes;
+    Misses += Inc.stats().FastPathVerdicts == Fast0 && V.NodesExplored != 0;
+  }
+  const std::uint64_t Allocs = AllocGauge::count() - Allocs0;
+
+  EXPECT_EQ(NonYes, 0u);
+  ASSERT_GT(Misses, 100u) << "the stream must exercise the miss path";
+  EXPECT_LE(Allocs, 2 * Misses)
+      << Allocs << " heap allocations over " << Misses << " missed verdicts";
+  EXPECT_EQ(Inc.scratchArena().reservedBytes(), Reserved0)
+      << "scratch arena reserved new blocks on the miss path";
+  EXPECT_GT(Inc.stats().CutResumes, 0u);
+}
+
 // The interposer itself must be observable: this binary defines the gauge,
 // so outside sanitizer builds a plain heap allocation bumps the counter.
 // Guards against the gauge silently not being wired (which would make the

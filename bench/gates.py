@@ -61,6 +61,13 @@ GATES = [
     # last quiescent cut, not search the window from the root.
     ("e8", r"SteadyState|IncrementalSlin|AppendOne_Incremental|ReorderSlin",
      "nodes_per_check", "grow", 0.10, None),
+    # The miss path's split is deterministic too: how many verdicts miss the
+    # fast step, what a miss expands, and which seed point answers it (the
+    # chain's quiescent cut or an uncapped search from its boundary).
+    ("e8", r"ReorderSlin", "nodes_per_miss", "same", None, None),
+    ("e8", r"ReorderSlin", "miss_per_check", "same", None, None),
+    ("e8", r"ReorderSlin", "cut_resumes_per_miss", "same", None, None),
+    ("e8", r"ReorderSlin", "root_searches_per_miss", "same", None, None),
     # Steady state never replays seed steps.
     ("e8", r".", "seed_replay_per_check", "eq", 0.0, 0.0),
     # Hot-path latency: nearest-rank median and tail over per-event wall

@@ -1379,6 +1379,20 @@ void streamSequentialRegisterOps(IncrementalLinSession &Inc, unsigned Ops,
   }
 }
 
+/// The counters the capped sub-searches (the overflow drain and the bounded
+/// fallback) move, as a session reads them at one point of an excursion.
+struct CappedWork {
+  std::uint64_t Nodes, BoundedYes, RootSearches, Overflows, Retired;
+};
+
+void expectCappedWork(const SessionStats &S, const CappedWork &Want) {
+  EXPECT_EQ(S.Search.Nodes, Want.Nodes);
+  EXPECT_EQ(S.BoundedYesVerdicts, Want.BoundedYes);
+  EXPECT_EQ(S.RootSearches, Want.RootSearches);
+  EXPECT_EQ(S.WindowOverflows, Want.Overflows);
+  EXPECT_EQ(S.RetiredObligations, Want.Retired);
+}
+
 } // namespace
 
 TEST(IncrementalSessionTest, RetirementLiftsTheObligationCeiling) {
@@ -1421,6 +1435,8 @@ TEST(IncrementalSessionTest, OverflowDrainRecoversWithoutACachedChain) {
   EXPECT_FALSE(Inc.overflowed());
   EXPECT_GT(Inc.retiredObligations(), 0u);
   EXPECT_LE(Inc.liveWindow(), 64u);
+  // The drain's capped sub-searches and the search that follows them.
+  expectCappedWork(Inc.stats(), {70, 0, 1, 1, 64});
 }
 
 TEST(IncrementalSessionTest, StragglerPinsTheCutThenDrainRecovers) {
@@ -1450,6 +1466,9 @@ TEST(IncrementalSessionTest, StragglerPinsTheCutThenDrainRecovers) {
   EXPECT_EQ(Pinned.Interference, 6u);
   EXPECT_EQ(Pinned.NodesExplored, 0u)
       << "a pinned excursion searches its restriction once, then caches";
+  // The work up to here: the ladder before the excursion and the bounded
+  // fallback's capped sub-search.
+  expectCappedWork(Inc.stats(), {128, 12, 2, 1, 0});
   // The straggler completes; its write lands here in the real-time order.
   Output Out = Model->apply(reg::write(9));
   ASSERT_TRUE(Inc.append(makeRespond(63, 1, reg::write(9), Out)));
@@ -1458,6 +1477,8 @@ TEST(IncrementalSessionTest, StragglerPinsTheCutThenDrainRecovers) {
   EXPECT_EQ(R.Grade, VerdictGrade::Yes);
   EXPECT_FALSE(Inc.overflowed());
   EXPECT_GT(Inc.retiredObligations(), 0u);
+  // Plus the drain that closes the excursion.
+  expectCappedWork(Inc.stats(), {199, 12, 3, 1, 64});
   // And the steady state continues definitively after the excursion.
   streamSequentialRegisterOps(Inc, 5, Opts, /*VerdictPerEvent=*/true,
                               Model.get());
@@ -1568,6 +1589,7 @@ TEST(IncrementalSessionTest, SlinOverflowDrainRecoversWithoutACachedChain) {
   EXPECT_FALSE(Inc.overflowed());
   EXPECT_GT(Inc.retiredObligations(), 0u);
   EXPECT_LE(Inc.liveWindow(), 64u);
+  expectCappedWork(Inc.stats(), {100, 0, 1, 1, 64});
 }
 
 TEST(IncrementalSessionTest, SlinStragglerPinsTheCutThenDrainRecovers) {
@@ -1610,6 +1632,7 @@ TEST(IncrementalSessionTest, SlinStragglerPinsTheCutThenDrainRecovers) {
   EXPECT_EQ(Pinned.Interference, 6u);
   EXPECT_EQ(Pinned.NodesExplored, 0u)
       << "a pinned excursion searches its restriction once, then caches";
+  expectCappedWork(Inc.stats(), {128, 7, 1, 1, 0});
   // The straggler completes; its write lands here in the real-time order.
   Output Out = Model->apply(reg::write(9));
   ASSERT_TRUE(Inc.append(makeRespond(63, 1, reg::write(9), Out)));
@@ -1618,6 +1641,7 @@ TEST(IncrementalSessionTest, SlinStragglerPinsTheCutThenDrainRecovers) {
   EXPECT_EQ(R.Grade, VerdictGrade::Yes);
   EXPECT_FALSE(Inc.overflowed());
   EXPECT_GT(Inc.retiredObligations(), 0u);
+  expectCappedWork(Inc.stats(), {199, 7, 2, 1, 64});
   // And the steady state continues definitively after the excursion.
   for (unsigned K = 0; K != 5; ++K) {
     Input In = reg::write(static_cast<std::int64_t>(K));
@@ -1660,6 +1684,7 @@ TEST(IncrementalSessionTest, SlinOverflowDrainWithInitActionsSeedsTheLcp) {
   EXPECT_FALSE(Inc.overflowed());
   EXPECT_GT(Inc.retiredObligations(), 0u);
   EXPECT_LE(Inc.liveWindow(), 64u);
+  expectCappedWork(Inc.stats(), {246, 0, 3, 1, 64});
   // Definitive verdicts continue on the retired session — for appends that
   // keep the family stable (re-proposing a seen value). A *fresh* value
   // would mint extended interpretations with no frontier at the session's
@@ -1755,6 +1780,87 @@ TEST(CutRungTest, SlinShuffledRoundsResumeAtTheCut) {
   EXPECT_LE(PerMiss, 4.0 + 4.0) << "misses reopen more than their round";
   EXPECT_GT(Inc.retiredObligations(), 0u);
   EXPECT_EQ(Inc.stats().WindowRetiredUnknowns, 0u);
+}
+
+namespace {
+
+/// Streams \p T through a session made by \p Make with a full-budget
+/// verdict after every event. At every miss (a verdict that left the fast
+/// step with a search) it replays the stream so far into a fresh session
+/// once per budget in {1, 2, 4, 8, 16}, so the ladder runs out of budget at
+/// the chain's end, inside its cut and inside its boundary search. Each
+/// budgeted verdict is Yes or a budget-limited Unknown within the unwinding
+/// bound of BudgetLadderOnResumedSessionsStaysSound, and the full-budget
+/// verdict after it equals the unbudgeted stream's.
+void setNodeBudget(LinCheckOptions &O, std::uint64_t B) { O.NodeBudget = B; }
+void setNodeBudget(SlinCheckOptions &O, std::uint64_t B) {
+  O.Search.NodeBudget = B;
+}
+
+template <typename Options, typename MakeSession>
+void expectBudgetLadderMidMiss(const Trace &T, const Options &O,
+                               MakeSession Make) {
+  auto Twin = Make();
+  std::size_t Misses = 0;
+  for (std::size_t I = 0; I != T.size(); ++I) {
+    ASSERT_TRUE(bool(Twin->append(T[I])));
+    const std::uint64_t Fast0 = Twin->stats().FastPathVerdicts;
+    const auto Want = Twin->verdict(O);
+    if (Twin->stats().FastPathVerdicts != Fast0 || Want.NodesExplored == 0)
+      continue;
+    ++Misses;
+    for (std::uint64_t Budget : {1ull, 2ull, 4ull, 8ull, 16ull}) {
+      auto S = Make();
+      for (std::size_t J = 0; J != I; ++J) {
+        ASSERT_TRUE(bool(S->append(T[J])));
+        S->verdict(O);
+      }
+      ASSERT_TRUE(bool(S->append(T[I])));
+      Options Tight = O;
+      setNodeBudget(Tight, Budget);
+      const auto V = S->verdict(Tight);
+      if (V.Outcome != Verdict::Yes) {
+        EXPECT_EQ(V.Outcome, Verdict::Unknown)
+            << "event " << I << " budget " << Budget;
+        EXPECT_TRUE(V.BudgetLimited) << "event " << I << " budget " << Budget;
+      }
+      EXPECT_LE(V.NodesExplored, 2 * Budget + 8 * (I + 1))
+          << "event " << I << " budget " << Budget;
+      const auto After = S->verdict(O);
+      EXPECT_EQ(After.Outcome, Want.Outcome)
+          << "event " << I << " budget " << Budget;
+      EXPECT_EQ(After.Reason, Want.Reason)
+          << "event " << I << " budget " << Budget;
+    }
+  }
+  EXPECT_GT(Misses, 0u);
+  EXPECT_GT(Twin->stats().CutResumes, 0u);
+}
+
+} // namespace
+
+TEST(CutRungTest, LinBudgetExhaustedMidLadder) {
+  RegisterAdt Reg;
+  Rng R(0xC073);
+  const Trace T = genShuffledRegisterRounds(24, 4, 1, R);
+  LinCheckOptions O;
+  O.WantWitness = false;
+  expectBudgetLadderMidMiss(T, O, [&] {
+    return std::make_unique<IncrementalLinSession>(Reg);
+  });
+}
+
+TEST(CutRungTest, SlinBudgetExhaustedMidLadder) {
+  RegisterAdt Reg;
+  PhaseSignature Sig(1, 2);
+  UniversalInitRelation Rel;
+  Rng R(0xC074);
+  const Trace T = genShuffledRegisterRounds(24, 4, 1, R);
+  SlinCheckOptions O;
+  O.WantWitness = false;
+  expectBudgetLadderMidMiss(T, O, [&] {
+    return std::make_unique<IncrementalSlinSession>(Reg, Sig, Rel);
+  });
 }
 
 TEST(CutRungTest, LinCutNoFallsThroughToTheRoot) {

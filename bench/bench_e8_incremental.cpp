@@ -681,7 +681,7 @@ BENCHMARK(BM_E8_SteadyState_MonitorSlin)
 // session, a witness-free verdict per event, so the node counts are
 // deterministic: nodes_per_check over every verdict, nodes_per_miss over
 // the verdicts that left the fast step with a search, and how the misses
-// split between the cut rung and the root search.
+// split between the cut seed point and the boundary (root) search.
 //===----------------------------------------------------------------------===//
 
 static void BM_E8_ReorderSlin(benchmark::State &State) {

@@ -94,25 +94,30 @@ struct SessionStats {
   std::uint64_t Yes = 0;
   std::uint64_t No = 0;
   std::uint64_t Unknown = 0;
-  /// Verdicts a resumable session answered by resuming from a retained
-  /// success frontier (engine/Incremental.h) rather than a full root
-  /// search. Batch sessions never bump this.
+  /// Member resumes at a retained chain's end (its accepting leaf; the
+  /// end seed point of engine/SessionCore.h) by a resumable session, one
+  /// per member: each member run the verdict ladder attempts there,
+  /// counted before its outcome is known, and each member the fast step
+  /// advances. Not a count of verdicts. Batch sessions never bump this.
   std::uint64_t FrontierResumes = 0;
   /// Verdicts the steady-state fast step served in-session — one new
   /// obligation committed onto every member's retained chain with
   /// branchless mask/count checks over the live window, without entering
-  /// the engine's DFS. A subset of FrontierResumes; bookkeeping (node
-  /// counts, frontier updates, memo stats) is bit-identical to the engine
-  /// run it replaces. Batch sessions never bump this.
+  /// the engine's DFS. Each adds one FrontierResumes per member;
+  /// bookkeeping (node counts, frontier updates, memo stats) is
+  /// bit-identical to the engine run it replaces. Batch sessions never
+  /// bump this.
   std::uint64_t FastPathVerdicts = 0;
   /// Member runs the resumable sessions' verdict ladder answered Yes from
-  /// the chain's last aligned quiescent cut after the resume at its
-  /// accepting leaf failed (engine/SessionCore.h): the miss reopened only
+  /// the cut seed point — the chain's last aligned quiescent cut — after
+  /// the chain's end failed (engine/SessionCore.h): the miss reopened only
   /// the obligations after the cut. Batch sessions never bump this.
   std::uint64_t CutResumes = 0;
-  /// Root searches the resumable sessions' verdict ladder ran: members
-  /// with no chain to resume, and misses neither resumed rung answered.
-  /// Batch sessions never bump this.
+  /// Uncapped runs from the boundary seed point — the end of the chain's
+  /// retired prefix, or the root — that the resumable sessions' verdict
+  /// ladder made: members with no chain to resume, and misses neither the
+  /// end nor the cut answered. The capped runs of the overflow drain and
+  /// the bounded fallback are not counted. Batch sessions never bump this.
   std::uint64_t RootSearches = 0;
   /// Obligations a windowed session folded into its retired prefix at
   /// quiescent cuts (engine/Incremental.h); what keeps the live window —

@@ -47,6 +47,7 @@
 #include "engine/SessionCore.h"
 
 #include <algorithm>
+#include <optional>
 
 using namespace slin;
 
@@ -556,79 +557,90 @@ void WindowedSession::cacheNo(ChainResult &Sub) {
   CachedReason = Sub.Reason;
 }
 
-WindowedSession::DrainOutcome
-WindowedSession::drainOverflow(const LinCheckOptions &L, std::uint64_t &Spent,
-                               Clock::time_point Start) {
+WindowedSession::SubRun
+WindowedSession::cappedRun(std::size_t I, RetainedChain *C,
+                           const LinCheckOptions &L, std::uint64_t &Spent,
+                           Clock::time_point Start, ChainResult &Out,
+                           LinCheckResult &R) {
+  // Member I over the first WindowLimit obligations (see *Restriction*),
+  // from its boundary point, on what the verdict's budget has left. Every
+  // way it can end short of a sub-Yes but a structural Unknown decides the
+  // verdict: budget exhaustion (retryable), a member that cannot validate
+  // the retired responses, or a sub-No — conclusive with nothing retired,
+  // the WindowRetired Unknown behind a retired prefix.
+  auto Decide = [&](Verdict V, std::string Reason, bool BudgetLimited) {
+    if (BudgetLimited)
+      ++Epoch; // Polluted: re-salt before the next search.
+    R.Outcome = V;
+    R.Reason = std::move(Reason);
+    R.BudgetLimited = BudgetLimited;
+    return SubRun::Decided;
+  };
+  const BudgetSplit Split = splitBudget(Spent, Start, L);
+  if (Split.Exhausted)
+    return Decide(Verdict::Unknown, Split.Reason, true);
+  if (WindowBase != 0 && (!C || C->RetiredRows != WindowBase)) {
+    // No chain at the retirement depth: this member cannot validate the
+    // retired responses.
+    ++Stats.WindowRetiredUnknowns;
+    return Decide(Verdict::Unknown, WindowRetiredReason, false);
+  }
+  ChainProblemView V;
+  prepareMember(I, WindowLimit, V);
+  runFrom(I, C, boundaryPoint(C), V, Split.Rest, Out);
+  Spent += Out.Stats.Nodes;
+  if (Out.Outcome == Verdict::Yes)
+    return SubRun::Yes;
+  if (Out.Outcome == Verdict::Unknown)
+    return Out.BudgetLimited // The engine's wording.
+               ? Decide(Verdict::Unknown, std::move(Out.Reason), true)
+               : SubRun::Structural;
+  // One member's sub-No kills the ∀ over the family.
+  if (WindowBase == 0) {
+    cacheNo(Out);
+    return Decide(Verdict::No, CachedReason, false);
+  }
+  ++Stats.WindowRetiredUnknowns;
+  return Decide(Verdict::Unknown, WindowRetiredReason, false);
+}
+
+bool WindowedSession::drainOverflow(const LinCheckOptions &L,
+                                    std::uint64_t &Spent,
+                                    Clock::time_point Start,
+                                    LinCheckResult &R) {
   // Overflow recovery: a straggler overlapped more completions than the
-  // engine's exact search carries. Retire by *searching* capped sub-problems
-  // (see *Restriction*), one per member, and fold each member's share at
-  // the largest prefix every member's sub-chain aligns on. All sub-searches
-  // share the one verdict's budgets. Families larger than the window limit
-  // are not drained (the chain table must hold one fold target each).
-  DrainOutcome Out;
+  // engine's exact search carries. Retire by *searching* capped sub-problems,
+  // one per member, and fold each member's share at the largest prefix every
+  // member's sub-chain aligns on. Families larger than the window limit are
+  // not drained (the chain table must hold one fold target each).
   const std::size_t Members = members();
   if (Members == 0 || Members > ChainTableLimit)
-    return Out;
+    return false;
   DrainRound.resize(Members);
   bool Folded = false;
-  bool Stop = false;
-  while (overflowed() && !Stop) {
+  bool Decided = false;
+  while (overflowed()) {
     const std::size_t E = openCut();
     if (Obligations.tag(0) >= E)
       break; // Pinned by an open straggler; O(clients) and no search.
     const std::size_t Limit = Order.retirablePrefix(Obligations, WindowLimit);
     if (Limit == 0)
       break;
+    // No common foldable prefix, or a sub-search that did not answer Yes:
+    // whatever it decided (or the structural Unknown) stands.
     std::uint64_t Common = ~0ull;
-    for (std::size_t I = 0; I != Members && !Stop; ++I) {
-      BudgetSplit Split = splitBudget(Spent, Start, L);
-      if (Split.Exhausted) {
-        Out.BudgetStopped = true;
-        Out.BudgetReason = Split.Reason;
-        ++Epoch; // Polluted: re-salt before the next search.
-        Stop = true;
-        break;
-      }
+    for (std::size_t I = 0; I != Members && Common; ++I) {
       RetainedChain *C = chain(I);
-      if (WindowBase != 0 && (!C || C->RetiredRows != WindowBase)) {
-        // No chain at the retirement depth: this member cannot validate
-        // the retired responses, so nothing further can retire either.
-        Out.RetiredNo = true;
-        ++Stats.WindowRetiredUnknowns;
-        Stop = true;
+      const SubRun Sub = cappedRun(I, C, L, Spent, Start, DrainRound[I], R);
+      if (Sub != SubRun::Yes) {
+        Decided = Sub == SubRun::Decided;
+        Common = 0;
         break;
       }
-      ChainProblemView V;
-      prepareMember(I, WindowLimit, V);
-      ChainResult &R = DrainRound[I];
-      runRung(I, C, Rung::Root, 0, V, Split.Rest, R);
-      Spent += R.Stats.Nodes;
-      if (R.Outcome == Verdict::Unknown) {
-        if (R.BudgetLimited) {
-          Out.BudgetStopped = true;
-          Out.BudgetReason = std::move(R.Reason); // The engine's wording.
-          ++Epoch;
-        }
-        Stop = true;
-      } else if (R.Outcome == Verdict::No) {
-        // One member's sub-No kills the ∀ over the family.
-        if (WindowBase == 0) {
-          Out.ConclusiveNo = true;
-          cacheNo(R);
-        } else {
-          Out.RetiredNo = true;
-          ++Stats.WindowRetiredUnknowns;
-        }
-        Stop = true;
-      } else {
-        Common &= foldMask(R.Commits, R.Master.size(),
-                           C ? C->RetiredLen : 0, Limit, E);
-        // No common foldable prefix this round: the structural Unknown
-        // stands.
-        Stop = Common == 0;
-      }
+      Common &= foldMask(DrainRound[I].Commits, DrainRound[I].Master.size(),
+                         C ? C->RetiredLen : 0, Limit, E);
     }
-    if (Stop)
+    if (!Common)
       break;
     const std::size_t K =
         64 - static_cast<std::size_t>(__builtin_clzll(Common));
@@ -642,8 +654,8 @@ WindowedSession::drainOverflow(const LinCheckOptions &L, std::uint64_t &Spent,
         continue; // Already folded under a duplicate member.
       foldChain(*C, DrainRound[I].Master, DrainRound[I].Commits, K);
       // The capped chain's remainder covers the restriction, not the whole
-      // window; the next full root search behind the boundary rebuilds it
-      // (in fresh buffers: an excursion's chain is no size to keep).
+      // window; the next full search from the boundary rebuilds it (in
+      // fresh buffers: an excursion's chain is no size to keep).
       C->Master = std::vector<InputId>();
       C->Commits = Rows();
       C->Replay.invalidate();
@@ -666,7 +678,7 @@ WindowedSession::drainOverflow(const LinCheckOptions &L, std::uint64_t &Spent,
   }
   if (!overflowed())
     OverflowNoted = false; // The excursion ended; count the next one anew.
-  return Out;
+  return Decided;
 }
 
 bool WindowedSession::boundedFallback(const LinCheckOptions &L,
@@ -676,9 +688,8 @@ bool WindowedSession::boundedFallback(const LinCheckOptions &L,
   // Pinned excursion: nothing can retire, but the first WindowLimit
   // obligations still form an exact restriction under every member. A
   // family-wide sub-Yes with the out-of-window tail within the bound is
-  // BoundedYes(tail); a member's sub-No with nothing retired is conclusive
-  // for the whole stream; one behind a retired prefix is the WindowRetired
-  // Unknown. Returns false when the fallback does not apply.
+  // BoundedYes(tail); a sub-search that decides the verdict otherwise
+  // decides it here too. Returns false when the fallback does not apply.
   const std::size_t Tail = Obligations.size() - WindowLimit;
   if (PinnedByAborts || Opts.InterferenceBound == 0 ||
       Tail > Opts.InterferenceBound)
@@ -691,47 +702,14 @@ bool WindowedSession::boundedFallback(const LinCheckOptions &L,
       (BoundedWindowBase != WindowBase || BoundedFrontTag != FrontTag))
     HaveBoundedYes = false; // A different excursion; re-search.
   for (std::size_t I = 0; !HaveBoundedYes && I != Members; ++I) {
-    BudgetSplit Split = splitBudget(Spent, Start, L);
-    if (Split.Exhausted) {
-      ++Epoch;
-      R.Reason = Split.Reason;
-      R.BudgetLimited = true;
-      return true;
-    }
-    RetainedChain *C = chain(I);
-    if (WindowBase != 0 && (!C || C->RetiredRows != WindowBase)) {
-      ++Stats.WindowRetiredUnknowns;
-      R.Reason = WindowRetiredReason;
-      return true;
-    }
-    ChainProblemView V;
-    prepareMember(I, WindowLimit, V);
+    // A member's sub-Yes covers a restriction, not the window, so its chain
+    // is discarded.
     ChainResult Sub;
-    runRung(I, C, Rung::Root, 0, V, Split.Rest, Sub);
-    Spent += Sub.Stats.Nodes;
-    if (Sub.Outcome == Verdict::Unknown) {
-      if (!Sub.BudgetLimited)
-        return false; // Structural sub-Unknown: the flat reason stands.
-      ++Epoch;
-      R.Reason = std::move(Sub.Reason);
-      R.BudgetLimited = true;
-      return true;
-    }
-    if (Sub.Outcome == Verdict::No) {
-      if (WindowBase == 0) {
-        cacheNo(Sub);
-        R.Outcome = Verdict::No;
-        R.Reason = CachedReason;
-      } else {
-        ++Stats.WindowRetiredUnknowns;
-        R.Reason = WindowRetiredReason;
-      }
-      return true;
-    }
-    // A member's sub-Yes; its chain covers a restriction, not the window,
-    // so it is discarded. The grade stays valid while the excursion
-    // persists: nothing folds while pinned, and new completions only
-    // append past the first 64.
+    const SubRun Run = cappedRun(I, chain(I), L, Spent, Start, Sub, R);
+    if (Run != SubRun::Yes)
+      return Run == SubRun::Decided; // Structural: the flat reason stands.
+    // The grade stays valid while the excursion persists: nothing folds
+    // while pinned, and new completions only append past the first 64.
     if (I + 1 == Members) {
       HaveBoundedYes = true;
       BoundedWindowBase = WindowBase;
@@ -750,18 +728,26 @@ bool WindowedSession::boundedFallback(const LinCheckOptions &L,
 // Searching
 //===----------------------------------------------------------------------===//
 
-std::size_t WindowedSession::advanceCut(RetainedChain &C) {
+WindowedSession::SeedPoint
+WindowedSession::boundaryPoint(RetainedChain *C) {
+  if (C && C->RetiredBoundary.Valid)
+    return {0, C->RetiredLen, &C->RetiredBoundary};
+  return {};
+}
+
+std::optional<WindowedSession::SeedPoint>
+WindowedSession::advanceCut(RetainedChain &C) {
   // The cut is the largest chain prefix that commits exactly the first k
   // window obligations, all responded before E: the earliest open
   // operation or uncovered response. (The chain commits window [0, rows);
   // the responses after it are in no chain yet.) Every obligation before
   // the cut real-time-precedes what the verdict must place, so only the
   // obligations after it are reopened. Aborts pin every slot and make the
-  // search sequence-sensitive, so they rule the rung out.
+  // search sequence-sensitive, so they rule the point out.
   const std::size_t N = Obligations.size();
   const std::size_t Rows = C.Commits.size();
   if (PinnedByAborts || Rows == 0 || Rows > N)
-    return 0;
+    return std::nullopt;
   std::size_t E = openCut();
   for (std::size_t Q = Rows; Q != N; ++Q)
     E = std::min(E, Obligations.invokeIdx(Q));
@@ -769,10 +755,10 @@ std::size_t WindowedSession::advanceCut(RetainedChain &C) {
       foldMask(C.Commits, C.Master.size(), C.RetiredLen,
                Order.retirablePrefix(Obligations, N), E);
   if (!Mask)
-    return 0;
+    return std::nullopt;
   const std::size_t K = 64 - static_cast<std::size_t>(__builtin_clzll(Mask));
   if (K == Rows)
-    return 0; // The whole chain: the frontier rung already ran there.
+    return std::nullopt; // The whole chain: that is the chain's end.
   const std::size_t L = C.Commits[K - 1].second;
   if (!C.Cut)
     C.Cut = std::make_unique<FrontierState>();
@@ -789,7 +775,7 @@ std::size_t WindowedSession::advanceCut(RetainedChain &C) {
   advanceFrontierState(Cut, Interner,
                        C.Master.data() + (Cut.Len - C.RetiredLen),
                        L - Cut.Len);
-  return K;
+  return SeedPoint{K, L, &Cut};
 }
 
 void WindowedSession::prepareMember(std::size_t I, std::size_t NumOb,
@@ -813,116 +799,91 @@ void WindowedSession::prepareMember(std::size_t I, std::size_t NumOb,
   V.AvailOverride = M.AvailOverride;
   V.AcceptLeaf = M.AcceptLeaf;
   V.SequenceSensitive = M.SequenceSensitive;
-  V.Seed = M.Seed; // A root run's seed; resumed rungs seed with the chain.
-  V.SeedLen = M.SeedLen;
+  if (WindowBase == 0) {
+    // The seed of a run from the root; once anything retired it lies in
+    // the retired prefix.
+    V.Seed = M.Seed;
+    V.SeedLen = M.SeedLen;
+  }
   PreparedMark = Scratch.mark();
 }
 
-void WindowedSession::runRung(std::size_t I, RetainedChain *C, Rung From,
-                              std::size_t Rows, ChainProblemView V,
+void WindowedSession::runFrom(std::size_t I, RetainedChain *C,
+                              const SeedPoint &P, ChainProblemView V,
                               const ChainLimits &L, ChainResult &Out) {
   Scratch.rewind(PreparedMark);
-  const bool Capped = V.NumCommits < Obligations.size();
-  // Once the session has retired, every run rides behind the member's
-  // retired prefix as the engine's virtual seed: it is never
-  // re-materialized or re-replayed.
-  const bool Behind = C && WindowBase != 0;
-  if (Behind)
+  // A capped run (the drain's, the fallback's) covers a restriction of the
+  // window: it writes into Out and leaves the chain as it was. Every other
+  // run resumes inside the chain, in place: the chain's buffers are its
+  // output, its ids up to the point are the seed (beyond it, at the
+  // boundary, the run seeds with what prepareMember laid), and its first
+  // P.Rows rows (window [0, P.Rows)) are pre-committed, so only the
+  // obligations after them need placing. What lies past the point is set
+  // aside in the arena, below everything the run allocates, and put back if
+  // the run fails.
+  const bool InPlace = V.NumCommits == Obligations.size();
+  // Behind a retired prefix a run rides behind it as the engine's virtual
+  // seed: it is never re-materialized or re-replayed.
+  if (C)
     V.SeedBase = C->RetiredLen;
-  // The frontier's rows are the whole chain; they must commit exactly a
-  // window prefix to be pre-committed by position. One that does not is
-  // searched from the root (defense in depth — reset() drops every chain;
-  // the cut rung's rows passed foldMask's alignment already).
-  if (From == Rung::Frontier &&
-      !Obligations.commitsPrefix(C->Commits.data(), Rows))
-    From = Rung::Root;
-  // The snapshot a run adopts when it must not consume the chain's own
-  // state: the cut, or the retired boundary for a root run behind it. On
-  // Yes it becomes the chain's replay state; on failure the original
-  // survives untouched.
+  const std::size_t Kept = P.Len - V.SeedBase;
+  // The state the run adopts: the chain end's in place (a Yes moves it to
+  // the new leaf), a shorter point's as a clone, so that the point outlives
+  // the run. Without one (the boundary before any retirement) an in-place
+  // run hands the engine the chain end's to capture its leaf into; the
+  // engine adopts it only when it sits at the seed's end, as for a slin
+  // chain that is exactly the init LCP.
   FrontierState Adopt;
-  const bool Resumed = From != Rung::Root;
-  // A resumed rung's chain past its seed point, kept in the arena below
-  // everything the run allocates.
+  FrontierState *Retained = &Adopt;
+  if (P.State && P.State != &C->Replay)
+    Adopt = P.State->snapshot();
+  else
+    Retained = InPlace ? &C->Replay : nullptr;
   InputId *TailIds = nullptr;
   std::pair<std::size_t, std::size_t> *TailRows = nullptr;
   std::size_t NumTailIds = 0, NumTailRows = 0;
-  if (Resumed) {
-    // Resume inside the retained chain, in place: the chain's own buffers
-    // are the run's output, its prefix up to the seed point is the seed,
-    // its first Rows rows (window [0, Rows)) are pre-committed, and the
-    // engine adopts the replay state at the seed's end, so only the
-    // obligations after it need placing. What lies past a cut is set
-    // aside first and put back if the rung fails.
-    const std::size_t SeedLen =
-        (From == Rung::Frontier ? C->RetiredLen + C->Master.size()
-                                : C->Cut->Len) -
-        C->RetiredLen;
-    NumTailIds = C->Master.size() - SeedLen;
-    NumTailRows = C->Commits.size() - Rows;
+  if (InPlace) {
+    NumTailIds = C->Master.size() - Kept;
+    NumTailRows = C->Commits.size() - P.Rows;
     TailIds = Scratch.allocArray<InputId>(NumTailIds);
-    TailRows = Scratch.allocArray<std::pair<std::size_t, std::size_t>>(
-        NumTailRows);
+    TailRows =
+        Scratch.allocArray<std::pair<std::size_t, std::size_t>>(NumTailRows);
     std::copy(C->Master.end() - static_cast<std::ptrdiff_t>(NumTailIds),
               C->Master.end(), TailIds);
     std::copy(C->Commits.end() - static_cast<std::ptrdiff_t>(NumTailRows),
               C->Commits.end(), TailRows);
     Out.Master.swap(C->Master);
     Out.Commits.swap(C->Commits);
-    V.Seed = Out.Master.data();
-    V.SeedLen = SeedLen;
+    if (Kept) {
+      V.Seed = Out.Master.data();
+      V.SeedLen = Kept;
+    }
     V.SeedRows = Out.Commits.data();
-    V.NumSeedRows = Rows;
-    V.SeedCommitted = Rows == 64 ? ~0ull : (1ull << Rows) - 1;
-    if (From == Rung::Cut) {
-      Adopt = C->Cut->snapshot();
-      V.Retained = &Adopt;
-    } else {
-      V.Retained = &C->Replay;
-    }
-  } else {
-    // From the root: a capped run's leaf covers a restriction, so it must
-    // not replace the chain's replay state. An uncapped run builds a new
-    // chain beside the old one, in buffers as large as the old one's.
-    if (Behind) {
-      Adopt = C->RetiredBoundary.snapshot();
-      V.Seed = nullptr;
-      V.SeedLen = 0;
-    }
-    V.Retained = Behind ? &Adopt : Capped || !C ? nullptr : &C->Replay;
-    if (!Capped) {
-      ++Stats.RootSearches; // Capped runs are the drain's and the fallback's.
-      if (C) {
-        Out.Master.reserve(C->Master.capacity());
-        Out.Commits.reserve(C->Commits.capacity());
-      }
-    }
+    V.NumSeedRows = P.Rows;
+    V.SeedCommitted = P.Rows == 64 ? ~0ull : (1ull << P.Rows) - 1;
   }
+  V.Retained = Retained;
   ChainSearch(Interner, Memo, Scratch).run(V, L, memberSalt(I), Out);
   Stats.Search.accumulate(Out.Stats);
-  const bool Yes = Out.Outcome == Verdict::Yes;
-  if (Yes && C && !Capped && V.Retained == &Adopt)
-    C->Replay = std::move(Adopt); // The accepting leaf is the new frontier.
-  if (Resumed) {
-    // A failed run left the seed in place; put back what followed it.
-    if (!Yes) {
-      Out.Master.insert(Out.Master.end(), TailIds, TailIds + NumTailIds);
-      Out.Commits.insert(Out.Commits.end(), TailRows, TailRows + NumTailRows);
-    }
-    Out.Master.swap(C->Master);
-    Out.Commits.swap(C->Commits);
-  } else if (C && !Capped) {
-    // A root search's accepting chain is a new one: it replaces the old
-    // chain, whose cut no longer describes it. Either way the buffers left
-    // in Out are freed, so a session keeps one chain's worth.
-    if (Yes) {
+  if (!InPlace)
+    return;
+  if (Out.Outcome == Verdict::Yes) {
+    // The accepting leaf is the chain's new end; a cut past the point no
+    // longer describes the chain.
+    if (Retained == &Adopt)
+      C->Replay = std::move(Adopt);
+    if (C->Cut && C->Cut->Len > P.Len)
       C->Cut.reset();
-      Out.Master.swap(C->Master);
-      Out.Commits.swap(C->Commits);
-    }
-    Out.Master = decltype(Out.Master)();
-    Out.Commits = decltype(Out.Commits)();
+  } else {
+    // A failed run left the seed (a refused one, the whole chain); put
+    // back what followed the point.
+    Out.Master.resize(Kept);
+    Out.Commits.resize(P.Rows);
+    Out.Master.insert(Out.Master.end(), TailIds, TailIds + NumTailIds);
+    Out.Commits.insert(Out.Commits.end(), TailRows, TailRows + NumTailRows);
   }
+  Out.Master.swap(C->Master);
+  Out.Commits.swap(C->Commits);
 }
 
 bool WindowedSession::fastStep(const LinCheckOptions &L, LinCheckResult &R) {
@@ -1068,31 +1029,19 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
     return seal(R);
   }
   std::uint64_t Spent = 0;
-  LinCheckOptions Avail = Limits; // What the search rungs may still spend.
+  LinCheckOptions Avail = Limits; // What the ladder may still spend.
   if (overflowed()) {
     // Overflow excursion: drain what the cut allows (a no-op O(clients)
     // check while a straggler pins it); whatever still exceeds the limit
     // is graded by the bounded fallback or reported structurally. Drain,
-    // fallback and the searches below share the verdict's budgets.
+    // fallback and the ladder below share the verdict's budgets.
     const auto Start = budgetStart(Limits);
-    DrainOutcome D;
-    if (!PinnedByAborts)
-      D = drainOverflow(Limits, Spent, Start);
+    const bool Decided =
+        !PinnedByAborts && drainOverflow(Limits, Spent, Start, R);
     R.NodesExplored = Spent;
-    if (D.ConclusiveNo) {
-      R.Outcome = Verdict::No;
-      R.Reason = CachedReason;
-      return seal(R);
-    }
-    if (overflowed()) {
-      R.Outcome = Verdict::Unknown;
-      if (D.BudgetStopped) {
-        // Retryable exhaustion, not the structural state.
-        R.Reason = std::move(D.BudgetReason);
-        R.BudgetLimited = true;
-      } else if (D.RetiredNo) {
-        R.Reason = WindowRetiredReason;
-      } else if (!boundedFallback(Limits, Spent, Start, R)) {
+    if (Decided || overflowed()) {
+      if (!Decided && !boundedFallback(Limits, Spent, Start, R)) {
+        R.Outcome = Verdict::Unknown;
         R.Reason =
             PinnedByAborts ? WindowAbortPinnedReason : WindowOverflowReason;
       }
@@ -1129,12 +1078,13 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
   if (fastStep(Avail, R))
     return seal(R);
 
-  // Per member, three rungs: resume at its retained accepting leaf; on a
-  // No there, resume at the chain's last aligned quiescent cut, which
-  // reopens only what the new responses are concurrent with; on a No
-  // there too, search from the root. A No from a resumed rung only rules
-  // out its subtree, so only the root rung concludes one; a Yes from any
-  // rung is a complete witness. The rungs share the verdict's budget.
+  // Per member, the seed points of its chain, longest first: its end (the
+  // accepting leaf), its last aligned quiescent cut, which reopens only
+  // what the new responses are concurrent with, and its boundary (the
+  // root, behind the retired prefix if any). A No from a longer point only
+  // rules out what lies past it, so only the boundary concludes one; a Yes
+  // from any point is a complete witness. The points share one prepared
+  // view, and each runs on what the longer ones left of the budget.
   R.Outcome = Verdict::Yes;
   R.NodesExplored = Spent;
   bool Polluted = false;
@@ -1147,7 +1097,6 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
     const bool IsFresh = !C;
     if (IsFresh)
       C = &Fresh;
-    const ChainLimits Budget{Avail.NodeBudget, Avail.TimeBudgetMillis};
     ChainResult Run;
     if (WindowBase != 0 && (IsFresh || C->RetiredRows != WindowBase)) {
       // A member without a chain at the retirement depth cannot validate
@@ -1156,35 +1105,42 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
       Run.Outcome = Verdict::Unknown;
       Run.Reason = WindowRetiredReason;
     } else {
-      // The rungs share one prepared view and the verdict's budget.
       const auto Start = budgetStart(Avail);
       ChainProblemView V;
       prepareMember(I, Obligations.size(), V);
-      if (C->Master.empty()) {
-        runRung(I, C, Rung::Root, 0, V, Budget, Run);
-      } else {
-        ++Stats.FrontierResumes;
-        runRung(I, C, Rung::Frontier, C->Commits.size(), V, Budget, Run);
-        std::uint64_t Resumed = Run.Stats.Nodes;
-        // The next rung runs on what the previous ones left of the budget.
-        auto Next = [&](Rung From, std::size_t Rows) {
-          BudgetSplit Split = splitBudget(Resumed, Start, Avail);
-          if (Split.Exhausted) {
-            Run = budgetUnknown(Split.Reason, Resumed);
-            return;
-          }
-          runRung(I, C, From, Rows, V, Split.Rest, Run);
-          Run.Stats.Nodes += Resumed;
-          Resumed = Run.Stats.Nodes;
-        };
-        if (Run.Outcome == Verdict::No)
-          if (const std::size_t Rows = advanceCut(*C)) {
-            Next(Rung::Cut, Rows);
-            if (Run.Outcome == Verdict::Yes)
-              ++Stats.CutResumes;
-          }
-        if (Run.Outcome == Verdict::No)
-          Next(Rung::Root, 0);
+      const SeedPoint Boundary = boundaryPoint(C);
+      // The end's rows are the whole chain; they must commit exactly a
+      // window prefix to be pre-committed by position (defense in depth —
+      // reset() drops every chain; the cut's rows pass foldMask's
+      // alignment).
+      SeedPoint P = Boundary;
+      if (!C->Master.empty() &&
+          Obligations.commitsPrefix(C->Commits.data(), C->Commits.size()))
+        P = {C->Commits.size(), C->RetiredLen + C->Master.size(), &C->Replay};
+      ChainLimits Budget{Avail.NodeBudget, Avail.TimeBudgetMillis};
+      for (std::uint64_t Nodes = 0;;) {
+        const bool AtEnd = P.State == &C->Replay;
+        const bool AtBoundary = P.State == Boundary.State;
+        if (AtEnd)
+          ++Stats.FrontierResumes;
+        if (AtBoundary)
+          ++Stats.RootSearches;
+        runFrom(I, C, P, V, Budget, Run);
+        Run.Stats.Nodes += Nodes;
+        Nodes = Run.Stats.Nodes;
+        if (Run.Outcome == Verdict::Yes && !AtEnd && !AtBoundary)
+          ++Stats.CutResumes;
+        if (Run.Outcome != Verdict::No || AtBoundary)
+          break;
+        const std::optional<SeedPoint> Cut =
+            AtEnd ? advanceCut(*C) : std::nullopt;
+        P = Cut ? *Cut : Boundary;
+        const BudgetSplit Split = splitBudget(Nodes, Start, Avail);
+        if (Split.Exhausted) {
+          Run = budgetUnknown(Split.Reason, Nodes);
+          break;
+        }
+        Budget = Split.Rest;
       }
     }
     if (Run.Outcome == Verdict::No)

@@ -17,17 +17,25 @@
 ///   * the quiescent cut and the fold at the largest response-aligned
 ///     prefix common to every member's chain (retireQuiescentPrefix);
 ///   * overflow recovery (drainOverflow) and the graded pinned-excursion
-///     fallback (boundedFallback);
+///     fallback (boundedFallback), which share one capped sub-search from
+///     each member's boundary (cappedRun);
 ///   * the one-new-obligation fast step, which decides the steady-state
 ///     verdict in-session with the checks the engine's one commit move
 ///     would make, bit-identical in verdicts, node counts and retained
 ///     state;
 ///   * the budget-split verdict ladder: absorbed No, overflow, absorbed
-///     Yes, fast step, then per member a resume at its chain's accepting
-///     leaf, a resume at the chain's last aligned quiescent cut and a root
-///     search, and the WindowRetired shaping of a No behind a retired
-///     prefix;
+///     Yes, fast step, then per member a walk over its chain's *seed
+///     points*, longest first, and the WindowRetired shaping of a No behind
+///     a retired prefix;
 ///   * reset and the footprint of all of the above.
+///
+/// A seed point is a chain prefix plus the ADT state reached there — all a
+/// resume needs (Bouajjani et al., reducing linearizability to state
+/// reachability). A chain has three: its end (the accepting leaf), its last
+/// aligned quiescent cut and its boundary (the end of its retired prefix,
+/// or the root). Every run of the session core, resumed or capped, starts
+/// at one of them through one primitive (runFrom); only the boundary
+/// concludes a No.
 ///
 /// The core also owns every retained chain: one table keyed by member key,
 /// recycled least-recently-used, from which each member's chain and memo
@@ -51,6 +59,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -298,15 +307,15 @@ struct RetainedChain {
   std::vector<std::pair<std::size_t, History>> Aborts;
   std::uint64_t LastTouch = 0; ///< LRU stamp (the core's chain table).
   /// Replay state at the chain's last aligned quiescent cut (absolute
-  /// length Cut->Len), which the cut rung of the verdict ladder adopts a
-  /// clone of. A soft boundary: the obligations before it stay in the live
-  /// window. Created and advanced lazily, only when a verdict misses the
-  /// frontier, by the chain ids between the old cut and the new one (each
-  /// input is applied once while the chain prefix stands), so a chain that
-  /// never misses carries a null pointer. Valid while the chain's prefix
-  /// up to Cut->Len is unchanged: dropped by a root-search Yes (a new
-  /// chain) and the drain's chain reset, and rebuilt from the retired
-  /// boundary once a fold passes it.
+  /// length Cut->Len): the state of its cut seed point, which a run from
+  /// there adopts a clone of. A soft boundary: the obligations before it
+  /// stay in the live window. Created and advanced lazily, only when a
+  /// verdict misses the chain's end, by the chain ids between the old cut
+  /// and the new one (each input is applied once while the chain prefix
+  /// stands), so a chain that never misses carries a null pointer. Valid
+  /// while the chain's prefix up to Cut->Len is unchanged: dropped by a Yes
+  /// from a shorter point (a new chain past it) and the drain's chain
+  /// reset, and rebuilt from the retired boundary once a fold passes it.
   std::unique_ptr<FrontierState> Cut;
 
   std::size_t memoryBytes() const;
@@ -362,7 +371,8 @@ protected:
     /// (null: the core publishes it).
     const CommitObligation *Commits = nullptr;
     const std::int32_t *const *AvailOverride = nullptr;
-    const InputId *Seed = nullptr; ///< Used for runs from the root only.
+    /// Seeds runs from the boundary point before anything retired.
+    const InputId *Seed = nullptr;
     std::size_t SeedLen = 0;
     const std::function<bool(const History &)> *AcceptLeaf = nullptr;
     bool SequenceSensitive = false;
@@ -377,8 +387,9 @@ protected:
   /// equal keys share a chain. Valid after members().
   virtual std::uint64_t memberKey(std::size_t I) const = 0;
   /// Fills \p M for the runs of member I over the first \p NumOb
-  /// obligations (once per member and verdict, shared by every rung); runs
-  /// right after the scratch arena is reset and may intern inputs.
+  /// obligations (once per member and verdict, shared by every seed
+  /// point); runs right after the scratch arena is reset and may intern
+  /// inputs.
   virtual void prepareRun(std::size_t I, std::size_t NumOb, MemberRun &M) {
     (void)I, (void)NumOb, (void)M;
   }
@@ -477,12 +488,19 @@ protected:
 
 private:
   using Clock = std::chrono::steady_clock;
-  struct DrainOutcome {
-    bool ConclusiveNo = false; ///< A sub-No with nothing retired (cached).
-    bool RetiredNo = false;    ///< A sub-No behind a retired prefix.
-    bool BudgetStopped = false;
-    std::string BudgetReason;
+  /// A seed point of a member's chain (see the file comment): the chain's
+  /// first Rows rows pre-committed (window [0, Rows)), the absolute master
+  /// length Len there, and the replay state at Len — Replay at the end, Cut
+  /// at the cut, RetiredBoundary at the boundary (none before any
+  /// retirement: a run from there replays the seed prepareRun laid).
+  struct SeedPoint {
+    std::size_t Rows = 0;
+    std::size_t Len = 0;
+    FrontierState *State = nullptr;
   };
+  /// How a capped sub-search ended: a sub-Yes, a verdict it decided, or a
+  /// structural Unknown that decides nothing.
+  enum class SubRun { Yes, Decided, Structural };
 
   /// Member I's retained chain (stamped as recently used), or null.
   RetainedChain *chain(std::size_t I);
@@ -504,31 +522,36 @@ private:
                  std::size_t K);
   void foldWindow(std::size_t K);
   void retireQuiescentPrefix();
-  DrainOutcome drainOverflow(const LinCheckOptions &L, std::uint64_t &Spent,
-                             Clock::time_point Start);
+  /// Member I's capped sub-search over the first WindowLimit obligations
+  /// from its boundary point, on what the verdict's budget has left (\p
+  /// Spent since \p Start), into \p Out; a verdict it decides goes to \p R.
+  SubRun cappedRun(std::size_t I, RetainedChain *C, const LinCheckOptions &L,
+                   std::uint64_t &Spent, Clock::time_point Start,
+                   ChainResult &Out, LinCheckResult &R);
+  /// Retires an overflowed window by capped sub-searches; returns whether
+  /// one of them decided the verdict into \p R.
+  bool drainOverflow(const LinCheckOptions &L, std::uint64_t &Spent,
+                     Clock::time_point Start, LinCheckResult &R);
   bool boundedFallback(const LinCheckOptions &L, std::uint64_t &Spent,
                        Clock::time_point Start, LinCheckResult &R);
   void cacheNo(ChainResult &Sub);
   bool fastStep(const LinCheckOptions &L, LinCheckResult &R);
-  /// Where a member's run starts: at its chain's accepting leaf, at the
-  /// chain's last aligned quiescent cut (RetainedChain::Cut), or at the
-  /// root (behind the retired prefix, if any).
-  enum class Rung { Frontier, Cut, Root };
-  /// Moves \p C's cut state to the chain's last aligned quiescent cut and
-  /// returns the number of chain rows before it; 0 when the cut rung does
-  /// not apply (aborts pin the window, no aligned prefix qualifies, or it
-  /// is the whole chain).
-  std::size_t advanceCut(RetainedChain &C);
+  /// \p C's boundary point (the root, when \p C is null or retired nothing).
+  static SeedPoint boundaryPoint(RetainedChain *C);
+  /// Materializes \p C's cut point: moves its cut state to the chain's last
+  /// aligned quiescent cut. None when the point does not apply (aborts pin
+  /// the window, no aligned prefix qualifies, or it is the whole chain).
+  std::optional<SeedPoint> advanceCut(RetainedChain &C);
   /// Builds member I's problem over the first \p NumOb obligations into
   /// \p V: resets the scratch arena, runs prepareRun, publishes the window
-  /// and marks the arena. Every rung of one verdict runs over the view.
+  /// and marks the arena. Every point of one verdict runs over the view.
   void prepareMember(std::size_t I, std::size_t NumOb, ChainProblemView &V);
-  /// Runs member I over \p V (from prepareMember) from rung \p From into
-  /// \p Out, rewinding the arena to the prepared mark first. A resumed
-  /// rung pre-commits the chain's first \p Rows rows and runs in the
-  /// chain's own buffers (Out.Master/Commits are left as they were). An
-  /// uncapped root rung's Yes moves its chain into \p C.
-  void runRung(std::size_t I, RetainedChain *C, Rung From, std::size_t Rows,
+  /// Runs member I over \p V (from prepareMember) from seed point \p P of
+  /// \p C into \p Out, rewinding the arena to the prepared mark first. A
+  /// run over the whole window runs in the chain's own buffers (Out's are
+  /// left as they were) and on Yes becomes the chain; a capped one writes
+  /// into Out.
+  void runFrom(std::size_t I, RetainedChain *C, const SeedPoint &P,
                ChainProblemView V, const ChainLimits &L, ChainResult &Out);
 
   std::uint64_t TouchCounter = 0; ///< LRU clock of the chain table.

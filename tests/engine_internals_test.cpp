@@ -1699,8 +1699,8 @@ TEST(IncrementalSessionTest, SlinOverflowDrainWithInitActionsSeedsTheLcp) {
 }
 
 //===----------------------------------------------------------------------===//
-// The cut rung: a verdict that misses the frontier resumes at the chain's
-// last aligned quiescent cut before it searches from the root.
+// The cut point: a verdict that misses the chain's end resumes at the
+// chain's last aligned quiescent cut before it runs from the boundary.
 //===----------------------------------------------------------------------===//
 
 namespace {

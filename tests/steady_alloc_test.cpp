@@ -291,10 +291,10 @@ TEST(SteadyAlloc, SlinSearchingFootprintTracksMeasuredLiveBytes) {
 // The miss path's heap contract: on shuffled one-write register rounds (the
 // reorder-slin-256 shape) about a sixth of the verdicts miss the fast step
 // and walk the verdict ladder. Once warm, a missed verdict may allocate
-// little more than the cut rung's snapshot of the cut state (its ADT clone
+// little more than the cut point's snapshot of the cut state (its ADT clone
 // and its used counts): the search's per-node buffers live in the scratch
-// arena, and resumed rungs write the chain's master and commit rows into
-// the chain's own vectors. The memo is capped at its initial array so that
+// arena, and every seed point's run writes the chain's master and commit
+// rows into the chain's own vectors. The memo is capped at its initial array so that
 // its geometric growth, a cost of the table and not of a miss, stays out
 // of the count.
 TEST(SteadyAlloc, SlinMissPathAllocations) {

@@ -815,12 +815,12 @@ void WindowedSession::runFrom(std::size_t I, RetainedChain *C,
   // A capped run (the drain's, the fallback's) covers a restriction of the
   // window: it writes into Out and leaves the chain as it was. Every other
   // run resumes inside the chain, in place: the chain's buffers are its
-  // output, its ids up to the point are the seed (beyond it, at the
-  // boundary, the run seeds with what prepareMember laid), and its first
-  // P.Rows rows (window [0, P.Rows)) are pre-committed, so only the
-  // obligations after them need placing. What lies past the point is set
-  // aside in the arena, below everything the run allocates, and put back if
-  // the run fails.
+  // output, its ids up to the point are the seed (the boundary keeps none
+  // of them and seeds with what prepareMember laid), and its first P.Rows
+  // rows (window [0, P.Rows)) are pre-committed, so only the obligations
+  // after them need placing. What lies past the point is set aside in the
+  // arena, below everything the run allocates, and put back if the run
+  // fails.
   const bool InPlace = V.NumCommits == Obligations.size();
   // Behind a retired prefix a run rides behind it as the engine's virtual
   // seed: it is never re-materialized or re-replayed.
@@ -846,8 +846,8 @@ void WindowedSession::runFrom(std::size_t I, RetainedChain *C,
     NumTailIds = C->Master.size() - Kept;
     NumTailRows = C->Commits.size() - P.Rows;
     TailIds = Scratch.allocArray<InputId>(NumTailIds);
-    TailRows =
-        Scratch.allocArray<std::pair<std::size_t, std::size_t>>(NumTailRows);
+    TailRows = Scratch.allocArray<std::pair<std::size_t, std::size_t>>(
+        NumTailRows);
     std::copy(C->Master.end() - static_cast<std::ptrdiff_t>(NumTailIds),
               C->Master.end(), TailIds);
     std::copy(C->Commits.end() - static_cast<std::ptrdiff_t>(NumTailRows),

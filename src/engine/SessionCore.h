@@ -523,8 +523,9 @@ private:
   void foldWindow(std::size_t K);
   void retireQuiescentPrefix();
   /// Member I's capped sub-search over the first WindowLimit obligations
-  /// from its boundary point, on what the verdict's budget has left (\p
-  /// Spent since \p Start), into \p Out; a verdict it decides goes to \p R.
+  /// from its boundary point, on what the verdict's budget has left
+  /// (\p Spent since \p Start), into \p Out; a verdict it decides goes to
+  /// \p R.
   SubRun cappedRun(std::size_t I, RetainedChain *C, const LinCheckOptions &L,
                    std::uint64_t &Spent, Clock::time_point Start,
                    ChainResult &Out, LinCheckResult &R);

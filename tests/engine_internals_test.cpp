@@ -169,14 +169,11 @@ TEST(TranspositionTest, NoSlotArrayUntilTheFirstInsert) {
   TranspositionTable T;
   EXPECT_EQ(T.memoryBytes(), 0u);
   EXPECT_EQ(T.capacity(), 0u);
-  // Probing an empty table misses, is counted, and allocates nothing.
+  // Probing an empty table misses and allocates nothing.
   T.prefetch(42);
   EXPECT_FALSE(T.contains(42));
   EXPECT_FALSE(T.contains(0));
-  EXPECT_EQ(T.stats().Misses, 2u);
-  EXPECT_EQ(T.stats().Hits, 0u);
-  EXPECT_EQ(T.memoryBytes(), 0u);
-  T.clear();
+  EXPECT_EQ(T.liveKeys(), 0u);
   EXPECT_EQ(T.memoryBytes(), 0u);
 
   T.insert(42);
@@ -213,8 +210,10 @@ TEST(TranspositionTest, InsertThenContains) {
   EXPECT_FALSE(T.contains(42));
   T.insert(42);
   EXPECT_TRUE(T.contains(42));
-  EXPECT_GE(T.stats().Inserts, 1u);
-  EXPECT_GE(T.stats().Hits, 1u);
+  EXPECT_EQ(T.liveKeys(), 1u);
+  // A second store of the same key takes no second slot.
+  T.insert(42);
+  EXPECT_EQ(T.liveKeys(), 1u);
 }
 
 TEST(TranspositionTest, ZeroKeyIsStorable) {
@@ -241,27 +240,22 @@ TEST(TranspositionTest, CapacityIsBoundedAndReplacementKeepsNewKeys) {
   // grow it past the bound nor ever fail to record the newest key.
   TranspositionTable T(/*MaxCapacity=*/64);
   Rng R(0xCAFE);
-  std::uint64_t Last = 0;
+  std::vector<std::uint64_t> Keys;
   for (int I = 0; I != 4096; ++I) {
-    Last = R.next();
-    T.insert(Last);
+    Keys.push_back(R.next());
+    T.insert(Keys.back());
     // Always-replace: the key just inserted is always findable, even when
     // its probe window was full and a victim was evicted.
-    EXPECT_TRUE(T.contains(Last));
+    EXPECT_TRUE(T.contains(Keys.back()));
   }
-  EXPECT_LE(T.capacity(), 64u);
+  EXPECT_EQ(T.capacity(), 64u);
   EXPECT_LE(T.liveKeys(), T.capacity());
-  EXPECT_GT(T.stats().Evictions, 0u);
-}
-
-TEST(TranspositionTest, ClearForgetsEverything) {
-  TranspositionTable T;
-  for (std::uint64_t K = 1; K <= 100; ++K)
-    T.insert(K);
-  T.clear();
-  EXPECT_EQ(T.liveKeys(), 0u);
-  for (std::uint64_t K = 1; K <= 100; ++K)
-    EXPECT_FALSE(T.contains(K));
+  // Stores past a full window overwrote older keys: at most a table's worth
+  // of the 4,096 is still found.
+  std::size_t Found = 0;
+  for (std::uint64_t K : Keys)
+    Found += T.contains(K);
+  EXPECT_LE(Found, T.capacity());
 }
 
 //===----------------------------------------------------------------------===//
@@ -1978,4 +1972,184 @@ TEST(CutRungTest, SlinRootYesInvalidatesTheCut) {
   SlinCheckOptions O;
   O.WantWitness = false;
   expectRootYesInvalidatesTheCut(Inc, O);
+}
+
+//===----------------------------------------------------------------------===//
+// Budget stops inside an overflow excursion: the bounded fallback's and the
+// drain's capped sub-searches share the verdict's node budget with the
+// ladder that follows them.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The straggler shape of the drain and fallback tests above: a write
+/// invoked first stays open over 70 sequential register operations (the cut
+/// pins past the window, and the bounded fallback grades the excursion),
+/// then responds (the drain retires the backlog), then 5 more operations.
+Trace stragglerExcursion() {
+  RegisterAdt Reg;
+  std::unique_ptr<AdtState> Model = Reg.makeState();
+  Trace T;
+  auto Op = [&](ClientId C, const Input &In) {
+    T.push_back(makeInvoke(C, 1, In));
+    T.push_back(makeRespond(C, 1, In, Model->apply(In)));
+  };
+  T.push_back(makeInvoke(63, 1, reg::write(9)));
+  for (unsigned K = 0; K != 70; ++K)
+    Op(K % 4, K % 3 ? reg::write(static_cast<std::int64_t>(1 + K % 3))
+                    : reg::read());
+  T.push_back(makeRespond(63, 1, reg::write(9), Model->apply(reg::write(9))));
+  for (unsigned K = 0; K != 5; ++K)
+    Op(K % 4, reg::write(static_cast<std::int64_t>(K)));
+  return T;
+}
+
+/// The family drain shape of SlinOverflowDrainWithInitActionsSeedsTheLcp:
+/// two init actions make the consensus relation's interpretation family
+/// nontrivial, then 80 decides overflow the window, then 3 re-proposals of
+/// the decided value follow the drain.
+Trace familyExcursion() {
+  Trace T = {
+      makeSwitch(1, 2, cons::proposeBy(5, 1), SwitchValue{5}),
+      makeRespond(1, 2, cons::proposeBy(5, 1), cons::decide(5)),
+      makeSwitch(2, 2, cons::proposeBy(5, 2), SwitchValue{5}),
+      makeRespond(2, 2, cons::proposeBy(5, 2), cons::decide(5))};
+  auto Op = [&](const Input &In) {
+    T.push_back(makeInvoke(2, 2, In));
+    T.push_back(makeRespond(2, 2, In, cons::decide(5)));
+  };
+  for (unsigned K = 0; K != 80; ++K)
+    Op(cons::proposeBy(100 + static_cast<std::int64_t>(K), 2));
+  for (unsigned K = 0; K != 3; ++K)
+    Op(cons::proposeBy(5, 2));
+  return T;
+}
+
+/// Session counters the excursion verdicts move, summed over sessions.
+struct ExcursionWork {
+  std::uint64_t Nodes = 0, BoundedYes = 0, RetiredUnknowns = 0;
+
+  void add(const SessionStats &S) {
+    Nodes += S.Search.Nodes;
+    BoundedYes += S.BoundedYesVerdicts;
+    RetiredUnknowns += S.WindowRetiredUnknowns;
+  }
+};
+
+void expectExcursionWork(const ExcursionWork &Got, const ExcursionWork &Want,
+                         const char *What) {
+  EXPECT_EQ(Got.Nodes, Want.Nodes) << What;
+  EXPECT_EQ(Got.BoundedYes, Want.BoundedYes) << What;
+  EXPECT_EQ(Got.RetiredUnknowns, Want.RetiredUnknowns) << What;
+}
+
+/// Streams \p T through a session made by \p Make with a full-budget
+/// verdict after every event from index \p FirstVerdict on. At every
+/// verdict taken while the window is overflowed (the bounded fallback's and
+/// the drain's), it replays the stream so far into a fresh session once
+/// per budget in {1, 2, 4, 8, 16} and once per other budget up to the full
+/// verdict's node count, so the budget runs out inside each capped
+/// sub-search, between them, and in the ladder after the drain. Each
+/// budgeted verdict equals the full one or is a budget-limited Unknown, and
+/// the full-budget verdict after it equals the full one. Returns the
+/// streamed session's counters and the replays' sums.
+template <typename Options, typename MakeSession>
+std::pair<ExcursionWork, ExcursionWork>
+expectBudgetStopsInExcursion(const Trace &T, std::size_t FirstVerdict,
+                             const Options &O, MakeSession Make) {
+  ExcursionWork Stream, Replays;
+  auto Twin = Make();
+  std::size_t Excursions = 0;
+  for (std::size_t I = 0; I != T.size(); ++I) {
+    EXPECT_TRUE(bool(Twin->append(T[I])));
+    if (I < FirstVerdict)
+      continue;
+    const bool Excursion = Twin->overflowed();
+    const auto Want = Twin->verdict(O);
+    if (!Excursion)
+      continue;
+    ++Excursions;
+    std::vector<std::uint64_t> Budgets = {1, 2, 4, 8, 16};
+    for (std::uint64_t B = 1; B <= Want.NodesExplored; ++B)
+      if (B > 16 || (B & (B - 1)))
+        Budgets.push_back(B);
+    for (std::uint64_t Budget : Budgets) {
+      SCOPED_TRACE(testing::Message() << "event " << I << " budget " << Budget);
+      auto S = Make();
+      for (std::size_t J = 0; J != I; ++J) {
+        EXPECT_TRUE(bool(S->append(T[J])));
+        if (J >= FirstVerdict)
+          S->verdict(O);
+      }
+      EXPECT_TRUE(bool(S->append(T[I])));
+      Options Tight = O;
+      setNodeBudget(Tight, Budget);
+      const auto V = S->verdict(Tight);
+      if (V.BudgetLimited) {
+        EXPECT_EQ(V.Outcome, Verdict::Unknown);
+      } else {
+        EXPECT_EQ(V.Outcome, Want.Outcome);
+        EXPECT_EQ(V.Grade, Want.Grade);
+        EXPECT_EQ(V.Reason, Want.Reason);
+      }
+      const auto After = S->verdict(O);
+      EXPECT_EQ(After.Outcome, Want.Outcome);
+      EXPECT_EQ(After.Grade, Want.Grade);
+      EXPECT_EQ(After.Reason, Want.Reason);
+      Replays.add(S->stats());
+    }
+  }
+  EXPECT_GT(Excursions, 0u);
+  EXPECT_FALSE(Twin->overflowed());
+  EXPECT_GT(Twin->retiredObligations(), 0u);
+  Stream.add(Twin->stats());
+  return {Stream, Replays};
+}
+
+} // namespace
+
+TEST(IncrementalSessionTest, LinBudgetStopsInsideAnOverflowExcursion) {
+  RegisterAdt Reg;
+  LinCheckOptions O;
+  O.WantWitness = false;
+  const auto [Stream, Replays] =
+      expectBudgetStopsInExcursion(stragglerExcursion(), 0, O, [&] {
+        return std::make_unique<IncrementalLinSession>(Reg);
+      });
+  // The work the streamed verdicts and the budgeted replays did: a budget
+  // stops at the same node whichever path it runs out in.
+  expectExcursionWork(Stream, {204, 11, 0}, "stream");
+  expectExcursionWork(Replays, {41033, 1221, 0}, "replays");
+}
+
+TEST(IncrementalSessionTest, SlinBudgetStopsInsideAnOverflowExcursion) {
+  RegisterAdt Reg;
+  PhaseSignature Sig(1, 2);
+  UniversalInitRelation Rel;
+  SlinCheckOptions O;
+  O.WantWitness = false;
+  const auto [Stream, Replays] =
+      expectBudgetStopsInExcursion(stragglerExcursion(), 0, O, [&] {
+        return std::make_unique<IncrementalSlinSession>(Reg, Sig, Rel);
+      });
+  expectExcursionWork(Stream, {204, 11, 0}, "stream");
+  expectExcursionWork(Replays, {41033, 1221, 0}, "replays");
+}
+
+TEST(IncrementalSessionTest, SlinFamilyBudgetStopsInsideAnOverflowExcursion) {
+  // The family's members share one count through the drain: a budget can
+  // run out at any member's capped sub-search. Verdicts start at the last
+  // of the 80 decides, which overflowed the window.
+  ConsensusAdt Cons;
+  PhaseSignature Sig(2, 3);
+  ConsensusInitRelation Rel;
+  SlinCheckOptions O;
+  O.WantWitness = false;
+  const Trace T = familyExcursion();
+  const auto [Stream, Replays] =
+      expectBudgetStopsInExcursion(T, T.size() - 7, O, [&] {
+        return std::make_unique<IncrementalSlinSession>(Cons, Sig, Rel);
+      });
+  expectExcursionWork(Stream, {255, 0, 0}, "stream");
+  expectExcursionWork(Replays, {85412, 0, 0}, "replays");
 }

@@ -7,7 +7,6 @@
 #include "engine/ChainSearch.h"
 
 #include <algorithm>
-#include <chrono>
 
 using namespace slin;
 
@@ -78,11 +77,6 @@ public:
         IdHash[Id] = hashValue(Interner.input(Id));
       SeqHash = 0x484953u; // hashValue(History) fold seed.
     }
-    if (Limits.TimeBudgetMillis) {
-      Deadline = std::chrono::steady_clock::now() +
-                 std::chrono::milliseconds(Limits.TimeBudgetMillis);
-      HaveDeadline = true;
-    }
 
     // Bring the search to the end of the seed prefix. Fast path: adopt the
     // caller's retained FrontierState — the ADT state, used counts, and
@@ -151,8 +145,7 @@ public:
     if (BudgetExhausted) {
       Result.Outcome = Verdict::Unknown;
       Result.BudgetLimited = true;
-      Result.Reason = DeadlineExhausted ? "time budget exhausted"
-                                        : "node budget exhausted";
+      Result.Reason = NodeBudgetReason;
       return;
     }
     Result.Outcome = Verdict::No;
@@ -232,11 +225,6 @@ private:
       return atLeaf();
     if (++Stats.Nodes > Limits.NodeBudget) {
       BudgetExhausted = true;
-      return false;
-    }
-    if (HaveDeadline && (Stats.Nodes & 1023u) == 0 &&
-        std::chrono::steady_clock::now() > Deadline) {
-      BudgetExhausted = DeadlineExhausted = true;
       return false;
     }
     const std::uint64_t Seq = SeqHash;
@@ -333,10 +321,7 @@ private:
   std::uint64_t UsedHash = 0;
   std::uint64_t SeqHash = 0; ///< Sequence-hash fold (sequence-sensitive runs).
   ChainStats Stats;
-  std::chrono::steady_clock::time_point Deadline;
-  bool HaveDeadline = false;
   bool BudgetExhausted = false;
-  bool DeadlineExhausted = false;
 };
 
 } // namespace

@@ -32,8 +32,7 @@
 /// instead of cloning the state at every child node.
 ///
 /// Deciding linearizability is NP-complete, so the search is bounded by a
-/// node budget and an optional deadline; exhaustion yields Verdict::Unknown
-/// (never a wrong answer).
+/// node budget; exhaustion yields Verdict::Unknown (never a wrong answer).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -114,9 +113,6 @@ constexpr VerdictGrade gradeFor(Verdict V) {
 struct ChainLimits {
   /// Maximum number of search nodes before giving up with Unknown.
   std::uint64_t NodeBudget = 1u << 22;
-  /// Wall-clock budget in milliseconds; 0 means unlimited. Checked every
-  /// 1024 nodes, so short overshoots are possible.
-  std::uint64_t TimeBudgetMillis = 0;
 };
 
 /// Counters one search run accumulates (a CheckSession aggregates them
@@ -308,6 +304,10 @@ struct ChainProblemView {
   FrontierState *Retained = nullptr;
 };
 
+/// The Unknown reason of a run, or of a resumable session's verdict, whose
+/// node budget ran out.
+inline constexpr char NodeBudgetReason[] = "node budget exhausted";
+
 /// The Unknown reason of a run behind a retired prefix (SeedBase != 0) that
 /// cannot adopt its Retained state: the engine never sees the retired ids,
 /// so it can neither replay them nor fold their sequence hash.
@@ -323,7 +323,7 @@ inline constexpr char RetiredSeedUnavailableReason[] =
 struct ChainResult {
   Verdict Outcome = Verdict::No;
   std::string Reason; ///< Set for Unknown; empty No is the caller's to name.
-  /// True when an Unknown came from exhausting the node or time budget (as
+  /// True when an Unknown came from exhausting the node budget (as
   /// opposed to a structural limit like >64 obligations). Batch drivers use
   /// it to retry such traces one-shot with a fresh session.
   bool BudgetLimited = false;

@@ -79,8 +79,7 @@ SlinCheckResult detail::shapeSlinResult(
   return Result;
 }
 
-CheckSession::CheckSession(const Adt &Type, const SessionOptions &Opts)
-    : Type(Type), Memo(Opts.TranspositionCapacity) {}
+CheckSession::CheckSession(const Adt &Type) : Type(Type) {}
 
 void CheckSession::reset() {
   Interner.clear();
@@ -201,7 +200,7 @@ LinCheckResult CheckSession::runLin(const Trace &T,
   Problem.AlphabetSize = A;
   Problem.Commits = Commits.data();
   Problem.NumCommits = Commits.size();
-  ChainLimits Limits{Opts.NodeBudget, Opts.TimeBudgetMillis};
+  ChainLimits Limits{Opts.NodeBudget};
   ChainSearch Engine(Interner, Memo, Scratch);
   ChainResult R = Engine.run(Problem, Limits, ++RunSerial);
   Stats.Search.accumulate(R.Stats);
@@ -349,7 +348,7 @@ SlinCheckResult CheckSession::runSlinUnder(const Trace &T,
   Problem.SeedLen = Seed.size();
   Problem.SequenceSensitive = !Aborts.empty();
   Problem.AcceptLeaf = &AcceptLeaf;
-  ChainLimits Limits{Opts.Search.NodeBudget, Opts.Search.TimeBudgetMillis};
+  ChainLimits Limits{Opts.Search.NodeBudget};
   ChainSearch Engine(Interner, Memo, Scratch);
   ChainResult R = Engine.run(Problem, Limits, ++RunSerial);
   Stats.Search.accumulate(R.Stats);

@@ -81,13 +81,6 @@ shapeSlinResult(ChainResult R, const InputInterner &Interner,
 
 } // namespace detail
 
-/// Session-level tuning knobs.
-struct SessionOptions {
-  /// Capacity (entries, rounded up to a power of two) of the shared
-  /// transposition table.
-  std::size_t TranspositionCapacity = 1u << 20;
-};
-
 /// Counters aggregated over every check a session ran.
 struct SessionStats {
   std::uint64_t Checks = 0;
@@ -179,7 +172,8 @@ struct SessionStats {
 /// Batched checking context for one ADT.
 class CheckSession {
 public:
-  explicit CheckSession(const Adt &Type, const SessionOptions &Opts = {});
+  /// The session's transposition table holds up to 2^20 entries.
+  explicit CheckSession(const Adt &Type);
 
   const Adt &adt() const { return Type; }
 
@@ -209,7 +203,6 @@ public:
                         const SlinCheckOptions &Opts = {});
 
   const SessionStats &stats() const { return Stats; }
-  const TranspositionStats &memoStats() const { return Memo.stats(); }
 
   /// Restores fresh-session *semantics* while keeping warm storage: the
   /// interner is emptied (dense-id — and thus move exploration — order

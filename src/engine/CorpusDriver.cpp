@@ -85,7 +85,7 @@ CorpusReport drain(const Adt &Type, const CorpusOptions &Opts,
   // node counts while keeping the warm arena blocks, instead of paying a
   // full session construction per retried trace. This makes the result
   // vector independent of thread count and scheduling.
-  CheckSession Retry(Type, Opts.Session);
+  CheckSession Retry(Type);
   for (std::size_t I = 0; I != NumTraces; ++I) {
     CorpusTraceResult &R = Report.Results[I];
     if (R.Outcome != Verdict::Unknown || !R.BudgetLimited)
@@ -116,7 +116,7 @@ template <typename CheckOneFn>
 CorpusReport drainEach(const Adt &Type, const CorpusOptions &Opts,
                        std::size_t NumTraces, const CheckOneFn &CheckOne) {
   return drain(
-      Type, Opts, NumTraces, [&] { return CheckSession(Type, Opts.Session); },
+      Type, Opts, NumTraces, [&] { return CheckSession(Type); },
       [&](CheckSession &Session, std::size_t Begin, std::size_t End,
           std::vector<CorpusTraceResult> &Results) {
         for (std::size_t I = Begin; I != End; ++I)
@@ -149,12 +149,9 @@ CorpusReport CorpusDriver::checkLin(const std::vector<Trace> &Corpus,
                      return Corpus[A] < Corpus[B];
                    });
 
-  IncrementalOptions IncOpts;
-  IncOpts.TranspositionCapacity = Opts.Session.TranspositionCapacity;
-
   return drain(
       Type, Opts, Corpus.size(),
-      [&] { return IncrementalLinSession(Type, IncOpts); },
+      [&] { return IncrementalLinSession(Type); },
       [&](IncrementalLinSession &Inc, std::size_t Begin, std::size_t End,
           std::vector<CorpusTraceResult> &Results) {
         // Chunks land on arbitrary workers: start each from a clean

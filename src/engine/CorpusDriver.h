@@ -63,8 +63,6 @@ struct CorpusOptions {
   /// budget can shift, as with any warm session (the retry pass repairs
   /// that).
   bool SharePrefixes = false;
-  /// Tuning for each worker's session.
-  SessionOptions Session;
 };
 
 /// Per-trace outcome, in corpus order.

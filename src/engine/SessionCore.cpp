@@ -53,56 +53,6 @@ using namespace slin;
 
 namespace {
 
-/// One verdict's budget, split between what already ran and what follows:
-/// given what was spent since \p Start, either reports exhaustion (nothing
-/// more may run) or yields the remaining limits.
-struct BudgetSplit {
-  bool Exhausted = false;
-  const char *Reason = nullptr; ///< Set when Exhausted.
-  ChainLimits Rest;
-};
-
-BudgetSplit splitBudget(std::uint64_t Spent,
-                        std::chrono::steady_clock::time_point Start,
-                        const LinCheckOptions &L) {
-  BudgetSplit S;
-  std::uint64_t ElapsedMs = 0;
-  if (L.TimeBudgetMillis)
-    ElapsedMs = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - Start)
-            .count());
-  if (Spent >= L.NodeBudget ||
-      (L.TimeBudgetMillis && ElapsedMs >= L.TimeBudgetMillis)) {
-    S.Exhausted = true;
-    S.Reason = Spent >= L.NodeBudget ? "node budget exhausted"
-                                     : "time budget exhausted";
-    return S;
-  }
-  // The strict >= guards above keep both remainders >= 1, so a bounded
-  // budget can never collapse to 0 ("unlimited").
-  S.Rest.NodeBudget = L.NodeBudget - Spent;
-  S.Rest.TimeBudgetMillis = L.TimeBudgetMillis ? L.TimeBudgetMillis - ElapsedMs
-                                               : 0;
-  return S;
-}
-
-ChainResult budgetUnknown(const char *Reason, std::uint64_t Nodes) {
-  ChainResult R;
-  R.Outcome = Verdict::Unknown;
-  R.BudgetLimited = true;
-  R.Reason = Reason;
-  R.Stats.Nodes = Nodes;
-  return R;
-}
-
-/// The start of a verdict's time budget; the clock is read only when one
-/// is set (splitBudget reads nothing else).
-std::chrono::steady_clock::time_point budgetStart(const LinCheckOptions &L) {
-  return L.TimeBudgetMillis ? std::chrono::steady_clock::now()
-                            : std::chrono::steady_clock::time_point();
-}
-
 using Rows = std::vector<std::pair<std::size_t, std::size_t>>;
 
 /// Folded with the epoch and the member key into every member's memo salt.
@@ -356,6 +306,18 @@ std::size_t WindowedSession::openCut() const {
   return E;
 }
 
+std::size_t WindowedSession::cutBound(std::size_t FirstUncovered) const {
+  // A fold or a cut must not strand a response no chain covers yet
+  // concurrent with an obligation before it: the pinned prefix might then
+  // admit no completion (the WindowRetired Unknown) where the full search
+  // finds one. So E also stops at the earliest invocation among them — with
+  // a verdict per append nothing is uncovered and this is no limit at all.
+  std::size_t E = openCut();
+  for (std::size_t Q = FirstUncovered; Q < Obligations.size(); ++Q)
+    E = std::min(E, Obligations.invokeIdx(Q));
+  return E;
+}
+
 //===----------------------------------------------------------------------===//
 // The chain table
 //===----------------------------------------------------------------------===//
@@ -487,29 +449,19 @@ void WindowedSession::retireQuiescentPrefix() {
   // budget, so a frozen prefix could not be re-capped.
   if (PinnedByAborts || !HaveResult || Cached != Verdict::Yes)
     return;
-  // Cheap O(clients) early-out before the family walk: a pinned cut can
-  // never fold anything, and it is exactly the case where this runs on
-  // every append while the window stays full.
-  const std::size_t E = openCut();
+  // The responses since the last verdict are the window's last ones, and
+  // no chain covers them yet. Cheap early-out before the family walk: a
+  // pinned cut can never fold anything, and it is exactly the case where
+  // this runs on every append while the window stays full.
+  const std::size_t N = Obligations.size();
+  const std::size_t E = cutBound(N - std::min(NewResponses, N));
   if (Obligations.empty() || Obligations.tag(0) >= E)
     return;
   // The relation's retirement gate: only a window prefix every slot of
   // which is ordered before all open and future operations may fold (the
   // whole window under Strict; a weak relation stops at, e.g., an
   // unflushed TSO response).
-  std::size_t Limit = Order.retirablePrefix(Obligations, Obligations.size());
-  // Responses since the last verdict are in no chain yet. A fold must not
-  // strand one of them concurrent with a folded obligation: the pinned
-  // prefix might then admit no completion (the WindowRetired Unknown)
-  // where the full search finds one. So fold only obligations that
-  // responded before every uncovered one was invoked — with a verdict per
-  // append nothing is uncovered and this is no limit at all.
-  std::size_t FirstUncovered = SIZE_MAX;
-  for (std::size_t Q =
-           Obligations.size() - std::min(NewResponses, Obligations.size());
-       Q != Obligations.size(); ++Q)
-    FirstUncovered = std::min(FirstUncovered, Obligations.invokeIdx(Q));
-  Limit = std::min(Limit, Obligations.lowerBoundTag(FirstUncovered));
+  const std::size_t Limit = Order.retirablePrefix(Obligations, N);
   const std::size_t Members = members();
   if (Limit == 0 || Members == 0)
     return; // An empty family must not retire what nothing re-validates.
@@ -559,11 +511,10 @@ void WindowedSession::cacheNo(ChainResult &Sub) {
 
 WindowedSession::SubRun
 WindowedSession::cappedRun(std::size_t I, RetainedChain *C,
-                           const LinCheckOptions &L, std::uint64_t &Spent,
-                           Clock::time_point Start, ChainResult &Out,
+                           std::uint64_t &Left, ChainResult &Out,
                            LinCheckResult &R) {
   // Member I over the first WindowLimit obligations (see *Restriction*),
-  // from its boundary point, on what the verdict's budget has left. Every
+  // from its boundary point, on the nodes the verdict has left. Every
   // way it can end short of a sub-Yes but a structural Unknown decides the
   // verdict: budget exhaustion (retryable), a member that cannot validate
   // the retired responses, or a sub-No — conclusive with nothing retired,
@@ -576,9 +527,8 @@ WindowedSession::cappedRun(std::size_t I, RetainedChain *C,
     R.BudgetLimited = BudgetLimited;
     return SubRun::Decided;
   };
-  const BudgetSplit Split = splitBudget(Spent, Start, L);
-  if (Split.Exhausted)
-    return Decide(Verdict::Unknown, Split.Reason, true);
+  if (Left == 0)
+    return Decide(Verdict::Unknown, NodeBudgetReason, true);
   if (WindowBase != 0 && (!C || C->RetiredRows != WindowBase)) {
     // No chain at the retirement depth: this member cannot validate the
     // retired responses.
@@ -587,8 +537,9 @@ WindowedSession::cappedRun(std::size_t I, RetainedChain *C,
   }
   ChainProblemView V;
   prepareMember(I, WindowLimit, V);
-  runFrom(I, C, boundaryPoint(C), V, Split.Rest, Out);
-  Spent += Out.Stats.Nodes;
+  runFrom(I, C, boundaryPoint(C), V, ChainLimits{Left}, Out);
+  R.NodesExplored += Out.Stats.Nodes;
+  Left -= std::min(Left, Out.Stats.Nodes);
   if (Out.Outcome == Verdict::Yes)
     return SubRun::Yes;
   if (Out.Outcome == Verdict::Unknown)
@@ -604,10 +555,7 @@ WindowedSession::cappedRun(std::size_t I, RetainedChain *C,
   return Decide(Verdict::Unknown, WindowRetiredReason, false);
 }
 
-bool WindowedSession::drainOverflow(const LinCheckOptions &L,
-                                    std::uint64_t &Spent,
-                                    Clock::time_point Start,
-                                    LinCheckResult &R) {
+bool WindowedSession::drainOverflow(std::uint64_t &Left, LinCheckResult &R) {
   // Overflow recovery: a straggler overlapped more completions than the
   // engine's exact search carries. Retire by *searching* capped sub-problems,
   // one per member, and fold each member's share at the largest prefix every
@@ -631,7 +579,7 @@ bool WindowedSession::drainOverflow(const LinCheckOptions &L,
     std::uint64_t Common = ~0ull;
     for (std::size_t I = 0; I != Members && Common; ++I) {
       RetainedChain *C = chain(I);
-      const SubRun Sub = cappedRun(I, C, L, Spent, Start, DrainRound[I], R);
+      const SubRun Sub = cappedRun(I, C, Left, DrainRound[I], R);
       if (Sub != SubRun::Yes) {
         Decided = Sub == SubRun::Decided;
         Common = 0;
@@ -681,9 +629,7 @@ bool WindowedSession::drainOverflow(const LinCheckOptions &L,
   return Decided;
 }
 
-bool WindowedSession::boundedFallback(const LinCheckOptions &L,
-                                      std::uint64_t &Spent,
-                                      Clock::time_point Start,
+bool WindowedSession::boundedFallback(std::uint64_t &Left,
                                       LinCheckResult &R) {
   // Pinned excursion: nothing can retire, but the first WindowLimit
   // obligations still form an exact restriction under every member. A
@@ -697,24 +643,16 @@ bool WindowedSession::boundedFallback(const LinCheckOptions &L,
   const std::size_t Members = members();
   if (Members == 0)
     return false;
-  const std::size_t FrontTag = Obligations.tag(0);
-  if (HaveBoundedYes &&
-      (BoundedWindowBase != WindowBase || BoundedFrontTag != FrontTag))
-    HaveBoundedYes = false; // A different excursion; re-search.
   for (std::size_t I = 0; !HaveBoundedYes && I != Members; ++I) {
     // A member's sub-Yes covers a restriction, not the window, so its chain
     // is discarded.
     ChainResult Sub;
-    const SubRun Run = cappedRun(I, chain(I), L, Spent, Start, Sub, R);
+    const SubRun Run = cappedRun(I, chain(I), Left, Sub, R);
     if (Run != SubRun::Yes)
       return Run == SubRun::Decided; // Structural: the flat reason stands.
     // The grade stays valid while the excursion persists: nothing folds
     // while pinned, and new completions only append past the first 64.
-    if (I + 1 == Members) {
-      HaveBoundedYes = true;
-      BoundedWindowBase = WindowBase;
-      BoundedFrontTag = FrontTag;
-    }
+    HaveBoundedYes = I + 1 == Members;
   }
   R.Outcome = Verdict::Unknown;
   R.Grade = VerdictGrade::BoundedYes;
@@ -748,12 +686,9 @@ WindowedSession::advanceCut(RetainedChain &C) {
   const std::size_t Rows = C.Commits.size();
   if (PinnedByAborts || Rows == 0 || Rows > N)
     return std::nullopt;
-  std::size_t E = openCut();
-  for (std::size_t Q = Rows; Q != N; ++Q)
-    E = std::min(E, Obligations.invokeIdx(Q));
   const std::uint64_t Mask =
       foldMask(C.Commits, C.Master.size(), C.RetiredLen,
-               Order.retirablePrefix(Obligations, N), E);
+               Order.retirablePrefix(Obligations, N), cutBound(Rows));
   if (!Mask)
     return std::nullopt;
   const std::size_t K = 64 - static_cast<std::size_t>(__builtin_clzll(Mask));
@@ -886,7 +821,8 @@ void WindowedSession::runFrom(std::size_t I, RetainedChain *C,
   Out.Commits.swap(C->Commits);
 }
 
-bool WindowedSession::fastStep(const LinCheckOptions &L, LinCheckResult &R) {
+bool WindowedSession::fastStep(bool WantWitness, std::uint64_t Left,
+                               LinCheckResult &R) {
   // The steady-state shape: a cached Yes, exactly one new obligation, and
   // per-member chains the engine would adopt verbatim. Each member's
   // resumed run then degenerates to one node — adopt, probe the memo,
@@ -896,7 +832,7 @@ bool WindowedSession::fastStep(const LinCheckOptions &L, LinCheckResult &R) {
   // window with bit-identical verdicts, stats and retained state, touching
   // no heap. Any miss for any member undoes the applied inputs and returns
   // false with the session untouched (beyond memo prefetches).
-  if (L.WantWitness || L.NodeBudget < 1 || PinnedByAborts || NewNonResponse ||
+  if (WantWitness || Left == 0 || PinnedByAborts || NewNonResponse ||
       NewResponses != 1 || !HaveResult || Cached != Verdict::Yes)
     return false;
   const std::size_t N = Obligations.size();
@@ -1028,36 +964,30 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
     R.Reason = CachedReason;
     return seal(R);
   }
-  std::uint64_t Spent = 0;
-  LinCheckOptions Avail = Limits; // What the ladder may still spend.
+  // The nodes the verdict may still spend (R.NodesExplored counts what it
+  // spent).
+  std::uint64_t Left = Limits.NodeBudget;
   if (overflowed()) {
     // Overflow excursion: drain what the cut allows (a no-op O(clients)
     // check while a straggler pins it); whatever still exceeds the limit
     // is graded by the bounded fallback or reported structurally. Drain,
-    // fallback and the ladder below share the verdict's budgets.
-    const auto Start = budgetStart(Limits);
-    const bool Decided =
-        !PinnedByAborts && drainOverflow(Limits, Spent, Start, R);
-    R.NodesExplored = Spent;
+    // fallback and the ladder below share the verdict's budget.
+    const bool Decided = !PinnedByAborts && drainOverflow(Left, R);
     if (Decided || overflowed()) {
-      if (!Decided && !boundedFallback(Limits, Spent, Start, R)) {
+      if (!Decided && !boundedFallback(Left, R)) {
         R.Outcome = Verdict::Unknown;
         R.Reason =
             PinnedByAborts ? WindowAbortPinnedReason : WindowOverflowReason;
       }
-      R.NodesExplored = Spent;
       return seal(R);
     }
-    BudgetSplit Split = splitBudget(Spent, Start, Limits);
-    if (Split.Exhausted) {
+    if (Left == 0) {
       ++Epoch;
       R.Outcome = Verdict::Unknown;
-      R.Reason = Split.Reason;
+      R.Reason = NodeBudgetReason;
       R.BudgetLimited = true;
       return seal(R);
     }
-    Avail.NodeBudget = Split.Rest.NodeBudget;
-    Avail.TimeBudgetMillis = Split.Rest.TimeBudgetMillis;
   }
   if (RetiredStale) {
     // A delta capped the frozen retired region (an abort after
@@ -1075,7 +1005,7 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
     R.Outcome = Verdict::Yes;
     return seal(R);
   }
-  if (fastStep(Avail, R))
+  if (fastStep(Limits.WantWitness, Left, R))
     return seal(R);
 
   // Per member, the seed points of its chain, longest first: its end (the
@@ -1084,9 +1014,9 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
   // root, behind the retired prefix if any). A No from a longer point only
   // rules out what lies past it, so only the boundary concludes one; a Yes
   // from any point is a complete witness. The points share one prepared
-  // view, and each runs on what the longer ones left of the budget.
+  // view, and each runs on what the longer ones left of the member's
+  // budget: all the verdict has left, for every member.
   R.Outcome = Verdict::Yes;
-  R.NodesExplored = Spent;
   bool Polluted = false;
   const std::size_t Members = members();
   for (std::size_t I = 0; I != Members; ++I) {
@@ -1105,7 +1035,6 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
       Run.Outcome = Verdict::Unknown;
       Run.Reason = WindowRetiredReason;
     } else {
-      const auto Start = budgetStart(Avail);
       ChainProblemView V;
       prepareMember(I, Obligations.size(), V);
       const SeedPoint Boundary = boundaryPoint(C);
@@ -1117,7 +1046,7 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
       if (!C->Master.empty() &&
           Obligations.commitsPrefix(C->Commits.data(), C->Commits.size()))
         P = {C->Commits.size(), C->RetiredLen + C->Master.size(), &C->Replay};
-      ChainLimits Budget{Avail.NodeBudget, Avail.TimeBudgetMillis};
+      ChainLimits Budget{Left};
       for (std::uint64_t Nodes = 0;;) {
         const bool AtEnd = P.State == &C->Replay;
         const bool AtBoundary = P.State == Boundary.State;
@@ -1135,12 +1064,13 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
         const std::optional<SeedPoint> Cut =
             AtEnd ? advanceCut(*C) : std::nullopt;
         P = Cut ? *Cut : Boundary;
-        const BudgetSplit Split = splitBudget(Nodes, Start, Avail);
-        if (Split.Exhausted) {
-          Run = budgetUnknown(Split.Reason, Nodes);
+        Budget.NodeBudget = Left - std::min(Left, Nodes);
+        if (Budget.NodeBudget == 0) {
+          Run.Outcome = Verdict::Unknown;
+          Run.Reason = NodeBudgetReason;
+          Run.BudgetLimited = true;
           break;
         }
-        Budget = Split.Rest;
       }
     }
     if (Run.Outcome == Verdict::No)

@@ -23,10 +23,10 @@
 ///     verdict in-session with the checks the engine's one commit move
 ///     would make, bit-identical in verdicts, node counts and retained
 ///     state;
-///   * the budget-split verdict ladder: absorbed No, overflow, absorbed
-///     Yes, fast step, then per member a walk over its chain's *seed
-///     points*, longest first, and the WindowRetired shaping of a No behind
-///     a retired prefix;
+///   * the verdict ladder, on one node budget: absorbed No, overflow,
+///     absorbed Yes, fast step, then per member a walk over its chain's
+///     *seed points*, longest first, and the WindowRetired shaping of a No
+///     behind a retired prefix;
 ///   * reset and the footprint of all of the above.
 ///
 /// A seed point is a chain prefix plus the ADT state reached there — all a
@@ -55,7 +55,6 @@
 #include "engine/OrderRelation.h"
 #include "trace/TraceBuilder.h"
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -452,13 +451,10 @@ protected:
   std::size_t WindowBase = 0; ///< Obligations retired so far.
   /// The current overflow excursion was counted in Stats.WindowOverflows.
   bool OverflowNoted = false;
-  /// Cached pinned-excursion family sub-Yes (boundedFallback): valid while
-  /// the window base and front obligation are unchanged — nothing folds
-  /// during a pinned excursion. Cleared by folds, reset and a changed
-  /// family.
+  /// Cached pinned-excursion family sub-Yes (boundedFallback). The window
+  /// base and front obligation it covers change only by a fold or a reset,
+  /// and both clear it, as does a changed family.
   bool HaveBoundedYes = false;
-  std::size_t BoundedWindowBase = 0;
-  std::size_t BoundedFrontTag = 0;
 
   /// Moves whenever retained memo entries could be unsound (folds renumber
   /// masks, budget-limited runs, relaxations, reset); folded into every
@@ -487,7 +483,6 @@ protected:
   std::size_t NumInits = 0; ///< Init actions ingested (slin).
 
 private:
-  using Clock = std::chrono::steady_clock;
   /// A seed point of a member's chain (see the file comment): the chain's
   /// first Rows rows pre-committed (window [0, Rows)), the absolute master
   /// length Len there, and the replay state at Len — Replay at the end, Cut
@@ -511,6 +506,10 @@ private:
   void dropChain(std::size_t J);
   std::uint64_t memberSalt(std::size_t I) const;
   std::size_t openCut() const;
+  /// E for a fold or a cut: openCut(), or earlier the earliest invocation
+  /// among the window's responses from \p FirstUncovered on, which no
+  /// chain covers yet.
+  std::size_t cutBound(std::size_t FirstUncovered) const;
   std::uint64_t foldMask(const std::vector<std::pair<std::size_t, std::size_t>>
                              &Rows,
                          std::size_t LiveLen, std::size_t RetiredLen,
@@ -523,20 +522,17 @@ private:
   void foldWindow(std::size_t K);
   void retireQuiescentPrefix();
   /// Member I's capped sub-search over the first WindowLimit obligations
-  /// from its boundary point, on what the verdict's budget has left
-  /// (\p Spent since \p Start), into \p Out; a verdict it decides goes to
-  /// \p R.
-  SubRun cappedRun(std::size_t I, RetainedChain *C, const LinCheckOptions &L,
-                   std::uint64_t &Spent, Clock::time_point Start,
+  /// from its boundary point, on the \p Left nodes the verdict has left,
+  /// into \p Out; its nodes are spent from \p Left and counted in \p R,
+  /// and a verdict it decides goes to \p R.
+  SubRun cappedRun(std::size_t I, RetainedChain *C, std::uint64_t &Left,
                    ChainResult &Out, LinCheckResult &R);
   /// Retires an overflowed window by capped sub-searches; returns whether
   /// one of them decided the verdict into \p R.
-  bool drainOverflow(const LinCheckOptions &L, std::uint64_t &Spent,
-                     Clock::time_point Start, LinCheckResult &R);
-  bool boundedFallback(const LinCheckOptions &L, std::uint64_t &Spent,
-                       Clock::time_point Start, LinCheckResult &R);
+  bool drainOverflow(std::uint64_t &Left, LinCheckResult &R);
+  bool boundedFallback(std::uint64_t &Left, LinCheckResult &R);
   void cacheNo(ChainResult &Sub);
-  bool fastStep(const LinCheckOptions &L, LinCheckResult &R);
+  bool fastStep(bool WantWitness, std::uint64_t Left, LinCheckResult &R);
   /// \p C's boundary point (the root, when \p C is null or retired nothing).
   static SeedPoint boundaryPoint(RetainedChain *C);
   /// Materializes \p C's cut point: moves its cut state to the chain's last

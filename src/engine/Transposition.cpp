@@ -26,23 +26,18 @@ TranspositionTable::TranspositionTable(std::size_t MaxCap) {
 }
 
 bool TranspositionTable::contains(std::uint64_t Key) {
-  if (Slots.empty()) {
-    ++Stats.Misses; // Nothing stored yet: a miss that touches no memory.
-    return false;
-  }
+  if (Slots.empty())
+    return false; // Nothing stored yet: a miss that touches no memory.
   if (Key == EmptyKey)
     Key = 1; // Remap the sentinel; collides with genuine 1-keys only.
   std::size_t Home = homeSlot(Key);
   for (std::size_t I = 0; I != ProbeWindow; ++I) {
     std::uint64_t Slot = Slots[(Home + I) & Mask];
-    if (Slot == Key) {
-      ++Stats.Hits;
+    if (Slot == Key)
       return true;
-    }
     if (Slot == EmptyKey)
       break; // Probe chains never skip an empty slot.
   }
-  ++Stats.Misses;
   return false;
 }
 
@@ -84,29 +79,18 @@ void TranspositionTable::insert(std::uint64_t Key) {
   // Keep load below 1/2 while growth is still allowed.
   while (2 * Live >= Slots.size() && Slots.size() < MaxCapacity)
     grow();
-  if (tryPlace(Key)) {
-    ++Stats.Inserts;
+  if (tryPlace(Key))
     return;
-  }
   if (Slots.size() < MaxCapacity) {
     grow();
-    if (tryPlace(Key)) {
-      ++Stats.Inserts;
+    if (tryPlace(Key))
       return;
-    }
   }
   // At max capacity with a full window: overwrite a window slot chosen from
   // the key's high bits so repeated collisions spread their victims.
   std::size_t Victim =
       (homeSlot(Key) + ((Key >> 57) & (ProbeWindow - 1))) & Mask;
   Slots[Victim] = Key;
-  ++Stats.Inserts;
-  ++Stats.Evictions;
-}
-
-void TranspositionTable::clear() {
-  std::fill(Slots.begin(), Slots.end(), EmptyKey);
-  Live = 0;
 }
 
 void TranspositionTable::shrinkToInitial() {

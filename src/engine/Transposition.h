@@ -30,14 +30,6 @@
 
 namespace slin {
 
-/// Statistics the table accumulates across its lifetime.
-struct TranspositionStats {
-  std::uint64_t Hits = 0;       ///< contains() found the key.
-  std::uint64_t Misses = 0;     ///< contains() did not find the key.
-  std::uint64_t Inserts = 0;    ///< Keys stored.
-  std::uint64_t Evictions = 0;  ///< Stores that overwrote another key.
-};
-
 /// A bounded set of 64-bit keys with replacement. Holds no slot array until
 /// the first insert, which allocates a small one (4 Ki slots, or
 /// MaxCapacity if smaller); it then doubles (rehashing the stored keys) as
@@ -69,14 +61,10 @@ public:
   /// capacity and the key's probe window is full.
   void insert(std::uint64_t Key);
 
-  /// Forgets every key (O(capacity); prefer per-run salting).
-  void clear();
-
   /// Forgets every key and frees the slot array, exactly as freshly
   /// constructed — the cheap way for a reused session to offer
-  /// fresh-session semantics (a clear() of a fully grown table memsets
-  /// MaxCapacity slots; this frees them, and the next insert allocates
-  /// the initial array again).
+  /// fresh-session semantics (the next insert allocates the initial array
+  /// again).
   void shrinkToInitial();
 
   std::size_t capacity() const { return Slots.size(); }
@@ -88,7 +76,6 @@ public:
   std::size_t memoryBytes() const {
     return Slots.capacity() * sizeof(std::uint64_t);
   }
-  const TranspositionStats &stats() const { return Stats; }
 
 private:
   static constexpr std::size_t ProbeWindow = 8;
@@ -110,7 +97,6 @@ private:
   std::size_t Mask = 0;
   std::size_t MaxCapacity;
   std::size_t Live = 0;
-  TranspositionStats Stats;
 };
 
 } // namespace slin

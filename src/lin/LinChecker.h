@@ -49,7 +49,7 @@ struct LinCheckResult {
   std::string Reason;      ///< Human-readable cause for No/Unknown.
   LinWitness Witness;      ///< Valid iff Outcome == Verdict::Yes.
   std::uint64_t NodesExplored = 0;
-  /// True when an Unknown came from exhausting the node or time budget.
+  /// True when an Unknown came from exhausting the node budget.
   /// Since a warm session's budget-limited Unknowns can fall on different
   /// traces than one-shot checking, batch callers use this to retry the
   /// trace with a fresh session (see engine/CorpusDriver.h).
@@ -71,8 +71,6 @@ struct LinCheckResult {
 struct LinCheckOptions {
   /// Maximum number of search nodes before giving up with Unknown.
   std::uint64_t NodeBudget = 1u << 22;
-  /// Wall-clock budget in milliseconds; 0 means unlimited.
-  std::uint64_t TimeBudgetMillis = 0;
   /// Materialize the witness on Yes. Monitors that consume only
   /// Outcome/NodesExplored can turn this off; the incremental session then
   /// skips the O(trace) witness materialization from its retained chain

@@ -127,8 +127,8 @@ struct SlinCheckResult {
   std::string Reason;
   SlinWitness Witness; ///< Valid iff Outcome == Verdict::Yes.
   std::uint64_t NodesExplored = 0;
-  /// True when an Unknown came from exhausting the node or time budget
-  /// (batch callers can retry such traces one-shot; see LinCheckResult).
+  /// True when an Unknown came from exhausting the node budget (batch
+  /// callers can retry such traces one-shot; see LinCheckResult).
   bool BudgetLimited = false;
 
   explicit operator bool() const { return Outcome == Verdict::Yes; }

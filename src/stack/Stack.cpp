@@ -209,7 +209,6 @@ void StackHarness::crashServerAt(SimTime T, std::uint32_t ServerIndex) {
 
 void StackHarness::record(std::uint32_t Slot, const Action &A) {
   Recorded.push_back(A);
-  ActionTimes.push_back(TheSim.now());
   PerSlot[Slot].push_back(A);
 }
 

@@ -148,7 +148,6 @@ public:
 
   /// All actions, across slots, in simulation order.
   const Trace &trace() const { return Recorded; }
-  const std::vector<SimTime> &actionTimes() const { return ActionTimes; }
   /// The actions of one consensus instance — the per-object trace the
   /// checkers consume (inter-object composition: each slot is checked
   /// independently).
@@ -177,7 +176,6 @@ private:
   std::vector<std::unique_ptr<ServerNode>> Servers;
   std::vector<std::unique_ptr<StackClient>> Clients;
   Trace Recorded;
-  std::vector<SimTime> ActionTimes;
   std::map<std::uint32_t, Trace> PerSlot;
   std::vector<OpRecord> Ops;
 };

@@ -108,9 +108,6 @@ public:
   /// In-place pointwise max with \p Other.
   void unionMaxInPlace(const Multiset &Other) { *this = unionMax(Other); }
 
-  /// In-place pointwise sum with \p Other.
-  void unionSumInPlace(const Multiset &Other) { *this = unionSum(Other); }
-
   bool operator==(const Multiset &Other) const {
     return Entries == Other.Entries;
   }

@@ -6,7 +6,6 @@
 
 #include "trace/Trace.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace slin;
@@ -62,15 +61,6 @@ History slin::inputsBefore(const Trace &T, std::size_t I) {
     if (isInvoke(T[J]))
       H.push_back(T[J].In);
   return H;
-}
-
-std::vector<ClientId> slin::clientsOf(const Trace &T) {
-  std::vector<ClientId> Clients;
-  for (const Action &A : T)
-    Clients.push_back(A.Client);
-  std::sort(Clients.begin(), Clients.end());
-  Clients.erase(std::unique(Clients.begin(), Clients.end()), Clients.end());
-  return Clients;
 }
 
 std::vector<std::size_t>

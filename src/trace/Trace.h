@@ -44,9 +44,6 @@ Trace clientSubTrace(const Trace &T, ClientId C);
 /// *invocation* actions strictly before index \p I of \p T.
 History inputsBefore(const Trace &T, std::size_t I);
 
-/// All distinct clients appearing in \p T, sorted.
-std::vector<ClientId> clientsOf(const Trace &T);
-
 /// Positions in \p T of each action of proj(t, Sig): PosMap[j] is the index
 /// in \p T of the j-th projected action. This is the pos' function of
 /// Appendix C, used to relate a composed trace to its component traces.

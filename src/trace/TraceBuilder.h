@@ -59,7 +59,6 @@ public:
   const Trace &trace() const { return View; }
 
   std::size_t size() const { return Count; }
-  bool isPhase() const { return Phase; }
   const PhaseSignature &signature() const { return Sig; }
 
   /// Turns materialization of the accepted-action view on or off. With

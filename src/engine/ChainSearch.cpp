@@ -223,10 +223,13 @@ private:
   bool dfs(std::uint64_t Committed, AdtState &State) {
     if (Committed == FullMask)
       return atLeaf();
-    if (++Stats.Nodes > Limits.NodeBudget) {
+    // The budget counts expanded nodes: the node that finds it spent is
+    // refused uncounted, so a budget-limited run reports exactly its budget.
+    if (Stats.Nodes >= Limits.NodeBudget) {
       BudgetExhausted = true;
       return false;
     }
+    ++Stats.Nodes;
     const std::uint64_t Seq = SeqHash;
     std::uint64_t Digest = State.digest();
     std::uint64_t Key =

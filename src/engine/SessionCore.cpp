@@ -1007,6 +1007,15 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
   }
   if (fastStep(Limits.WantWitness, Left, R))
     return seal(R);
+  if (Left == 0) {
+    // No node to spend: every member's first run would refuse its root.
+    // Nothing ran, so nothing polluted the memo.
+    HaveResult = false;
+    R.Outcome = Verdict::Unknown;
+    R.Reason = NodeBudgetReason;
+    R.BudgetLimited = true;
+    return seal(R);
+  }
 
   // Per member, the seed points of its chain, longest first: its end (the
   // accepting leaf), its last aligned quiescent cut, which reopens only

@@ -1030,6 +1030,61 @@ TEST(IncrementalSessionTest, BudgetExhaustionRecoversCleanly) {
   }
 }
 
+TEST(IncrementalSessionTest, ZeroBudgetAnswersBeforeAnySearch) {
+  // With no node to spend a verdict that needs a search is the budget
+  // Unknown at once: no member is prepared, no run starts. The shortcuts
+  // that need no search still answer ahead of it.
+  RegisterAdt Reg;
+  IncrementalLinSession Inc(Reg);
+  LinCheckOptions Empty;
+  Empty.WantWitness = false;
+  Empty.NodeBudget = 0;
+  ASSERT_TRUE(Inc.append(makeInvoke(0, 1, reg::write(1))));
+  ASSERT_TRUE(Inc.append(makeRespond(0, 1, reg::write(1), Output{1})));
+  LinCheckResult Starved = Inc.verdict(Empty);
+  EXPECT_EQ(Starved.Outcome, Verdict::Unknown);
+  EXPECT_TRUE(Starved.BudgetLimited);
+  EXPECT_EQ(Starved.Reason, NodeBudgetReason);
+  EXPECT_EQ(Starved.NodesExplored, 0u);
+  EXPECT_EQ(Inc.stats().Search.Nodes, 0u);
+  EXPECT_EQ(Inc.stats().RootSearches, 0u);
+  EXPECT_EQ(Inc.stats().FrontierResumes, 0u);
+  // A full verdict then searches; an invocation alone keeps its Yes.
+  ASSERT_EQ(Inc.verdict().Outcome, Verdict::Yes);
+  ASSERT_TRUE(Inc.append(makeInvoke(0, 1, reg::read())));
+  EXPECT_EQ(Inc.verdict(Empty).Outcome, Verdict::Yes);
+  // A cached No stands too.
+  ASSERT_TRUE(Inc.append(makeRespond(0, 1, reg::read(), Output{7})));
+  ASSERT_EQ(Inc.verdict().Outcome, Verdict::No);
+  ASSERT_TRUE(Inc.append(makeInvoke(1, 1, reg::read())));
+  ASSERT_TRUE(Inc.append(makeRespond(1, 1, reg::read(), Output{1})));
+  LinCheckResult No = Inc.verdict(Empty);
+  EXPECT_EQ(No.Outcome, Verdict::No);
+  EXPECT_FALSE(No.BudgetLimited);
+}
+
+TEST(IncrementalSessionTest, BudgetLimitedRunReportsExactlyItsBudget) {
+  // The budget counts expanded nodes: a run that runs out reports the
+  // budget, not the refused node on top of it.
+  RegisterAdt Reg;
+  for (std::uint64_t Budget : {1ull, 2ull, 3ull}) {
+    IncrementalLinSession Inc(Reg);
+    for (std::int64_t K = 1; K <= 4; ++K) {
+      ASSERT_TRUE(Inc.append(makeInvoke(K, 1, reg::write(K))));
+    }
+    for (std::int64_t K = 1; K <= 4; ++K) {
+      ASSERT_TRUE(Inc.append(makeRespond(K, 1, reg::write(K), Output{K})));
+    }
+    ASSERT_TRUE(Inc.append(makeInvoke(0, 1, reg::read())));
+    ASSERT_TRUE(Inc.append(makeRespond(0, 1, reg::read(), Output{1})));
+    LinCheckOptions Tight;
+    Tight.NodeBudget = Budget;
+    LinCheckResult R = Inc.verdict(Tight);
+    ASSERT_TRUE(R.BudgetLimited) << "budget " << Budget;
+    EXPECT_EQ(R.NodesExplored, Budget);
+  }
+}
+
 TEST(IncrementalSessionTest, BudgetLadderOnResumedSessionsStaysSound) {
   // The frontier resume and the completeness fallback share ONE budget
   // (the fallback runs on what the resumed subtree left, never on a fresh
@@ -2119,7 +2174,7 @@ TEST(IncrementalSessionTest, LinBudgetStopsInsideAnOverflowExcursion) {
   // The work the streamed verdicts and the budgeted replays did: a budget
   // stops at the same node whichever path it runs out in.
   expectExcursionWork(Stream, {204, 11, 0}, "stream");
-  expectExcursionWork(Replays, {41033, 1221, 0}, "replays");
+  expectExcursionWork(Replays, {32774, 1221, 0}, "replays");
 }
 
 TEST(IncrementalSessionTest, SlinBudgetStopsInsideAnOverflowExcursion) {
@@ -2133,7 +2188,7 @@ TEST(IncrementalSessionTest, SlinBudgetStopsInsideAnOverflowExcursion) {
         return std::make_unique<IncrementalSlinSession>(Reg, Sig, Rel);
       });
   expectExcursionWork(Stream, {204, 11, 0}, "stream");
-  expectExcursionWork(Replays, {41033, 1221, 0}, "replays");
+  expectExcursionWork(Replays, {32774, 1221, 0}, "replays");
 }
 
 TEST(IncrementalSessionTest, SlinFamilyBudgetStopsInsideAnOverflowExcursion) {
@@ -2151,5 +2206,5 @@ TEST(IncrementalSessionTest, SlinFamilyBudgetStopsInsideAnOverflowExcursion) {
         return std::make_unique<IncrementalSlinSession>(Cons, Sig, Rel);
       });
   expectExcursionWork(Stream, {255, 0, 0}, "stream");
-  expectExcursionWork(Replays, {85412, 0, 0}, "replays");
+  expectExcursionWork(Replays, {79005, 0, 0}, "replays");
 }

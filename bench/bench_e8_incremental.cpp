@@ -50,7 +50,8 @@
 //     shuffled within the round) streamed with a witness-free verdict per
 //     event. About a sixth of the verdicts miss the fast step; each
 //     resumes at the chain's last quiescent cut before it searches from
-//     the root. CI gates its deterministic nodes_per_check.
+//     the root. CI gates its deterministic nodes_per_check and miss split,
+//     and its memo_bytes_max against an absolute ceiling.
 //
 //   * SteadyState_MonitorSlin: the slin analogue of the Long row. One
 //     outcome-only slin session (trace retention off, retired-witness
@@ -682,6 +683,8 @@ BENCHMARK(BM_E8_SteadyState_MonitorSlin)
 // deterministic: nodes_per_check over every verdict, nodes_per_miss over
 // the verdicts that left the fast step with a search, and how the misses
 // split between the cut seed point and the boundary (root) search.
+// memo_bytes_max is the largest memo any iteration's session reserved: the
+// memo holds one epoch's keys, so it stays near its first array.
 //===----------------------------------------------------------------------===//
 
 static void BM_E8_ReorderSlin(benchmark::State &State) {
@@ -694,6 +697,7 @@ static void BM_E8_ReorderSlin(benchmark::State &State) {
   SlinCheckOptions Opts;
   Opts.WantWitness = false;
   std::uint64_t Nodes = 0, Checks = 0, MissNodes = 0, Misses = 0;
+  std::size_t MemoBytesMax = 0;
   SessionStats Stats;
   TimedRegion Timer;
   for (auto _ : State) {
@@ -713,6 +717,9 @@ static void BM_E8_ReorderSlin(benchmark::State &State) {
     Timer.stop(State);
     Checks += T.size();
     Stats.accumulate(Inc.stats());
+    // The memo never shrinks within a session: its bytes at the end are
+    // the iteration's largest.
+    MemoBytesMax = std::max(MemoBytesMax, Inc.memo().memoryBytes());
   }
   Timer.report(State);
   State.SetItemsProcessed(static_cast<std::int64_t>(Checks));
@@ -730,6 +737,8 @@ static void BM_E8_ReorderSlin(benchmark::State &State) {
       benchmark::Counter(static_cast<double>(Stats.RootSearches) / M);
   State.counters["seed_replay_per_check"] = benchmark::Counter(
       static_cast<double>(Stats.Search.SeedStepsReplayed) / C);
+  State.counters["memo_bytes_max"] =
+      benchmark::Counter(static_cast<double>(MemoBytesMax));
 }
 BENCHMARK(BM_E8_ReorderSlin)->Arg(64)->UseManualTime();
 

@@ -68,6 +68,12 @@ GATES = [
     ("e8", r"ReorderSlin", "miss_per_check", "same", None, None),
     ("e8", r"ReorderSlin", "cut_resumes_per_miss", "same", None, None),
     ("e8", r"ReorderSlin", "root_searches_per_miss", "same", None, None),
+    # The miss path's largest session memo stays within twice its first
+    # array (512 slots, 4 KiB): one epoch's keys, spread by the mixed home
+    # slot, fit it. The byte count is deterministic; the former 4,096-slot
+    # first array read 32 KiB here. (That the memo also stays flat over a
+    # long stream is steady_alloc_test's footprint test.)
+    ("e8", r"ReorderSlin", "memo_bytes_max", "le", 8192.0, None),
     # Steady state never replays seed steps.
     ("e8", r".", "seed_replay_per_check", "eq", 0.0, 0.0),
     # Hot-path latency: nearest-rank median and tail over per-event wall

@@ -111,7 +111,8 @@ constexpr VerdictGrade gradeFor(Verdict V) {
 
 /// Resource bounds for one search run.
 struct ChainLimits {
-  /// Maximum number of search nodes before giving up with Unknown.
+  /// Maximum number of search nodes expanded before giving up with
+  /// Unknown; a run that gives up reports exactly this many.
   std::uint64_t NodeBudget = 1u << 22;
 };
 

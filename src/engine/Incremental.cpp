@@ -366,7 +366,7 @@ SlinVerdict IncrementalSlinSession::verdict(const SlinCheckOptions &SOpts) {
                                        ReadingChanged, !Aborts.empty(),
                                        SOpts.AbortValidityAtEnd);
     if (CacheStale && AnyVerdict)
-      ++Epoch;
+      newEpoch();
     AbortValidityAtEnd = SOpts.AbortValidityAtEnd;
     LinCheckOptions Limits = SOpts.Search;
     Limits.WantWitness = SOpts.WantWitness;

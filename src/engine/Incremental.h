@@ -53,7 +53,9 @@
 ///     under a salt that moves on whenever they could be unsound: reset, a
 ///     budget-limited run, a fold (mask bits renumber), a relation credit,
 ///     and for slin any non-monotone delta (a new init action, or a new
-///     invocation under the relaxed abort reading).
+///     invocation under the relaxed abort reading). The memo is forgotten
+///     at the same moment (it keeps its slot array), so it holds only keys
+///     a later probe can still match.
 ///
 /// Verdicts are preserved exactly: conclusive answers equal the batch
 /// checkers' on the materialized trace; only which traces exhaust a
@@ -94,8 +96,8 @@ public:
   LinCheckResult verdict(const LinCheckOptions &Opts = {});
 
   /// Starts a new, unrelated trace: clears the view, obligations, cached
-  /// result and chain; moves the memo epoch on; keeps the warm interner,
-  /// arena blocks, and table.
+  /// result and chain; moves the memo epoch on and forgets its keys; keeps
+  /// the warm interner, arena blocks, and the memo's slot array.
   void reset() { resetCore(); }
 
   /// Estimated bytes this session holds across its long-lived structures
@@ -153,8 +155,8 @@ public:
   /// Order), and Opts.WantWitness overrides Opts.Search.WantWitness.
   SlinVerdict verdict(const SlinCheckOptions &Opts = {});
 
-  /// Starts a new, unrelated trace (keeps warm storage; salts out memo and
-  /// drops every retained chain).
+  /// Starts a new, unrelated trace (keeps warm storage; salts out and
+  /// forgets the memo, and drops every retained chain).
   void reset();
 
   /// Number of interpretations currently holding a retained chain

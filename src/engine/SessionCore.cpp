@@ -31,7 +31,9 @@
 // other children were never explored, yet those ancestors insert memo
 // entries on the way out. Such entries are sound within the aborted run
 // (the whole run answers Unknown) but not for a later run under the same
-// salt, so any budget-limited result moves the epoch at once.
+// salt, so any budget-limited result moves the epoch at once. Every epoch
+// move also forgets the memo (newEpoch): the salt is what makes the old
+// entries unreachable, the forget only frees their slots.
 //
 // *Restriction.* The first WindowLimit obligations of an overflowed window
 // form an exact restriction under every interpretation: deleting the
@@ -261,7 +263,7 @@ void WindowedSession::noteInvoke(const Action &A, std::size_t I, InputId In) {
   if (!Order.isStrict() && Obligations.creditInvoke(Order, A.Client, In)) {
     if (HaveResult && Cached == Verdict::No)
       HaveResult = false;
-    ++Epoch;
+    newEpoch();
   }
 }
 
@@ -364,6 +366,11 @@ std::uint64_t WindowedSession::memberSalt(std::size_t I) const {
   return hashCombine(hashCombine(SaltDomain, Epoch), memberKey(I));
 }
 
+void WindowedSession::newEpoch() {
+  ++Epoch;
+  Memo.forget();
+}
+
 //===----------------------------------------------------------------------===//
 // Retirement
 //===----------------------------------------------------------------------===//
@@ -436,7 +443,7 @@ void WindowedSession::foldWindow(std::size_t K) {
   // every bit, so every retained entry is salted out. Retirement is
   // amortized-rare, so the lost reuse is a bounded cost, not a steady-state
   // one.
-  ++Epoch;
+  newEpoch();
   HaveBoundedYes = false;
 }
 
@@ -521,7 +528,7 @@ WindowedSession::cappedRun(std::size_t I, RetainedChain *C,
   // the WindowRetired Unknown behind a retired prefix.
   auto Decide = [&](Verdict V, std::string Reason, bool BudgetLimited) {
     if (BudgetLimited)
-      ++Epoch; // Polluted: re-salt before the next search.
+      newEpoch(); // Polluted: re-salt before the next search.
     R.Outcome = V;
     R.Reason = std::move(Reason);
     R.BudgetLimited = BudgetLimited;
@@ -982,7 +989,7 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
       return seal(R);
     }
     if (Left == 0) {
-      ++Epoch;
+      newEpoch();
       R.Outcome = Verdict::Unknown;
       R.Reason = NodeBudgetReason;
       R.BudgetLimited = true;
@@ -1008,8 +1015,8 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
   if (fastStep(Limits.WantWitness, Left, R))
     return seal(R);
   if (Left == 0) {
-    // No node to spend: every member's first run would refuse its root.
-    // Nothing ran, so nothing polluted the memo.
+    // No node to spend: answer before any member is prepared. Nothing ran,
+    // so nothing polluted the memo and the epoch stays.
     HaveResult = false;
     R.Outcome = Verdict::Unknown;
     R.Reason = NodeBudgetReason;
@@ -1107,7 +1114,7 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
     }
   }
   if (Polluted)
-    ++Epoch;
+    newEpoch();
   HaveResult = R.Outcome != Verdict::Unknown;
   Cached = R.Outcome;
   if (R.Outcome == Verdict::No)
@@ -1141,7 +1148,7 @@ void WindowedSession::resetCore() {
   WindowBase = 0;
   OverflowNoted = false;
   HaveBoundedYes = false;
-  ++Epoch;
+  newEpoch();
   HaveResult = false;
   NewResponses = 0;
   NewNonResponse = false;

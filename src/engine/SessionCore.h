@@ -344,6 +344,10 @@ public:
   /// every event reuses the warmed blocks, none grows them).
   const Arena &scratchArena() const { return Scratch; }
 
+  /// The failed-state memo (exposed for footprint audits and benches: its
+  /// live keys, capacity and bytes).
+  const TranspositionTable &memo() const { return Memo; }
+
   /// Number of obligations folded into the retired prefix so far.
   std::size_t retiredObligations() const { return WindowBase; }
 
@@ -426,6 +430,10 @@ protected:
                            &Commits) const;
   void resetCore();
   std::size_t coreBytes() const;
+  /// Moves the epoch and forgets the memo: every stored key was salted
+  /// with the old epoch and can never match again. The salt alone keeps
+  /// the memo sound; the forget keeps dead keys from taking slots.
+  void newEpoch();
 
   const Adt &Type;
   IncrementalOptions Opts;
@@ -458,7 +466,7 @@ protected:
 
   /// Moves whenever retained memo entries could be unsound (folds renumber
   /// masks, budget-limited runs, relaxations, reset); folded into every
-  /// member salt.
+  /// member salt. Only newEpoch() moves it.
   std::uint64_t Epoch = 0;
   /// Retained chains keyed by member key. Only chains that captured
   /// something are admitted (a stream of never-recurring slin

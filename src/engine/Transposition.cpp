@@ -56,10 +56,15 @@ bool TranspositionTable::tryPlace(std::uint64_t Key) {
   return false;
 }
 
+void TranspositionTable::allocate(std::size_t Cap) {
+  Slots.assign(Cap, EmptyKey);
+  Mask = Cap - 1;
+  Shift = 64 - static_cast<unsigned>(__builtin_ctzll(Cap));
+}
+
 void TranspositionTable::grow() {
   std::vector<std::uint64_t> Old = std::move(Slots);
-  Slots.assign(Old.size() * 2, EmptyKey);
-  Mask = Slots.size() - 1;
+  allocate(Old.size() * 2);
   Live = 0;
   for (std::uint64_t Key : Old)
     if (Key != EmptyKey)
@@ -72,9 +77,7 @@ void TranspositionTable::insert(std::uint64_t Key) {
   if (Slots.empty()) {
     // The first store allocates the initial array; a table that is only
     // ever probed (the steady-state fast path) never does.
-    std::size_t Cap = std::min(MaxCapacity, InitialCapacity);
-    Slots.assign(Cap, EmptyKey);
-    Mask = Cap - 1;
+    allocate(std::min(MaxCapacity, InitialCapacity));
   }
   // Keep load below 1/2 while growth is still allowed.
   while (2 * Live >= Slots.size() && Slots.size() < MaxCapacity)
@@ -91,6 +94,13 @@ void TranspositionTable::insert(std::uint64_t Key) {
   std::size_t Victim =
       (homeSlot(Key) + ((Key >> 57) & (ProbeWindow - 1))) & Mask;
   Slots[Victim] = Key;
+}
+
+void TranspositionTable::forget() {
+  if (Live == 0)
+    return;
+  std::fill(Slots.begin(), Slots.end(), EmptyKey);
+  Live = 0;
 }
 
 void TranspositionTable::shrinkToInitial() {

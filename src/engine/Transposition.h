@@ -11,13 +11,18 @@
 /// re-exploration — never a wrong verdict. Keys are salted per run by the
 /// engine, which lets a CheckSession keep one warm table across an entire
 /// corpus without cross-trace key aliasing and without an O(capacity) clear
-/// per trace.
+/// per trace. A resumable session salts by epoch as well, and forgets the
+/// whole table when its epoch moves: keys of a past epoch can never match
+/// again, so they would only take slots and force growth.
 ///
 /// Layout: open addressing in a power-of-two array of raw keys, probing a
-/// short fixed window. When the window is full the entry whose slot the key
-/// hashes to is overwritten (an always-replace policy biased to spread
-/// overwrites across the window), which in practice retains the hot recent
-/// keys a depth-first search re-encounters.
+/// short fixed window. A key's home slot is taken from its Fibonacci hash
+/// (the whole key times 2^64/phi, top bits), so keys that share their low
+/// bits — a session's keys often do — still spread over the table. When
+/// the window is full the entry whose slot the key hashes to is overwritten
+/// (an always-replace policy biased to spread overwrites across the
+/// window), which in practice retains the hot recent keys a depth-first
+/// search re-encounters.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +36,7 @@
 namespace slin {
 
 /// A bounded set of 64-bit keys with replacement. Holds no slot array until
-/// the first insert, which allocates a small one (4 Ki slots, or
+/// the first insert, which allocates a small one (512 slots, or
 /// MaxCapacity if smaller); it then doubles (rehashing the stored keys) as
 /// it fills, so a table that is only probed costs nothing, short checks
 /// never pay for a large table, and long searches grow up to MaxCapacity
@@ -61,6 +66,11 @@ public:
   /// capacity and the key's probe window is full.
   void insert(std::uint64_t Key);
 
+  /// Forgets every key and keeps the slot array: the next inserts reuse it
+  /// without allocating. A no-op on a table that holds no key (it touches
+  /// no memory then); otherwise O(capacity).
+  void forget();
+
   /// Forgets every key and frees the slot array, exactly as freshly
   /// constructed — the cheap way for a reused session to offer
   /// fresh-session semantics (the next insert allocates the initial array
@@ -79,12 +89,21 @@ public:
 
 private:
   static constexpr std::size_t ProbeWindow = 8;
-  static constexpr std::size_t InitialCapacity = 1u << 12;
+  /// Sized from the per-epoch key high water of a resumable session, which
+  /// forgets its memo at every epoch move: on shuffled one-write slin
+  /// rounds no epoch stored more than 161 keys, under the half load that
+  /// triggers growth.
+  static constexpr std::size_t InitialCapacity = 1u << 9;
   static constexpr std::uint64_t EmptyKey = 0;
 
+  /// Fibonacci hashing: the top bits of the key times 2^64/phi depend on
+  /// every key bit.
   std::size_t homeSlot(std::uint64_t Key) const {
-    return static_cast<std::size_t>(Key) & Mask;
+    return static_cast<std::size_t>((Key * 0x9E3779B97F4A7C15ull) >> Shift);
   }
+
+  /// Allocates a \p Cap-slot array of empty slots.
+  void allocate(std::size_t Cap);
 
   /// Doubles the slot array and reinserts every stored key.
   void grow();
@@ -95,6 +114,7 @@ private:
 
   std::vector<std::uint64_t> Slots; ///< Empty until the first insert.
   std::size_t Mask = 0;
+  unsigned Shift = 0; ///< 64 - log2(capacity()) once allocated.
   std::size_t MaxCapacity;
   std::size_t Live = 0;
 };

@@ -9,7 +9,8 @@
 // block reuse and geometric growth (the guarantees that a corpus run
 // performs a bounded number of real heap allocations and that a shard's
 // reserve follows its high-water), the TranspositionTable's allocation on
-// first insert, lazy growth and always-replace-at-capacity semantics (the
+// first insert, lazy growth, spread of keys that share their low bits,
+// allocation-free forgetting and always-replace-at-capacity semantics (the
 // guarantee that memo pressure costs re-exploration, never a wrong
 // verdict), the LiveWindow's 64-slot storage through folds, stride regrows
 // and an overflow excursion, plus the CorpusDriver's scheduling-independent
@@ -28,6 +29,7 @@
 #include "lin/Witness.h"
 #include "slin/SlinWitness.h"
 #include "spec/SpecAutomaton.h"
+#include "support/AllocGauge.h"
 #include "support/Arena.h"
 #include "trace/Gen.h"
 #include "trace/TraceIo.h"
@@ -36,6 +38,8 @@
 
 #include <deque>
 #include <functional>
+
+SLIN_DEFINE_ALLOC_GAUGE()
 
 using namespace slin;
 
@@ -161,8 +165,8 @@ TEST(ArenaTest, OversizedRequestGetsItsOwnBlock) {
 }
 
 //===----------------------------------------------------------------------===//
-// TranspositionTable: allocation on first insert, lazy growth and
-// always-replace at capacity.
+// TranspositionTable: allocation on first insert, lazy growth, the mixed
+// home slot, forgetting and always-replace at capacity.
 //===----------------------------------------------------------------------===//
 
 TEST(TranspositionTest, NoSlotArrayUntilTheFirstInsert) {
@@ -177,8 +181,8 @@ TEST(TranspositionTest, NoSlotArrayUntilTheFirstInsert) {
   EXPECT_EQ(T.memoryBytes(), 0u);
 
   T.insert(42);
-  EXPECT_EQ(T.capacity(), 4096u);
-  EXPECT_EQ(T.memoryBytes(), 4096u * sizeof(std::uint64_t));
+  EXPECT_EQ(T.capacity(), 512u);
+  EXPECT_EQ(T.memoryBytes(), 512u * sizeof(std::uint64_t));
   EXPECT_TRUE(T.contains(42));
 
   // A bound below the initial capacity caps the first array too.
@@ -193,7 +197,7 @@ TEST(TranspositionTest, ShrinkToInitialFreesTheSlotArray) {
   Rng R(0x5A1);
   for (int I = 0; I != 1 << 12; ++I)
     T.insert(R.next());
-  ASSERT_GT(T.capacity(), 4096u);
+  ASSERT_GT(T.capacity(), 512u);
   T.shrinkToInitial();
   EXPECT_EQ(T.memoryBytes(), 0u);
   EXPECT_EQ(T.capacity(), 0u);
@@ -201,8 +205,55 @@ TEST(TranspositionTest, ShrinkToInitialFreesTheSlotArray) {
   EXPECT_FALSE(T.contains(42));
   // The next insert starts over at the initial array.
   T.insert(42);
-  EXPECT_EQ(T.capacity(), 4096u);
+  EXPECT_EQ(T.capacity(), 512u);
   EXPECT_TRUE(T.contains(42));
+}
+
+TEST(TranspositionTest, KeysSharingLowBitsSpread) {
+  // A session's keys often share their low bits. The home slot mixes the
+  // whole key, so 64 keys that differ only above bit 20 still fit the first
+  // array: no probe window fills, no key is lost, nothing grows.
+  TranspositionTable T;
+  std::vector<std::uint64_t> Keys;
+  for (std::uint64_t I = 1; I <= 64; ++I)
+    Keys.push_back((I << 21) | 0x0AE4Cu);
+  for (std::uint64_t K : Keys)
+    T.insert(K);
+  EXPECT_EQ(T.capacity(), 512u);
+  EXPECT_EQ(T.liveKeys(), Keys.size());
+  for (std::uint64_t K : Keys)
+    EXPECT_TRUE(T.contains(K)) << std::hex << K;
+}
+
+TEST(TranspositionTest, ForgetKeepsTheArray) {
+  TranspositionTable T;
+  // Forgetting a table that never stored a key touches nothing.
+  T.forget();
+  EXPECT_EQ(T.capacity(), 0u);
+  Rng R(0xF06);
+  std::vector<std::uint64_t> Keys;
+  for (int I = 0; I != 100; ++I) {
+    Keys.push_back(R.next());
+    T.insert(Keys.back());
+  }
+  const std::size_t Cap = T.capacity();
+  ASSERT_GT(T.liveKeys(), 0u);
+  T.forget();
+  EXPECT_EQ(T.liveKeys(), 0u);
+  EXPECT_EQ(T.capacity(), Cap);
+  EXPECT_EQ(T.memoryBytes(), Cap * sizeof(std::uint64_t));
+  for (std::uint64_t K : Keys)
+    EXPECT_FALSE(T.contains(K)) << std::hex << K;
+  // The next inserts reuse the kept array: no heap allocation.
+  const std::uint64_t Allocs0 = AllocGauge::count();
+  for (std::uint64_t K : Keys)
+    T.insert(K);
+  if (AllocGauge::active()) {
+    EXPECT_EQ(AllocGauge::count() - Allocs0, 0u);
+  }
+  EXPECT_EQ(T.capacity(), Cap);
+  EXPECT_EQ(T.liveKeys(), Keys.size());
+  EXPECT_TRUE(T.contains(Keys.front()));
 }
 
 TEST(TranspositionTest, InsertThenContains) {

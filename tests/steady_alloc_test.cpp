@@ -288,15 +288,53 @@ TEST(SteadyAlloc, SlinSearchingFootprintTracksMeasuredLiveBytes) {
   EXPECT_GT(Inc->retiredObligations(), 0u);
 }
 
+// The memo holds only the keys of the current epoch: every epoch move (a
+// fold, a budget stop, a relaxation) forgets it. On 4,000 shuffled one-write
+// slin rounds (32,000 verdicts, 249 epochs) a session's footprint at the end
+// must stay within one doubling of the memo's first array (4 KiB) of what it
+// was after 64 rounds — under the default memo bound as under the service's
+// 4,096. A memo that kept the dead keys would fill the service's 4,096 slots
+// and grow to MiB under the default bound.
+TEST(SteadyAlloc, SlinFootprintStaysFlatOverALongStream) {
+  RegisterAdt Reg;
+  PhaseSignature Sig(1, 2);
+  UniversalInitRelation Rel;
+  SlinCheckOptions Limits;
+  Limits.WantWitness = false;
+  Rng R(7);
+  const Trace T = genShuffledRegisterRounds(4000, 4, 1, R);
+  for (std::size_t Cap : {IncrementalOptions().TranspositionCapacity,
+                          std::size_t(1) << 12}) {
+    SCOPED_TRACE(testing::Message() << "memo bound " << Cap);
+    IncrementalOptions Opts;
+    Opts.RetainTrace = false;
+    Opts.RetainRetiredWitness = false;
+    Opts.TranspositionCapacity = Cap;
+    IncrementalSlinSession Inc(Reg, Sig, Rel, Opts);
+    std::size_t Early = 0;
+    for (std::size_t I = 0; I != T.size(); ++I) {
+      ASSERT_TRUE(static_cast<bool>(Inc.append(T[I])));
+      ASSERT_EQ(Inc.verdict(Limits).Outcome, Verdict::Yes) << "event " << I;
+      if (I + 1 == 64 * 8) // 64 rounds of 4 operations.
+        Early = Inc.memoryFootprintBytes();
+    }
+    ASSERT_GT(Early, 0u);
+    EXPECT_LE(Inc.memoryFootprintBytes(), Early + 4096)
+        << "the memo kept keys no search can match";
+    EXPECT_GT(Inc.stats().Search.Nodes, T.size())
+        << "the stream must search, not only take the fast step";
+  }
+}
+
 // The miss path's heap contract: on shuffled one-write register rounds (the
 // reorder-slin-256 shape) about a sixth of the verdicts miss the fast step
 // and walk the verdict ladder. Once warm, a missed verdict may allocate
 // little more than the cut point's snapshot of the cut state (its ADT clone
 // and its used counts): the search's per-node buffers live in the scratch
 // arena, and every seed point's run writes the chain's master and commit
-// rows into the chain's own vectors. The memo is capped at its initial array so that
-// its geometric growth, a cost of the table and not of a miss, stays out
-// of the count.
+// rows into the chain's own vectors. The memo runs under the service's
+// 4,096-slot bound; forgotten at every epoch move, it stays at its first
+// array here, so no memo growth enters the count.
 TEST(SteadyAlloc, SlinMissPathAllocations) {
   if (!AllocGauge::active())
     GTEST_SKIP() << "sanitizer build: interposer compiled out";

@@ -25,7 +25,9 @@
 //
 // --violate corrupts one response of object 0 (an output no KV execution
 // produces), demonstrating fault localization: that shard's session turns
-// No, the composed verdict turns No, and the summary names the object.
+// No, the composed verdict turns No, and the summary names the object. In
+// lin mode under the strict order the No freezes the shard: its window
+// stays at the No and its later events allocate nothing.
 //
 // --straggler demonstrates graded degradation and recovery: after the sim
 // stream, one extra shard receives an operation that invokes and stays

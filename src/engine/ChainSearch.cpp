@@ -220,6 +220,14 @@ private:
     return (*P.AcceptLeaf)(Interner.history({Master.data(), Longest - Base}));
   }
 
+  /// Leaves a node whose subtree spent the budget, right after undoing the
+  /// move into that subtree: the remaining children go unexplored and the
+  /// node's key is not stored, since the node was not refuted.
+  bool spent(const Arena::Mark &Frame) {
+    Scratch.rewind(Frame);
+    return false;
+  }
+
   bool dfs(std::uint64_t Committed, AdtState &State) {
     if (Committed == FullMask)
       return atLeaf();
@@ -271,6 +279,8 @@ private:
       Commits.pop_back();
       pop(Ob.In, Open, Seq);
       State.undoInput(U);
+      if (BudgetExhausted)
+        return spent(Frame);
     }
 
     // Move 2: append a filler input. A filler lies in every later commit
@@ -296,6 +306,8 @@ private:
         return true;
       pop(Id, Open, Seq);
       State.undoInput(U);
+      if (BudgetExhausted)
+        return spent(Frame);
     }
 
     Scratch.rewind(Frame);

@@ -133,6 +133,10 @@ struct SessionStats {
   /// per served verdict (the cached re-serves included); batch sessions
   /// never bump this.
   std::uint64_t BoundedYesVerdicts = 0;
+  /// Appends a resumable lin session only validated and counted because a
+  /// final No had frozen it (engine/SessionCore.h): no obligation was
+  /// pushed for them. Batch sessions never bump this.
+  std::uint64_t FrozenAppends = 0;
   /// High-water mark of the live obligation window (accumulates by max).
   std::uint64_t LiveWindowHighWater = 0;
   ChainStats Search; ///< Summed over all engine runs.
@@ -162,6 +166,7 @@ struct SessionStats {
     WindowOverflows += S.WindowOverflows;
     WindowRetiredUnknowns += S.WindowRetiredUnknowns;
     BoundedYesVerdicts += S.BoundedYesVerdicts;
+    FrozenAppends += S.FrozenAppends;
     LiveWindowHighWater = LiveWindowHighWater > S.LiveWindowHighWater
                               ? LiveWindowHighWater
                               : S.LiveWindowHighWater;

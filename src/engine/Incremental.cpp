@@ -55,6 +55,11 @@ WellFormedness IncrementalLinSession::append(const Action &A) {
     doom("not well-formed: " + W.Reason);
     return W;
   }
+  if (Frozen) {
+    // The No stands whatever follows: nothing to intern, open or push.
+    ++Stats.FrozenAppends;
+    return W;
+  }
   const std::size_t I = Builder.size() - 1;
   const InputId In = Interner.intern(A.In);
   if (isInvoke(A))
@@ -64,21 +69,24 @@ WellFormedness IncrementalLinSession::append(const Action &A) {
   return W;
 }
 
-LinCheckResult IncrementalLinSession::verdict(const LinCheckOptions &Limits) {
-  LinCheckResult R;
+void IncrementalLinSession::verdict(const LinCheckOptions &Limits,
+                                    LinCheckResult &R) {
+  resetResult(R);
   if (Doomed) {
     R.Outcome = Verdict::No;
     R.Reason = DoomReason;
-    seal(R);
-    return R;
+    return seal(R);
   }
   decide(Limits, R);
+  // Under Strict no later event retracts a cached No (see *Finality* in
+  // SessionCore.cpp); a weaker relation's invocation credit can.
+  if (!Frozen && HaveResult && Cached == Verdict::No && Order.isStrict())
+    freeze();
   // A Yes with nothing ever committed leaves no chain (and an empty
   // witness).
   if (R.Outcome == Verdict::Yes && Limits.WantWitness)
     if (const RetainedChain *C = findChain(0))
       completeWitness(*C, R.Witness.Master, R.Witness.Commits);
-  return R;
 }
 
 const FrontierState &IncrementalLinSession::frontierState() const {
@@ -206,6 +214,14 @@ void IncrementalSlinSession::shapeNo(ChainResult &R) const {
 void IncrementalSlinSession::prepareRun(std::size_t I, std::size_t NumOb,
                                         MemberRun &M) {
   const InitInterpretation &Finit = CachedFamily.Assignments[I];
+  Budgeted.clear();
+  FoundAborts.clear();
+  AnyInit = false;
+  // No init action, no abort and an empty interpretation: the shared
+  // window is the member's whole problem (no overlay, no seed, no leaf
+  // predicate), and the core publishes it.
+  if (InitActions.empty() && Aborts.empty() && Finit.empty())
+    return;
   // Ghost inputs join the alphabet before any dense array is sized; the
   // init LCP seeds root runs (Init Order forces it below every history).
   std::vector<History> Histories;
@@ -230,12 +246,9 @@ void IncrementalSlinSession::prepareRun(std::size_t I, std::size_t NumOb,
   // mirror of the running union for the budget bookkeeping
   // (findAbortHistory consumes multisets). Capped runs (the first NumOb
   // obligations) serve abort-free streams only.
-  Budgeted.clear();
-  FoundAborts.clear();
   OverlayPtrs.resize(NumOb);
   const bool HaveAborts = !Aborts.empty();
   Multiset<Input> RunningInitM;
-  AnyInit = false;
   bool AnyOverlay = false;
   std::size_t NextInit = 0;
   auto AdvanceTo = [&](std::size_t Index) {
@@ -343,9 +356,11 @@ void IncrementalSlinSession::memberYes(std::size_t, RetainedChain &C) {
   C.Aborts = std::move(FoundAborts);
 }
 
-SlinVerdict IncrementalSlinSession::verdict(const SlinCheckOptions &SOpts) {
-  SlinVerdict Out;
-  LinCheckResult R;
+void IncrementalSlinSession::verdict(const SlinCheckOptions &SOpts,
+                                     SlinVerdict &Out) {
+  LinCheckResult &R = Ladder;
+  resetResult(R);
+  Out.Witnesses.clear();
   if (Doomed) {
     R.Outcome = Verdict::No;
     R.Reason = DoomReason;
@@ -389,12 +404,11 @@ SlinVerdict IncrementalSlinSession::verdict(const SlinCheckOptions &SOpts) {
       }
   }
   Out.Outcome = R.Outcome;
-  Out.Reason = std::move(R.Reason);
+  Out.Reason = R.Reason;
   Out.BudgetLimited = R.BudgetLimited;
   Out.NodesExplored = R.NodesExplored;
   Out.Grade = R.Grade;
   Out.Interference = R.Interference;
-  return Out;
 }
 
 std::size_t IncrementalSlinSession::memoryFootprintBytes() const {

@@ -61,7 +61,9 @@
 /// checkers' on the materialized trace; only which traces exhaust a
 /// *budget* can differ, as with warm batch sessions. Two zero-search
 /// absorptions shortcut the monitor path: an appended invocation changes no
-/// obligation, and No is final under extension.
+/// obligation, and No is final under extension. Under the Strict relation a
+/// lin session freezes at its first No: it keeps the window at the No as
+/// evidence, releases its search state, and builds no further obligation.
 ///
 /// Sessions are single-threaded; use one per thread.
 ///
@@ -86,18 +88,31 @@ public:
   /// position, or not an input of the ADT) leaves the view unchanged and
   /// dooms the session: the trace the stream describes is not
   /// linearizable, so every later verdict is No with this reason, exactly
-  /// as the batch checker would answer on the full stream.
+  /// as the batch checker would answer on the full stream. A frozen
+  /// session (frozen()) still validates, dooms and extends the view, but
+  /// builds no obligation.
   WellFormedness append(const Action &A);
 
   /// The verdict for the trace ingested so far. Identical conclusive
   /// answers to checkLinearizable(trace(), adt()); NodesExplored counts
   /// only the nodes this call spent (0 for the O(1) absorption paths).
   /// Opts.Order is ignored; the relation is IncrementalOptions::Order.
-  LinCheckResult verdict(const LinCheckOptions &Opts = {});
+  /// Under the Strict relation the first No freezes the session.
+  LinCheckResult verdict(const LinCheckOptions &Opts = {}) {
+    LinCheckResult R;
+    verdict(Opts, R);
+    return R;
+  }
+
+  /// The same verdict, written into \p Out: a caller that reuses one
+  /// result takes a repeated non-Yes reason into its existing capacity,
+  /// with no heap allocation.
+  void verdict(const LinCheckOptions &Opts, LinCheckResult &Out);
 
   /// Starts a new, unrelated trace: clears the view, obligations, cached
-  /// result and chain; moves the memo epoch on and forgets its keys; keeps
-  /// the warm interner, arena blocks, and the memo's slot array.
+  /// result and chain, and unfreezes; moves the memo epoch on and forgets
+  /// its keys; keeps the warm interner, arena blocks, and the memo's slot
+  /// array (after a freeze released them, they regrow on demand).
   void reset() { resetCore(); }
 
   /// Estimated bytes this session holds across its long-lived structures
@@ -152,8 +167,19 @@ public:
   /// The verdict for the trace ingested so far; identical conclusive
   /// answers to checkSlin(trace(), ...) over the same relation.
   /// Opts.Search.Order is ignored (the relation is IncrementalOptions::
-  /// Order), and Opts.WantWitness overrides Opts.Search.WantWitness.
-  SlinVerdict verdict(const SlinCheckOptions &Opts = {});
+  /// Order), and Opts.WantWitness overrides Opts.Search.WantWitness. A
+  /// slin session never freezes: a later init action or abort reading can
+  /// send a cached No back to the search.
+  SlinVerdict verdict(const SlinCheckOptions &Opts = {}) {
+    SlinVerdict V;
+    verdict(Opts, V);
+    return V;
+  }
+
+  /// The same verdict, written into \p Out (see
+  /// IncrementalLinSession::verdict(const LinCheckOptions &,
+  /// LinCheckResult &)).
+  void verdict(const SlinCheckOptions &Opts, SlinVerdict &Out);
 
   /// Starts a new, unrelated trace (keeps warm storage; salts out and
   /// forgets the memo, and drops every retained chain).
@@ -228,6 +254,9 @@ private:
   std::vector<detail::PendingAbort> Budgeted;
   std::vector<std::pair<std::size_t, History>> FoundAborts;
   std::function<bool(const History &)> Leaf;
+  /// The ladder's result, reused by every verdict so that a repeated
+  /// reason is copied into existing capacity.
+  LinCheckResult Ladder;
 };
 
 } // namespace slin

@@ -28,12 +28,20 @@
 // (CacheStale) and moves the epoch for them.
 //
 // *Pollution.* A budget-exhausted run returns through ancestors whose
-// other children were never explored, yet those ancestors insert memo
-// entries on the way out. Such entries are sound within the aborted run
-// (the whole run answers Unknown) but not for a later run under the same
-// salt, so any budget-limited result moves the epoch at once. Every epoch
-// move also forgets the memo (newEpoch): the salt is what makes the old
-// entries unreachable, the forget only frees their slots.
+// other children were never explored. The engine stores no key for such
+// an ancestor (dfs returns as soon as the budget is spent), but a
+// budget-limited result still moves the epoch at once: no later run
+// depends on which entries an aborted run left. Every epoch move also
+// forgets the memo (newEpoch): the salt is what makes the old entries
+// unreachable, the forget only frees their slots.
+//
+// *Finality.* Under the Strict relation a cached No is final: the
+// deletion argument above shows every extension of the trace is refuted
+// too, and nothing in a lin session ever retracts it (only a weaker
+// relation's availability credit does, noteInvoke). So a lin session under
+// Strict freezes at its first No and stops building obligations. Slin
+// does not freeze: a new init action or a changed abort reading sets
+// CacheStale and searches the No again.
 //
 // *Restriction.* The first WindowLimit obligations of an overflowed window
 // form an exact restriction under every interpretation: deleting the
@@ -50,6 +58,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <type_traits>
 
 using namespace slin;
 
@@ -175,6 +184,20 @@ bool LiveWindow::creditInvoke(const OrderRelation &Order, ClientId Invoker,
     Any = true;
   }
   return Any;
+}
+
+void LiveWindow::shrinkToFit() {
+  auto Live = [&](auto &V, std::size_t Width) {
+    using Vec = std::remove_reference_t<decltype(V)>;
+    V = Vec(V.begin() + static_cast<std::ptrdiff_t>(Base * Width),
+            V.begin() + static_cast<std::ptrdiff_t>((Base + N) * Width));
+  };
+  Live(Slots, 1);
+  Live(Invokes, 1);
+  Live(Clients, 1);
+  Live(Metas, 1);
+  Live(AvailStore, Stride);
+  Base = 0;
 }
 
 std::size_t LiveWindow::lowerBoundTag(std::size_t T) const {
@@ -1123,8 +1146,32 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
 }
 
 //===----------------------------------------------------------------------===//
-// Witnesses, reset, footprint
+// Witnesses, the freeze, reset, footprint
 //===----------------------------------------------------------------------===//
+
+void WindowedSession::resetResult(LinCheckResult &R) {
+  R.Outcome = Verdict::No;
+  R.Reason.clear();
+  R.Witness.Master.clear();
+  R.Witness.Commits.clear();
+  R.NodesExplored = 0;
+  R.BudgetLimited = false;
+  R.Grade = VerdictGrade::No;
+  R.Interference = 0;
+}
+
+void WindowedSession::freeze() {
+  // The window at the No and the interner its ids index are the evidence;
+  // what only a later search would use goes.
+  Frozen = true;
+  Obligations.shrinkToFit();
+  Memo.shrinkToInitial();
+  Scratch.release();
+  Chains = decltype(Chains)();
+  CappedScratch = decltype(CappedScratch)();
+  DrainRound = decltype(DrainRound)();
+  FastUndoScratch = decltype(FastUndoScratch)();
+}
 
 void WindowedSession::completeWitness(const RetainedChain &C, History &Master,
                                       Rows &Commits) const {
@@ -1145,6 +1192,7 @@ void WindowedSession::resetCore() {
   OpenStart.clear();
   Doomed = false;
   DoomReason.clear();
+  Frozen = false;
   WindowBase = 0;
   OverflowNoted = false;
   HaveBoundedYes = false;

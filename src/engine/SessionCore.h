@@ -27,6 +27,9 @@
 ///     absorbed Yes, fast step, then per member a walk over its chain's
 ///     *seed points*, longest first, and the WindowRetired shaping of a No
 ///     behind a retired prefix;
+///   * the freeze at a final No: the window at the No is kept as read-only
+///     evidence, everything that only serves a later search is released,
+///     and later appends are only validated and counted;
 ///   * reset and the footprint of all of the above.
 ///
 /// A seed point is a chain prefix plus the ADT state reached there — all a
@@ -237,6 +240,11 @@ public:
   bool commitsPrefix(const std::pair<std::size_t, std::size_t> *Rows,
                      std::size_t K) const;
 
+  /// Moves the live rows to the front and frees the storage past them:
+  /// the window then reserves exactly its live rows. A later append
+  /// regrows it as from empty.
+  void shrinkToFit();
+
   /// Bytes reserved by the window's persistent storage (slots, invoke
   /// indices, availability rows).
   std::size_t memoryBytes() const {
@@ -355,6 +363,20 @@ public:
   /// operations); bounded by 64 outside overflow excursions.
   std::size_t liveWindow() const { return Obligations.size(); }
 
+  /// True once a final No froze the session (a lin session under the
+  /// Strict relation; see IncrementalLinSession::verdict). Every later
+  /// verdict is that No; appends are validated and counted
+  /// (SessionStats::FrozenAppends) but push no obligation. Cleared by
+  /// reset().
+  bool frozen() const { return Frozen; }
+
+  /// The live window, which is the evidence for the No once frozen():
+  /// every response of the stream (a No is conclusive only while nothing
+  /// is retired), read-only, with its storage shrunk to its rows. Its
+  /// input ids resolve through interner().
+  const LiveWindow &evidence() const { return Obligations; }
+  const InputInterner &interner() const { return Interner; }
+
   /// True while the live window exceeds the engine's exact-search bound
   /// (an *overflow excursion*: a straggling operation overlapped more than
   /// 64 completions). Counted once per excursion in
@@ -418,8 +440,17 @@ protected:
   /// A response at \p I: closes the operation and pushes its obligation.
   void noteResponse(const Action &A, std::size_t I, InputId In);
 
-  /// The verdict ladder, into a fresh \p R; seals the result.
+  /// The verdict ladder, into \p R as resetResult left it; seals the
+  /// result.
   void decide(const LinCheckOptions &Limits, LinCheckResult &R);
+  /// Clears \p R to a fresh result's fields, keeping the capacity of its
+  /// reason and witness, so that a caller's reused result takes a repeated
+  /// reason without a heap allocation.
+  static void resetResult(LinCheckResult &R);
+  /// Freezes the session at its cached No (see frozen()): shrinks the
+  /// window to its rows and releases the memo's slot array, the scratch
+  /// arena's blocks, the chain table and the capped-run scratch.
+  void freeze();
   /// Records \p R in the stats, seals its grade and clears the deltas.
   void seal(LinCheckResult &R);
 
@@ -455,6 +486,7 @@ protected:
   std::vector<std::size_t> OpenStart;  ///< Per client: open operation index.
   bool Doomed = false;
   std::string DoomReason;
+  bool Frozen = false; ///< See frozen().
 
   std::size_t WindowBase = 0; ///< Obligations retired so far.
   /// The current overflow excursion was counted in Stats.WindowOverflows.

@@ -175,28 +175,32 @@ void MonitorService::applyToShard(Shard &S, const Action &A) {
 }
 
 void MonitorService::takeVerdict(Shard &S) {
+  // The scratch results keep their reason's capacity across shards and
+  // events: a shard that repeats its non-Yes reason (a final No, a
+  // BoundedYes) takes it without a heap allocation.
   Verdict V;
   VerdictGrade G;
+  const std::string *Reason;
   if (S.Lin) {
     LinCheckOptions Opts;
     Opts.NodeBudget = Config.NodeBudget;
     Opts.WantWitness = false;
-    LinCheckResult R = S.Lin->verdict(Opts);
-    V = R.Outcome;
-    G = R.Grade;
-    if (V != Verdict::Yes && S.LastReason != R.Reason)
-      S.LastReason = R.Reason;
+    S.Lin->verdict(Opts, LinResult);
+    V = LinResult.Outcome;
+    G = LinResult.Grade;
+    Reason = &LinResult.Reason;
   } else {
     SlinCheckOptions Opts;
     Opts.Search.NodeBudget = Config.NodeBudget;
     Opts.Search.WantWitness = false;
     Opts.WantWitness = false;
-    SlinVerdict R = S.Slin->verdict(Opts);
-    V = R.Outcome;
-    G = R.Grade;
-    if (V != Verdict::Yes && S.LastReason != R.Reason)
-      S.LastReason = R.Reason;
+    S.Slin->verdict(Opts, SlinResult);
+    V = SlinResult.Outcome;
+    G = SlinResult.Grade;
+    Reason = &SlinResult.Reason;
   }
+  if (V != Verdict::Yes && S.LastReason != *Reason)
+    S.LastReason = *Reason;
   S.Last = V;
   S.LastGrade = G;
 }

@@ -217,6 +217,9 @@ private:
   ComposedVerdictTracker Tracker;
   ServiceStats Stats;
   std::string LastError;
+  /// One result per mode, reused by every takeVerdict.
+  LinCheckResult LinResult;
+  SlinVerdict SlinResult;
 };
 
 } // namespace slin

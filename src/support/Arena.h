@@ -78,6 +78,15 @@ public:
     Allocated = 0;
   }
 
+  /// Frees every block: the arena is then as freshly constructed, except
+  /// that highWaterBytes() is kept.
+  void release() {
+    decltype(Blocks)().swap(Blocks);
+    decltype(Capacities)().swap(Capacities);
+    reset();
+    Reserved = 0;
+  }
+
   /// A bump position to rewind() to.
   struct Mark {
     std::size_t Block = 0;

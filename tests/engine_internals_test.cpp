@@ -639,6 +639,70 @@ TEST(LiveWindowTest, CommitsPrefixIsThePermutationTest) {
   EXPECT_FALSE(Aligned({{11, 1}, {13, 2}, {15, 3}, {17, 4}, {19, 5}}, 5));
 }
 
+TEST(ChainSearchTest, BudgetStopLeavesTheAdoptedStateAsItWas) {
+  // A refuted problem searched from an adopted seed point on every budget
+  // short of the refutation: the run stops at its budget, and the search
+  // stops there too. Each move enters a node, and only the root is not
+  // entered by a move, so every move but the one into the refused node
+  // expanded a node: a run that applied, refused and undid siblings after
+  // the budget ran out would report more moves than nodes. The adopted
+  // state, undone move by move, comes back exactly as it was.
+  RegisterAdt Reg;
+  Rng R(0xC5EED);
+  LinProblem P(genShuffledRegisterRounds(6, 4, 1, R));
+  ChainResult Root;
+  {
+    TranspositionTable Memo;
+    Arena Scratch;
+    ChainSearch(P.Interner, Memo, Scratch).run(P.view(Reg), ChainLimits{}, 7,
+                                               Root);
+  }
+  ASSERT_EQ(Root.Outcome, Verdict::Yes);
+  // The chain's first round, pre-committed; the last response corrupted.
+  const std::size_t K = 4, L = Root.Commits[K - 1].second;
+  P.Obs.back().Out = Output{99};
+  ChainProblemView V = P.view(Reg);
+  V.Seed = Root.Master.data();
+  V.SeedLen = L;
+  V.SeedRows = Root.Commits.data();
+  V.NumSeedRows = K;
+  V.SeedCommitted = (1ull << K) - 1;
+  auto run = [&](std::uint64_t Budget, FrontierState &F) {
+    F.State = Reg.makeState();
+    F.Used.assign(P.Interner.size(), 0);
+    F.UsedHash = 0;
+    F.Len = 0;
+    F.Valid = true;
+    advanceFrontierState(F, P.Interner, Root.Master.data(), L);
+    V.Retained = &F;
+    TranspositionTable Memo;
+    Arena Scratch;
+    ChainResult Out;
+    ChainSearch(P.Interner, Memo, Scratch).run(V, ChainLimits{Budget}, 7, Out);
+    return Out;
+  };
+  FrontierState Full;
+  const ChainResult Refuted = run(ChainLimits{}.NodeBudget, Full);
+  ASSERT_EQ(Refuted.Outcome, Verdict::No);
+  ASSERT_GT(Refuted.Stats.Nodes, 8u);
+  const std::uint64_t Digest = Full.State->digest();
+  for (std::uint64_t Budget = 1; Budget != Refuted.Stats.Nodes; ++Budget) {
+    SCOPED_TRACE(testing::Message() << "budget " << Budget);
+    FrontierState F;
+    const ChainResult Out = run(Budget, F);
+    ASSERT_EQ(Out.Outcome, Verdict::Unknown);
+    ASSERT_TRUE(Out.BudgetLimited);
+    EXPECT_EQ(Out.Stats.Nodes, Budget);
+    EXPECT_EQ(Out.Stats.CommitMoves + Out.Stats.FillerMoves, Budget);
+    EXPECT_LE(Out.Stats.MemoStores, Refuted.Stats.MemoStores);
+    ASSERT_TRUE(F.Valid && F.State);
+    EXPECT_EQ(F.State->digest(), Digest);
+    EXPECT_EQ(F.Used, Full.Used);
+    EXPECT_EQ(F.UsedHash, Full.UsedHash);
+    EXPECT_EQ(F.Len, L);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // LiveWindow: 64-slot storage through folds, stride regrows and an
 // overflow excursion.
@@ -1880,6 +1944,50 @@ TEST(CutRungTest, SlinShuffledRoundsResumeAtTheCut) {
   EXPECT_LE(PerMiss, 4.0 + 4.0) << "misses reopen more than their round";
   EXPECT_GT(Inc.retiredObligations(), 0u);
   EXPECT_EQ(Inc.stats().WindowRetiredUnknowns, 0u);
+}
+
+TEST(CutRungTest, ReorderSlinMissSplitIsPinned) {
+  // BM_E8_ReorderSlin's stream (64 rounds, seed 0xE86) through one slin
+  // session with a witness-free verdict per event, and the same seed over
+  // 1,000 rounds through a shard-shaped session (outcome-only, 4,096-slot
+  // memo cap). The total nodes and the split of the ladder's runs between
+  // the chain's end, its cut and its boundary are pinned: a change to the
+  // miss path that moves a single node fails here, not only in the e8
+  // bench gate.
+  struct Row {
+    unsigned Rounds;
+    bool Shard;
+    std::uint64_t Nodes, FrontierResumes, CutResumes, RootSearches, Fast;
+  };
+  const Row Rows[] = {
+      {64, false, 826, 254, 57, 7, 175},
+      {1000, true, 13730, 3987, 1009, 83, 2615},
+  };
+  RegisterAdt Reg;
+  PhaseSignature Sig(1, 2);
+  UniversalInitRelation Rel;
+  for (const Row &W : Rows) {
+    SCOPED_TRACE(testing::Message() << W.Rounds << " rounds");
+    Rng R(0xE86);
+    const Trace T = genShuffledRegisterRounds(W.Rounds, 4, 1, R);
+    IncrementalOptions Opts;
+    if (W.Shard) {
+      Opts.TranspositionCapacity = 1u << 12;
+      Opts.RetainTrace = false;
+      Opts.RetainRetiredWitness = false;
+    }
+    IncrementalSlinSession Inc(Reg, Sig, Rel, Opts);
+    SlinCheckOptions O;
+    O.WantWitness = false;
+    streamMeanMissNodes(Inc, T, O);
+    const SessionStats &S = Inc.stats();
+    EXPECT_EQ(S.Search.Nodes, W.Nodes);
+    EXPECT_EQ(S.FrontierResumes, W.FrontierResumes);
+    EXPECT_EQ(S.CutResumes, W.CutResumes);
+    EXPECT_EQ(S.RootSearches, W.RootSearches);
+    EXPECT_EQ(S.FastPathVerdicts, W.Fast);
+    EXPECT_GT(Inc.retiredObligations(), 0u);
+  }
 }
 
 namespace {

@@ -262,6 +262,40 @@ TEST(OrderRelationTest, IncrementalLitmusMatchesBatchUnderBothRelations) {
   }
 }
 
+TEST(OrderRelationTest, TsoInvocationRetractsACachedNoSoOnlyStrictFreezes) {
+  // A read of 1 responds, unflushed, before any write is invoked: No under
+  // both relations. Under TsoHb the read stays unordered with a later
+  // cross-client write(1), whose invocation credits the read's row and
+  // retracts the No; a session there must not freeze. Under Strict the No
+  // is final and the session freezes at it.
+  RegisterAdt Reg;
+  Trace T;
+  T.push_back(makeInvoke(0, 1, reg::read()));
+  T.push_back(makeRespond(0, 1, reg::read(), Output{1}));
+  IncrementalLinSession Strict(Reg,
+                               incrementalWithOrder(OrderRelationKind::Strict));
+  IncrementalLinSession Tso(Reg,
+                            incrementalWithOrder(OrderRelationKind::TsoHb));
+  for (const Action &A : T) {
+    ASSERT_TRUE(static_cast<bool>(Strict.append(A)));
+    ASSERT_TRUE(static_cast<bool>(Tso.append(A)));
+  }
+  EXPECT_EQ(Strict.verdict().Outcome, Verdict::No);
+  EXPECT_EQ(Tso.verdict().Outcome, Verdict::No);
+  EXPECT_TRUE(Strict.frozen());
+  EXPECT_FALSE(Tso.frozen());
+
+  T.push_back(makeInvoke(1, 1, reg::write(1)));
+  ASSERT_TRUE(static_cast<bool>(Strict.append(T.back())));
+  ASSERT_TRUE(static_cast<bool>(Tso.append(T.back())));
+  EXPECT_EQ(Strict.verdict().Outcome, Verdict::No);
+  EXPECT_EQ(Tso.verdict().Outcome, Verdict::Yes);
+  EXPECT_EQ(Strict.stats().FrozenAppends, 1u);
+  EXPECT_EQ(Tso.stats().FrozenAppends, 0u);
+  expectIncrementalMatchesBatch(Reg, T, OrderRelationKind::Strict);
+  expectIncrementalMatchesBatch(Reg, T, OrderRelationKind::TsoHb);
+}
+
 //===----------------------------------------------------------------------===//
 // Relation-aware retirement on unbounded streams.
 //===----------------------------------------------------------------------===//

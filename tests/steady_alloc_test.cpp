@@ -20,6 +20,10 @@
 // (FastPathVerdicts advances per verdict), with the window bounded by
 // retirement the whole way.
 //
+// A lin session under the Strict relation freezes at its first No (No is
+// final there): the audit checks that a refuted shard's footprint is flat
+// and that its events, verdicts included, touch the heap zero times.
+//
 // Under ASan the interposer is compiled out (the sanitizer owns operator
 // new); AllocGauge::active() reports that and the heap assertions become
 // vacuous there — the arena and bookkeeping assertions still run.
@@ -29,6 +33,8 @@
 #include "adt/Consensus.h"
 #include "adt/Register.h"
 #include "engine/Incremental.h"
+#include "lin/LinChecker.h"
+#include "service/Service.h"
 #include "support/AllocGauge.h"
 #include "trace/Gen.h"
 
@@ -377,6 +383,159 @@ TEST(SteadyAlloc, SlinMissPathAllocations) {
   EXPECT_EQ(Inc.scratchArena().reservedBytes(), Reserved0)
       << "scratch arena reserved new blocks on the miss path";
   EXPECT_GT(Inc.stats().CutResumes, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// A final No freezes a lin session under Strict.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Shuffled one-write register rounds whose 10th response (round 3, so
+/// inside the first 64 obligations) returns an output no register write
+/// produces: every prefix from that response on is not linearizable.
+Trace corruptedRounds(unsigned Rounds, std::size_t &Corrupted) {
+  Rng R(0xF2EE);
+  Trace T = genShuffledRegisterRounds(Rounds, 4, 1, R);
+  std::size_t Responses = 0;
+  for (Corrupted = 0; Corrupted != T.size(); ++Corrupted)
+    if (isRespond(T[Corrupted]) && ++Responses == 10)
+      break;
+  T[Corrupted].Out = Output{777};
+  return T;
+}
+
+/// The service's shard options: outcome-only, 4,096-slot memo bound.
+IncrementalOptions shardOptions() {
+  IncrementalOptions Opts;
+  Opts.TranspositionCapacity = 1u << 12;
+  Opts.RetainTrace = false;
+  Opts.RetainRetiredWitness = false;
+  return Opts;
+}
+
+} // namespace
+
+TEST(SteadyAlloc, LinFreezesAtAFinalNo) {
+  RegisterAdt Reg;
+  std::size_t Bad = 0;
+  const Trace T = corruptedRounds(1004, Bad);
+  LinCheckOptions Limits;
+  Limits.WantWitness = false;
+  IncrementalLinSession Inc(Reg, shardOptions());
+  for (std::size_t I = 0; I != Bad; ++I) {
+    ASSERT_TRUE(static_cast<bool>(Inc.append(T[I])));
+    ASSERT_EQ(Inc.verdict(Limits).Outcome, Verdict::Yes) << "event " << I;
+  }
+  EXPECT_FALSE(Inc.frozen());
+  ASSERT_TRUE(static_cast<bool>(Inc.append(T[Bad])));
+  const LinCheckResult No = Inc.verdict(Limits);
+  ASSERT_EQ(No.Outcome, Verdict::No);
+  ASSERT_TRUE(Inc.frozen());
+  const std::size_t Window = Inc.liveWindow();
+  const std::size_t Frozen = Inc.memoryFootprintBytes();
+  EXPECT_EQ(Window, 10u) << "the window at the No holds every response";
+  EXPECT_EQ(Inc.evidence().size(), Window);
+  const LiveWindow &Evidence = Inc.evidence();
+  EXPECT_EQ(Evidence.out(Window - 1), Output{777});
+  EXPECT_EQ(Inc.interner().input(Evidence.in(Window - 1)), T[Bad].In);
+  EXPECT_EQ(Inc.memo().capacity(), 0u);
+  EXPECT_EQ(Inc.scratchArena().reservedBytes(), 0u);
+
+  // 1,000 more rounds: the same No every time, nothing pushed or searched.
+  const std::uint64_t Nodes = Inc.stats().Search.Nodes;
+  for (std::size_t I = Bad + 1; I != T.size(); ++I) {
+    ASSERT_TRUE(static_cast<bool>(Inc.append(T[I])));
+    const LinCheckResult R = Inc.verdict(Limits);
+    ASSERT_EQ(R.Outcome, Verdict::No) << "event " << I;
+    ASSERT_EQ(R.Reason, No.Reason) << "event " << I;
+    ASSERT_EQ(Inc.liveWindow(), Window) << "event " << I;
+  }
+  EXPECT_GE(T.size() - Bad - 1, 1000u * 8);
+  EXPECT_EQ(Inc.stats().FrozenAppends, T.size() - Bad - 1);
+  EXPECT_EQ(Inc.stats().Search.Nodes, Nodes);
+  EXPECT_EQ(Inc.size(), T.size()) << "frozen appends are still counted";
+  EXPECT_LE(Inc.memoryFootprintBytes(), Frozen);
+  EXPECT_LT(Inc.memoryFootprintBytes(), 16384u);
+
+  // reset() unfreezes: a linearizable stream is monitored as from new.
+  Inc.reset();
+  EXPECT_FALSE(Inc.frozen());
+  Rng R(0xF2EE);
+  const Trace Clean = genShuffledRegisterRounds(100, 4, 1, R);
+  for (std::size_t I = 0; I != Clean.size(); ++I) {
+    ASSERT_TRUE(static_cast<bool>(Inc.append(Clean[I])));
+    ASSERT_EQ(Inc.verdict(Limits).Outcome, Verdict::Yes) << "event " << I;
+  }
+  EXPECT_GT(Inc.retiredObligations(), 0u);
+  EXPECT_GT(Inc.stats().FastPathVerdicts, 0u);
+}
+
+TEST(SteadyAlloc, FrozenLinSessionStillDoomsIllFormedEvents) {
+  // A frozen session still validates every append: an ill-formed event or
+  // an input outside the ADT dooms it with the reason an unfrozen session
+  // gives, which is what the batch checker reports on the whole stream.
+  RegisterAdt Reg;
+  std::size_t Bad = 0;
+  const Trace T = corruptedRounds(8, Bad);
+  // A response of client 0, every operation of which was answered.
+  const Action Stray = makeRespond(0, 1, reg::read(), Output{0});
+  TraceBuilder Builder;
+  for (const Action &A : T)
+    ASSERT_TRUE(static_cast<bool>(Builder.append(A)));
+  const WellFormedness Rejected = Builder.append(Stray);
+  ASSERT_FALSE(Rejected.Ok);
+  struct Case {
+    Action A;
+    std::string Reason;
+  };
+  const Case Cases[] = {
+      {Stray, "not well-formed: " + Rejected.Reason},
+      {makeInvoke(0, 1, Input{99, 0, 0}), "invalid input for ADT"},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Reason);
+    IncrementalLinSession Inc(Reg, shardOptions());
+    for (std::size_t I = 0; I != T.size(); ++I) {
+      ASSERT_TRUE(static_cast<bool>(Inc.append(T[I])));
+      Inc.verdict();
+    }
+    ASSERT_TRUE(Inc.frozen());
+    EXPECT_FALSE(Inc.append(C.A).Ok);
+    EXPECT_TRUE(Inc.doomed());
+    const LinCheckResult R = Inc.verdict();
+    EXPECT_EQ(R.Outcome, Verdict::No);
+    EXPECT_EQ(R.Reason, C.Reason);
+  }
+  EXPECT_EQ(checkLinearizable(T, Reg).Outcome, Verdict::No);
+}
+
+TEST(SteadyAlloc, FrozenShardEventsAreAllocationFree) {
+  // The refuted shard through the service: once its No is published, its
+  // events (append, verdict, publication) never touch the heap, the shard's
+  // window stays at the No, and its bytes are a healthy shard's.
+  if (!AllocGauge::active())
+    GTEST_SKIP() << "sanitizer build: interposer compiled out";
+  RegisterAdt Reg;
+  std::size_t Bad = 0;
+  const Trace T = corruptedRounds(1004, Bad);
+  MonitorService Service(Reg);
+  const std::size_t Warm = Bad + 8;
+  for (std::size_t I = 0; I != Warm; ++I)
+    Service.ingest(/*Object=*/5, T[I]);
+  ASSERT_EQ(Service.composedVerdict(), Verdict::No);
+  const IncrementalLinSession *Shard = Service.linShard(5);
+  ASSERT_TRUE(Shard && Shard->frozen());
+  const std::size_t Window = Shard->liveWindow();
+  const std::uint64_t Allocs0 = AllocGauge::count();
+  for (std::size_t I = Warm; I != T.size(); ++I)
+    Service.ingest(/*Object=*/5, T[I]);
+  EXPECT_EQ(AllocGauge::count() - Allocs0, 0u);
+  EXPECT_EQ(Service.composedVerdict(), Verdict::No);
+  EXPECT_EQ(Service.culpritObject(), 5u);
+  EXPECT_EQ(Shard->liveWindow(), Window);
+  EXPECT_EQ(Service.aggregateSessionStats().LiveWindowHighWater, Window);
+  EXPECT_LT(Service.maxShardMemoryBytes(), 16384u);
 }
 
 // The interposer itself must be observable: this binary defines the gauge,

@@ -76,6 +76,11 @@ public:
   /// Deep-copies the state (snapshots of a retained replay state).
   virtual std::unique_ptr<AdtState> clone() const = 0;
 
+  /// Makes this state a copy of \p Other, a state of the same ADT, reusing
+  /// this object and its storage: a session that re-seeds one replay state
+  /// from another on every missed verdict allocates nothing once warm.
+  virtual void copyFrom(const AdtState &Other) = 0;
+
   /// A fingerprint of the *logical* state: two states with equal digests
   /// respond identically to all futures (up to hash collision). This is the
   /// paper's notion of history equivalence (Section 2.3) made executable,

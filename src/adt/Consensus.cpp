@@ -31,6 +31,10 @@ public:
     return std::make_unique<ConsensusState>(*this);
   }
 
+  void copyFrom(const AdtState &Other) override {
+    Decided = static_cast<const ConsensusState &>(Other).Decided;
+  }
+
   std::uint64_t digest() const override {
     return hashCombine(0xC0115u, static_cast<std::uint64_t>(Decided));
   }

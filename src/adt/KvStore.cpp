@@ -99,6 +99,10 @@ public:
     return std::make_unique<KvStoreState>(*this);
   }
 
+  void copyFrom(const AdtState &Other) override {
+    Map = static_cast<const KvStoreState &>(Other).Map;
+  }
+
   std::uint64_t digest() const override {
     std::uint64_t H = 0x6b76u;
     for (const auto &[K, V] : Map) {

@@ -55,6 +55,10 @@ public:
     return std::make_unique<QueueState>(*this);
   }
 
+  void copyFrom(const AdtState &Other) override {
+    Items = static_cast<const QueueState &>(Other).Items;
+  }
+
   std::uint64_t digest() const override {
     std::uint64_t H = 0x9u;
     for (std::int64_t V : Items)

@@ -29,6 +29,10 @@ public:
     return std::make_unique<RegisterState>(*this);
   }
 
+  void copyFrom(const AdtState &Other) override {
+    Content = static_cast<const RegisterState &>(Other).Content;
+  }
+
   std::uint64_t digest() const override {
     return hashCombine(0x4e6u, static_cast<std::uint64_t>(Content));
   }

@@ -30,6 +30,10 @@ public:
     return std::make_unique<UniversalState>(*this);
   }
 
+  void copyFrom(const AdtState &Other) override {
+    Fingerprint = static_cast<const UniversalState &>(Other).Fingerprint;
+  }
+
   std::uint64_t digest() const override { return Fingerprint; }
 
   void serializeCanonical(std::vector<std::int64_t> &Out) const override {

@@ -192,18 +192,23 @@ struct FrontierState {
     Valid = false;
   }
 
-  /// Deep copy (clones the ADT state); a root search behind a retired
-  /// prefix adopts a clone of the retired boundary.
-  FrontierState snapshot() const {
-    FrontierState F;
-    F.State = State ? State->clone() : nullptr;
-    F.Used = Used;
-    F.UsedHash = UsedHash;
-    F.SeqHash = SeqHash;
-    F.HasSeqHash = HasSeqHash;
-    F.Len = Len;
-    F.Valid = Valid && F.State != nullptr;
-    return F;
+  /// Makes this a deep copy of \p Other (a state of the same ADT), reusing
+  /// this state's ADT object (AdtState::copyFrom) and used-count storage:
+  /// a run from a shorter seed point adopts such a copy, and once warm it
+  /// allocates nothing.
+  void assign(const FrontierState &Other) {
+    if (!Other.State)
+      State.reset();
+    else if (State)
+      State->copyFrom(*Other.State);
+    else
+      State = Other.State->clone();
+    Used.assign(Other.Used.begin(), Other.Used.end());
+    UsedHash = Other.UsedHash;
+    SeqHash = Other.SeqHash;
+    HasSeqHash = Other.HasSeqHash;
+    Len = Other.Len;
+    Valid = Other.Valid && State != nullptr;
   }
 };
 
@@ -277,7 +282,7 @@ struct ChainProblemView {
   /// chain's seed point, and backtracking above it is a shorter seed
   /// point's job. The caller vouches that the rows commit exactly the
   /// masked obligations (a session passes its chain's own rows once they
-  /// are aligned on a window prefix, see LiveWindow::commitsPrefix); every
+  /// are aligned on a window prefix, see RetainedChain::Aligned); every
   /// listed length must be <= SeedBase + SeedLen.
   const std::pair<std::size_t, std::size_t> *SeedRows = nullptr;
   std::size_t NumSeedRows = 0;

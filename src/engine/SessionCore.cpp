@@ -57,6 +57,7 @@
 #include "engine/SessionCore.h"
 
 #include <algorithm>
+#include <cassert>
 #include <optional>
 #include <type_traits>
 
@@ -103,6 +104,11 @@ void LiveWindow::compact(std::size_t RowStride) {
   Base = 0;
 }
 
+void LiveWindow::publish() {
+  for (std::size_t Q = Base; Q != Base + N; ++Q)
+    Slots[Q].Available = AvailStore.data() + Q * Stride;
+}
+
 void LiveWindow::ensureStride(std::size_t AlphabetSize) {
   if (Stride >= AlphabetSize)
     return;
@@ -123,6 +129,7 @@ void LiveWindow::ensureStride(std::size_t AlphabetSize) {
   if (Base != 0)
     compact(/*RowStride=*/0); // The rows moved already.
   Stride = NewStride;
+  publish();
 }
 
 void LiveWindow::pushResponse(std::size_t Tag, InputId In, const Output &Out,
@@ -136,6 +143,7 @@ void LiveWindow::pushResponse(std::size_t Tag, InputId In, const Output &Out,
       // a fold slides rows forward within existing storage — no heap
       // traffic on the event path.
       compact(Stride);
+      publish();
     } else {
       // The window itself (64 slots) at first: a fold at the limit leaves
       // the vacated front for compaction. Only an overflow excursion
@@ -147,6 +155,7 @@ void LiveWindow::pushResponse(std::size_t Tag, InputId In, const Output &Out,
       Clients.resize(NewCap);
       Metas.resize(NewCap);
       AvailStore.resize(NewCap * Stride, 0);
+      publish();
     }
   }
   std::size_t Row = Base + N;
@@ -155,7 +164,7 @@ void LiveWindow::pushResponse(std::size_t Tag, InputId In, const Output &Out,
   C.In = In;
   C.Out = Out;
   C.MustFollow = MustFollow;
-  C.Available = nullptr; // Published by finalize() before every run.
+  C.Available = AvailStore.data() + Row * Stride;
   Invokes[Row] = InvokeIdx;
   Clients[Row] = Client;
   Metas[Row] = Meta;
@@ -198,6 +207,7 @@ void LiveWindow::shrinkToFit() {
   Live(Metas, 1);
   Live(AvailStore, Stride);
   Base = 0;
+  publish();
 }
 
 std::size_t LiveWindow::lowerBoundTag(std::size_t T) const {
@@ -212,26 +222,27 @@ std::size_t LiveWindow::lowerBoundTag(std::size_t T) const {
   return Lo;
 }
 
-bool LiveWindow::commitsPrefix(const std::pair<std::size_t, std::size_t> *Rows,
-                               std::size_t K) const {
-  if (K > N)
-    return false;
-  if (K == 0)
-    return true;
+std::uint64_t
+LiveWindow::alignedPrefixes(const std::pair<std::size_t, std::size_t> *Rows,
+                            std::size_t K, std::size_t From) const {
+  K = std::min({K, N, IncrementalWindowLimit});
+  if (From >= K)
+    return 0;
   const std::size_t Lo = tag(0);
-  std::size_t MaxTag = 0;
-  for (std::size_t Q = 0; Q != K; ++Q) {
+  std::size_t MaxTag = From ? tag(From - 1) : 0;
+  std::uint64_t Bits = 0;
+  for (std::size_t Q = From; Q < K; ++Q) {
     if (Rows[Q].first < Lo)
-      return false;
+      break; // Below the window: no longer prefix can qualify.
     MaxTag = std::max(MaxTag, Rows[Q].first);
+    if (MaxTag == tag(Q))
+      Bits |= 1ull << Q;
   }
-  return MaxTag == tag(K - 1);
+  return Bits;
 }
 
 const CommitObligation *LiveWindow::finalize(InputId AlphabetSize) {
   ensureStride(AlphabetSize);
-  for (std::size_t Q = 0; Q != N; ++Q)
-    Slots[Base + Q].Available = AvailStore.data() + (Base + Q) * Stride;
   return Slots.data() + Base;
 }
 
@@ -428,6 +439,56 @@ std::uint64_t WindowedSession::foldMask(const Rows &Commits,
   return Mask;
 }
 
+std::uint64_t WindowedSession::alignedMask(const RetainedChain &C) const {
+  assert(C.Aligned == foldMask(C.Commits, C.Master.size(), C.RetiredLen,
+                               WindowLimit, SIZE_MAX) &&
+         "the aligned-prefix mask drifted from its rows");
+  return C.Aligned;
+}
+
+std::uint64_t WindowedSession::cutMask(const RetainedChain &C,
+                                       std::size_t Limit,
+                                       std::size_t E) const {
+  std::uint64_t Mask = alignedMask(C);
+  if (Limit < 64)
+    Mask &= (1ull << Limit) - 1;
+  // Tags grow with window position, so the prefixes whose last obligation
+  // responded at or after E are the highest set bits.
+  while (Mask) {
+    const std::size_t Top = 63 - static_cast<std::size_t>(__builtin_clzll(Mask));
+    if (Obligations.tag(Top) < E)
+      break;
+    Mask &= ~(1ull << Top);
+  }
+  assert(Mask ==
+         foldMask(C.Commits, C.Master.size(), C.RetiredLen, Limit, E));
+  return Mask;
+}
+
+bool WindowedSession::alignedAtEnd(const RetainedChain &C) const {
+  const std::size_t Rows = C.Commits.size();
+  return Rows == 0 ||
+         (Rows <= std::min(Obligations.size(), WindowLimit) &&
+          (alignedMask(C) >> (Rows - 1) & 1));
+}
+
+void WindowedSession::realign(RetainedChain &C, std::size_t From) const {
+  assert((From == 0 || (C.Aligned >> (From - 1) & 1)) &&
+         "a seed point is an aligned prefix");
+  const std::uint64_t Keep =
+      From >= 64 ? C.Aligned : C.Aligned & ((1ull << From) - 1);
+  C.Aligned = Keep | Obligations.alignedPrefixes(C.Commits.data(),
+                                                 C.Commits.size(), From);
+}
+
+std::size_t WindowedSession::misalignedChains() const {
+  std::size_t Bad = 0;
+  for (const auto &[Key, C] : Chains)
+    Bad += C.Aligned != foldMask(C.Commits, C.Master.size(), C.RetiredLen,
+                                 WindowLimit, SIZE_MAX);
+  return Bad;
+}
+
 void WindowedSession::startFrontier(FrontierState &F) const {
   F.State = Type.makeState();
   F.Used.assign(Interner.size(), 0);
@@ -498,7 +559,7 @@ void WindowedSession::retireQuiescentPrefix() {
   auto MaskOf = [&](const RetainedChain &C) -> std::uint64_t {
     if (C.RetiredRows != WindowBase)
       return 0; // Stale retirement depth: cannot participate.
-    return foldMask(C.Commits, C.Master.size(), C.RetiredLen, Limit, E);
+    return cutMask(C, Limit, E);
   };
   // Validate the whole family before mutating anything.
   std::uint64_t Common = ~0ull;
@@ -525,6 +586,9 @@ void WindowedSession::retireQuiescentPrefix() {
                    C.Master.begin() + static_cast<std::ptrdiff_t>(Take));
     C.Commits.erase(C.Commits.begin(),
                     C.Commits.begin() + static_cast<std::ptrdiff_t>(K));
+    // Its rows [0, K) were window [0, K): every longer aligned prefix stays
+    // aligned past them.
+    C.Aligned = K == 64 ? 0 : C.Aligned >> K;
   }
   foldWindow(K);
   // Surviving masks move to the shrunk window's bit positions (the
@@ -636,6 +700,7 @@ bool WindowedSession::drainOverflow(std::uint64_t &Left, LinCheckResult &R) {
       // fresh buffers: an excursion's chain is no size to keep).
       C->Master = std::vector<InputId>();
       C->Commits = Rows();
+      C->Aligned = 0;
       C->Replay.invalidate();
       C->Cut.reset();
     }
@@ -717,8 +782,7 @@ WindowedSession::advanceCut(RetainedChain &C) {
   if (PinnedByAborts || Rows == 0 || Rows > N)
     return std::nullopt;
   const std::uint64_t Mask =
-      foldMask(C.Commits, C.Master.size(), C.RetiredLen,
-               Order.retirablePrefix(Obligations, N), cutBound(Rows));
+      cutMask(C, Order.retirablePrefix(Obligations, N), cutBound(Rows));
   if (!Mask)
     return std::nullopt;
   const std::size_t K = 64 - static_cast<std::size_t>(__builtin_clzll(Mask));
@@ -733,7 +797,7 @@ WindowedSession::advanceCut(RetainedChain &C) {
     // retirement) when the cut moved back or a fold passed it (lengths
     // are absolute, so a fold at or before the cut keeps it).
     if (C.RetiredBoundary.Valid)
-      Cut = C.RetiredBoundary.snapshot();
+      Cut.assign(C.RetiredBoundary);
     else
       startFrontier(Cut);
   }
@@ -792,18 +856,32 @@ void WindowedSession::runFrom(std::size_t I, RetainedChain *C,
   if (C)
     V.SeedBase = C->RetiredLen;
   const std::size_t Kept = P.Len - V.SeedBase;
+  const std::uint64_t Salt = memberSalt(I);
   // The state the run adopts: the chain end's in place (a Yes moves it to
-  // the new leaf), a shorter point's as a clone, so that the point outlives
-  // the run. Without one (the boundary before any retirement) an in-place
-  // run hands the engine the chain end's to capture its leaf into; the
-  // engine adopts it only when it sits at the seed's end, as for a slin
-  // chain that is exactly the init LCP.
-  FrontierState Adopt;
-  FrontierState *Retained = &Adopt;
-  if (P.State && P.State != &C->Replay)
-    Adopt = P.State->snapshot();
-  else
-    Retained = InPlace ? &C->Replay : nullptr;
+  // the new leaf), a shorter point's as a copy in the spare, so that the
+  // point outlives the run. Without one (the boundary before any
+  // retirement) an in-place run hands the engine the chain end's to
+  // capture its leaf into; the engine adopts it only when it sits at the
+  // seed's end, as for a slin chain that is exactly the init LCP.
+  FrontierState *Retained = InPlace ? &C->Replay : nullptr;
+  if (P.State) {
+    if (!V.SequenceSensitive && P.State->State) {
+      // The root's memo key, so that its probe window is resident by the
+      // time the engine has set the run up.
+      const std::uint64_t Committed =
+          InPlace ? (P.Rows == 64 ? ~0ull : (1ull << P.Rows) - 1) : 0;
+      Memo.prefetch(hashCombine(
+          hashCombine(hashCombine(detail::mix64(Salt), Committed),
+                      P.State->State->digest()),
+          P.State->UsedHash));
+    }
+    if (P.State != &C->Replay) {
+      if (!Spare)
+        Spare = std::make_unique<FrontierState>();
+      Spare->assign(*P.State);
+      Retained = Spare.get();
+    }
+  }
   InputId *TailIds = nullptr;
   std::pair<std::size_t, std::size_t> *TailRows = nullptr;
   std::size_t NumTailIds = 0, NumTailRows = 0;
@@ -828,17 +906,17 @@ void WindowedSession::runFrom(std::size_t I, RetainedChain *C,
     V.SeedCommitted = P.Rows == 64 ? ~0ull : (1ull << P.Rows) - 1;
   }
   V.Retained = Retained;
-  ChainSearch(Interner, Memo, Scratch).run(V, L, memberSalt(I), Out);
+  ChainSearch(Interner, Memo, Scratch).run(V, L, Salt, Out);
   Stats.Search.accumulate(Out.Stats);
   if (!InPlace)
     return;
   if (Out.Outcome == Verdict::Yes) {
-    // The accepting leaf is the chain's new end; a cut past the point no
-    // longer describes the chain.
-    if (Retained == &Adopt)
-      C->Replay = std::move(Adopt);
+    // The accepting leaf is the chain's new end (the old end state becomes
+    // the spare); a cut past the point no longer describes the chain.
+    if (Retained == Spare.get())
+      std::swap(C->Replay, *Spare);
     if (C->Cut && C->Cut->Len > P.Len)
-      C->Cut.reset();
+      C->Cut->Valid = false;
   } else {
     // A failed run left the seed (a refused one, the whole chain); put
     // back what followed the point.
@@ -849,6 +927,8 @@ void WindowedSession::runFrom(std::size_t I, RetainedChain *C,
   }
   Out.Master.swap(C->Master);
   Out.Commits.swap(C->Commits);
+  if (Out.Outcome == Verdict::Yes)
+    realign(*C, P.Rows); // Only the rows past the point are new.
 }
 
 bool WindowedSession::fastStep(bool WantWitness, std::uint64_t Left,
@@ -965,6 +1045,8 @@ bool WindowedSession::fastStep(bool WantWitness, std::uint64_t Left,
     ++F.Len;
     C->Master.push_back(In);
     C->Commits.push_back({Obligations.tag(Q), F.Len});
+    // The chain committed the previous window, [0, Q), and now commits Q.
+    C->Aligned |= 1ull << Q;
   }
   ++Stats.FastPathVerdicts;
   R.Outcome = Verdict::Yes;
@@ -1061,11 +1143,11 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
   for (std::size_t I = 0; I != Members; ++I) {
     // A member without a chain runs against a scratch chain, admitted only
     // if it captured something (see Chains).
-    RetainedChain Fresh;
+    std::optional<RetainedChain> Fresh;
     RetainedChain *C = chain(I);
     const bool IsFresh = !C;
     if (IsFresh)
-      C = &Fresh;
+      C = &Fresh.emplace();
     ChainResult Run;
     if (WindowBase != 0 && (IsFresh || C->RetiredRows != WindowBase)) {
       // A member without a chain at the retirement depth cannot validate
@@ -1079,11 +1161,10 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
       const SeedPoint Boundary = boundaryPoint(C);
       // The end's rows are the whole chain; they must commit exactly a
       // window prefix to be pre-committed by position (defense in depth —
-      // reset() drops every chain; the cut's rows pass foldMask's
-      // alignment).
+      // reset() drops every chain; the cut is an aligned prefix by
+      // construction).
       SeedPoint P = Boundary;
-      if (!C->Master.empty() &&
-          Obligations.commitsPrefix(C->Commits.data(), C->Commits.size()))
+      if (!C->Master.empty() && alignedAtEnd(*C))
         P = {C->Commits.size(), C->RetiredLen + C->Master.size(), &C->Replay};
       ChainLimits Budget{Left};
       for (std::uint64_t Nodes = 0;;) {
@@ -1127,8 +1208,8 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
     Polluted |= Run.BudgetLimited;
     if (Run.Outcome == Verdict::Yes)
       memberYes(I, *C);
-    if (IsFresh && (!Fresh.Master.empty() || !Fresh.Aborts.empty()))
-      admit(I, std::move(Fresh));
+    if (IsFresh && (!Fresh->Master.empty() || !Fresh->Aborts.empty()))
+      admit(I, std::move(*Fresh));
     if (Run.Outcome != Verdict::Yes) {
       R.Outcome = Run.Outcome;
       R.Reason = std::move(Run.Reason);
@@ -1168,6 +1249,7 @@ void WindowedSession::freeze() {
   Memo.shrinkToInitial();
   Scratch.release();
   Chains = decltype(Chains)();
+  Spare.reset();
   CappedScratch = decltype(CappedScratch)();
   DrainRound = decltype(DrainRound)();
   FastUndoScratch = decltype(FastUndoScratch)();
@@ -1215,6 +1297,9 @@ std::size_t WindowedSession::coreBytes() const {
       Chains.capacity() * sizeof(std::pair<std::uint64_t, RetainedChain>);
   for (const auto &[Key, C] : Chains)
     ChainBytes += C.memoryBytes();
+  if (Spare)
+    ChainBytes += sizeof(FrontierState) +
+                  Spare->Used.capacity() * sizeof(std::int32_t);
   return ChainBytes + Memo.memoryBytes() + Scratch.reservedBytes() +
          Interner.memoryBytes() + Obligations.memoryBytes() +
          Invoked.capacity() * sizeof(std::int32_t) +

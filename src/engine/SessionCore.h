@@ -158,10 +158,11 @@ struct IncrementalOptions {
 /// the alphabet outgrows the stride, ensureStride() relays the live rows
 /// out once at the next power of two. Storage is sized to what a shard
 /// touches: 64 slots (the window limit) at first, doubled only by an
-/// overflow excursion, and rows at least 16 wide (one cache line). The
-/// slots' Available pointers are only published by finalize() immediately
-/// before an engine run. The window is common to every family member:
-/// per-interpretation availability differences ride on
+/// overflow excursion, and rows at least 16 wide (one cache line). Each
+/// slot's Available pointer is set when its row is written, and every live
+/// slot's again whenever the rows move (compaction, regrow, a wider
+/// stride), so a run publishes nothing. The window is common to every
+/// family member: per-interpretation availability differences ride on
 /// ChainProblemView::AvailOverride overlay rows.
 class LiveWindow {
 public:
@@ -230,15 +231,17 @@ public:
   /// in trace order).
   std::size_t lowerBoundTag(std::size_t T) const;
 
-  /// Whether the chain rows \p Rows[0, K) commit exactly the first \p K
-  /// live obligations, in O(K) by foldMask's running-max test: chain rows
-  /// carry distinct response tags (one row per committed slot) and the
-  /// window holds every unretired response in tag order, so K rows that
-  /// all lie at or after tag(0) and peak at tag(K-1) are a permutation of
-  /// window [0, K). A retired or foreign tag below the window, or a gap
-  /// (some row past tag(K-1)), fails.
-  bool commitsPrefix(const std::pair<std::size_t, std::size_t> *Rows,
-                     std::size_t K) const;
+  /// The aligned prefixes of the chain rows \p Rows[0, K) from \p From
+  /// on, given that rows [0, From) commit exactly the first From live
+  /// obligations: bit k-1 (From < k <= min(K, size(), 64)) is set iff rows
+  /// [0, k) commit exactly the first k. O(K - From) by a running maximum:
+  /// chain rows carry distinct response tags (one row per committed slot)
+  /// and the window holds every unretired response in tag order, so k rows
+  /// that all lie at or after tag(0) and peak at tag(k-1) are a
+  /// permutation of window [0, k). A retired or foreign tag below the
+  /// window, or a gap (some row past tag(k-1)), fails.
+  std::uint64_t alignedPrefixes(const std::pair<std::size_t, std::size_t> *Rows,
+                                std::size_t K, std::size_t From) const;
 
   /// Moves the live rows to the front and frees the storage past them:
   /// the window then reserves exactly its live rows. A later append
@@ -255,9 +258,9 @@ public:
            AvailStore.capacity() * sizeof(std::int32_t);
   }
 
-  /// Publishes the Available pointers (re-laying the rows out first if
-  /// the alphabet outgrew the stride) and returns the live slot range —
-  /// the engine-ready CommitObligation array for a ChainProblemView.
+  /// Re-lays the rows out if the alphabet outgrew the stride and returns
+  /// the live slot range — the engine-ready CommitObligation array for a
+  /// ChainProblemView.
   const CommitObligation *finalize(InputId AlphabetSize);
 
 private:
@@ -267,6 +270,8 @@ private:
   void ensureStride(std::size_t AlphabetSize);
   /// Moves the live rows of every parallel array to the front.
   void compact(std::size_t RowStride);
+  /// Points every live slot's Available at its row.
+  void publish();
 
   std::vector<CommitObligation> Slots;
   std::vector<std::size_t> Invokes; ///< Parallel: invocation trace index.
@@ -302,27 +307,37 @@ struct RetainedChain {
   std::vector<std::pair<std::size_t, std::size_t>> RetiredCommits;
   /// Replay state exactly at the retired chain's end, advanced as segments
   /// fold (each retired input is applied once, ever): a root search behind
-  /// the retired prefix adopts a clone of it instead of replaying.
+  /// the retired prefix adopts a copy of it instead of replaying.
   FrontierState RetiredBoundary;
   /// The member's dense init-availability overlay (slin, Definition 26),
   /// valid while InitUpTo equals the session's init-action count: the fast
   /// step adds it to the shared window row instead of re-sweeping inits.
   std::vector<std::int32_t> InitDense;
   std::size_t InitUpTo = 0;
+  std::uint64_t LastTouch = 0; ///< LRU stamp (the core's chain table).
+  /// The chain's aligned prefixes: bit k-1 is set iff the first k rows of
+  /// Commits commit exactly the first k live obligations. Kept current
+  /// wherever the rows or the window's front change — the fast step sets
+  /// the new row's bit, a Yes from a seed point recomputes only the bits
+  /// past the point, a fold shifts the mask, the drain clears it — so the
+  /// end check, the cut and the fold read it in O(1) instead of rescanning
+  /// the rows (WindowedSession::foldMask is the from-scratch oracle). A
+  /// chain with no rows is aligned at its end with a zero mask.
+  std::uint64_t Aligned = 0;
   /// The member's f_abort (slin) from its last searched Yes. Aborts rule
   /// out the fast step, so no later Yes can advance the chain past it.
   std::vector<std::pair<std::size_t, History>> Aborts;
-  std::uint64_t LastTouch = 0; ///< LRU stamp (the core's chain table).
   /// Replay state at the chain's last aligned quiescent cut (absolute
   /// length Cut->Len): the state of its cut seed point, which a run from
-  /// there adopts a clone of. A soft boundary: the obligations before it
+  /// there adopts a copy of. A soft boundary: the obligations before it
   /// stay in the live window. Created and advanced lazily, only when a
   /// verdict misses the chain's end, by the chain ids between the old cut
   /// and the new one (each input is applied once while the chain prefix
   /// stands), so a chain that never misses carries a null pointer. Valid
-  /// while the chain's prefix up to Cut->Len is unchanged: dropped by a Yes
-  /// from a shorter point (a new chain past it) and the drain's chain
-  /// reset, and rebuilt from the retired boundary once a fold passes it.
+  /// while the chain's prefix up to Cut->Len is unchanged: invalidated by a
+  /// Yes from a shorter point (a new chain past it; the storage is kept for
+  /// the rebuild), dropped by the drain's chain reset, and rebuilt from the
+  /// retired boundary once a fold passes it.
   std::unique_ptr<FrontierState> Cut;
 
   std::size_t memoryBytes() const;
@@ -386,6 +401,11 @@ public:
   bool overflowed() const {
     return Obligations.size() > IncrementalWindowLimit;
   }
+
+  /// Retained chains whose aligned-prefix mask (RetainedChain::Aligned)
+  /// differs from a from-scratch rescan of their rows against the live
+  /// window: 0 unless the mask's upkeep is broken (for tests).
+  std::size_t misalignedChains() const;
 
 protected:
   static constexpr std::size_t WindowLimit = IncrementalWindowLimit;
@@ -550,10 +570,25 @@ private:
   /// among the window's responses from \p FirstUncovered on, which no
   /// chain covers yet.
   std::size_t cutBound(std::size_t FirstUncovered) const;
+  /// The from-scratch alignment scan: bit k-1 set iff \p Rows[0, k) commit
+  /// exactly window [0, k), all responded before \p E, within \p Limit.
+  /// Reads the drain's capped results, and checks RetainedChain::Aligned.
   std::uint64_t foldMask(const std::vector<std::pair<std::size_t, std::size_t>>
                              &Rows,
                          std::size_t LiveLen, std::size_t RetiredLen,
                          std::size_t Limit, std::size_t E) const;
+  /// \p C's aligned-prefix mask, checked against foldMask in Debug builds.
+  std::uint64_t alignedMask(const RetainedChain &C) const;
+  /// The prefixes of \p C a fold or a cut at \p E may take: its aligned
+  /// ones within \p Limit whose last obligation responded before E.
+  std::uint64_t cutMask(const RetainedChain &C, std::size_t Limit,
+                        std::size_t E) const;
+  /// Whether \p C's rows commit exactly a window prefix (no rows do).
+  bool alignedAtEnd(const RetainedChain &C) const;
+  /// Recomputes \p C's aligned prefixes past its first \p From rows, the
+  /// only ones that changed; rows [0, From) must be an aligned prefix (a
+  /// seed point).
+  void realign(RetainedChain &C, std::size_t From) const;
   /// Sets \p F to the replay state of the empty master.
   void startFrontier(FrontierState &F) const;
   void foldChain(RetainedChain &C, const std::vector<InputId> &Ids,
@@ -596,6 +631,11 @@ private:
   std::vector<CommitObligation> CappedScratch;
   std::vector<ChainResult> DrainRound;
   std::vector<std::pair<RetainedChain *, UndoToken>> FastUndoScratch;
+  /// The state a run from a shorter seed point adopts: a copy of the
+  /// point's, so that the point outlives the run. On a Yes it becomes the
+  /// chain's end state and the old end state becomes the spare, so neither
+  /// is ever reallocated. Created at the first such run.
+  std::unique_ptr<FrontierState> Spare;
 };
 
 } // namespace slin

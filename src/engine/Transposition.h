@@ -15,14 +15,17 @@
 /// whole table when its epoch moves: keys of a past epoch can never match
 /// again, so they would only take slots and force growth.
 ///
-/// Layout: open addressing in a power-of-two array of raw keys, probing a
-/// short fixed window. A key's home slot is taken from its Fibonacci hash
-/// (the whole key times 2^64/phi, top bits), so keys that share their low
-/// bits — a session's keys often do — still spread over the table. When
-/// the window is full the entry whose slot the key hashes to is overwritten
-/// (an always-replace policy biased to spread overwrites across the
-/// window), which in practice retains the hot recent keys a depth-first
-/// search re-encounters.
+/// Layout: open addressing in a power-of-two array of raw keys, probing
+/// linearly from a key's home slot, taken from its Fibonacci hash (the
+/// whole key times 2^64/phi, top bits), so keys that share their low bits —
+/// a session's keys often do — still spread over the table. The table grows
+/// by load alone. Below its bound the load stays under 1/2, so a key whose
+/// 8-slot probe window is full takes the next empty slot past it and no key
+/// is ever dropped; lookups probe as far as the farthest key sits from its
+/// home. At the bound a key whose window is full overwrites the entry whose
+/// slot the key hashes to (an always-replace policy biased to spread
+/// overwrites across the window), which in practice retains the hot recent
+/// keys a depth-first search re-encounters.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,8 +65,9 @@ public:
 #endif
   }
 
-  /// Stores \p Key, evicting a colliding key when the table is at max
-  /// capacity and the key's probe window is full.
+  /// Stores \p Key, growing the table by load only and evicting a colliding
+  /// key only when the table is at max capacity and the key's probe window
+  /// is full.
   void insert(std::uint64_t Key);
 
   /// Forgets every key and keeps the slot array: the next inserts reuse it
@@ -92,7 +96,7 @@ private:
   /// Sized from the per-epoch key high water of a resumable session, which
   /// forgets its memo at every epoch move: on shuffled one-write slin
   /// rounds no epoch stored more than 161 keys, under the half load that
-  /// triggers growth.
+  /// triggers growth (and growth is by load alone).
   static constexpr std::size_t InitialCapacity = 1u << 9;
   static constexpr std::uint64_t EmptyKey = 0;
 
@@ -108,13 +112,17 @@ private:
   /// Doubles the slot array and reinserts every stored key.
   void grow();
 
-  /// Places \p Key without growth bookkeeping; returns false when the
-  /// probe window was full (caller decides between growing and evicting).
-  bool tryPlace(std::uint64_t Key);
+  /// Places \p Key in the first empty slot among the \p Limit from its
+  /// home (none if it is stored already), extending Reach to cover it;
+  /// returns false when all of them hold other keys.
+  bool tryPlace(std::uint64_t Key, std::size_t Limit);
 
   std::vector<std::uint64_t> Slots; ///< Empty until the first insert.
   std::size_t Mask = 0;
   unsigned Shift = 0; ///< 64 - log2(capacity()) once allocated.
+  /// How many slots from its home a lookup probes: the probe window, or
+  /// farther once a key had to sit past its full window.
+  unsigned Reach = ProbeWindow;
   std::size_t MaxCapacity;
   std::size_t Live = 0;
 };

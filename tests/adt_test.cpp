@@ -34,15 +34,25 @@ void expectBehaviorEqual(const AdtState &A, const AdtState &B,
   }
 }
 
+/// The canonical encoding of \p S (an exact witness of its logical state).
+std::vector<std::int64_t> canonical(const AdtState &S) {
+  std::vector<std::int64_t> Out;
+  S.serializeCanonical(Out);
+  return Out;
+}
+
 /// Randomized apply/undo round-trip: drive one mutate/undo state alongside
 /// clone-based snapshots, checking that applyInput matches apply on a
 /// clone, that undoInput restores the exact pre-apply behavior, and that a
-/// full LIFO unwind returns to the initial state.
+/// full LIFO unwind returns to the initial state. Along the way one reused
+/// state is re-seeded from the walk by copyFrom at every step: it must
+/// equal the source exactly and stay independent of it.
 void undoRoundTrip(const Adt &T, const std::vector<Input> &Alphabet,
                    std::uint64_t Seed) {
   Rng R(Seed);
   Arena Overflow;
   auto State = T.makeState();
+  auto Copy = T.makeState();
 
   // Phase 1: random walk; each step is applied via the undo protocol and
   // cross-checked against a clone driven by plain apply. Half the steps
@@ -60,6 +70,12 @@ void undoRoundTrip(const Adt &T, const std::vector<Input> &Alphabet,
       State->undoInput(U);
       expectBehaviorEqual(*State, *Before, Alphabet);
     }
+    Copy->copyFrom(*State);
+    EXPECT_EQ(canonical(*Copy), canonical(*State)) << T.name();
+    expectBehaviorEqual(*Copy, *State, Alphabet);
+    const std::vector<std::int64_t> Source = canonical(*State);
+    Copy->apply(In);
+    EXPECT_EQ(canonical(*State), Source) << T.name() << ": copy aliases";
   }
 
   // Phase 2: deep apply stack, then a full LIFO unwind back to the start.

@@ -225,6 +225,42 @@ TEST(TranspositionTest, KeysSharingLowBitsSpread) {
     EXPECT_TRUE(T.contains(K)) << std::hex << K;
 }
 
+TEST(TranspositionTest, AFullProbeWindowAtLowLoadDoesNotGrow) {
+  // Twelve keys with one home slot fill its 8-slot probe window at a load
+  // of 12/512. Growth is by load alone: the keys past the window take the
+  // next empty slots, the table stays at its first array and every key is
+  // found.
+  TranspositionTable T;
+  T.insert(1); // Allocates the first array: 512 slots, so Shift is 55.
+  ASSERT_EQ(T.capacity(), 512u);
+  // The home slot is the top 9 bits of Key * Phi; Phi is odd, so a key
+  // with any chosen product is that product times Phi's inverse.
+  const std::uint64_t Phi = 0x9E3779B97F4A7C15ull;
+  std::uint64_t Inv = Phi; // Newton's iteration doubles the correct bits.
+  for (int I = 0; I != 6; ++I)
+    Inv *= 2 - Phi * Inv;
+  ASSERT_EQ(Phi * Inv, 1u);
+  std::vector<std::uint64_t> Keys;
+  for (std::uint64_t I = 1; I <= 12; ++I)
+    Keys.push_back(((std::uint64_t(300) << 55) | I) * Inv);
+  for (std::uint64_t K : Keys)
+    T.insert(K);
+  EXPECT_EQ(T.capacity(), 512u);
+  EXPECT_EQ(T.liveKeys(), Keys.size() + 1);
+  for (std::uint64_t K : Keys)
+    EXPECT_TRUE(T.contains(K)) << std::hex << K;
+  EXPECT_TRUE(T.contains(1));
+  // Forgetting empties every slot; the same keys place again.
+  T.forget();
+  for (std::uint64_t K : Keys)
+    EXPECT_FALSE(T.contains(K)) << std::hex << K;
+  for (std::uint64_t K : Keys)
+    T.insert(K);
+  EXPECT_EQ(T.capacity(), 512u);
+  for (std::uint64_t K : Keys)
+    EXPECT_TRUE(T.contains(K)) << std::hex << K;
+}
+
 TEST(TranspositionTest, ForgetKeepsTheArray) {
   TranspositionTable T;
   // Forgetting a table that never stored a key touches nothing.
@@ -610,33 +646,33 @@ TEST(ChainSearchTest, SeedRowsResumeExactlyLikeTheReplayedSeed) {
                  Root.Commits.begin() + static_cast<std::ptrdiff_t>(K)));
 }
 
-TEST(LiveWindowTest, CommitsPrefixIsThePermutationTest) {
+TEST(LiveWindowTest, AlignedPrefixesIsThePermutationTest) {
   // Live responses at tags 11, 13, 15, 17 (a retired one sat at tag 9).
   LiveWindow W;
   const std::vector<std::int32_t> Invoked = {1};
   for (std::size_t Tag : {11u, 13u, 15u, 17u})
     W.pushResponse(Tag, 0, Output{0}, Tag - 1, 0, 0, 0, Invoked);
   using Rows = std::vector<std::pair<std::size_t, std::size_t>>;
-  auto Aligned = [&W](const Rows &R, std::size_t K) {
-    return W.commitsPrefix(R.data(), K);
+  auto Aligned = [&W](const Rows &R, std::size_t From = 0) {
+    return W.alignedPrefixes(R.data(), R.size(), From);
   };
-  // Any order of window [0, K) passes, at every K.
+  // Any order of window [0, k) is aligned at k: here k = 2, 3, 4. The
+  // first row alone is window [0, 1) only if it is tag 11.
   const Rows Perm = {{13, 1}, {11, 2}, {15, 3}, {17, 4}};
-  EXPECT_TRUE(Aligned(Perm, 0));
-  EXPECT_TRUE(Aligned(Perm, 2));
-  EXPECT_TRUE(Aligned(Perm, 3));
-  EXPECT_TRUE(Aligned(Perm, 4));
-  EXPECT_TRUE(Aligned({{17, 1}, {15, 2}, {13, 3}, {11, 4}}, 4));
-  // The first row alone is window [0, 1) only if it is tag 11.
-  EXPECT_FALSE(Aligned(Perm, 1));
+  EXPECT_EQ(Aligned(Perm), 0b1110u);
+  EXPECT_EQ(Aligned({{17, 1}, {15, 2}, {13, 3}, {11, 4}}), 0b1000u);
+  // From an aligned prefix on, only the later bits are computed.
+  EXPECT_EQ(Aligned(Perm, 2), 0b1100u);
+  EXPECT_EQ(Aligned(Perm, 4), 0u);
   // A foreign tag: retired (below the window) or beyond it.
-  EXPECT_FALSE(Aligned({{9, 1}, {13, 2}}, 2));
-  EXPECT_FALSE(Aligned({{11, 1}, {19, 2}}, 2));
+  EXPECT_EQ(Aligned({{9, 1}, {13, 2}}), 0u);
+  EXPECT_EQ(Aligned({{11, 1}, {19, 2}}), 0b01u);
   // A gap: window [0, 2) is {11, 13}, not {11, 15}.
-  EXPECT_FALSE(Aligned({{11, 1}, {15, 2}}, 2));
-  EXPECT_FALSE(Aligned({{15, 1}, {11, 2}, {17, 3}}, 3));
-  // More rows than live obligations.
-  EXPECT_FALSE(Aligned({{11, 1}, {13, 2}, {15, 3}, {17, 4}, {19, 5}}, 5));
+  EXPECT_EQ(Aligned({{11, 1}, {15, 2}}), 0b01u);
+  EXPECT_EQ(Aligned({{15, 1}, {11, 2}, {17, 3}}), 0u);
+  // More rows than live obligations: no bit past the window.
+  EXPECT_EQ(Aligned({{11, 1}, {13, 2}, {15, 3}, {17, 4}, {19, 5}}), 0b1111u);
+  EXPECT_EQ(Aligned({}), 0u);
 }
 
 TEST(ChainSearchTest, BudgetStopLeavesTheAdoptedStateAsItWas) {

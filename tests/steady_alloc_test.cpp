@@ -334,13 +334,49 @@ TEST(SteadyAlloc, SlinFootprintStaysFlatOverALongStream) {
 
 // The miss path's heap contract: on shuffled one-write register rounds (the
 // reorder-slin-256 shape) about a sixth of the verdicts miss the fast step
-// and walk the verdict ladder. Once warm, a missed verdict may allocate
-// little more than the cut point's snapshot of the cut state (its ADT clone
-// and its used counts): the search's per-node buffers live in the scratch
-// arena, and every seed point's run writes the chain's master and commit
-// rows into the chain's own vectors. The memo runs under the service's
-// 4,096-slot bound; forgotten at every epoch move, it stays at its first
-// array here, so no memo growth enters the count.
+// and walk the verdict ladder. Once warm, a missed verdict allocates
+// nothing: the search's per-node buffers live in the scratch arena, every
+// seed point's run writes the chain's master and commit rows into the
+// chain's own vectors, a run from a shorter seed point adopts a copy of
+// the point's state in the session's spare (swapped with the chain's end
+// state on a Yes), and the cut state is rebuilt in place. The memo runs
+// under the service's 4,096-slot bound; forgotten at every epoch move, it
+// stays at its first array here, so no memo growth enters the count.
+namespace {
+
+template <typename Session, typename Limits>
+void expectAllocationFreeMisses(Session &Inc, const Limits &L,
+                                const Trace &T) {
+  // Warm-up: the first quarter of the stream settles every capacity.
+  const std::size_t Warm = T.size() / 4;
+  for (std::size_t I = 0; I != Warm; ++I) {
+    ASSERT_TRUE(static_cast<bool>(Inc.append(T[I])));
+    ASSERT_EQ(Inc.verdict(L).Outcome, Verdict::Yes);
+  }
+
+  const std::uint64_t Allocs0 = AllocGauge::count();
+  const std::size_t Reserved0 = Inc.scratchArena().reservedBytes();
+  std::uint64_t NonYes = 0, Misses = 0;
+  for (std::size_t I = Warm; I != T.size(); ++I) {
+    Inc.append(T[I]);
+    const std::uint64_t Fast0 = Inc.stats().FastPathVerdicts;
+    const auto V = Inc.verdict(L);
+    NonYes += V.Outcome != Verdict::Yes;
+    Misses += Inc.stats().FastPathVerdicts == Fast0 && V.NodesExplored != 0;
+  }
+  const std::uint64_t Allocs = AllocGauge::count() - Allocs0;
+
+  EXPECT_EQ(NonYes, 0u);
+  ASSERT_GT(Misses, 100u) << "the stream must exercise the miss path";
+  EXPECT_EQ(Allocs, 0u)
+      << Allocs << " heap allocations over " << Misses << " missed verdicts";
+  EXPECT_EQ(Inc.scratchArena().reservedBytes(), Reserved0)
+      << "scratch arena reserved new blocks on the miss path";
+  EXPECT_GT(Inc.stats().CutResumes, 0u);
+}
+
+} // namespace
+
 TEST(SteadyAlloc, SlinMissPathAllocations) {
   if (!AllocGauge::active())
     GTEST_SKIP() << "sanitizer build: interposer compiled out";
@@ -356,33 +392,24 @@ TEST(SteadyAlloc, SlinMissPathAllocations) {
   Rng R(0x5A11);
   const Trace T = genShuffledRegisterRounds(1024, 4, 1, R);
   IncrementalSlinSession Inc(Reg, Sig, Rel, Opts);
+  expectAllocationFreeMisses(Inc, Limits, T);
+}
 
-  // Warm-up: the first quarter of the stream settles every capacity.
-  const std::size_t Warm = T.size() / 4;
-  for (std::size_t I = 0; I != Warm; ++I) {
-    ASSERT_TRUE(static_cast<bool>(Inc.append(T[I])));
-    ASSERT_EQ(Inc.verdict(Limits).Outcome, Verdict::Yes);
-  }
-
-  const std::uint64_t Allocs0 = AllocGauge::count();
-  const std::size_t Reserved0 = Inc.scratchArena().reservedBytes();
-  std::uint64_t NonYes = 0, Misses = 0;
-  for (std::size_t I = Warm; I != T.size(); ++I) {
-    Inc.append(T[I]);
-    const std::uint64_t Fast0 = Inc.stats().FastPathVerdicts;
-    SlinVerdict V = Inc.verdict(Limits);
-    NonYes += V.Outcome != Verdict::Yes;
-    Misses += Inc.stats().FastPathVerdicts == Fast0 && V.NodesExplored != 0;
-  }
-  const std::uint64_t Allocs = AllocGauge::count() - Allocs0;
-
-  EXPECT_EQ(NonYes, 0u);
-  ASSERT_GT(Misses, 100u) << "the stream must exercise the miss path";
-  EXPECT_LE(Allocs, 2 * Misses)
-      << Allocs << " heap allocations over " << Misses << " missed verdicts";
-  EXPECT_EQ(Inc.scratchArena().reservedBytes(), Reserved0)
-      << "scratch arena reserved new blocks on the miss path";
-  EXPECT_GT(Inc.stats().CutResumes, 0u);
+// The same stream through a lin session.
+TEST(SteadyAlloc, LinMissPathAllocations) {
+  if (!AllocGauge::active())
+    GTEST_SKIP() << "sanitizer build: interposer compiled out";
+  RegisterAdt Reg;
+  IncrementalOptions Opts;
+  Opts.RetainTrace = false;
+  Opts.RetainRetiredWitness = false;
+  Opts.TranspositionCapacity = 1u << 12;
+  LinCheckOptions Limits;
+  Limits.WantWitness = false;
+  Rng R(0x5A11);
+  const Trace T = genShuffledRegisterRounds(1024, 4, 1, R);
+  IncrementalLinSession Inc(Reg, Opts);
+  expectAllocationFreeMisses(Inc, Limits, T);
 }
 
 //===----------------------------------------------------------------------===//

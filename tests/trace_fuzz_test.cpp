@@ -1654,3 +1654,210 @@ TEST(TraceFuzzTest, OrderMonotonicity_Slin) {
       return;
   }
 }
+
+//===----------------------------------------------------------------------===//
+// Alignment differential: every retained chain keeps its aligned-prefix
+// mask (RetainedChain::Aligned) current as its rows and the window change —
+// set by the fast step, recomputed past the seed point by a searched Yes,
+// shifted by a fold, cleared by the drain. At every verdict, at cadences
+// 1-3, each chain's mask must equal the from-scratch rescan of its rows
+// (misalignedChains), over the reorder-slin-256 shape, shuffled rounds with
+// 2-3 writes, slin walks with init actions (a chain may hold only the init
+// LCP seed and no rows) and a straggler excursion that drains.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Streams \p T through \p S, asking for a verdict after every \p Cadence-th
+/// event and after the last, and checks every retained chain's mask after
+/// every append (a full window folds there) and every verdict.
+template <typename Session, typename Options>
+void expectAlignedAtEveryVerdict(Session &S, const Options &O, const Trace &T,
+                                 unsigned Cadence) {
+  for (std::size_t I = 0; I != T.size(); ++I) {
+    S.append(T[I]);
+    ASSERT_EQ(S.misalignedChains(), 0u)
+        << "an aligned-prefix mask drifted from its chain's rows at append "
+        << I << " (cadence " << Cadence << "):\n"
+        << formatTrace(T);
+    if ((I + 1) % Cadence != 0 && I + 1 != T.size())
+      continue;
+    S.verdict(O);
+    ASSERT_EQ(S.misalignedChains(), 0u)
+        << "an aligned-prefix mask drifted from its chain's rows at the "
+        << "verdict after event " << I << " (cadence " << Cadence << "):\n"
+        << formatTrace(T);
+  }
+}
+
+/// Slin verdict options; only witness-free verdicts may take the fast step,
+/// so cadence 3 asks for witnesses and the others do not.
+SlinCheckOptions alignmentOptions(unsigned Cadence) {
+  SlinCheckOptions O;
+  O.WantWitness = Cadence == 3;
+  O.Search.WantWitness = O.WantWitness;
+  return O;
+}
+
+/// Lin and slin (universal relation) sessions over one stream at cadences
+/// 1-3; their stats accumulate into \p Stats.
+void expectAlignedLinAndSlin(const Adt &Type, const Trace &T,
+                             SessionStats &Stats) {
+  PhaseSignature Sig(1, 2);
+  UniversalInitRelation Rel;
+  for (unsigned Cadence = 1; Cadence <= 3; ++Cadence) {
+    IncrementalLinSession Lin(Type);
+    expectAlignedAtEveryVerdict(Lin, alignmentOptions(Cadence).Search, T,
+                                Cadence);
+    if (::testing::Test::HasFatalFailure())
+      return;
+    IncrementalSlinSession Slin(Type, Sig, Rel);
+    expectAlignedAtEveryVerdict(Slin, alignmentOptions(Cadence), T, Cadence);
+    if (::testing::Test::HasFatalFailure())
+      return;
+    Stats.accumulate(Lin.stats());
+    Stats.accumulate(Slin.stats());
+  }
+}
+
+} // namespace
+
+TEST(TraceFuzzTest, AlignmentDifferential_ReorderSlin) {
+  // The e8 ReorderSlin shape: one write per round of four, responses
+  // shuffled, past the window, so misses resume at the cut and folds shift
+  // every mask.
+  RegisterAdt Reg;
+  SessionStats Stats;
+  unsigned N = std::max(2u, traceBudget(200) / 5);
+  for (unsigned I = 0; I != N; ++I) {
+    std::uint64_t TraceSeed = hashCombine(hashCombine(baseSeed(), 0xA1), I);
+    SCOPED_TRACE(seedNote(TraceSeed, I));
+    Rng R(TraceSeed);
+    const unsigned Rounds = 20 + static_cast<unsigned>(R.next() % 20);
+    expectAlignedLinAndSlin(Reg, genShuffledRegisterRounds(Rounds, 4, 1, R),
+                            Stats);
+    if (::testing::Test::HasFatalFailure())
+      return;
+  }
+  EXPECT_GT(Stats.CutResumes, 0u) << "no miss resumed at the cut";
+  EXPECT_GT(Stats.RetiredObligations, 0u) << "no fold shifted a mask";
+  EXPECT_GT(Stats.FastPathVerdicts, 0u) << "no fast step set a bit";
+}
+
+TEST(TraceFuzzTest, AlignmentDifferential_MultiWriteRounds) {
+  // Two or three writes per round of four: the write order a retired round
+  // pinned can be wrong for a later read, so verdicts may degrade to the
+  // WindowRetired Unknown; the masks must hold all the same.
+  RegisterAdt Reg;
+  SessionStats Stats;
+  unsigned N = std::max(2u, traceBudget(200) / 5);
+  for (unsigned I = 0; I != N; ++I) {
+    std::uint64_t TraceSeed = hashCombine(hashCombine(baseSeed(), 0xA2), I);
+    SCOPED_TRACE(seedNote(TraceSeed, I));
+    Rng R(TraceSeed);
+    const unsigned Rounds = 18 + static_cast<unsigned>(R.next() % 12);
+    expectAlignedLinAndSlin(
+        Reg, genShuffledRegisterRounds(Rounds, 4, 2 + I % 2, R), Stats);
+    if (::testing::Test::HasFatalFailure())
+      return;
+  }
+  EXPECT_GT(Stats.CutResumes, 0u) << "no miss resumed at the cut";
+  EXPECT_GT(Stats.RetiredObligations, 0u) << "no fold shifted a mask";
+}
+
+TEST(TraceFuzzTest, AlignmentDifferential_InitWalks) {
+  // Slin walks with init actions, aborts and recoveries, and a takeover
+  // stream asked for its verdict right after the init switch: its chain
+  // then holds only the init LCP seed and no rows, which counts as aligned
+  // at its end.
+  ConsensusAdt Cons;
+  unsigned N = std::max(4u, traceBudget(200) / 2);
+  std::size_t SeedOnlyChains = 0;
+  for (unsigned I = 0; I != N; ++I) {
+    std::uint64_t TraceSeed = hashCombine(hashCombine(baseSeed(), 0xA3), I);
+    SCOPED_TRACE(seedNote(TraceSeed, I));
+    Rng R(TraceSeed);
+    const PhaseId M = 1 + (I % 2);
+    PhaseSignature Sig(M, M + 1);
+    UniversalInitRelation WalkRel;
+    const Trace Walk = drawSlinWalk(Sig, WalkRel, R);
+    ConsensusInitRelation Rel;
+    // The takeover: client 0 switches into phase 2 with value V, then
+    // proposes on past the window.
+    const std::int64_t V = 1 + static_cast<std::int64_t>(R.next() % 2);
+    std::unique_ptr<AdtState> S = Cons.makeState();
+    (void)S->apply(cons::propose(V));
+    Trace Takeover;
+    Takeover.push_back(makeSwitch(0, 2, cons::propose(V), SwitchValue{V}));
+    Takeover.push_back(
+        makeRespond(0, 2, cons::propose(V), S->apply(cons::propose(V))));
+    const unsigned Ops = 70 + static_cast<unsigned>(R.next() % 20);
+    for (unsigned K = 0; K != Ops; ++K) {
+      Input In = cons::propose(
+          1 + static_cast<std::int64_t>(R.next() % static_cast<unsigned>(V)));
+      Output Out = S->apply(In);
+      Takeover.push_back(makeInvoke(0, 2, In));
+      Takeover.push_back(makeRespond(0, 2, In, Out));
+    }
+    PhaseSignature TakeoverSig(2, 3);
+    for (unsigned Cadence = 1; Cadence <= 3; ++Cadence) {
+      SlinCheckOptions O = alignmentOptions(Cadence);
+      O.AbortValidityAtEnd = (I / 2) % 2 == 1;
+      IncrementalSlinSession Walked(Cons, Sig, WalkRel);
+      expectAlignedAtEveryVerdict(Walked, O, Walk, Cadence);
+      if (::testing::Test::HasFatalFailure())
+        return;
+      IncrementalSlinSession Took(Cons, TakeoverSig, Rel);
+      Took.append(Takeover[0]);
+      Took.verdict(O);
+      SeedOnlyChains += Took.liveWindow() == 0 && Took.retainedFrontiers() > 0;
+      expectAlignedAtEveryVerdict(
+          Took, O, Trace(Takeover.begin() + 1, Takeover.end()), Cadence);
+      if (::testing::Test::HasFatalFailure())
+        return;
+      EXPECT_GT(Took.retiredObligations(), 0u);
+    }
+  }
+  EXPECT_GT(SeedOnlyChains, 0u) << "no chain held only the init LCP seed";
+}
+
+TEST(TraceFuzzTest, AlignmentDifferential_StragglerDrain) {
+  // A straggler overlaps more than 64 completions, so the window overflows
+  // and pins; once it completes the drain retires the backlog from capped
+  // runs (clearing every chain's mask) and the stream carries on past the
+  // window.
+  ConsensusAdt Cons;
+  PhaseSignature Sig(1, 2);
+  ConsensusInitRelation Rel;
+  unsigned N = std::max(2u, traceBudget(200) / 10);
+  for (unsigned I = 0; I != N; ++I) {
+    std::uint64_t TraceSeed = hashCombine(hashCombine(baseSeed(), 0xA4), I);
+    SCOPED_TRACE(seedNote(TraceSeed, I));
+    Rng R(TraceSeed);
+    std::unique_ptr<AdtState> S = Cons.makeState();
+    const Input Pin = cons::propose(7);
+    Trace T = {makeInvoke(9, 1, Pin)};
+    auto Operate = [&](unsigned Ops) {
+      for (unsigned K = 0; K != Ops; ++K) {
+        Input In = cons::propose(1 + static_cast<std::int64_t>(R.next() % 3));
+        Output Out = S->apply(In);
+        T.push_back(makeInvoke(K % 3, 1, In));
+        T.push_back(makeRespond(K % 3, 1, In, Out));
+      }
+    };
+    Operate(66 + static_cast<unsigned>(R.next() % 20));
+    T.push_back(makeRespond(9, 1, Pin, S->apply(Pin)));
+    Operate(40 + static_cast<unsigned>(R.next() % 20));
+    for (unsigned Cadence = 1; Cadence <= 3; ++Cadence) {
+      IncrementalOptions Opts;
+      Opts.InterferenceBound = 32;
+      IncrementalSlinSession Inc(Cons, Sig, Rel, Opts);
+      expectAlignedAtEveryVerdict(Inc, alignmentOptions(Cadence), T, Cadence);
+      if (::testing::Test::HasFatalFailure())
+        return;
+      EXPECT_EQ(Inc.stats().WindowOverflows, 1u);
+      EXPECT_GT(Inc.retiredObligations(), 0u);
+      EXPECT_LE(Inc.liveWindow(), 64u);
+    }
+  }
+}

@@ -122,16 +122,13 @@ static void BM_E4_FastConsensus(benchmark::State &State) {
 }
 BENCHMARK(BM_E4_FastConsensus)->Arg(6)->Arg(10)->Arg(14)->Arg(18)->Arg(50);
 
-/// The parallel corpus driver: a larger consensus corpus sharded across
-/// worker threads, one warm session each (budget-limited Unknowns retried
-/// one-shot, so verdict counts match every thread count). Args are
-/// {ops per trace, threads}; items/s is the corpus throughput lever.
+/// The corpus driver: a larger consensus corpus through one warm session,
+/// in corpus order. The arg is ops per trace; items/s is the corpus
+/// throughput.
 static void BM_E4_CorpusDriver_Consensus(benchmark::State &State) {
   ConsensusAdt Cons;
   auto Family = consensusFamily(static_cast<unsigned>(State.range(0)), 200);
-  CorpusOptions Opts;
-  Opts.Threads = static_cast<unsigned>(State.range(1));
-  CorpusDriver Driver(Cons, Opts);
+  CorpusDriver Driver(Cons);
   std::uint64_t Yes = 0;
   for (auto _ : State) {
     CorpusReport R = Driver.checkLin(Family);
@@ -142,13 +139,7 @@ static void BM_E4_CorpusDriver_Consensus(benchmark::State &State) {
   State.counters["yes_per_iter"] = benchmark::Counter(
       static_cast<double>(Yes) / static_cast<double>(State.iterations()));
 }
-// Wall-clock rates: with worker threads the main thread mostly waits, so
-// CPU-time-based items/s would be meaningless.
-BENCHMARK(BM_E4_CorpusDriver_Consensus)
-    ->Args({14, 1})
-    ->Args({14, 2})
-    ->Args({14, 4})
-    ->UseRealTime();
+BENCHMARK(BM_E4_CorpusDriver_Consensus)->Arg(14);
 
 static void BM_E4_NewDefinition_Queue(benchmark::State &State) {
   QueueAdt Q;

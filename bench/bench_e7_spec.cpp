@@ -97,18 +97,15 @@ static void BM_E7_SlinCheckerSession(benchmark::State &State) {
 }
 BENCHMARK(BM_E7_SlinCheckerSession)->Arg(8)->Arg(12)->Arg(16);
 
-/// The slin checker through the parallel corpus driver: the walk corpus
-/// sharded across worker threads, one warm session each. Args are
-/// {walk steps, threads}.
+/// The slin checker through the corpus driver: the walk corpus through one
+/// warm session, in corpus order. The arg is walk steps.
 static void BM_E7_SlinCorpusDriver(benchmark::State &State) {
   UniversalInitRelation Rel;
   unsigned Steps = static_cast<unsigned>(State.range(0));
   auto Family = walkFamily(2, Steps, 100, Rel);
   ConsensusAdt Cons;
   PhaseSignature Sig(2, 3);
-  CorpusOptions Opts;
-  Opts.Threads = static_cast<unsigned>(State.range(1));
-  CorpusDriver Driver(Cons, Opts);
+  CorpusDriver Driver(Cons);
   std::uint64_t Accepted = 0;
   for (auto _ : State) {
     CorpusReport R = Driver.checkSlin(Family, Sig, Rel);
@@ -119,13 +116,7 @@ static void BM_E7_SlinCorpusDriver(benchmark::State &State) {
   State.counters["accepted_per_iter"] = benchmark::Counter(
       static_cast<double>(Accepted) / static_cast<double>(State.iterations()));
 }
-// Wall-clock rates: with worker threads the main thread mostly waits, so
-// CPU-time-based items/s would be meaningless.
-BENCHMARK(BM_E7_SlinCorpusDriver)
-    ->Args({12, 1})
-    ->Args({12, 2})
-    ->Args({12, 4})
-    ->UseRealTime();
+BENCHMARK(BM_E7_SlinCorpusDriver)->Arg(12);
 
 /// Bounded refinement model checking: states explored per bound.
 static void BM_E7_Refinement(benchmark::State &State) {

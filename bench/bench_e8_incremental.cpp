@@ -29,8 +29,7 @@
 //
 //   * PrefixCorpus_*: the corpus face. A prefix-closed corpus (every even
 //     prefix of growing histories) through the CorpusDriver with and
-//     without SharePrefixes, single-threaded (the bench box has 1 CPU —
-//     this measures the memo/frontier lever, not thread scaling).
+//     without SharePrefixes: the memo/frontier lever.
 //
 //   * SteadyState_Monitor_*: the O(1) steady-state rows. Same shape as
 //     AppendOne, but verdicts run witness-free (WantWitness off) and the
@@ -399,7 +398,7 @@ static void BM_E8_Growing_Batch_Register(benchmark::State &State) {
 BENCHMARK(BM_E8_Growing_Batch_Register)->Arg(64)->Arg(96);
 
 //===----------------------------------------------------------------------===//
-// PrefixCorpus: the CorpusDriver's shared-prefix lever (1 thread).
+// PrefixCorpus: the CorpusDriver's shared-prefix lever.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -746,7 +745,6 @@ static void BM_E8_PrefixCorpus(benchmark::State &State) {
   RegisterAdt Reg;
   auto Corpus = prefixClosedCorpus(8, 48);
   CorpusOptions Opts;
-  Opts.Threads = 1;
   Opts.SharePrefixes = State.range(0) != 0;
   CorpusDriver Driver(Reg, Opts);
   std::uint64_t Yes = 0, Nodes = 0, Checks = 0;
@@ -763,7 +761,7 @@ static void BM_E8_PrefixCorpus(benchmark::State &State) {
   State.counters["yes_per_iter"] =
       benchmark::Counter(static_cast<double>(Yes) / Iters);
   // Deterministic: every iteration runs fresh driver sessions. One check
-  // per trace; the node count is what the shared drain's reuse saves.
+  // per trace; the node count is what the shared session's reuse saves.
   State.counters["nodes_per_trace"] =
       benchmark::Counter(static_cast<double>(Nodes) / Traces);
   State.counters["checks_per_trace"] =

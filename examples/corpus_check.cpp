@@ -5,12 +5,11 @@
 //===----------------------------------------------------------------------===//
 //
 // The batched-workload face of the chain-search engine: check whole corpora
-// of traces through the CorpusDriver, which shards each corpus across
-// worker threads, one warm CheckSession (interner + arena + transposition
-// table) per thread.
+// of traces through the CorpusDriver, which feeds each corpus through one
+// warm session (interner + arena + transposition table) in corpus order.
 //
 // Usage:
-//   corpus_check [traces <ops>] [seed <n>] [--threads <n>] [--share-prefixes]
+//   corpus_check [traces <n>] [seed <n>] [--share-prefixes]
 //                                            generate + check a mixed corpus
 //   corpus_check file <trace.txt>...         check textual traces (consensus)
 //
@@ -19,9 +18,8 @@
 // generated with trace/Gen and checked; the tool prints one JSON line per
 // family and a final summary line with aggregated statistics — the same
 // shape the benches emit, so corpus throughput can be tracked across PRs.
-// Budget-limited Unknowns are retried one-shot; with the default budget
-// (orders of magnitude above what these traces need) that makes verdict
-// counts identical for every --threads value.
+// `traces` takes an integer in [1, 1000000] and `seed` a decimal unsigned
+// integer; anything else prints the usage line and exits 2.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,9 +29,11 @@
 #include "trace/Gen.h"
 #include "trace/TraceIo.h"
 
-#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -53,7 +53,7 @@ struct FamilyReport {
 
 FamilyReport checkFamily(const char *Name, CorpusDriver &Driver,
                          const std::vector<Trace> &Corpus,
-                         SessionStats &Aggregate, unsigned &ThreadsUsed) {
+                         SessionStats &Aggregate) {
   FamilyReport Rep;
   Rep.Name = Name;
   Rep.Traces = Corpus.size();
@@ -67,7 +67,6 @@ FamilyReport checkFamily(const char *Name, CorpusDriver &Driver,
   Rep.Unknown = R.Unknown;
   Rep.BudgetLimited = R.BudgetLimited;
   Aggregate.accumulate(R.Aggregate);
-  ThreadsUsed = std::max(ThreadsUsed, R.ThreadsUsed);
   return Rep;
 }
 
@@ -82,6 +81,21 @@ void printReport(const FamilyReport &Rep) {
               static_cast<unsigned long long>(Rep.Unknown),
               static_cast<unsigned long long>(Rep.BudgetLimited), Rep.Millis,
               PerTrace);
+}
+
+/// Parses \p Text as a decimal integer in [\p Lo, \p Hi] into \p Out.
+/// Rejects empty text, a sign, trailing characters and overflow.
+bool parseUnsigned(const char *Text, unsigned long long Lo,
+                   unsigned long long Hi, unsigned long long &Out) {
+  if (!std::isdigit(static_cast<unsigned char>(*Text)))
+    return false;
+  errno = 0;
+  char *End = nullptr;
+  unsigned long long V = std::strtoull(Text, &End, 10);
+  if (errno == ERANGE || *End != '\0' || V < Lo || V > Hi)
+    return false;
+  Out = V;
+  return true;
 }
 
 int checkFiles(int Argc, char **Argv) {
@@ -118,64 +132,44 @@ int checkFiles(int Argc, char **Argv) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  unsigned TracesPerFamily = 200;
-  std::uint64_t Seed = 0x5EED;
-  unsigned Threads = 1;
+  unsigned long long TracesPerFamily = 200;
+  unsigned long long Seed = 0x5EED;
   bool SharePrefixes = false;
   for (int I = 1; I < Argc; I += 2) {
-    bool IsFile = !std::strcmp(Argv[I], "file");
-    if (IsFile && I + 1 < Argc)
+    bool HasValue = I + 1 < Argc;
+    if (HasValue && !std::strcmp(Argv[I], "file"))
       return checkFiles(Argc - I - 1, Argv + I + 1);
-    if (!IsFile && I + 1 < Argc && !std::strcmp(Argv[I], "traces")) {
-      TracesPerFamily = static_cast<unsigned>(std::atoi(Argv[I + 1]));
+    if (HasValue && !std::strcmp(Argv[I], "traces") &&
+        parseUnsigned(Argv[I + 1], 1, 1000000, TracesPerFamily))
       continue;
-    }
-    if (!IsFile && I + 1 < Argc && !std::strcmp(Argv[I], "seed")) {
-      Seed = static_cast<std::uint64_t>(std::atoll(Argv[I + 1]));
+    if (HasValue && !std::strcmp(Argv[I], "seed") &&
+        parseUnsigned(Argv[I + 1], 0, ~0ULL, Seed))
       continue;
-    }
-    if (!IsFile && I + 1 < Argc &&
-        (!std::strcmp(Argv[I], "--threads") ||
-         !std::strcmp(Argv[I], "threads"))) {
-      int V = std::atoi(Argv[I + 1]);
-      if (V < 0 || V > 1024) {
-        std::fprintf(stderr, "--threads must be in [0, 1024] (0 = auto)\n");
-        return 2;
-      }
-      Threads = static_cast<unsigned>(V);
-      continue;
-    }
-    if (!IsFile && !std::strcmp(Argv[I], "--share-prefixes")) {
+    if (!std::strcmp(Argv[I], "--share-prefixes")) {
       SharePrefixes = true;
       --I; // Flag takes no value.
       continue;
     }
     std::fprintf(stderr,
-                 "usage: %s [traces <n>] [seed <n>] [--threads <n>] "
+                 "usage: %s [traces <1..1000000>] [seed <n>] "
                  "[--share-prefixes] | file <t.txt>...\n",
                  Argv[0]);
     return 2;
   }
 
   CorpusOptions Drive;
-  Drive.Threads = Threads;
-  // Checks the corpus in sorted order through one resumable session per
-  // worker (engine/Incremental.h): a trace extending the previous one
-  // streams only its delta. Verdicts are unchanged; the driver's one-shot
-  // retry of budget-limited Unknowns keeps verdict counts identical across
-  // --threads values either way.
+  // Checks each corpus in sorted order through one resumable session
+  // (engine/Incremental.h): a trace extending the previous one streams
+  // only its delta. Verdicts are unchanged.
   Drive.SharePrefixes = SharePrefixes;
 
   Rng R(Seed);
   auto Start = std::chrono::steady_clock::now();
   SessionStats Total;
-  unsigned ThreadsUsed = 1;
 
   // Consensus: linearizable-by-construction, mutated, and arbitrary
-  // families run through one driver configuration. Note each checkLin call
-  // spawns its own worker sessions, so session warmth spans one family's
-  // corpus, not the whole program (unlike the pre-driver code, which
-  // reused a single session across the consensus families).
+  // families run through one driver configuration. Each checkLin call
+  // builds its own session, so session warmth spans one family's corpus.
   ConsensusAdt Cons;
   {
     CorpusDriver Driver(Cons, Drive);
@@ -185,22 +179,16 @@ int main(int Argc, char **Argv) {
     G.Alphabet = {cons::propose(1), cons::propose(2), cons::propose(3)};
     G.Outputs = {cons::decide(1), cons::decide(2), cons::decide(3)};
     std::vector<Trace> Positive, Mutated, Arbitrary;
-    for (unsigned I = 0; I != TracesPerFamily; ++I) {
+    for (unsigned long long I = 0; I != TracesPerFamily; ++I) {
       Positive.push_back(genLinearizableTrace(Cons, G, R));
       Trace M = Positive.back();
       mutateTrace(M, static_cast<MutationKind>(I % 4), G, R);
       Mutated.push_back(std::move(M));
       Arbitrary.push_back(genArbitraryTrace(G, R));
     }
-    printReport(
-        checkFamily("consensus/positive", Driver, Positive, Total,
-                    ThreadsUsed));
-    printReport(
-        checkFamily("consensus/mutated", Driver, Mutated, Total,
-                    ThreadsUsed));
-    printReport(
-        checkFamily("consensus/arbitrary", Driver, Arbitrary, Total,
-                    ThreadsUsed));
+    printReport(checkFamily("consensus/positive", Driver, Positive, Total));
+    printReport(checkFamily("consensus/mutated", Driver, Mutated, Total));
+    printReport(checkFamily("consensus/arbitrary", Driver, Arbitrary, Total));
   }
 
   QueueAdt Q;
@@ -212,25 +200,22 @@ int main(int Argc, char **Argv) {
     G.Alphabet = {queue::enq(1), queue::enq(2), queue::deq()};
     G.Outputs = {Output{1}, Output{2}, Output{NoValue}};
     std::vector<Trace> Positive, Arbitrary;
-    for (unsigned I = 0; I != TracesPerFamily; ++I) {
+    for (unsigned long long I = 0; I != TracesPerFamily; ++I) {
       Positive.push_back(genLinearizableTrace(Q, G, R));
       Arbitrary.push_back(genArbitraryTrace(G, R));
     }
-    printReport(
-        checkFamily("queue/positive", Driver, Positive, Total, ThreadsUsed));
-    printReport(
-        checkFamily("queue/arbitrary", Driver, Arbitrary, Total,
-                    ThreadsUsed));
+    printReport(checkFamily("queue/positive", Driver, Positive, Total));
+    printReport(checkFamily("queue/arbitrary", Driver, Arbitrary, Total));
   }
 
   double TotalMs = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - Start)
                        .count();
   std::printf(
-      "{\"summary\":{\"checks\":%llu,\"threads\":%u,\"nodes\":%llu,"
+      "{\"summary\":{\"checks\":%llu,\"nodes\":%llu,"
       "\"memo_hits\":%llu,\"commit_moves\":%llu,\"filler_moves\":%llu,"
       "\"total_ms\":%.1f,\"traces_per_sec\":%.0f}}\n",
-      static_cast<unsigned long long>(Total.Checks), ThreadsUsed,
+      static_cast<unsigned long long>(Total.Checks),
       static_cast<unsigned long long>(Total.Search.Nodes),
       static_cast<unsigned long long>(Total.Search.MemoHits),
       static_cast<unsigned long long>(Total.Search.CommitMoves),

@@ -330,8 +330,7 @@ struct ChainResult {
   Verdict Outcome = Verdict::No;
   std::string Reason; ///< Set for Unknown; empty No is the caller's to name.
   /// True when an Unknown came from exhausting the node budget (as
-  /// opposed to a structural limit like >64 obligations). Batch drivers use
-  /// it to retry such traces one-shot with a fresh session.
+  /// opposed to a structural limit like >64 obligations).
   bool BudgetLimited = false;
   std::vector<InputId> Master;
   std::vector<std::pair<std::size_t, std::size_t>> Commits;

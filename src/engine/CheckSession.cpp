@@ -81,13 +81,6 @@ SlinCheckResult detail::shapeSlinResult(
 
 CheckSession::CheckSession(const Adt &Type) : Type(Type) {}
 
-void CheckSession::reset() {
-  Interner.clear();
-  Scratch.reset();
-  Memo.shrinkToInitial();
-  RunSerial = 0;
-}
-
 void CheckSession::internSorted(std::vector<Input> Pool) {
   std::sort(Pool.begin(), Pool.end());
   Pool.erase(std::unique(Pool.begin(), Pool.end()), Pool.end());

@@ -151,8 +151,8 @@ struct SessionStats {
       ++Unknown;
   }
 
-  /// Folds another session's counters in (the CorpusDriver aggregates its
-  /// per-thread sessions this way).
+  /// Folds another session's counters in (corpus_check sums its
+  /// families' reports this way).
   void accumulate(const SessionStats &S) {
     Checks += S.Checks;
     Yes += S.Yes;
@@ -208,16 +208,6 @@ public:
                         const SlinCheckOptions &Opts = {});
 
   const SessionStats &stats() const { return Stats; }
-
-  /// Restores fresh-session *semantics* while keeping warm storage: the
-  /// interner is emptied (dense-id — and thus move exploration — order
-  /// restarts as in a new session), the memo table frees its slot array
-  /// (a fresh table holds none), the run-salt serial restarts, and the
-  /// arena is rewound without freeing its blocks. After reset(), verdicts
-  /// and node counts of subsequent checks are bit-identical to a newly
-  /// constructed session's; only the heap traffic differs. Cumulative
-  /// Stats are kept.
-  void reset();
 
 private:
   /// Interns \p In, growing the dense-id space.

@@ -68,15 +68,6 @@ public:
            Index.bucket_count() * sizeof(void *);
   }
 
-  /// Forgets every interned input. Ids restart from 0, so a reused session
-  /// regains a fresh session's dense-id order (and with it the fresh
-  /// session's move exploration order — the one-shot semantics batch
-  /// retry passes rely on). Keeps allocated buckets/storage for reuse.
-  void clear() {
-    Inputs.clear();
-    Index.clear();
-  }
-
 private:
   struct InputHash {
     std::size_t operator()(const Input &In) const {

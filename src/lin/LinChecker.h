@@ -49,10 +49,9 @@ struct LinCheckResult {
   std::string Reason;      ///< Human-readable cause for No/Unknown.
   LinWitness Witness;      ///< Valid iff Outcome == Verdict::Yes.
   std::uint64_t NodesExplored = 0;
-  /// True when an Unknown came from exhausting the node budget.
-  /// Since a warm session's budget-limited Unknowns can fall on different
-  /// traces than one-shot checking, batch callers use this to retry the
-  /// trace with a fresh session (see engine/CorpusDriver.h).
+  /// True when an Unknown came from exhausting the node budget, as opposed
+  /// to a structural limit. A warm session's budget-limited Unknowns can
+  /// fall on different traces than one-shot checking would give.
   bool BudgetLimited = false;
   /// Graded refinement of Outcome: gradeFor(Outcome) everywhere except the
   /// windowed session's pinned-excursion fallback, which reports Outcome ==

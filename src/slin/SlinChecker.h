@@ -127,8 +127,8 @@ struct SlinCheckResult {
   std::string Reason;
   SlinWitness Witness; ///< Valid iff Outcome == Verdict::Yes.
   std::uint64_t NodesExplored = 0;
-  /// True when an Unknown came from exhausting the node budget (batch
-  /// callers can retry such traces one-shot; see LinCheckResult).
+  /// True when an Unknown came from exhausting the node budget (see
+  /// LinCheckResult).
   bool BudgetLimited = false;
 
   explicit operator bool() const { return Outcome == Verdict::Yes; }
@@ -149,7 +149,7 @@ struct SlinVerdict {
   /// exact, making the verdict a decision rather than a test.
   bool Exact = false;
   /// True when an Unknown came from exhausting a search budget under some
-  /// interpretation (batch callers can retry such traces one-shot).
+  /// interpretation.
   bool BudgetLimited = false;
   /// Search nodes summed over every interpretation checked.
   std::uint64_t NodesExplored = 0;

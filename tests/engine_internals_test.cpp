@@ -13,8 +13,8 @@
 // allocation-free forgetting and always-replace-at-capacity semantics (the
 // guarantee that memo pressure costs re-exploration, never a wrong
 // verdict), the LiveWindow's 64-slot storage through folds, stride regrows
-// and an overflow excursion, plus the CorpusDriver's scheduling-independent
-// results.
+// and an overflow excursion, plus the CorpusDriver's agreement with a
+// hand-run warm session.
 //
 //===----------------------------------------------------------------------===//
 
@@ -952,7 +952,7 @@ TEST(LiveWindowTest, SessionVerdictsHoldThroughFoldsRegrowAndExcursion) {
 }
 
 //===----------------------------------------------------------------------===//
-// CorpusDriver: results are positional and scheduling-independent.
+// CorpusDriver: one warm session, in corpus order.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -975,29 +975,42 @@ std::vector<Trace> mixedConsensusCorpus(unsigned Count) {
 
 } // namespace
 
-TEST(CorpusDriverTest, ThreadCountsAgreeTraceByTrace) {
+TEST(CorpusDriverTest, MatchesOneWarmSessionTraceByTrace) {
+  // The driver is one warm CheckSession fed the corpus in order: every
+  // row, budget-limited Unknowns included, and every tally equal a
+  // hand-run loop, at the default budget and at a budget that starves.
   ConsensusAdt Cons;
   std::vector<Trace> Corpus = mixedConsensusCorpus(60);
-
-  CorpusOptions Serial;
-  Serial.Threads = 1;
-  CorpusReport Base = CorpusDriver(Cons, Serial).checkLin(Corpus);
-  ASSERT_EQ(Base.Results.size(), Corpus.size());
-  EXPECT_EQ(Base.ThreadsUsed, 1u);
-
-  for (unsigned Threads : {2u, 4u}) {
-    CorpusOptions Par = Serial;
-    Par.Threads = Threads;
-    Par.ChunkSize = 3; // Exercise many steals.
-    CorpusReport R = CorpusDriver(Cons, Par).checkLin(Corpus);
+  LinCheckOptions Tight;
+  Tight.NodeBudget = 1;
+  for (const LinCheckOptions &Check : {LinCheckOptions{}, Tight}) {
+    CheckSession Warm(Cons);
+    std::uint64_t Yes = 0, No = 0, Unknown = 0, BudgetLimited = 0;
+    CorpusReport R = CorpusDriver(Cons).checkLin(Corpus, Check);
     ASSERT_EQ(R.Results.size(), Corpus.size());
-    EXPECT_EQ(R.Yes, Base.Yes);
-    EXPECT_EQ(R.No, Base.No);
-    EXPECT_EQ(R.Unknown, Base.Unknown);
-    for (std::size_t I = 0; I != Corpus.size(); ++I)
-      EXPECT_EQ(R.Results[I].Outcome, Base.Results[I].Outcome)
-          << "trace " << I << " changed verdict at " << Threads
-          << " threads";
+    for (std::size_t I = 0; I != Corpus.size(); ++I) {
+      LinCheckResult Want = Warm.checkLin(Corpus[I], Check);
+      Yes += Want.Outcome == Verdict::Yes;
+      No += Want.Outcome == Verdict::No;
+      Unknown += Want.Outcome == Verdict::Unknown;
+      BudgetLimited += Want.BudgetLimited;
+      EXPECT_EQ(R.Results[I].Outcome, Want.Outcome) << "trace " << I;
+      EXPECT_EQ(R.Results[I].BudgetLimited, Want.BudgetLimited)
+          << "trace " << I;
+      EXPECT_EQ(R.Results[I].NodesExplored, Want.NodesExplored)
+          << "trace " << I;
+    }
+    EXPECT_EQ(R.Yes, Yes);
+    EXPECT_EQ(R.No, No);
+    EXPECT_EQ(R.Unknown, Unknown);
+    EXPECT_EQ(R.BudgetLimited, BudgetLimited);
+    EXPECT_EQ(R.Aggregate.Checks, Corpus.size());
+    EXPECT_EQ(R.Aggregate.Search.Nodes, Warm.stats().Search.Nodes);
+    if (Check.NodeBudget == Tight.NodeBudget) {
+      EXPECT_GT(R.BudgetLimited, 0u);
+    } else {
+      EXPECT_EQ(R.Unknown, 0u);
+    }
   }
 }
 
@@ -1036,7 +1049,6 @@ TEST(CorpusDriverTest, AggregateCountsEveryCheck) {
     for (const std::vector<Trace> &Corpus :
          {mixedConsensusCorpus(20), siblingConsensusCorpus()}) {
       CorpusOptions O;
-      O.Threads = 2;
       O.SharePrefixes = SharePrefixes;
       CorpusReport R = CorpusDriver(Cons, O).checkLin(Corpus);
       EXPECT_EQ(R.Aggregate.Checks, Corpus.size())
@@ -1046,51 +1058,6 @@ TEST(CorpusDriverTest, AggregateCountsEveryCheck) {
       EXPECT_GT(R.Aggregate.Search.Nodes, 0u);
     }
   }
-}
-
-TEST(CorpusDriverTest, BudgetLimitedIsReportedAndRetryRunsOneShot) {
-  ConsensusAdt Cons;
-  std::vector<Trace> Corpus = mixedConsensusCorpus(10);
-
-  // One thread checks the corpus in order through one warm session, so
-  // the drain's rows before the repair pass are reproducible by hand.
-  LinCheckOptions Tight;
-  Tight.NodeBudget = 1; // Everything non-trivial exhausts instantly.
-  CheckSession Warm(Cons);
-  std::vector<LinCheckResult> Drained;
-  std::uint64_t Starved = 0;
-  for (const Trace &T : Corpus) {
-    Drained.push_back(Warm.checkLin(T, Tight));
-    if (Drained.back().Outcome == Verdict::Unknown) {
-      EXPECT_TRUE(Drained.back().BudgetLimited);
-      ++Starved;
-    }
-  }
-
-  // The repair pass runs once per budget-limited trace, and every retried
-  // row lands on its one-shot verdict (fresh-session semantics) at the
-  // right corpus position; the others keep the drain's verdict.
-  CorpusOptions O;
-  O.Threads = 1;
-  CorpusReport Repaired = CorpusDriver(Cons, O).checkLin(Corpus, Tight);
-  EXPECT_GT(Repaired.Retried, 0u);
-  EXPECT_EQ(Repaired.Retried, Starved);
-  ASSERT_EQ(Repaired.Results.size(), Corpus.size());
-  for (std::size_t I = 0; I != Corpus.size(); ++I) {
-    LinCheckResult Want = Drained[I];
-    if (Want.Outcome == Verdict::Unknown)
-      Want = checkLinearizable(Corpus[I], Cons, Tight);
-    EXPECT_EQ(Repaired.Results[I].Outcome, Want.Outcome) << "trace " << I;
-    EXPECT_EQ(Repaired.Results[I].BudgetLimited, Want.BudgetLimited)
-        << "trace " << I;
-  }
-
-  // And with the default budget nothing is budget-limited, so the retry
-  // pass has nothing to do.
-  CorpusReport Roomy = CorpusDriver(Cons, O).checkLin(Corpus);
-  EXPECT_EQ(Roomy.Unknown, 0u);
-  EXPECT_EQ(Roomy.BudgetLimited, 0u);
-  EXPECT_EQ(Roomy.Retried, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1297,31 +1264,11 @@ TEST(IncrementalSessionTest, BudgetLadderOnResumedSessionsStaysSound) {
   }
 }
 
-TEST(CheckSessionTest, ResetRestoresFreshSessionSemantics) {
-  // After warming a session on one corpus, reset() must make subsequent
-  // checks bit-identical (verdict AND node count) to a new session's.
-  ConsensusAdt Cons;
-  std::vector<Trace> Corpus = mixedConsensusCorpus(20);
-  CheckSession Warm(Cons);
-  for (const Trace &T : Corpus)
-    Warm.checkLin(T);
-  Warm.reset();
-  for (const Trace &T : Corpus) {
-    CheckSession Fresh(Cons);
-    LinCheckResult A = Warm.checkLin(T);
-    LinCheckResult B = Fresh.checkLin(T);
-    ASSERT_EQ(A.Outcome, B.Outcome);
-    ASSERT_EQ(A.NodesExplored, B.NodesExplored);
-    Warm.reset();
-  }
-}
-
 TEST(CorpusDriverTest, SharePrefixesPreservesVerdicts) {
-  // Prefix sharing changes scheduling and warmth, never conclusive
-  // verdicts: a prefix-closed corpus (every even prefix of growing
-  // histories — the shape an online monitor's log re-check produces) and
-  // a mixed corpus must agree row by row with the unshared baseline, at
-  // every thread count.
+  // Prefix sharing changes order and warmth, never conclusive verdicts: a
+  // prefix-closed corpus (every even prefix of growing histories — the
+  // shape an online monitor's log re-check produces) and a mixed corpus
+  // must agree row by row with the unshared baseline.
   ConsensusAdt Cons;
   GenOptions G;
   G.NumClients = 4;
@@ -1338,29 +1285,20 @@ TEST(CorpusDriverTest, SharePrefixesPreservesVerdicts) {
     Corpus.push_back(genArbitraryTrace(G, R));
   }
 
-  CorpusOptions Plain;
-  Plain.Threads = 1;
-  CorpusReport Base = CorpusDriver(Cons, Plain).checkLin(Corpus);
-
-  for (unsigned Threads : {1u, 3u}) {
-    CorpusOptions Shared = Plain;
-    Shared.Threads = Threads;
-    Shared.SharePrefixes = true;
-    Shared.ChunkSize = 5; // Force groups to straddle chunk boundaries.
-    CorpusReport Rep = CorpusDriver(Cons, Shared).checkLin(Corpus);
-    ASSERT_EQ(Rep.Results.size(), Corpus.size());
-    for (std::size_t I = 0; I != Corpus.size(); ++I)
-      ASSERT_EQ(Rep.Results[I].Outcome, Base.Results[I].Outcome)
-          << "trace " << I << " at " << Threads << " threads";
-    EXPECT_EQ(Rep.Yes, Base.Yes);
-    EXPECT_EQ(Rep.No, Base.No);
-    EXPECT_EQ(Rep.Unknown, Base.Unknown);
-    // What sharing is for: each prefix-closed trace streams only its
-    // delta, so the one-thread shared drain searches fewer nodes.
-    if (Threads == 1) {
-      EXPECT_LT(Rep.Aggregate.Search.Nodes, Base.Aggregate.Search.Nodes);
-    }
-  }
+  CorpusReport Base = CorpusDriver(Cons).checkLin(Corpus);
+  CorpusOptions Shared;
+  Shared.SharePrefixes = true;
+  CorpusReport Rep = CorpusDriver(Cons, Shared).checkLin(Corpus);
+  ASSERT_EQ(Rep.Results.size(), Corpus.size());
+  for (std::size_t I = 0; I != Corpus.size(); ++I)
+    ASSERT_EQ(Rep.Results[I].Outcome, Base.Results[I].Outcome)
+        << "trace " << I;
+  EXPECT_EQ(Rep.Yes, Base.Yes);
+  EXPECT_EQ(Rep.No, Base.No);
+  EXPECT_EQ(Rep.Unknown, Base.Unknown);
+  // What sharing is for: each prefix-closed trace streams only its delta,
+  // so the shared session searches fewer nodes.
+  EXPECT_LT(Rep.Aggregate.Search.Nodes, Base.Aggregate.Search.Nodes);
 }
 
 TEST(CorpusDriverTest, SharePrefixesDoomedPrefixDoesNotPoisonSiblings) {
@@ -1373,10 +1311,8 @@ TEST(CorpusDriverTest, SharePrefixesDoomedPrefixDoesNotPoisonSiblings) {
   // it. V splits the decision (No).
   ConsensusAdt Cons;
   std::vector<Trace> Corpus = siblingConsensusCorpus();
-  CorpusOptions Plain;
-  Plain.Threads = 1;
-  CorpusReport Base = CorpusDriver(Cons, Plain).checkLin(Corpus);
-  CorpusOptions Shared = Plain;
+  CorpusReport Base = CorpusDriver(Cons).checkLin(Corpus);
+  CorpusOptions Shared;
   Shared.SharePrefixes = true;
   CorpusReport Rep = CorpusDriver(Cons, Shared).checkLin(Corpus);
   for (std::size_t I = 0; I != Corpus.size(); ++I)
@@ -1403,16 +1339,24 @@ TEST(CorpusDriverTest, SlinCorpusRunsThroughTheDriver) {
   for (int I = 0; I != 30; ++I)
     Corpus.push_back(A.randomWalk(W, R, Rel));
 
-  CorpusOptions Serial;
-  Serial.Threads = 1;
-  CorpusReport Base = CorpusDriver(Cons, Serial).checkSlin(Corpus, Sig, Rel);
-  CorpusOptions Par = Serial;
-  Par.Threads = 3;
-  Par.ChunkSize = 2;
-  CorpusReport R2 = CorpusDriver(Cons, Par).checkSlin(Corpus, Sig, Rel);
-  ASSERT_EQ(Base.Results.size(), R2.Results.size());
-  for (std::size_t I = 0; I != Base.Results.size(); ++I)
-    EXPECT_EQ(Base.Results[I].Outcome, R2.Results[I].Outcome);
+  // One warm session in corpus order, row by row and in the tallies.
+  CorpusReport Base = CorpusDriver(Cons).checkSlin(Corpus, Sig, Rel);
+  ASSERT_EQ(Base.Results.size(), Corpus.size());
+  CheckSession Warm(Cons);
+  std::uint64_t Yes = 0, No = 0;
+  for (std::size_t I = 0; I != Corpus.size(); ++I) {
+    SlinVerdict Want = Warm.checkSlin(Corpus[I], Sig, Rel);
+    Yes += Want.Outcome == Verdict::Yes;
+    No += Want.Outcome == Verdict::No;
+    EXPECT_EQ(Base.Results[I].Outcome, Want.Outcome) << "trace " << I;
+    EXPECT_EQ(Base.Results[I].BudgetLimited, Want.BudgetLimited)
+        << "trace " << I;
+    EXPECT_EQ(Base.Results[I].NodesExplored, Want.NodesExplored)
+        << "trace " << I;
+  }
+  EXPECT_EQ(Base.Yes, Yes);
+  EXPECT_EQ(Base.No, No);
+  EXPECT_EQ(Base.Aggregate.Checks, Warm.stats().Checks);
   EXPECT_GT(Base.Yes + Base.No, 0u);
 }
 

@@ -8,18 +8,24 @@
 
 #include "adt/KvStore.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cstdlib>
+
 using namespace slin;
 using namespace slin::simdrv;
 
 void slin::simdrv::submitKvWorkload(SmrHarness &H, unsigned Clients,
-                                    const KvWorkloadShape &Shape) {
-  for (unsigned I = 0; I != Shape.Ops; ++I) {
+                                    unsigned Ops) {
+  const SimTime RoundPace = Clients > 4 ? 25 * Clients : 100;
+  const SimTime ClientStagger = RoundPace / Clients;
+  for (unsigned I = 0; I != Ops; ++I) {
     ClientId C = I % Clients;
-    SimTime At = Shape.RoundPace * (I / Clients) + C * Shape.ClientStagger;
-    std::int64_t Key = 1 + (I % Shape.KeyPeriod);
+    SimTime At = RoundPace * (I / Clients) + C * ClientStagger;
+    std::int64_t Key = 1 + (I % 2);
     switch ((I / Clients) % 3) {
     case 0:
-      H.submitAt(At, C, kv::put(Key, 10 * (1 + I % Shape.ValuePeriod)));
+      H.submitAt(At, C, kv::put(Key, 10 * (1 + I % 64)));
       break;
     case 1:
       H.submitAt(At, C, kv::get(Key));
@@ -31,33 +37,11 @@ void slin::simdrv::submitKvWorkload(SmrHarness &H, unsigned Clients,
   }
 }
 
-/// Delivers every event past \p Fed to \p OnEvent and advances the cursor.
-static void drainNew(SmrHarness &H, std::size_t &Fed, SimTime Now,
-                     const std::function<void(SimTime, const Action &)>
-                         &OnEvent) {
-  const Trace &T = H.objectTrace();
-  for (; Fed != T.size(); ++Fed)
-    OnEvent(Now, T[Fed]);
-}
-
 static bool allDone(const SmrHarness &H) {
   for (const SmrOpRecord &Op : H.smrOps())
     if (!Op.Completed)
       return false;
   return !H.smrOps().empty();
-}
-
-std::size_t slin::simdrv::runSliced(
-    SmrHarness &H,
-    const std::function<void(SimTime, const Action &)> &OnEvent) {
-  std::size_t Fed = 0;
-  for (SimTime Slice = 50; Slice <= 1u << 20 && !allDone(H); Slice += 50) {
-    H.run(Slice);
-    drainNew(H, Fed, Slice, OnEvent);
-  }
-  H.run(); // Quiesce whatever is left (crashed-minority stragglers).
-  drainNew(H, Fed, -1, OnEvent);
-  return Fed;
 }
 
 MultiObjectSim::MultiObjectSim(const Adt &Type, std::size_t Objects,
@@ -101,4 +85,18 @@ std::size_t MultiObjectSim::run(
     H->run(); // Quiesce stragglers per object.
   DrainAll(-1);
   return Delivered;
+}
+
+bool slin::simdrv::parseUnsigned(const char *Text, unsigned long long Lo,
+                                 unsigned long long Hi,
+                                 unsigned long long &Out) {
+  if (!std::isdigit(static_cast<unsigned char>(*Text)))
+    return false;
+  errno = 0;
+  char *End = nullptr;
+  unsigned long long V = std::strtoull(Text, &End, 10);
+  if (errno == ERANGE || *End != '\0' || V < Lo || V > Hi)
+    return false;
+  Out = V;
+  return true;
 }

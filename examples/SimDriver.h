@@ -1,21 +1,18 @@
-//===- examples/SimDriver.h - Shared SMR simulation harness -----*- C++ -*-==//
+//===- examples/SimDriver.h - Shared example harness ------------*- C++ -*-==//
 //
 // Part of the slin project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The Paxos/Quorum-stack simulation driver the example monitors share:
-/// the canonical open-loop KV workload, the sliced run loop that streams a
-/// harness's object-level events into a callback as simulated time
-/// advances (instead of handing the monitor a batch at the end), and a
-/// lockstep multi-object pump over N independent replicated objects for
-/// the sharded monitoring service example.
+/// What the examples share: the canonical open-loop KV workload, a
+/// lockstep multi-object pump over N independent replicated objects (the
+/// Paxos/Quorum-stack simulation the service monitor watches), and strict
+/// parsing of numeric command-line arguments.
 ///
-/// Extracted from examples/online_monitor.cpp verbatim — the workload
-/// shape and pacing are observable behavior (CI's monitor smoke asserts
-/// event and retirement counts), so the defaults here reproduce that
-/// example's stream exactly.
+/// The workload shape and pacing are observable behavior (CI's monitor
+/// and service smokes assert event and retirement counts), so changing
+/// them changes what those smokes see.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,41 +29,18 @@
 namespace slin {
 namespace simdrv {
 
-/// The canonical workload's tunables. Defaults reproduce online_monitor:
-/// each client hammers a small key space with put/get/del, rounds paced at
-/// 100 ticks (above the Paxos retry timeout, so rounds rarely collide into
-/// dueling-proposer backoff storms).
-struct KvWorkloadShape {
-  unsigned Ops = 12;          ///< Total operations across all clients.
-  unsigned KeyPeriod = 2;     ///< Keys cycle 1 + (I % KeyPeriod).
-  /// Put values cycle 10 * (1 + I % ValuePeriod). Bounded on purpose: the
-  /// monitor's input alphabet stops growing after warm-up, which the
-  /// allocation-free steady state depends on (a fresh input interns, and
-  /// interning allocates).
-  unsigned ValuePeriod = 64;
-  SimTime RoundPace = 100;    ///< Ticks between workload rounds.
-  /// Offsets client C's submissions by C * ClientStagger ticks. 0 (the
-  /// online_monitor default) submits a whole round at the same tick,
-  /// which above ~4 clients collides into dueling-proposer storms whose
-  /// straggler pins the monitor's retirement cut for the entire run; the
-  /// multi-client service workload staggers so every object stays live.
-  SimTime ClientStagger = 0;
-};
-
-/// Submits the canonical open-loop workload into \p H: operation I goes to
-/// client I % Clients at time RoundPace * (I / Clients), cycling
-/// put/get/del by round.
-void submitKvWorkload(SmrHarness &H, unsigned Clients,
-                      const KvWorkloadShape &Shape);
-
-/// Streams one harness to completion in 50-tick slices: after each slice,
-/// every newly observed object-level event is handed to \p OnEvent with
-/// the slice time, so a monitor keeps pace with the system. A final
-/// quiescing run() drains stragglers (crashed-minority tails), delivered
-/// with Now = -1. Returns the number of events delivered.
-std::size_t runSliced(SmrHarness &H,
-                      const std::function<void(SimTime, const Action &)>
-                          &OnEvent);
+/// Submits the canonical open-loop workload of \p Ops operations into \p H:
+/// operation I goes to client C = I % Clients in round I / Clients,
+/// cycling put/get/del by round over keys 1 + I % 2. Put values cycle
+/// 10 * (1 + I % 64): a bounded alphabet stops the monitor's interner
+/// growing after warm-up, which the allocation-free steady state depends
+/// on. Rounds are paced above their serialization time (an object commits
+/// one op per ~20 ticks; 100 ticks, above the Paxos retry timeout, up to 4
+/// clients, else 25 per client), and client C submits C / Clients of the
+/// way into its round: simultaneous proposals above ~4 clients collide
+/// into dueling-proposer storms whose straggler would pin the monitor's
+/// retirement cut for the whole run.
+void submitKvWorkload(SmrHarness &H, unsigned Clients, unsigned Ops);
 
 /// N independent replicated objects — one SmrHarness each, differing only
 /// in seed — pumped in lockstep slices, so the merged event stream
@@ -97,6 +71,12 @@ private:
   std::vector<std::unique_ptr<SmrHarness>> Harnesses;
   std::vector<std::size_t> Fed; ///< Events already delivered, per object.
 };
+
+/// Parses \p Text as a decimal integer in [\p Lo, \p Hi] into \p Out.
+/// Rejects empty text, a sign, trailing characters and overflow, so a
+/// command-line count is never a wrapped negative or a silent zero.
+bool parseUnsigned(const char *Text, unsigned long long Lo,
+                   unsigned long long Hi, unsigned long long &Out);
 
 } // namespace simdrv
 } // namespace slin

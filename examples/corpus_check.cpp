@@ -23,17 +23,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SimDriver.h"
 #include "adt/Consensus.h"
 #include "adt/Queue.h"
 #include "engine/CorpusDriver.h"
 #include "trace/Gen.h"
 #include "trace/TraceIo.h"
 
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -41,6 +39,7 @@
 #include <vector>
 
 using namespace slin;
+using simdrv::parseUnsigned;
 
 namespace {
 
@@ -81,21 +80,6 @@ void printReport(const FamilyReport &Rep) {
               static_cast<unsigned long long>(Rep.Unknown),
               static_cast<unsigned long long>(Rep.BudgetLimited), Rep.Millis,
               PerTrace);
-}
-
-/// Parses \p Text as a decimal integer in [\p Lo, \p Hi] into \p Out.
-/// Rejects empty text, a sign, trailing characters and overflow.
-bool parseUnsigned(const char *Text, unsigned long long Lo,
-                   unsigned long long Hi, unsigned long long &Out) {
-  if (!std::isdigit(static_cast<unsigned char>(*Text)))
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(Text, &End, 10);
-  if (errno == ERANGE || *End != '\0' || V < Lo || V > Hi)
-    return false;
-  Out = V;
-  return true;
 }
 
 int checkFiles(int Argc, char **Argv) {

@@ -14,8 +14,16 @@
 // cross-object interleaving is ever searched, which is exactly why ten
 // thousand clients over a thousand objects fit in one thread's budget.
 //
+// By the same theorem a one-object run is the session monitor: `objects 1`
+// streams one replicated object's trace through one incremental session
+// (lin, or with --slin the object as the sole phase of a speculative
+// object), with a verdict after every event. `objects 1 clients 3 ops
+// 4096` is the long-trace smoke: definitive the whole way, zero seed
+// replay, every steady verdict on the fast path (steady_checks,
+// fast_path_per_check), and a window bounded by retirement.
+//
 // The defaults run 1024 objects x 10 clients = 10240 simulated clients,
-// 128 operations per object (~260k wire events). Every event is parsed
+// 512 operations per object (~1M wire events). Every event is parsed
 // from its wire line (zero-copy), appended straight into its shard's
 // session, and answered; the composed verdict is current as soon as
 // ingestText returns. Past warm-up the whole service path is
@@ -43,6 +51,10 @@
 //                   [--order <strict|tso>] [objects <n>] [clients <n>]
 //                   [ops <n>] [seed <n>] [batch <n>]
 //
+// Counts are decimal: objects and ops in [1, 65536], clients in [1, 63],
+// objects x clients below 2^20 - 1, batch at least 1. A sign, trailing
+// text or an out-of-range value prints the usage line and exits 2.
+//
 // Emits one JSON summary line. Exit status 1 if the final composed
 // verdict is not Yes (0 with --violate, where No is the expected answer;
 // with --straggler the run must also pass through the degraded phase).
@@ -53,7 +65,9 @@
 #include "adt/KvStore.h"
 #include "service/Service.h"
 #include "support/AllocGauge.h"
+#include "trace/TraceBuilder.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -64,62 +78,50 @@ SLIN_DEFINE_ALLOC_GAUGE()
 using namespace slin;
 
 int main(int Argc, char **Argv) {
-  std::size_t Objects = 1024;
-  unsigned Clients = 10; // Per object.
-  unsigned Ops = 512;    // Per object.
-  std::uint64_t Seed = 7;
-  std::size_t Batch = 1;
+  unsigned long long Objects = 1024;
+  unsigned long long Clients = 10; // Per object.
+  unsigned long long Ops = 512;    // Per object.
+  unsigned long long Seed = 7;
+  unsigned long long Batch = 1;
   bool SlinMode = false;
   bool Violate = false;
   bool Straggler = false;
   OrderRelationKind Order = OrderRelationKind::Strict;
-  int I = 1;
-  while (I < Argc) {
-    if (!std::strcmp(Argv[I], "--slin")) {
+  bool ArgsOk = true;
+  for (int I = 1; I < Argc && ArgsOk; ++I) {
+    const char *Arg = Argv[I];
+    if (!std::strcmp(Arg, "--slin"))
       SlinMode = true;
-      ++I;
-      continue;
-    }
-    if (!std::strcmp(Argv[I], "--violate")) {
+    else if (!std::strcmp(Arg, "--violate"))
       Violate = true;
-      ++I;
-      continue;
-    }
-    if (!std::strcmp(Argv[I], "--straggler")) {
+    else if (!std::strcmp(Arg, "--straggler"))
       Straggler = true;
-      ++I;
-      continue;
-    }
-    if (I + 1 >= Argc) {
-      I = -1;
-      break;
-    }
-    if (!std::strcmp(Argv[I], "objects"))
-      Objects = static_cast<std::size_t>(std::atoll(Argv[I + 1]));
-    else if (!std::strcmp(Argv[I], "clients"))
-      Clients = static_cast<unsigned>(std::atoi(Argv[I + 1]));
-    else if (!std::strcmp(Argv[I], "ops"))
-      Ops = static_cast<unsigned>(std::atoi(Argv[I + 1]));
-    else if (!std::strcmp(Argv[I], "seed"))
-      Seed = static_cast<std::uint64_t>(std::atoll(Argv[I + 1]));
-    else if (!std::strcmp(Argv[I], "batch"))
-      Batch = static_cast<std::size_t>(std::atoll(Argv[I + 1]));
-    else if (!std::strcmp(Argv[I], "--order")) {
-      if (!parseOrderRelation(Argv[I + 1], Order))
-        I = -2;
-    } else
-      I = -2;
-    if (I < 0)
-      break;
-    I += 2;
+    else if (++I == Argc) // Every other argument takes a value.
+      ArgsOk = false;
+    else if (!std::strcmp(Arg, "--order"))
+      ArgsOk = parseOrderRelation(Argv[I], Order);
+    else if (!std::strcmp(Arg, "objects"))
+      ArgsOk = simdrv::parseUnsigned(Argv[I], 1, 1u << 16, Objects);
+    else if (!std::strcmp(Arg, "clients"))
+      ArgsOk = simdrv::parseUnsigned(Argv[I], 1, 63, Clients);
+    else if (!std::strcmp(Arg, "ops"))
+      ArgsOk = simdrv::parseUnsigned(Argv[I], 1, 1u << 16, Ops);
+    else if (!std::strcmp(Arg, "seed"))
+      ArgsOk = simdrv::parseUnsigned(Argv[I], 0, ~0ULL, Seed);
+    else if (!std::strcmp(Arg, "batch"))
+      ArgsOk = simdrv::parseUnsigned(Argv[I], 1, ~0ULL, Batch);
+    else
+      ArgsOk = false;
   }
-  if (I < 0 || Objects < 1 || Objects > (1u << 16) || Clients < 1 ||
-      Clients > 63 || Ops < 1 || Ops > (1u << 16) || Batch < 1 ||
-      (Violate && Straggler)) {
+  // Wire client ids are global (object * clients + client, plus the
+  // straggler's two) and the parser takes them below 2^20.
+  if (!ArgsOk || (Violate && Straggler) ||
+      Objects * Clients + 2 > TraceBuilder::MaxClients) {
     std::fprintf(stderr,
                  "usage: %s [--slin] [--violate | --straggler] "
                  "[--order <strict|tso>] "
-                 "[objects <n<=65536>] [clients <n<=63>] [ops <n<=65536>] "
+                 "[objects <1..65536>] [clients <1..63>] [ops <1..65536>] "
+                 "(objects x clients < 2^20 - 1) "
                  "[seed <n>] [batch <n>]\n",
                  Argv[0]);
     return 2;
@@ -131,19 +133,8 @@ int main(int Argc, char **Argv) {
   Base.NumClients = Clients;
   Base.Seed = Seed;
   simdrv::MultiObjectSim Sim(Kv, Objects, Base);
-  simdrv::KvWorkloadShape Shape;
-  Shape.Ops = Ops;
-  // Spread each round's submissions across the round and give the round
-  // time to serialize: an object commits one op per ~20 ticks, and
-  // simultaneous proposals above ~4 clients collide into dueling-proposer
-  // storms whose straggler would pin every shard's retirement cut (see
-  // KvWorkloadShape::ClientStagger). With the pace above the round's
-  // serialization time, every round quiesces and retirement keeps each
-  // shard's window bounded.
-  Shape.RoundPace = Clients > 4 ? 25 * Clients : 100;
-  Shape.ClientStagger = Shape.RoundPace / Clients;
   for (std::size_t K = 0; K != Objects; ++K)
-    simdrv::submitKvWorkload(Sim.harness(K), Clients, Shape);
+    simdrv::submitKvWorkload(Sim.harness(K), Clients, Ops);
 
   ServiceConfig Config;
   Config.Mode = SlinMode ? ServiceMode::Slin : ServiceMode::Lin;
@@ -167,15 +158,20 @@ int main(int Argc, char **Argv) {
   // Events are counted steady — and heap allocations gauged — once every
   // shard is past its own warm-up (saturated interner/arena/memo and
   // enough retirement folds that a fold no longer grows anything; ~700
-  // events per shard empirically). Shards advance in lockstep, so the
-  // global threshold of ExpectedEvents * 3/4 puts each shard 3/4 of its
-  // (default 1024) events in, past that point.
-  const std::size_t ExpectedEvents = 2 * Objects * static_cast<std::size_t>(Ops);
-  const std::size_t SteadyFrom = ExpectedEvents * 3 / 4;
+  // events per shard empirically): min(1024, 3/4 of its events) in. Shards
+  // advance in lockstep, so the region starts that many events per object
+  // into the merged stream. Each steady response is one new obligation
+  // checked (an invocation is absorbed against the cached verdict), so the
+  // fast-path ratio is per steady response.
+  const std::size_t ShardEvents = 2 * Ops;
+  const std::size_t SteadyFrom =
+      Objects * std::min<std::size_t>(1024, ShardEvents * 3 / 4);
 
   std::size_t Fed = 0;
   std::size_t SteadyEvents = 0;
+  std::size_t SteadyChecks = 0;
   std::uint64_t SteadyAllocs = 0;
+  std::uint64_t FastPath0 = 0;
   double ServiceSeconds = 0;
   std::string Buf;
   std::uint64_t Responses0 = 0; // Object 0 responses seen (for --violate).
@@ -200,6 +196,9 @@ int main(int Argc, char **Argv) {
     appendServiceLine(Buf, Obj, Wire); // Rendering is the harness's cost.
 
     bool Steady = Fed >= SteadyFrom;
+    if (Fed == SteadyFrom)
+      FastPath0 = Service.aggregateSessionStats().FastPathVerdicts;
+    SteadyChecks += Steady && A.Kind == ActionKind::Respond;
     std::uint64_t Allocs0 = Steady ? AllocGauge::count() : 0;
     auto Start = std::chrono::steady_clock::now();
     if (!Service.ingestText(Buf))
@@ -214,6 +213,8 @@ int main(int Argc, char **Argv) {
     ++Fed;
   });
   Service.flush();
+  const std::uint64_t SteadyFastPath =
+      Service.aggregateSessionStats().FastPathVerdicts - FastPath0;
 
   // --straggler: one extra shard (id Objects, never used by the sim)
   // demonstrates the graded-degradation lifecycle over the same wire
@@ -270,8 +271,8 @@ int main(int Argc, char **Argv) {
                   : Grade == VerdictGrade::No         ? "no"
                                                       : "unknown";
   std::printf(
-      "{\"summary\":{\"mode\":\"%s\",\"order\":\"%s\",\"objects\":%zu,"
-      "\"clients_total\":%zu,"
+      "{\"summary\":{\"mode\":\"%s\",\"order\":\"%s\",\"objects\":%llu,"
+      "\"clients_total\":%llu,"
       "\"events\":%zu,\"verdict\":\"%s\",\"composed_grade\":\"%s\","
       "\"culprit_object\":%lld,"
       "\"reason\":\"%s\","
@@ -279,14 +280,16 @@ int main(int Argc, char **Argv) {
       "\"straggler_degraded\":%d,\"straggler_recovered\":%d,"
       "\"bounded_shards_peak\":%zu,"
       "\"shard_verdicts\":%llu,\"parse_errors\":%llu,"
-      "\"fast_path_verdicts\":%llu,\"retired_obligations\":%llu,"
+      "\"fast_path_verdicts\":%llu,\"seed_steps_replayed\":%llu,"
+      "\"retired_obligations\":%llu,"
       "\"live_window_high_water\":%llu,\"window_overflows\":%llu,"
       "\"steady_events\":%zu,\"allocs_per_event\":%.6f,"
+      "\"steady_checks\":%zu,\"fast_path_per_check\":%.6f,"
       "\"alloc_gauge_active\":%d,"
       "\"shard_memory_avg_bytes\":%zu,\"shard_memory_max_bytes\":%zu,"
       "\"service_seconds\":%.3f,\"events_per_sec\":%.0f}}\n",
       SlinMode ? "slin" : "lin", orderRelationName(Order), Objects,
-      static_cast<std::size_t>(Objects) * Clients, Delivered, V, G,
+      Objects * Clients, Delivered, V, G,
       Final == Verdict::Yes ? -1LL
                             : static_cast<long long>(Service.culpritObject()),
       Service.composedReason().c_str(),
@@ -296,6 +299,7 @@ int main(int Argc, char **Argv) {
       static_cast<unsigned long long>(S.ShardVerdicts),
       static_cast<unsigned long long>(S.ParseErrors),
       static_cast<unsigned long long>(Sessions.FastPathVerdicts),
+      static_cast<unsigned long long>(Sessions.Search.SeedStepsReplayed),
       static_cast<unsigned long long>(Sessions.RetiredObligations),
       static_cast<unsigned long long>(Sessions.LiveWindowHighWater),
       static_cast<unsigned long long>(Sessions.WindowOverflows),
@@ -303,6 +307,10 @@ int main(int Argc, char **Argv) {
       SteadyEvents ? static_cast<double>(SteadyAllocs) /
                          static_cast<double>(SteadyEvents)
                    : 0.0,
+      SteadyChecks,
+      SteadyChecks ? static_cast<double>(SteadyFastPath) /
+                         static_cast<double>(SteadyChecks)
+                   : 1.0,
       AllocGauge::active() ? 1 : 0, Service.shardCount() ? MemTotal / Service.shardCount() : 0,
       MemMax, ServiceSeconds,
       ServiceSeconds > 0 ? static_cast<double>(Delivered) / ServiceSeconds

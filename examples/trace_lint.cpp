@@ -15,6 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SimDriver.h"
 #include "adt/Consensus.h"
 #include "adt/KvStore.h"
 #include "adt/Queue.h"
@@ -52,13 +53,21 @@ int main(int Argc, char **Argv) {
   PhaseId M = 1, N = 2;
   bool RelaxedAborts = false;
   const char *Path = nullptr;
+  bool ArgsOk = true;
 
   for (int I = 1; I < Argc; ++I) {
     if (!std::strcmp(Argv[I], "--adt") && I + 1 < Argc) {
       AdtName = Argv[++I];
-    } else if (!std::strcmp(Argv[I], "--phases") && I + 2 < Argc) {
-      M = static_cast<PhaseId>(std::atoi(Argv[++I]));
-      N = static_cast<PhaseId>(std::atoi(Argv[++I]));
+    } else if (!std::strcmp(Argv[I], "--phases")) {
+      // Phase ids the trace parser accepts lie below 2^20.
+      unsigned long long First = 0, Last = 0;
+      if (I + 2 >= Argc ||
+          !simdrv::parseUnsigned(Argv[I + 1], 0, (1u << 20) - 1, First) ||
+          !simdrv::parseUnsigned(Argv[I + 2], 0, (1u << 20) - 1, Last))
+        ArgsOk = false;
+      M = static_cast<PhaseId>(First);
+      N = static_cast<PhaseId>(Last);
+      I += 2;
     } else if (!std::strcmp(Argv[I], "--relaxed-aborts")) {
       RelaxedAborts = true;
     } else {
@@ -67,7 +76,7 @@ int main(int Argc, char **Argv) {
   }
 
   std::unique_ptr<Adt> Type = makeAdt(AdtName);
-  if (!Type || M >= N) {
+  if (!ArgsOk || !Type || M >= N) {
     std::fprintf(stderr, "usage: trace_lint [--adt consensus|register|queue|"
                          "kvstore] [--phases M N] [--relaxed-aborts] [file]\n");
     return 2;

@@ -51,11 +51,11 @@
 ///
 ///   * **Epoch-salted memo entries.** Transposition entries are recorded
 ///     under a salt that moves on whenever they could be unsound: reset, a
-///     budget-limited run, a fold (mask bits renumber), a relation credit,
-///     and for slin any non-monotone delta (a new init action, or a new
-///     invocation under the relaxed abort reading). The memo is forgotten
-///     at the same moment (it keeps its slot array), so it holds only keys
-///     a later probe can still match.
+///     fold (mask bits renumber), a relation credit, and for slin any
+///     non-monotone delta (a new init action, or a new invocation under
+///     the relaxed abort reading). The memo is forgotten at the same
+///     moment (it keeps its slot array), so it holds only keys a later
+///     probe can still match.
 ///
 /// Verdicts are preserved exactly: conclusive answers equal the batch
 /// checkers' on the materialized trace; only which traces exhaust a

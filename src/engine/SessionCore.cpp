@@ -29,11 +29,12 @@
 //
 // *Pollution.* A budget-exhausted run returns through ancestors whose
 // other children were never explored. The engine stores no key for such
-// an ancestor (dfs returns as soon as the budget is spent), but a
-// budget-limited result still moves the epoch at once: no later run
-// depends on which entries an aborted run left. Every epoch move also
-// forgets the memo (newEpoch): the salt is what makes the old entries
-// unreachable, the forget only frees their slots.
+// an ancestor (dfs returns as soon as the budget is spent), so every key
+// a budget-limited run leaves is a node it refuted in full: the memo stays
+// sound and the epoch stays. Only the events that change what a key means
+// move the epoch, and every move also forgets the memo (newEpoch): the
+// salt is what makes the old entries unreachable, the forget only frees
+// their slots.
 //
 // *Finality.* Under the Strict relation a cached No is final: the
 // deletion argument above shows every extension of the trace is refuted
@@ -614,8 +615,6 @@ WindowedSession::cappedRun(std::size_t I, RetainedChain *C,
   // the retired responses, or a sub-No — conclusive with nothing retired,
   // the WindowRetired Unknown behind a retired prefix.
   auto Decide = [&](Verdict V, std::string Reason, bool BudgetLimited) {
-    if (BudgetLimited)
-      newEpoch(); // Polluted: re-salt before the next search.
     R.Outcome = V;
     R.Reason = std::move(Reason);
     R.BudgetLimited = BudgetLimited;
@@ -1094,7 +1093,6 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
       return seal(R);
     }
     if (Left == 0) {
-      newEpoch();
       R.Outcome = Verdict::Unknown;
       R.Reason = NodeBudgetReason;
       R.BudgetLimited = true;
@@ -1120,8 +1118,7 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
   if (fastStep(Limits.WantWitness, Left, R))
     return seal(R);
   if (Left == 0) {
-    // No node to spend: answer before any member is prepared. Nothing ran,
-    // so nothing polluted the memo and the epoch stays.
+    // No node to spend: answer before any member is prepared.
     HaveResult = false;
     R.Outcome = Verdict::Unknown;
     R.Reason = NodeBudgetReason;
@@ -1138,7 +1135,6 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
   // view, and each runs on what the longer ones left of the member's
   // budget: all the verdict has left, for every member.
   R.Outcome = Verdict::Yes;
-  bool Polluted = false;
   const std::size_t Members = members();
   for (std::size_t I = 0; I != Members; ++I) {
     // A member without a chain runs against a scratch chain, admitted only
@@ -1205,7 +1201,6 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
       Run.BudgetLimited = false;
     }
     R.NodesExplored += Run.Stats.Nodes;
-    Polluted |= Run.BudgetLimited;
     if (Run.Outcome == Verdict::Yes)
       memberYes(I, *C);
     if (IsFresh && (!Fresh->Master.empty() || !Fresh->Aborts.empty()))
@@ -1217,8 +1212,6 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
       break;
     }
   }
-  if (Polluted)
-    newEpoch();
   HaveResult = R.Outcome != Verdict::Unknown;
   Cached = R.Outcome;
   if (R.Outcome == Verdict::No)

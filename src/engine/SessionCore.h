@@ -517,7 +517,7 @@ protected:
   bool HaveBoundedYes = false;
 
   /// Moves whenever retained memo entries could be unsound (folds renumber
-  /// masks, budget-limited runs, relaxations, reset); folded into every
+  /// masks, relaxations, non-monotone slin deltas, reset); folded into every
   /// member salt. Only newEpoch() moves it.
   std::uint64_t Epoch = 0;
   /// Retained chains keyed by member key. Only chains that captured

@@ -16,7 +16,7 @@
 ///
 /// slin_core never instantiates the macro: libraries, fuzzers, and
 /// sanitizer-instrumented targets are unaffected. Only the steady-state
-/// allocation regression test and the online_monitor example define it.
+/// allocation regression test and the service_monitor example define it.
 /// Sanitizer builds provide their own operator new, so the macro compiles
 /// to nothing under ASan and the gauge reads zero there — callers must
 /// treat a zero *baseline* (no allocations observed at all, ever) as

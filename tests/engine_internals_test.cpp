@@ -1061,7 +1061,7 @@ TEST(CorpusDriverTest, AggregateCountsEveryCheck) {
 }
 
 //===----------------------------------------------------------------------===//
-// Resumable sessions: frontier reuse, absorption, and pollution recovery.
+// Resumable sessions: frontier reuse, absorption, and budget-stop recovery.
 //===----------------------------------------------------------------------===//
 
 TEST(IncrementalSessionTest, ResumptionPaysOnlyForTheSuffix) {
@@ -1121,9 +1121,10 @@ TEST(IncrementalSessionTest, InvokeAppendsAndNoAreAbsorbed) {
 }
 
 TEST(IncrementalSessionTest, BudgetExhaustionRecoversCleanly) {
-  // A budget-limited verdict pollutes the lineage (ancestors of
-  // unexplored subtrees were recorded as failed); the next verdict must
-  // re-salt and still reach the batch checker's conclusive answer.
+  // Soundness regression: a budget-limited verdict leaves its memo keys
+  // behind, and the next verdict probes them under the same salt. The
+  // engine stores no key for an ancestor of an unexplored subtree, so the
+  // full verdict that follows must still reach the batch checker's answer.
   ConsensusAdt Cons;
   GenOptions G;
   G.NumClients = 4;
@@ -1439,12 +1440,11 @@ TEST(IncrementalSessionTest, SlinResumptionPaysOnlyForTheSuffix) {
       << "slin frontier resumption did not reduce search work";
 }
 
-TEST(IncrementalSessionTest, SlinBudgetPollutionSaltsOutRetainedFrontiers) {
-  // Regression: a budget-limited slin verdict records memo entries for
-  // subtrees it never finished exploring, under the same salts the
-  // retained frontier's next resumption would probe. The epoch must move
-  // (salting the polluted era out) while the frontier itself survives —
-  // the recovery verdict must match the batch checker, and still resume.
+TEST(IncrementalSessionTest, SlinBudgetStopKeepsRetainedFrontiersSound) {
+  // Soundness regression: a budget-limited slin verdict keeps the epoch,
+  // so the retained frontier's next resumption probes the memo entries it
+  // left under the same salts. Only fully refuted subtrees hold an entry,
+  // so the recovery verdict must match the batch checker.
   UniversalAdt Uni;
   PhaseSignature Sig(1, 2);
   UniversalInitRelation Rel;

@@ -392,13 +392,15 @@ BENCHMARK(BM_E9_Service_PerEvent)->Arg(256)->UseManualTime();
 static void BM_E9_Service_OverflowRecovery(benchmark::State &State) {
   // One shard through a full straggler cycle per iteration: an operation
   // invokes and stays open while 70 completions overflow the 64-slot
-  // window (every verdict past the overflow is the cached BoundedYes
-  // fallback), then the straggler responds, the session drains the
-  // backlog through capped prefix sub-searches, and the shard — and the
-  // composed verdict — recovers to Yes. Times the whole cycle (142 wire
-  // events); the counters pin the lifecycle: exactly one window overflow
-  // per cycle, a recovered composed Yes at every cycle's end, and the
-  // bounded-fallback cadence during the excursion.
+  // window (the first verdict past the overflow runs one capped round over
+  // the first 64 obligations and grades BoundedYes, later ones serve it
+  // from cache), then the straggler responds, the session folds the
+  // backlog with that same round, and the shard — and the composed verdict
+  // — recovers to Yes. Times the whole cycle (142 wire events); the
+  // counters pin the lifecycle: exactly one window overflow per cycle, a
+  // recovered composed Yes at every cycle's end, the graded cadence during
+  // the excursion, and the session search nodes a cycle spends
+  // (deterministic).
   RegisterAdt Reg;
   MonitorService Service(Reg);
   RegisterAdt Model;
@@ -418,6 +420,7 @@ static void BM_E9_Service_OverflowRecovery(benchmark::State &State) {
   constexpr std::size_t CycleEvents = 2 + 2 * 70;
   std::uint64_t Overflows0 = Service.aggregateSessionStats().WindowOverflows;
   std::uint64_t Bounded0 = Service.aggregateSessionStats().BoundedYesVerdicts;
+  std::uint64_t Nodes0 = Service.aggregateSessionStats().Search.Nodes;
   std::uint64_t Cycles = 0;
   std::uint64_t RecoveredYes = 0;
   TimedRegion Timer;
@@ -452,6 +455,8 @@ static void BM_E9_Service_OverflowRecovery(benchmark::State &State) {
       static_cast<double>(Sessions.WindowOverflows - Overflows0) / C);
   State.counters["bounded_yes_per_cycle"] = benchmark::Counter(
       static_cast<double>(Sessions.BoundedYesVerdicts - Bounded0) / C);
+  State.counters["nodes_per_cycle"] = benchmark::Counter(
+      static_cast<double>(Sessions.Search.Nodes - Nodes0) / C);
   State.counters["live_window_high_water"] =
       benchmark::Counter(static_cast<double>(Sessions.LiveWindowHighWater));
 }

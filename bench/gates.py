@@ -118,6 +118,11 @@ GATES = [
     ("e9-overflow", r".", "overflows_per_cycle", "eq", 1.0, None),
     ("e9-overflow", r".", "bounded_yes_per_cycle", "gt", 0.0, None),
     ("e9-overflow", r".", "ns_per_op", "grow", 0.10, 250e3),
+    # The cycle's search nodes (deterministic): one per fast-step verdict
+    # before the overflow, one capped round over the first 64 obligations
+    # (read by the grade, then by the fold) and the ladder after the fold.
+    # A fold that searches the round again spends 64 more (199).
+    ("e9-overflow", r".", "nodes_per_cycle", "le", 135.0, None),
     # The parse stage alone: wire lines/s at >= 90% of the artifact or the
     # 5M lines/s floor. The one-pass parser clears the floor by half again;
     # a parse that re-tokenizes each line (under 3M lines/s on the box

@@ -109,8 +109,8 @@ struct SessionStats {
   /// Uncapped runs from the boundary seed point — the end of the chain's
   /// retired prefix, or the root — that the resumable sessions' verdict
   /// ladder made: members with no chain to resume, and misses neither the
-  /// end nor the cut answered. The capped runs of the overflow drain and
-  /// the bounded fallback are not counted. Batch sessions never bump this.
+  /// end nor the cut answered. The capped runs of an overflow excursion's
+  /// round are not counted. Batch sessions never bump this.
   std::uint64_t RootSearches = 0;
   /// Obligations a windowed session folded into its retired prefix at
   /// quiescent cuts (engine/Incremental.h); what keeps the live window —

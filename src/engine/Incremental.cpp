@@ -188,7 +188,7 @@ void IncrementalSlinSession::refreshFamily() {
     H = hashCombine(H, CachedInterpHashes.back());
   }
   if (H != CachedFamilyHash)
-    HaveBoundedYes = false; // The bounded sub-Yes vouched for another family.
+    HaveRound = false; // The excursion round covered another family.
   CachedFamilyHash = H;
   HaveCachedFamily = true;
   FamilyDirty = false;

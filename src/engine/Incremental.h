@@ -45,9 +45,11 @@
 ///     No only rules out completions of the pinned retired chain and is
 ///     reported as the WindowRetiredReason Unknown. Retirement is lazy, so
 ///     verdicts on <= 64-obligation traces are bit-identical to the batch
-///     checkers'. Overflow excursions (a straggler overlapping more than 64
-///     completions) are drained by capped sub-searches, graded BoundedYes
-///     while pinned, or reported structurally.
+///     checkers'. An overflow excursion (a straggler overlapping more than
+///     64 completions) runs one capped round over the first 64 obligations
+///     per member, kept until a fold: it drains what the cut allows, grades
+///     the pinned remainder BoundedYes, or the verdict is reported
+///     structurally.
 ///
 ///   * **Epoch-salted memo entries.** Transposition entries are recorded
 ///     under a salt that moves on whenever they could be unsound: reset, a

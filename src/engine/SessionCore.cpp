@@ -60,6 +60,7 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
+#include <string_view>
 #include <type_traits>
 
 using namespace slin;
@@ -447,10 +448,8 @@ std::uint64_t WindowedSession::alignedMask(const RetainedChain &C) const {
   return C.Aligned;
 }
 
-std::uint64_t WindowedSession::cutMask(const RetainedChain &C,
-                                       std::size_t Limit,
+std::uint64_t WindowedSession::cutMask(std::uint64_t Mask, std::size_t Limit,
                                        std::size_t E) const {
-  std::uint64_t Mask = alignedMask(C);
   if (Limit < 64)
     Mask &= (1ull << Limit) - 1;
   // Tags grow with window position, so the prefixes whose last obligation
@@ -461,8 +460,6 @@ std::uint64_t WindowedSession::cutMask(const RetainedChain &C,
       break;
     Mask &= ~(1ull << Top);
   }
-  assert(Mask ==
-         foldMask(C.Commits, C.Master.size(), C.RetiredLen, Limit, E));
   return Mask;
 }
 
@@ -529,7 +526,7 @@ void WindowedSession::foldWindow(std::size_t K) {
   // amortized-rare, so the lost reuse is a bounded cost, not a steady-state
   // one.
   newEpoch();
-  HaveBoundedYes = false;
+  HaveRound = false;
 }
 
 void WindowedSession::retireQuiescentPrefix() {
@@ -560,7 +557,7 @@ void WindowedSession::retireQuiescentPrefix() {
   auto MaskOf = [&](const RetainedChain &C) -> std::uint64_t {
     if (C.RetiredRows != WindowBase)
       return 0; // Stale retirement depth: cannot participate.
-    return cutMask(C, Limit, E);
+    return cutMask(alignedMask(C), Limit, E);
   };
   // Validate the whole family before mutating anything.
   std::uint64_t Common = ~0ull;
@@ -614,9 +611,9 @@ WindowedSession::cappedRun(std::size_t I, RetainedChain *C,
   // verdict: budget exhaustion (retryable), a member that cannot validate
   // the retired responses, or a sub-No — conclusive with nothing retired,
   // the WindowRetired Unknown behind a retired prefix.
-  auto Decide = [&](Verdict V, std::string Reason, bool BudgetLimited) {
+  auto Decide = [&](Verdict V, std::string_view Reason, bool BudgetLimited) {
     R.Outcome = V;
-    R.Reason = std::move(Reason);
+    R.Reason = Reason; // In place: a reused result keeps its buffer.
     R.BudgetLimited = BudgetLimited;
     return SubRun::Decided;
   };
@@ -637,7 +634,7 @@ WindowedSession::cappedRun(std::size_t I, RetainedChain *C,
     return SubRun::Yes;
   if (Out.Outcome == Verdict::Unknown)
     return Out.BudgetLimited // The engine's wording.
-               ? Decide(Verdict::Unknown, std::move(Out.Reason), true)
+               ? Decide(Verdict::Unknown, Out.Reason, true)
                : SubRun::Structural;
   // One member's sub-No kills the ∀ over the family.
   if (WindowBase == 0) {
@@ -648,41 +645,75 @@ WindowedSession::cappedRun(std::size_t I, RetainedChain *C,
   return Decide(Verdict::Unknown, WindowRetiredReason, false);
 }
 
-bool WindowedSession::drainOverflow(std::uint64_t &Left, LinCheckResult &R) {
-  // Overflow recovery: a straggler overlapped more completions than the
-  // engine's exact search carries. Retire by *searching* capped sub-problems,
-  // one per member, and fold each member's share at the largest prefix every
-  // member's sub-chain aligns on. Families larger than the window limit are
-  // not drained (the chain table must hold one fold target each).
-  const std::size_t Members = members();
-  if (Members == 0 || Members > ChainTableLimit)
-    return false;
-  DrainRound.resize(Members);
+bool WindowedSession::decideExcursion(std::uint64_t &Left,
+                                      LinCheckResult &R) {
+  // A straggler overlapped more completions than the engine's exact search
+  // carries. Every step reads one capped round: each member's sub-chain
+  // over the first WindowLimit obligations from its boundary (see
+  // *Restriction*). The family folds at the largest prefix every round
+  // chain aligns on before the cut, then repeats with a new round; while
+  // nothing can fold, the round grades the pinned window BoundedYes(tail)
+  // if the out-of-window tail is within the bound. A round in which every
+  // member answered Yes is kept until a fold, a reset or a new family:
+  // completions appended past the window leave its restriction as it was,
+  // and each sub-search is deterministic, so a kept round is the round a
+  // new search would find. (A weaker relation's invocation credit only
+  // relaxes the rows: a kept round stays a witness of its restriction.)
+  // Families larger than the chain table never fold (each member needs a
+  // fold target).
   bool Folded = false;
-  bool Decided = false;
+  SubRun Step = SubRun::Yes; // Yes: the excursion closed.
   while (overflowed()) {
+    const std::size_t Members = PinnedByAborts ? 0 : members();
+    const std::size_t Tail = Obligations.size() - WindowLimit;
+    const bool Grade = Members != 0 && Opts.InterferenceBound != 0 &&
+                       Tail <= Opts.InterferenceBound;
+    // A cut pinned by an open straggler costs O(clients) and no search.
     const std::size_t E = openCut();
-    if (Obligations.tag(0) >= E)
-      break; // Pinned by an open straggler; O(clients) and no search.
-    const std::size_t Limit = Order.retirablePrefix(Obligations, WindowLimit);
-    if (Limit == 0)
-      break;
-    // No common foldable prefix, or a sub-search that did not answer Yes:
-    // whatever it decided (or the structural Unknown) stands.
-    std::uint64_t Common = ~0ull;
-    for (std::size_t I = 0; I != Members && Common; ++I) {
-      RetainedChain *C = chain(I);
-      const SubRun Sub = cappedRun(I, C, Left, DrainRound[I], R);
-      if (Sub != SubRun::Yes) {
-        Decided = Sub == SubRun::Decided;
-        Common = 0;
-        break;
+    const std::size_t Limit =
+        Members != 0 && Members <= ChainTableLimit && Obligations.tag(0) < E
+            ? Order.retirablePrefix(Obligations, WindowLimit)
+            : 0;
+    // The round, run only as far as a fold or the grade reads it. A member
+    // that does not answer Yes decides the verdict, or leaves the
+    // structural Unknown.
+    std::uint64_t Common = Limit ? ~0ull : 0;
+    if (!HaveRound)
+      DrainRound.resize(Members);
+    for (std::size_t I = 0; I != Members && (Common || Grade); ++I) {
+      if (!HaveRound) {
+        Step = cappedRun(I, chain(I), Left, DrainRound[I], R);
+        if (Step != SubRun::Yes)
+          break;
+        HaveRound = I + 1 == Members;
       }
-      Common &= foldMask(DrainRound[I].Commits, DrainRound[I].Master.size(),
-                         C ? C->RetiredLen : 0, Limit, E);
+      if (!Common)
+        continue;
+      const ChainResult &Sub = DrainRound[I];
+      const std::uint64_t Mask = cutMask(
+          Obligations.alignedPrefixes(Sub.Commits.data(), Sub.Commits.size(),
+                                      0),
+          Limit, E);
+      assert(Mask == foldMask(Sub.Commits, Sub.Master.size(),
+                              findChain(memberKey(I))
+                                  ? findChain(memberKey(I))->RetiredLen
+                                  : 0,
+                              Limit, E));
+      Common &= Mask;
     }
-    if (!Common)
+    if (Step != SubRun::Yes)
       break;
+    if (!Common) {
+      if (Grade) {
+        R.Outcome = Verdict::Unknown;
+        R.Grade = VerdictGrade::BoundedYes;
+        R.Interference = Tail;
+        R.Reason = WindowBoundedReason;
+        ++Stats.BoundedYesVerdicts;
+      }
+      Step = Grade ? SubRun::Decided : SubRun::Structural;
+      break;
+    }
     const std::size_t K =
         64 - static_cast<std::size_t>(__builtin_clzll(Common));
     for (std::size_t I = 0; I != Members; ++I) {
@@ -711,6 +742,10 @@ bool WindowedSession::drainOverflow(std::uint64_t &Left, LinCheckResult &R) {
     foldWindow(K);
     Folded = true;
   }
+  if (Step == SubRun::Structural) {
+    R.Outcome = Verdict::Unknown;
+    R.Reason = PinnedByAborts ? WindowAbortPinnedReason : WindowOverflowReason;
+  }
   if (Folded) {
     Order.rebuildMasks(Obligations);
     // The cached Yes predates the folds. (A cached No survives — it is
@@ -720,40 +755,7 @@ bool WindowedSession::drainOverflow(std::uint64_t &Left, LinCheckResult &R) {
   }
   if (!overflowed())
     OverflowNoted = false; // The excursion ended; count the next one anew.
-  return Decided;
-}
-
-bool WindowedSession::boundedFallback(std::uint64_t &Left,
-                                      LinCheckResult &R) {
-  // Pinned excursion: nothing can retire, but the first WindowLimit
-  // obligations still form an exact restriction under every member. A
-  // family-wide sub-Yes with the out-of-window tail within the bound is
-  // BoundedYes(tail); a sub-search that decides the verdict otherwise
-  // decides it here too. Returns false when the fallback does not apply.
-  const std::size_t Tail = Obligations.size() - WindowLimit;
-  if (PinnedByAborts || Opts.InterferenceBound == 0 ||
-      Tail > Opts.InterferenceBound)
-    return false;
-  const std::size_t Members = members();
-  if (Members == 0)
-    return false;
-  for (std::size_t I = 0; !HaveBoundedYes && I != Members; ++I) {
-    // A member's sub-Yes covers a restriction, not the window, so its chain
-    // is discarded.
-    ChainResult Sub;
-    const SubRun Run = cappedRun(I, chain(I), Left, Sub, R);
-    if (Run != SubRun::Yes)
-      return Run == SubRun::Decided; // Structural: the flat reason stands.
-    // The grade stays valid while the excursion persists: nothing folds
-    // while pinned, and new completions only append past the first 64.
-    HaveBoundedYes = I + 1 == Members;
-  }
-  R.Outcome = Verdict::Unknown;
-  R.Grade = VerdictGrade::BoundedYes;
-  R.Interference = Tail;
-  R.Reason = WindowBoundedReason;
-  ++Stats.BoundedYesVerdicts;
-  return true;
+  return Step != SubRun::Yes;
 }
 
 //===----------------------------------------------------------------------===//
@@ -780,8 +782,8 @@ WindowedSession::advanceCut(RetainedChain &C) {
   const std::size_t Rows = C.Commits.size();
   if (PinnedByAborts || Rows == 0 || Rows > N)
     return std::nullopt;
-  const std::uint64_t Mask =
-      cutMask(C, Order.retirablePrefix(Obligations, N), cutBound(Rows));
+  const std::uint64_t Mask = cutMask(
+      alignedMask(C), Order.retirablePrefix(Obligations, N), cutBound(Rows));
   if (!Mask)
     return std::nullopt;
   const std::size_t K = 64 - static_cast<std::size_t>(__builtin_clzll(Mask));
@@ -840,7 +842,7 @@ void WindowedSession::runFrom(std::size_t I, RetainedChain *C,
                               const SeedPoint &P, ChainProblemView V,
                               const ChainLimits &L, ChainResult &Out) {
   Scratch.rewind(PreparedMark);
-  // A capped run (the drain's, the fallback's) covers a restriction of the
+  // A capped run (an excursion round's) covers a restriction of the
   // window: it writes into Out and leaves the chain as it was. Every other
   // run resumes inside the chain, in place: the chain's buffers are its
   // output, its ids up to the point are the seed (the boundary keeps none
@@ -1059,8 +1061,8 @@ bool WindowedSession::fastStep(bool WantWitness, std::uint64_t Left,
 
 void WindowedSession::seal(LinCheckResult &R) {
   Stats.record(R.Outcome);
-  // gradeFor(Outcome) everywhere except the bounded fallback, which graded
-  // its Unknown itself.
+  // gradeFor(Outcome) everywhere except an excursion's BoundedYes, graded
+  // where it was decided.
   if (R.Grade != VerdictGrade::BoundedYes)
     R.Grade = gradeFor(R.Outcome);
   NewResponses = 0;
@@ -1078,27 +1080,9 @@ void WindowedSession::decide(const LinCheckOptions &Limits,
   // The nodes the verdict may still spend (R.NodesExplored counts what it
   // spent).
   std::uint64_t Left = Limits.NodeBudget;
-  if (overflowed()) {
-    // Overflow excursion: drain what the cut allows (a no-op O(clients)
-    // check while a straggler pins it); whatever still exceeds the limit
-    // is graded by the bounded fallback or reported structurally. Drain,
-    // fallback and the ladder below share the verdict's budget.
-    const bool Decided = !PinnedByAborts && drainOverflow(Left, R);
-    if (Decided || overflowed()) {
-      if (!Decided && !boundedFallback(Left, R)) {
-        R.Outcome = Verdict::Unknown;
-        R.Reason =
-            PinnedByAborts ? WindowAbortPinnedReason : WindowOverflowReason;
-      }
-      return seal(R);
-    }
-    if (Left == 0) {
-      R.Outcome = Verdict::Unknown;
-      R.Reason = NodeBudgetReason;
-      R.BudgetLimited = true;
-      return seal(R);
-    }
-  }
+  // An excursion that closes leaves the rest of the budget to the ladder.
+  if (overflowed() && decideExcursion(Left, R))
+    return seal(R);
   if (RetiredStale) {
     // A delta capped the frozen retired region (an abort after
     // retirement): nothing sound can be concluded short of re-checking it,
@@ -1245,6 +1229,7 @@ void WindowedSession::freeze() {
   Spare.reset();
   CappedScratch = decltype(CappedScratch)();
   DrainRound = decltype(DrainRound)();
+  HaveRound = false;
   FastUndoScratch = decltype(FastUndoScratch)();
 }
 
@@ -1270,7 +1255,7 @@ void WindowedSession::resetCore() {
   Frozen = false;
   WindowBase = 0;
   OverflowNoted = false;
-  HaveBoundedYes = false;
+  HaveRound = false;
   newEpoch();
   HaveResult = false;
   NewResponses = 0;

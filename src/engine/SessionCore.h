@@ -16,9 +16,10 @@
 ///     retire-if-full, happens-before mask, overflow noting;
 ///   * the quiescent cut and the fold at the largest response-aligned
 ///     prefix common to every member's chain (retireQuiescentPrefix);
-///   * overflow recovery (drainOverflow) and the graded pinned-excursion
-///     fallback (boundedFallback), which share one capped sub-search from
-///     each member's boundary (cappedRun);
+///   * the overflow excursion (decideExcursion): one capped round — each
+///     member's sub-search over the first 64 obligations from its boundary
+///     (cappedRun), kept until a fold — drains what the cut allows and
+///     grades the pinned remainder (BoundedYes);
 ///   * the one-new-obligation fast step, which decides the steady-state
 ///     verdict in-session with the checks the engine's one commit move
 ///     would make, bit-identical in verdicts, node counts and retained
@@ -319,10 +320,10 @@ struct RetainedChain {
   /// Commits commit exactly the first k live obligations. Kept current
   /// wherever the rows or the window's front change — the fast step sets
   /// the new row's bit, a Yes from a seed point recomputes only the bits
-  /// past the point, a fold shifts the mask, the drain clears it — so the
-  /// end check, the cut and the fold read it in O(1) instead of rescanning
-  /// the rows (WindowedSession::foldMask is the from-scratch oracle). A
-  /// chain with no rows is aligned at its end with a zero mask.
+  /// past the point, a fold shifts the mask, an excursion's fold clears it
+  /// — so the end check, the cut and the fold read it in O(1) instead of
+  /// rescanning the rows (WindowedSession::foldMask is the from-scratch
+  /// oracle). A chain with no rows is aligned at its end with a zero mask.
   std::uint64_t Aligned = 0;
   /// The member's f_abort (slin) from its last searched Yes. Aborts rule
   /// out the fast step, so no later Yes can advance the chain past it.
@@ -511,10 +512,10 @@ protected:
   std::size_t WindowBase = 0; ///< Obligations retired so far.
   /// The current overflow excursion was counted in Stats.WindowOverflows.
   bool OverflowNoted = false;
-  /// Cached pinned-excursion family sub-Yes (boundedFallback). The window
-  /// base and front obligation it covers change only by a fold or a reset,
-  /// and both clear it, as does a changed family.
-  bool HaveBoundedYes = false;
+  /// DrainRound holds a Yes from every member (see decideExcursion). The
+  /// restriction it covers changes only by a fold or a reset, and both
+  /// clear it, as does a changed family.
+  bool HaveRound = false;
 
   /// Moves whenever retained memo entries could be unsound (folds renumber
   /// masks, relaxations, non-monotone slin deltas, reset); folded into every
@@ -534,8 +535,7 @@ protected:
   bool NewNonResponse = false;  ///< An init or abort since the last verdict.
   /// Non-monotone deltas since the last verdict: no absorption.
   bool CacheStale = false;
-  /// Aborts pin every slot: no retirement, drain, bounded fallback or fast
-  /// step.
+  /// Aborts pin every slot: no retirement, excursion round or fast step.
   bool PinnedByAborts = false;
   /// A delta invalidated the retired prefix: every verdict is the
   /// WindowRetired Unknown.
@@ -572,16 +572,18 @@ private:
   std::size_t cutBound(std::size_t FirstUncovered) const;
   /// The from-scratch alignment scan: bit k-1 set iff \p Rows[0, k) commit
   /// exactly window [0, k), all responded before \p E, within \p Limit.
-  /// Reads the drain's capped results, and checks RetainedChain::Aligned.
+  /// The oracle (Debug asserts, misalignedChains) for RetainedChain::Aligned
+  /// and the round's masks.
   std::uint64_t foldMask(const std::vector<std::pair<std::size_t, std::size_t>>
                              &Rows,
                          std::size_t LiveLen, std::size_t RetiredLen,
                          std::size_t Limit, std::size_t E) const;
   /// \p C's aligned-prefix mask, checked against foldMask in Debug builds.
   std::uint64_t alignedMask(const RetainedChain &C) const;
-  /// The prefixes of \p C a fold or a cut at \p E may take: its aligned
-  /// ones within \p Limit whose last obligation responded before E.
-  std::uint64_t cutMask(const RetainedChain &C, std::size_t Limit,
+  /// The prefixes a fold or a cut at \p E may take of a chain whose
+  /// aligned prefixes are \p Aligned: those within \p Limit whose last
+  /// obligation responded before E.
+  std::uint64_t cutMask(std::uint64_t Aligned, std::size_t Limit,
                         std::size_t E) const;
   /// Whether \p C's rows commit exactly a window prefix (no rows do).
   bool alignedAtEnd(const RetainedChain &C) const;
@@ -602,10 +604,10 @@ private:
   /// and a verdict it decides goes to \p R.
   SubRun cappedRun(std::size_t I, RetainedChain *C, std::uint64_t &Left,
                    ChainResult &Out, LinCheckResult &R);
-  /// Retires an overflowed window by capped sub-searches; returns whether
-  /// one of them decided the verdict into \p R.
-  bool drainOverflow(std::uint64_t &Left, LinCheckResult &R);
-  bool boundedFallback(std::uint64_t &Left, LinCheckResult &R);
+  /// One verdict inside an overflow excursion: folds what the round allows,
+  /// then grades or reports what still overflows. Returns whether it
+  /// decided the verdict into \p R (false: the excursion closed).
+  bool decideExcursion(std::uint64_t &Left, LinCheckResult &R);
   void cacheNo(ChainResult &Sub);
   bool fastStep(bool WantWitness, std::uint64_t Left, LinCheckResult &R);
   /// \p C's boundary point (the root, when \p C is null or retired nothing).
@@ -629,6 +631,8 @@ private:
   std::uint64_t TouchCounter = 0; ///< LRU clock of the chain table.
   Arena::Mark PreparedMark; ///< The scratch arena past prepareMember.
   std::vector<CommitObligation> CappedScratch;
+  /// The excursion's capped round: member I's sub-chain over the first
+  /// WindowLimit obligations (kept across verdicts while HaveRound).
   std::vector<ChainResult> DrainRound;
   std::vector<std::pair<RetainedChain *, UndoToken>> FastUndoScratch;
   /// The state a run from a shorter seed point adopts: a copy of the

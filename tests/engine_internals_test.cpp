@@ -1523,8 +1523,8 @@ void streamSequentialRegisterOps(IncrementalLinSession &Inc, unsigned Ops,
   }
 }
 
-/// The counters the capped sub-searches (the overflow drain and the bounded
-/// fallback) move, as a session reads them at one point of an excursion.
+/// The counters an excursion's capped round (its folds and its graded
+/// verdicts) moves, as a session reads them at one point of an excursion.
 struct CappedWork {
   std::uint64_t Nodes, BoundedYes, RootSearches, Overflows, Retired;
 };
@@ -1590,7 +1590,8 @@ TEST(IncrementalSessionTest, StragglerPinsTheCutThenDrainRecovers) {
   // live obligations and reports BoundedYes (Outcome Unknown, the
   // out-of-window tail as Interference); later pinned verdicts serve the
   // cached sub-Yes with zero nodes. Once the straggler responds the
-  // drain retires the backlog and definitive verdicts resume.
+  // excursion folds the backlog with that same round and definitive
+  // verdicts resume.
   RegisterAdt Reg;
   IncrementalLinSession Inc(Reg);
   LinCheckOptions Opts;
@@ -1610,8 +1611,8 @@ TEST(IncrementalSessionTest, StragglerPinsTheCutThenDrainRecovers) {
   EXPECT_EQ(Pinned.Interference, 6u);
   EXPECT_EQ(Pinned.NodesExplored, 0u)
       << "a pinned excursion searches its restriction once, then caches";
-  // The work up to here: the ladder before the excursion and the bounded
-  // fallback's capped sub-search.
+  // The work up to here: the ladder before the excursion and the round's
+  // capped sub-search.
   expectCappedWork(Inc.stats(), {128, 12, 2, 1, 0});
   // The straggler completes; its write lands here in the real-time order.
   Output Out = Model->apply(reg::write(9));
@@ -1621,8 +1622,10 @@ TEST(IncrementalSessionTest, StragglerPinsTheCutThenDrainRecovers) {
   EXPECT_EQ(R.Grade, VerdictGrade::Yes);
   EXPECT_FALSE(Inc.overflowed());
   EXPECT_GT(Inc.retiredObligations(), 0u);
-  // Plus the drain that closes the excursion.
-  expectCappedWork(Inc.stats(), {199, 12, 3, 1, 64});
+  // The fold reads the round the grade kept: the recovery searches only
+  // the ladder after it, not the first 64 obligations again.
+  EXPECT_EQ(R.NodesExplored, 7u);
+  expectCappedWork(Inc.stats(), {135, 12, 3, 1, 64});
   // And the steady state continues definitively after the excursion.
   streamSequentialRegisterOps(Inc, 5, Opts, /*VerdictPerEvent=*/true,
                               Model.get());
@@ -1742,8 +1745,9 @@ TEST(IncrementalSessionTest, SlinStragglerPinsTheCutThenDrainRecovers) {
   // verdicts report the graded BoundedYes (every family member linearized
   // the first 64 live obligations; only the out-of-window tail is
   // unchecked), served from cache after the first capped sub-search. Once
-  // the straggler responds, the drain retires the backlog and definitive
-  // verdicts resume — the excursion was transient and counted once.
+  // the straggler responds, the backlog folds with that same round and
+  // definitive verdicts resume — the excursion was transient and counted
+  // once.
   RegisterAdt Reg;
   PhaseSignature Sig(1, 2);
   UniversalInitRelation Rel;
@@ -1785,7 +1789,8 @@ TEST(IncrementalSessionTest, SlinStragglerPinsTheCutThenDrainRecovers) {
   EXPECT_EQ(R.Grade, VerdictGrade::Yes);
   EXPECT_FALSE(Inc.overflowed());
   EXPECT_GT(Inc.retiredObligations(), 0u);
-  expectCappedWork(Inc.stats(), {199, 7, 2, 1, 64});
+  EXPECT_EQ(R.NodesExplored, 7u) << "the fold reads the kept round";
+  expectCappedWork(Inc.stats(), {135, 7, 2, 1, 64});
   // And the steady state continues definitively after the excursion.
   for (unsigned K = 0; K != 5; ++K) {
     Input In = reg::write(static_cast<std::int64_t>(K));
@@ -2169,17 +2174,16 @@ TEST(CutRungTest, SlinRootYesInvalidatesTheCut) {
 }
 
 //===----------------------------------------------------------------------===//
-// Budget stops inside an overflow excursion: the bounded fallback's and the
-// drain's capped sub-searches share the verdict's node budget with the
-// ladder that follows them.
+// Budget stops inside an overflow excursion: the round's capped sub-searches
+// share the verdict's node budget with the ladder that follows them.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// The straggler shape of the drain and fallback tests above: a write
-/// invoked first stays open over 70 sequential register operations (the cut
-/// pins past the window, and the bounded fallback grades the excursion),
-/// then responds (the drain retires the backlog), then 5 more operations.
+/// The straggler shape of the excursion tests above: a write invoked first
+/// stays open over 70 sequential register operations (the cut pins past the
+/// window, and the round grades the excursion), then responds (the kept
+/// round folds the backlog), then 5 more operations.
 Trace stragglerExcursion() {
   RegisterAdt Reg;
   std::unique_ptr<AdtState> Model = Reg.makeState();
@@ -2239,11 +2243,11 @@ void expectExcursionWork(const ExcursionWork &Got, const ExcursionWork &Want,
 
 /// Streams \p T through a session made by \p Make with a full-budget
 /// verdict after every event from index \p FirstVerdict on. At every
-/// verdict taken while the window is overflowed (the bounded fallback's and
-/// the drain's), it replays the stream so far into a fresh session once
-/// per budget in {1, 2, 4, 8, 16} and once per other budget up to the full
-/// verdict's node count, so the budget runs out inside each capped
-/// sub-search, between them, and in the ladder after the drain. Each
+/// verdict taken while the window is overflowed (graded or folding), it
+/// replays the stream so far into a fresh session once per budget in
+/// {1, 2, 4, 8, 16} and once per other budget up to the full verdict's node
+/// count, so the budget runs out inside each capped sub-search, between
+/// them, and in the ladder after the fold. Each
 /// budgeted verdict equals the full one or is a budget-limited Unknown, and
 /// the full-budget verdict after it equals the full one. Returns the
 /// streamed session's counters and the replays' sums.
@@ -2312,8 +2316,8 @@ TEST(IncrementalSessionTest, LinBudgetStopsInsideAnOverflowExcursion) {
       });
   // The work the streamed verdicts and the budgeted replays did: a budget
   // stops at the same node whichever path it runs out in.
-  expectExcursionWork(Stream, {204, 11, 0}, "stream");
-  expectExcursionWork(Replays, {32774, 1221, 0}, "replays");
+  expectExcursionWork(Stream, {140, 11, 0}, "stream");
+  expectExcursionWork(Replays, {17844, 539, 0}, "replays");
 }
 
 TEST(IncrementalSessionTest, SlinBudgetStopsInsideAnOverflowExcursion) {
@@ -2326,8 +2330,8 @@ TEST(IncrementalSessionTest, SlinBudgetStopsInsideAnOverflowExcursion) {
       expectBudgetStopsInExcursion(stragglerExcursion(), 0, O, [&] {
         return std::make_unique<IncrementalSlinSession>(Reg, Sig, Rel);
       });
-  expectExcursionWork(Stream, {204, 11, 0}, "stream");
-  expectExcursionWork(Replays, {32774, 1221, 0}, "replays");
+  expectExcursionWork(Stream, {140, 11, 0}, "stream");
+  expectExcursionWork(Replays, {17844, 539, 0}, "replays");
 }
 
 TEST(IncrementalSessionTest, SlinFamilyBudgetStopsInsideAnOverflowExcursion) {

@@ -577,3 +577,61 @@ TEST(SteadyAlloc, GaugeCountsAllocationsWhenActive) {
   ASSERT_NE(P, nullptr);
   EXPECT_GT(AllocGauge::count(), Before);
 }
+
+//===----------------------------------------------------------------------===//
+// A verdict inside an overflow excursion.
+//===----------------------------------------------------------------------===//
+
+// The excursion's heap contract. On linearizable two-write register rounds
+// a session today overflows its window once and stays in that excursion
+// (see the exact-retirement item in ROADMAP.md): every verdict there runs a
+// capped sub-search that decides the WindowRetired Unknown or runs out of
+// budget. Such a verdict writes its reason into the caller's reused result
+// in place, so over the second half of the stream only the stuck window's
+// own storage growth may allocate. Neither the verdicts nor the excursion
+// are pinned here: exact retirement is to turn them into Yes verdicts
+// inside the window, and the bound must hold then too.
+namespace {
+
+template <typename Session, typename Result, typename Limits>
+void expectQuietExcursionVerdicts(Session &Inc, Result &R, const Limits &L) {
+  Rng Gen(7);
+  const Trace T = genShuffledRegisterRounds(1000, 4, 2, Gen);
+  const std::size_t Half = T.size() / 2;
+  std::uint64_t Allocs0 = 0;
+  for (std::size_t I = 0; I != T.size(); ++I) {
+    if (I == Half)
+      Allocs0 = AllocGauge::count();
+    Inc.append(T[I]);
+    Inc.verdict(L, R);
+  }
+  const std::uint64_t Allocs = AllocGauge::count() - Allocs0;
+  EXPECT_LE(Allocs, 16u) << Allocs << " heap allocations over "
+                         << T.size() - Half << " verdicts";
+}
+
+} // namespace
+
+TEST(SteadyAlloc, LinExcursionVerdictsReuseTheReason) {
+  if (!AllocGauge::active())
+    GTEST_SKIP() << "sanitizer build: interposer compiled out";
+  RegisterAdt Reg;
+  IncrementalLinSession Inc(Reg, shardOptions());
+  LinCheckOptions Limits;
+  Limits.WantWitness = false;
+  LinCheckResult R;
+  expectQuietExcursionVerdicts(Inc, R, Limits);
+}
+
+TEST(SteadyAlloc, SlinExcursionVerdictsReuseTheReason) {
+  if (!AllocGauge::active())
+    GTEST_SKIP() << "sanitizer build: interposer compiled out";
+  RegisterAdt Reg;
+  PhaseSignature Sig(1, 2);
+  UniversalInitRelation Rel;
+  IncrementalSlinSession Inc(Reg, Sig, Rel, shardOptions());
+  SlinCheckOptions Limits;
+  Limits.WantWitness = false;
+  SlinVerdict R;
+  expectQuietExcursionVerdicts(Inc, R, Limits);
+}
